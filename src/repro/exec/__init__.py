@@ -8,13 +8,6 @@ spans, metrics, fault sites, strict-mode checks and the opt-in
 advance+compute/filter kernel fusion (see :doc:`docs/pipeline`).
 """
 
-# Initialize repro.frontier (and through it perfmodel/sycl/obs) before
-# the executor pulls in repro.perfmodel directly: the long-standing
-# perfmodel -> sycl -> obs -> frontier -> perfmodel import cycle only
-# resolves when entered from the frontier side; entering it from the
-# perfmodel side leaves repro.perfmodel.cost partially initialized.
-import repro.frontier  # noqa: F401  (import-order guard)
-
 from repro.exec.executor import PlanExecutor
 from repro.exec.fusion import PendingKernel, fuse_workloads
 from repro.exec.plan import (

@@ -17,39 +17,10 @@ from typing import TYPE_CHECKING, Dict, Optional
 import numpy as np
 
 from repro.errors import FrontierError
+from repro.obs.metrics import SCAN_STATS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sycl.queue import Queue
-
-
-class ScanStats:
-    """Process-wide hit/miss totals for the epoch-memoized frontier scans.
-
-    Incremented on every scan-shaped query (``count`` /
-    ``active_elements`` / ``nonzero_words`` / ``compute_offsets``): a
-    *hit* served a memoized value, a *miss* rescanned the backing
-    storage (including every query while memoization is disabled).
-    The observability layer (:mod:`repro.obs`) samples the running
-    totals per span; the strict-mode coherence replay bypasses
-    ``_memoized`` and therefore never perturbs them.
-    """
-
-    __slots__ = ("hits", "misses")
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def snapshot(self) -> tuple:
-        return (self.hits, self.misses)
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-#: the single process-wide scan-cache statistics instance
-SCAN_STATS = ScanStats()
 
 
 class FrontierView(enum.Enum):

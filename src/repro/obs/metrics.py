@@ -274,3 +274,33 @@ class MetricsRegistry:
         """Latest value of ``name`` (0.0 when never sampled)."""
         metric = self._metrics.get(name)
         return metric.value if metric is not None else 0.0
+
+
+class ScanStats:
+    """Process-wide hit/miss totals for the epoch-memoized frontier scans.
+
+    Incremented on every scan-shaped query (``count`` /
+    ``active_elements`` / ``nonzero_words`` / ``compute_offsets``, see
+    :mod:`repro.frontier.base`): a *hit* served a memoized value, a
+    *miss* rescanned the backing storage (including every query while
+    memoization is disabled).  The span tracer samples the running
+    totals per span; the strict-mode coherence replay bypasses
+    ``_memoized`` and therefore never perturbs them.
+    """
+
+    __slots__ = ("hits", "misses")
+
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+    def snapshot(self) -> tuple:
+        return (self.hits, self.misses)
+
+    def reset(self) -> None:
+        self.hits = 0
+        self.misses = 0
+
+
+#: the single process-wide scan-cache statistics instance
+SCAN_STATS = ScanStats()

@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.frontier.base import SCAN_STATS
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import SCAN_STATS, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perfmodel.cost import KernelCost

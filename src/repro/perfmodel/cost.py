@@ -13,7 +13,9 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
 * **memory_time** — address streams are pushed through the stack-distance
   L1 model (per-CU capacity) then an L2 filter (device capacity); the DRAM
   residue is divided by bandwidth, derated at low occupancy (little
-  latency hiding) and inflated by the backend's USM penalty.
+  latency hiding) and inflated by the backend's USM penalty.  Pricing a
+  kernel's streams takes time linear in its accesses (see
+  ``docs/architecture.md``).
 * **atomics** — serialized per contended location; frontiers that funnel
   many duplicate inserts into the same words (scale-free graphs) pay here.
 """
@@ -21,11 +23,12 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 from typing import List, Optional
 
 import numpy as np
 
-from repro.perfmodel.cache import CacheStats, estimate_cache_hits, line_ids
+from repro.perfmodel.cache import CacheStats, count_adjacent, count_distinct, line_ids, lru_hits
 from repro.perfmodel.metrics import achieved_occupancy
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.backend import backend_traits
@@ -36,9 +39,10 @@ from repro.sycl.ndrange import WorkgroupGeometry
 class AccessStream:
     """One batch of global-memory accesses performed by a kernel.
 
-    ``addresses`` are byte addresses *within the buffer's own address
+    ``addresses`` are element indices *within the buffer's own address
     space*; callers offset distinct buffers into disjoint regions via
-    ``region`` so streams to different buffers do not alias.
+    ``region`` so streams to different buffers do not alias.  A stream's
+    byte offsets (``addresses * item_bytes``) lie in ``[0, 2**40)``.
     """
 
     addresses: np.ndarray
@@ -157,6 +161,16 @@ class CostModel:
         #: whether buffers live in malloc_shared USM (paper §3.3); explicit
         #: device allocations skip the backend's page-migration penalty.
         self.usm = usm
+        spec = self.spec
+        line = spec.l1_line_bytes
+        # Effective L1 capacity: the device-wide aggregate (workgroups of a
+        # launch spread over all CUs, each seeing a slice of the stream into
+        # its private L1 — slices and capacities cancel at this fidelity).
+        # Cache capacities are scaled with the datasets (perfmodel.scaling).
+        l1_bytes = max(line * 4, int(spec.l1_bytes_per_cu * CACHE_SCALE) * spec.compute_units)
+        l2_bytes = max(line * 16, int(spec.l2_bytes * CACHE_SCALE))
+        self._l1_lines = max(1, l1_bytes // line)
+        self._l2_lines = max(1, l2_bytes // line)
 
     # ------------------------------------------------------------------ #
     def charge(self, wl: KernelWorkload) -> KernelCost:
@@ -204,48 +218,100 @@ class CostModel:
             cycles += max(aggregate, chain)
         return cycles / self.spec.clock_ghz  # GHz -> ns per cycle
 
+    #: streams of at most this many accesses are priced with Python ints,
+    #: a set and a list: for them NumPy's per-call overhead is the whole
+    #: cost (the measurement is in docs/architecture.md)
+    SHORT_STREAM = 48
+
     def _memory_hierarchy(self, wl: KernelWorkload):
         if not wl.streams:
             return CacheStats(0, 0), CacheStats(0, 0), 0
-        # Effective L1 capacity: the device-wide aggregate (workgroups of a
-        # launch spread over all CUs, each seeing a slice of the stream into
-        # its private L1 — slices and capacities cancel at this fidelity).
-        # Cache capacities are scaled with the datasets (perfmodel.scaling).
-        l1_capacity = max(
-            self.spec.l1_line_bytes * 4,
-            int(self.spec.l1_bytes_per_cu * CACHE_SCALE) * self.spec.compute_units,
-        )
+        line = self.spec.l1_line_bytes
+        l1_lines = self._l1_lines
+        short = self.SHORT_STREAM
         # Each stream is modeled independently: real L1s keep concurrently
         # streamed regions in distinct sets, and the ordering information
         # (sequential vs scattered) lives within a stream.
-        l1_acc = l1_hits = 0
-        miss_lines = []
+        l1_acc = l1_hits = l2_acc = 0
+        # per stream, the lines of the accesses that missed L1, and the
+        # stream's line bounds (None for a short stream's Python list)
+        missed = []
         for s in wl.streams:
-            lines = line_ids(s.byte_addresses(), self.spec.l1_line_bytes)
-            st = estimate_cache_hits(lines, l1_capacity, self.spec.l1_line_bytes)
-            l1_acc += st.accesses
-            l1_hits += st.hits
-            if st.misses:
-                miss_lines.append(self._resample(lines, st.misses))
+            addresses = np.asarray(s.addresses, dtype=np.int64)
+            n = addresses.size
+            if n == 0:
+                continue
+            item, base = s.item_bytes, s.region * s._REGION_STRIDE
+            if n <= short:
+                lines = [(a * item + base) // line for a in addresses.tolist()]
+                bounds = None
+                hits = lru_hits(n, len(set(lines)), sum(map(eq, lines, lines[1:])), l1_lines)
+            else:
+                lines = line_ids(addresses * item + base, line)
+                bounds = (int(lines.min()), int(lines.max()))
+                hits = lru_hits(n, count_distinct(lines, *bounds), count_adjacent(lines), l1_lines)
+            l1_acc += n
+            l1_hits += hits
+            m = n - hits
+            if m == 0:
+                continue
+            # L2 sees the misses thinned deterministically, preserving
+            # order and distribution: the m accesses np.linspace(0, n-1, m)
+            # indexes, computed in the float64 arithmetic it performs
+            if m == 1:
+                lines = lines[:1]
+            elif m < n:
+                step = (n - 1) / (m - 1)
+                if bounds is None:
+                    lines = [lines[int(j * step)] for j in range(m - 1)] + lines[-1:]
+                else:
+                    idx = (np.arange(m) * step).astype(np.int64)
+                    idx[-1] = n - 1
+                    lines = lines[idx]
+            missed.append((lines, bounds))
+            l2_acc += m
         l1 = CacheStats(l1_acc, l1_hits)
         # Misses fall through to the device-wide L2, which sees the thinned
-        # union of the per-stream miss traffic.
-        l2_capacity = max(self.spec.l1_line_bytes * 16, int(self.spec.l2_bytes * CACHE_SCALE))
-        l2_stream = np.concatenate(miss_lines) if miss_lines else np.empty(0, np.int64)
-        l2 = estimate_cache_hits(l2_stream, l2_capacity, self.spec.l1_line_bytes)
-        dram_bytes = l2.misses * self.spec.l1_line_bytes
-        return l1, l2, int(dram_bytes)
+        # union of the per-stream miss traffic: distinct lines and
+        # repeats are counted across stream boundaries.
+        if l2_acc == 0:
+            return l1, CacheStats(0, 0), 0
+        if l2_acc <= short:
+            stream = []
+            for lines, bounds in missed:
+                stream += lines if bounds is None else lines.tolist()
+            distinct = len(set(stream))
+            adjacent = sum(map(eq, stream, stream[1:]))
+        else:
+            distinct = self._distinct_union(missed)
+            adjacent = count_adjacent(np.concatenate([lines for lines, _ in missed]))
+        l2_hits = lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
+        return l1, CacheStats(l2_acc, l2_hits), (l2_acc - l2_hits) * line
 
     @staticmethod
-    def _resample(lines: np.ndarray, n: int) -> np.ndarray:
-        """Deterministically thin a line stream to ``n`` elements (the
-        subset that missed L1), preserving ordering and distribution."""
-        if n <= 0:
-            return np.empty(0, dtype=np.int64)
-        if n >= lines.size:
-            return lines
-        idx = np.linspace(0, lines.size - 1, n).astype(np.int64)
-        return lines[idx]
+    def _distinct_union(missed) -> int:
+        """Distinct lines across several streams' misses.
+
+        Streams whose line bounds overlap (one buffer read twice) are
+        merged into one cluster and counted over its span; clusters are
+        disjoint, so their counts add up.
+        """
+        parts = sorted(
+            (bounds or (min(lines), max(lines)), i, lines)
+            for i, (lines, bounds) in enumerate(missed)
+        )
+        distinct = 0
+        cluster = []
+        lo = hi = 0
+        for (p_lo, p_hi), _, lines in parts:
+            if cluster and p_lo > hi:
+                distinct += count_distinct(np.concatenate(cluster), lo, hi)
+                cluster = []
+            if not cluster:
+                lo, hi = p_lo, p_hi
+            hi = max(hi, p_hi)
+            cluster.append(lines)
+        return distinct + count_distinct(np.concatenate(cluster), lo, hi)
 
     #: 32-lane subgroups-in-flight needed (per CU) to saturate DRAM
     #: bandwidth; wider subgroups (AMD's 64-lane wavefronts) carry

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.sycl.ndrange import WorkgroupGeometry
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sycl.ndrange import WorkgroupGeometry
 
 
 #: Register/local-memory pressure keeps real kernels below 100% residency;

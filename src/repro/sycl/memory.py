@@ -9,8 +9,8 @@ behaviour the paper's evaluation depends on:
   behind Figure 9 (memory consumption during BFS);
 * a **capacity limit** (device VRAM) whose violation raises
   :class:`~repro.errors.OutOfMemoryError` — the OOM entries of Table 6;
-* per-allocation bookkeeping (kind, label, live/freed) so tests can assert
-  leak-freedom.
+* per-allocation bookkeeping (kind, label) of every live buffer so tests
+  can assert leak-freedom; a record is dropped when its buffer is freed.
 
 Allocations return real NumPy arrays; the simulation is in the accounting,
 not the data.
@@ -56,7 +56,7 @@ class UsmKind(enum.Enum):
 
 @dataclass
 class Allocation:
-    """One live (or freed) USM allocation."""
+    """One USM allocation; ``live`` turns False when it is freed."""
 
     alloc_id: int
     nbytes: int
@@ -142,7 +142,7 @@ class MemoryManager:
         allocation and the violated side on the first corrupted guard.
         """
         for alloc in self._allocs.values():
-            if alloc.live and alloc.guard_base is not None:
+            if alloc.guard_base is not None:
                 self._check_one_canary(alloc)
 
     def _check_one_canary(self, alloc: Allocation) -> None:
@@ -232,12 +232,11 @@ class MemoryManager:
         """Release an allocation previously returned by :meth:`malloc`."""
         arr_id = self._array_ids.pop(id(array), None)
         if arr_id is None:
-            raise KeyError("array was not allocated by this MemoryManager")
+            raise KeyError("array was not allocated by this MemoryManager, or was already freed")
         alloc = self._allocs[arr_id]
-        if not alloc.live:
-            raise KeyError("double free")
         if alloc.guard_base is not None:
             self._check_one_canary(alloc)
+        del self._allocs[arr_id]
         if self.poison_on_free and alloc.array is not None:
             alloc.array[...] = _poison_value(alloc.array.dtype)
         alloc.live = False
@@ -282,7 +281,8 @@ class MemoryManager:
 
     @property
     def live_allocations(self) -> List[Allocation]:
-        return [a for a in self._allocs.values() if a.live]
+        """Live allocations, oldest first."""
+        return list(self._allocs.values())
 
     def usage_trace(self) -> Tuple[np.ndarray, np.ndarray]:
         """Return (step, total_bytes) arrays of the timeline for plotting."""

@@ -35,26 +35,29 @@ class KernelSummary:
 
 
 class ProfileLog:
-    """Ordered log of every kernel cost on a queue."""
+    """Ordered log of every kernel cost on a queue.
+
+    The totals are running sums kept by :meth:`record`, so reading the
+    modeled clock (``Queue.elapsed_ns``) is O(1).  They add the costs in
+    log order, one at a time, exactly as a left-to-right loop over
+    ``costs`` would.
+    """
 
     def __init__(self) -> None:
         self.costs: List["KernelCost"] = []
         self.summaries: Dict[str, KernelSummary] = {}
+        # int 0 until the first cost, as sum() over an empty log returns
+        self.total_ns: float = 0
+        self.total_dram_bytes = 0
 
     def record(self, cost: "KernelCost") -> None:
         self.costs.append(cost)
+        self.total_ns += cost.time_ns
+        self.total_dram_bytes += cost.dram_bytes
         summary = self.summaries.get(cost.name)
         if summary is None:
             summary = self.summaries[cost.name] = KernelSummary(cost.name)
         summary.add(cost)
-
-    @property
-    def total_ns(self) -> float:
-        return sum(c.time_ns for c in self.costs)
-
-    @property
-    def total_dram_bytes(self) -> int:
-        return sum(c.dram_bytes for c in self.costs)
 
     def kernels(self, prefix: str = "") -> List["KernelCost"]:
         """All costs whose kernel name starts with ``prefix``."""

@@ -67,6 +67,26 @@ class TestAllocation:
         live = mm.live_allocations
         assert len(live) == 1 and live[0].label == "keep"
 
+    def test_freed_records_are_dropped(self):
+        """After many alloc/free cycles only live records remain, oldest
+        first, so the per-request scans stay proportional to live buffers."""
+        mm = MemoryManager()
+        kept = [mm.malloc_shared((4,), np.uint8, label=f"keep{i}") for i in range(3)]
+        for cycle in range(200):
+            scratch = [mm.malloc_device((8,), np.uint32, label=f"tmp{cycle}.{j}") for j in range(3)]
+            kept.append(mm.malloc_shared((4,), np.uint8, label=f"keep{cycle + 3}"))
+            for arr in scratch:
+                mm.free(arr)
+        freed = kept.pop(1)
+        mm.free(freed)
+        assert len(mm._allocs) == len(kept) == 202
+        labels = [a.label for a in mm.live_allocations]
+        assert labels == ["keep0"] + [f"keep{i}" for i in range(2, 203)]
+        assert all(a.live for a in mm.live_allocations)
+        assert mm.bytes_in_use == 4 * len(kept)
+        with pytest.raises(KeyError):
+            mm.free(freed)
+
 
 class TestOOM:
     def test_allocation_over_capacity_raises(self):

@@ -118,6 +118,20 @@ class TestProfileLog:
         assert len(queue.profile.kernels("advance")) == 1
         assert queue.profile.time_ns("advance") > 0
 
+    def test_totals_are_running_sums(self, queue):
+        """Totals add kernel costs one by one in log order, and an empty
+        log reports int 0 as a sum over no costs would."""
+        assert queue.profile.total_ns == 0 and type(queue.profile.total_ns) is int
+        for name in ("a", "b", "a", "c"):
+            queue.submit(_workload(name))
+        folded = 0
+        for cost in queue.profile.costs:
+            folded += cost.time_ns
+        assert queue.elapsed_ns == folded
+        assert queue.profile.total_dram_bytes == sum(c.dram_bytes for c in queue.profile.costs)
+        queue.reset_profile()
+        assert queue.elapsed_ns == 0
+
     def test_peak_metrics(self, queue):
         queue.submit(_workload("advance.frontier"))
         assert 0 <= queue.profile.peak_l1_hit_rate("advance") <= 1
