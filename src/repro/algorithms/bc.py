@@ -37,6 +37,7 @@ from repro.exec import (
 )
 from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
+from repro.perfmodel.cache import unique_ints
 
 
 @dataclass
@@ -125,7 +126,7 @@ def _brandes_single(
         # layout admits one copy per tree edge, and re-expanding a
         # vertex would double-count its paths.  Rebuild each level
         # from unique ids.
-        level = np.unique(out_frontier.active_elements())
+        level = unique_ints(out_frontier.active_elements())
         if level.size:
             levels.append(level)
         in_frontier.clear()

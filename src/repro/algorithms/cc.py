@@ -44,6 +44,7 @@ from repro.exec import (
 )
 from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
+from repro.perfmodel.cache import unique_ints
 
 
 @dataclass
@@ -169,7 +170,7 @@ def _shortcut_steps(labels, reinsert: Optional[str]) -> List[Step]:
     def reinsert_moved(ctx):
         moved_ids = ctx.state["cc.moved"]
         if moved_ids:
-            ctx.frontier(reinsert).insert(np.unique(np.concatenate(moved_ids)))
+            ctx.frontier(reinsert).insert(unique_ints(np.concatenate(moved_ids)))
 
     body: List[Step] = [ComputeStep(jump_factory, frontier=None, write_bytes=8)]
     if reinsert is not None:

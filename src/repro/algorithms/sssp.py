@@ -33,6 +33,7 @@ from repro.exec import (
 )
 from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
+from repro.perfmodel.cache import unique_ints
 
 
 @dataclass
@@ -231,7 +232,7 @@ def delta_stepping(
     def heavy_setup(ctx):
         # heavy edges of every vertex removed from this bucket, once
         frontier.clear()
-        frontier.insert(np.unique(np.concatenate(ctx.state["processed"])))
+        frontier.insert(unique_ints(np.concatenate(ctx.state["processed"])))
         scratch.clear()
 
     def heavy_epilogue(ctx):

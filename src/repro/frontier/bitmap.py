@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier, FrontierView
+from repro.perfmodel.cache import unique_ints
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,9 +59,9 @@ class BitmapFrontier(Frontier):
         if was_empty:
             # insert into a provably-empty frontier: the scans are known by
             # construction, no bitmap pass needed for the next query
-            active = np.unique(ids)
+            active = unique_ints(ids)
             self._prime_scan_cache(
-                active=active, nonzero_words=np.unique(active // self.bits)
+                active=active, nonzero_words=unique_ints(active // self.bits)
             )
 
     def remove(self, elements) -> None:

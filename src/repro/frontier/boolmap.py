@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.frontier.base import Frontier, FrontierView
+from repro.perfmodel.cache import unique_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sycl.queue import Queue
@@ -38,7 +39,7 @@ class BoolmapFrontier(Frontier):
         if was_empty:
             # insert into a provably-empty map: the active set is the
             # sorted-unique batch — no flag scan needed for the next query
-            self._prime_scan_cache(active=np.unique(ids))
+            self._prime_scan_cache(active=unique_ints(ids))
 
     def remove(self, elements) -> None:
         ids = self._as_ids(elements)

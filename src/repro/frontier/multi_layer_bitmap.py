@@ -27,6 +27,7 @@ import numpy as np
 from repro.errors import FrontierError
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier, FrontierView
+from repro.perfmodel.cache import unique_ints
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -95,13 +96,13 @@ class MultiLayerBitmapFrontier(Frontier):
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
-        primed_active = np.unique(ids) if was_empty else None
+        primed_active = unique_ints(ids) if was_empty else None
         # every layer gets its summary bit — the per-insert cost that grows
         # with tree depth (paper §4.4)
         level0_words = None
         for layer in self.layers:
             _bitops.set_bits(layer, ids, self.bits)
-            ids = np.unique(ids // self.bits)
+            ids = unique_ints(ids // self.bits)
             if level0_words is None:
                 level0_words = ids
         self._bump_epoch()

@@ -35,6 +35,7 @@ from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
 from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
 from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
+from repro.perfmodel.cache import unique_ints
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.ndrange import Range
 from repro.types import vertex_t
@@ -93,7 +94,7 @@ def _bitwise_op(a: Frontier, b: Frontier, out: Frontier, op: Callable, name: str
         for depth, layer in enumerate(out.layers[1:], start=1):
             _bitops.set_bits(layer, ids, out.bits)
             summary_writes.append((ids // out.bits, layer.dtype.itemsize, f"out.layer{depth}"))
-            ids = np.unique(ids // out.bits)
+            ids = unique_ints(ids // out.bits)
     # the writes above bypass insert(): invalidate out's memoized scans
     out._bump_epoch()
 

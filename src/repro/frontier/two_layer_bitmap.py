@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier, FrontierView
+from repro.perfmodel.cache import unique_ints
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,14 +74,15 @@ class TwoLayerBitmapFrontier(Frontier):
         was_empty = self._cached_was_empty()
         _bitops.set_bits(self.words, ids, self.bits)
         # "When adding a vertex, the corresponding bit in the second layer
-        # is calculated and set to 1 if it's not already."
-        touched_words = np.unique(ids // self.bits)
+        # is calculated and set to 1 if it's not already." (an idempotent
+        # OR: repeated words need no dedup)
+        touched_words = ids // self.bits
         _bitops.set_bits(self.words_l2, touched_words, self.bits)
         self._bump_epoch()
         if was_empty:
             # inserting into a provably-empty frontier determines the scans
             # by construction: no bitmap pass needed to answer the next query
-            self._prime_scan_cache(active=np.unique(ids), nonzero_words=touched_words)
+            self._prime_scan_cache(active=unique_ints(ids), nonzero_words=unique_ints(touched_words))
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.frontier.base import Frontier, FrontierView
+from repro.perfmodel.cache import unique_ints
 from repro.types import vertex_t
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +76,7 @@ class VectorFrontier(Frontier):
         if was_empty:
             # appending to a provably-empty vector: the deduplicated view is
             # just the sorted-unique batch — no rescan of the vector needed
-            self._prime_scan_cache(active=np.unique(ids))
+            self._prime_scan_cache(active=unique_ints(ids))
 
     def remove(self, elements) -> None:
         ids = self._as_ids(elements)
@@ -126,7 +127,7 @@ class VectorFrontier(Frontier):
         if key == "active":
             if self._size == 0:
                 return np.empty(0, dtype=np.int64)
-            return np.unique(self._data[: self._size]).astype(np.int64)
+            return unique_ints(self._data[: self._size]).astype(np.int64)
         return super()._scan_compute(key)
 
     def raw_elements(self) -> np.ndarray:

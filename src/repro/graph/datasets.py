@@ -25,6 +25,7 @@ benchmarks can print paper-vs-ours comparisons.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -133,7 +134,9 @@ def load_dataset(name: str, scale: str = "small", weighted: bool = False) -> COO
 
             from repro.types import weight_t
 
-            rng = np.random.default_rng(hash(cache_key) & 0xFFFF)
+            # a digest of the key, not hash(): string hashes change from
+            # process to process, and the weights must not
+            rng = np.random.default_rng(zlib.crc32(repr(cache_key).encode()))
             coo.weights = rng.uniform(1.0, 10.0, size=coo.n_edges).astype(weight_t)
         _CACHE[cache_key] = coo
     return _CACHE[cache_key]

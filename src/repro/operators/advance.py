@@ -37,6 +37,7 @@ from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
 from repro.frontier.vector import VectorFrontier
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance
+from repro.perfmodel.cache import count_distinct, unique_ints
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.device import TunedParameters
 from repro.sycl.event import Event
@@ -332,7 +333,7 @@ def _charge_memory(
             wl.add_stream(words, out_frontier.words.dtype.itemsize, REGION_FRONTIER_OUT, is_write=True, label="out.bitmap")
             # subgroup compaction pre-merges same-word bits in registers
             # (warp-aggregated atomicOr): one atomic per touched word
-            n_words_touched = int(np.unique(words).size)
+            n_words_touched = count_distinct(words)
             wl.atomics += n_words_touched
             wl.atomic_targets += n_words_touched
             if isinstance(out_frontier, TwoLayerBitmapFrontier):
@@ -342,7 +343,7 @@ def _charge_memory(
                 # every extra tree layer is another atomic summary write
                 layer_words = words
                 for k in range(1, out_frontier.n_layers):
-                    layer_words = np.unique(layer_words // out_frontier.bits)
+                    layer_words = unique_ints(layer_words // out_frontier.bits)
                     wl.add_stream(
                         layer_words, 8, REGION_L2 + k, is_write=True, label=f"out.l{k}"
                     )
@@ -438,7 +439,7 @@ def _pull_workload(
     if src.size:
         parent_ok = in_frontier.contains(src)
         mask = parent_ok & as_mask(functor(src, dst, eid, w), src.size, "advance")
-        accepted = np.unique(dst[mask])
+        accepted = unique_ints(dst[mask])
     else:
         accepted = np.empty(0, dtype=np.int64)
     if out_frontier is not None and accepted.size:
@@ -479,5 +480,5 @@ def _pull_workload(
             label="out.bitmap",
         )
         wl.atomics += int(accepted.size)
-        wl.atomic_targets += int(np.unique(words).size)
+        wl.atomic_targets += count_distinct(words)
     return wl

@@ -34,6 +34,7 @@ from repro.operators.advance import (
 )
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance
+from repro.perfmodel.cache import count_distinct
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.event import Event
 from repro.sycl.ndrange import Range
@@ -108,7 +109,7 @@ def vertices_to_edges(
                 is_write=True,
                 label="out.edges",
             )
-            n_words = int(np.unique(words).size)
+            n_words = count_distinct(words)
             wl.atomics += n_words
             wl.atomic_targets += n_words
         return queue.submit(wl)
@@ -170,7 +171,7 @@ def edges_to_vertices(
                 is_write=True,
                 label="out.bitmap",
             )
-            n_words = int(np.unique(words).size)
+            n_words = count_distinct(words)
             wl.atomics += n_words
             wl.atomic_targets += n_words
         return queue.submit(wl)

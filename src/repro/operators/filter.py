@@ -25,6 +25,7 @@ from repro.operators.advance import (
     charge_frontier_probe,
 )
 from repro.operators.functor import as_mask
+from repro.perfmodel.cache import count_distinct
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.event import Event
 from repro.sycl.ndrange import Range
@@ -48,7 +49,7 @@ def _charge_frontier_write(
         )
         # word-level read-modify-write per element, contended per word
         wl.atomics += int(ids.size)
-        wl.atomic_targets += int(np.unique(words).size)
+        wl.atomic_targets += count_distinct(words)
     elif isinstance(frontier, BoolmapFrontier):
         # idempotent byte stores: no atomics needed
         wl.add_stream(ids, 1, REGION_FRONTIER_OUT, is_write=True, label="filter.write")

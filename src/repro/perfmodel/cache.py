@@ -12,17 +12,18 @@ Two models live here:
 The approximation is validated against the exact simulator in
 ``tests/perfmodel/test_cache.py``: both agree exactly when the working set
 fits, and the approximation is within a tolerance band otherwise.  The
-cost model's hot path (:meth:`~repro.perfmodel.cost.CostModel.charge`)
-prices its streams with the same helpers — :func:`count_distinct`,
-:func:`count_adjacent` and the one hit formula :func:`lru_hits` — so those
-tests validate what the model runs.
+cost model (:meth:`~repro.perfmodel.cost.CostModel.charge_many`) prices
+its streams with the same counts — :func:`count_distinct` and its
+batched form :func:`count_distinct_segments`, :func:`count_adjacent` —
+and the one hit formula :func:`lru_hits`, so those tests validate what
+the model runs.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -100,13 +101,15 @@ MARK_SPAN_PER_ACCESS = 16
 MARK_SPAN_BASE = 1 << 14
 
 
-def count_distinct(lines: np.ndarray, lo: int, hi: int) -> int:
-    """Number of distinct values in ``lines``, all of which lie in
-    ``[lo, hi]``.
+def count_distinct(lines: np.ndarray, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """Number of distinct values in a non-empty ``lines``, all of which lie
+    in ``[lo, hi]`` (by default its own minimum and maximum).
 
     Linear in ``len(lines) + hi - lo`` with a mark array over the span;
     a span far wider than the stream is counted by sorting instead.
     """
+    if lo is None:
+        lo, hi = int(lines.min()), int(lines.max())
     span = hi - lo + 1
     if lines.dtype == np.int64 and span <= MARK_SPAN_PER_ACCESS * lines.size + MARK_SPAN_BASE:
         mark = np.zeros(span, dtype=np.bool_)
@@ -116,14 +119,79 @@ def count_distinct(lines: np.ndarray, lo: int, hi: int) -> int:
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def unique_ints(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)`` of a 1-D integer array: its distinct values,
+    sorted, in its dtype.
+
+    NumPy 2 answers ``np.unique`` from a hash table, which takes several
+    times longer than a sort plus an adjacent-difference mask.
+    """
+    ordered = np.sort(ids)
+    keep = np.empty(ordered.size, dtype=np.bool_)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def count_adjacent(lines: np.ndarray) -> int:
     """Accesses to the same line as their predecessor (reuse distance 0)."""
     return int(np.count_nonzero(lines[1:] == lines[:-1]))
 
 
-def lru_hits(accesses: int, distinct: int, adjacent: int, capacity_lines: int) -> int:
+def count_distinct_segments(
+    values: np.ndarray, segment: np.ndarray, lo: np.ndarray, hi: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """Number of distinct values in each of several segments at once.
+
+    ``values[i]`` belongs to segment ``segment[i]`` and lies in that
+    segment's ``[lo, hi]``; ``sizes`` counts each segment's values (at
+    least one).  Each segment is offset into its own range of one key
+    space.  Segments spanning at most ``MARK_SPAN_PER_ACCESS`` values per
+    value are counted by marking their keys in one bitmap over their
+    concatenated spans; the sparser ones by one sort of their keys, which
+    leaves each segment's keys contiguous and in segment order.
+    """
+    span = hi - lo + 1
+    counts = np.empty(sizes.size, dtype=np.int64)
+    dense = span <= MARK_SPAN_PER_ACCESS * sizes
+    for marked in (True, False):
+        chosen = dense if marked else ~dense
+        if not chosen.any():
+            continue
+        if chosen.all():
+            keys, seg = values, segment
+        else:
+            picked = chosen[segment]
+            keys, seg = values[picked], (np.cumsum(chosen) - 1)[segment[picked]]
+        spans = span[chosen]
+        offsets = np.cumsum(spans) - spans
+        keys = keys + (offsets - lo[chosen])[seg]
+        if marked:
+            mark = np.zeros(int(offsets[-1] + spans[-1]), dtype=np.bool_)
+            mark[keys] = True
+            counts[chosen] = np.add.reduceat(mark, offsets, dtype=np.int64)
+        else:
+            keys.sort()
+            first = np.empty(keys.size, dtype=np.bool_)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            n = sizes[chosen]
+            counts[chosen] = np.add.reduceat(first, np.cumsum(n) - n, dtype=np.int64)
+    return counts
+
+
+def lru_hits(accesses, distinct, adjacent, capacity_lines):
     """The stack-distance hit count of :func:`estimate_cache_hits`, from a
-    non-empty stream's access, distinct-line and adjacent-repeat counts."""
+    non-empty stream's access, distinct-line and adjacent-repeat counts.
+
+    Elementwise when the counts are arrays, where ``np.rint`` rounds half
+    to even like ``round``.
+    """
+    if isinstance(accesses, np.ndarray):
+        potential = np.maximum(accesses - distinct - adjacent, 0)
+        fit = np.minimum(1.0, capacity_lines / distinct)
+        hits = adjacent + np.rint(potential * fit).astype(np.int64)
+        return np.minimum(hits, accesses - distinct)
     potential = accesses - distinct - adjacent
     fit = min(1.0, capacity_lines / distinct)
     hits = adjacent + int(round(max(0, potential) * fit))
@@ -151,6 +219,6 @@ def estimate_cache_hits(
     accesses = int(lines.size)
     if accesses == 0:
         return CacheStats(0, 0)
-    distinct = count_distinct(lines, int(lines.min()), int(lines.max()))
+    distinct = count_distinct(lines)
     capacity_lines = max(1, capacity_bytes // line_bytes)
     return CacheStats(accesses, lru_hits(accesses, distinct, count_adjacent(lines), capacity_lines))

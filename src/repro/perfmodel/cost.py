@@ -14,8 +14,8 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
   L1 model (per-CU capacity) then an L2 filter (device capacity); the DRAM
   residue is divided by bandwidth, derated at low occupancy (little
   latency hiding) and inflated by the backend's USM penalty.  Pricing a
-  kernel's streams takes time linear in its accesses (see
-  ``docs/architecture.md``).
+  kernel's streams takes time linear in its accesses, and a batch of
+  kernels is priced in one vectorized pass (see ``docs/architecture.md``).
 * **atomics** — serialized per contended location; frontiers that funnel
   many duplicate inserts into the same words (scale-free graphs) pay here.
 """
@@ -24,12 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import eq
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from repro.perfmodel.cache import CacheStats, count_adjacent, count_distinct, line_ids, lru_hits
-from repro.perfmodel.metrics import achieved_occupancy
+from repro.perfmodel.cache import (
+    CacheStats,
+    count_adjacent,
+    count_distinct,
+    count_distinct_segments,
+    lru_hits,
+)
+from repro.perfmodel.metrics import RESOURCE_CEILING, achieved_occupancy
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.backend import backend_traits
 from repro.sycl.ndrange import WorkgroupGeometry
@@ -99,6 +105,70 @@ class KernelWorkload:
         label: str = "",
     ) -> None:
         self.streams.append(AccessStream(np.asarray(addresses), item_bytes, region, is_write, label))
+
+
+#: a kernel with a stream of more accesses than this is priced as it is
+#: added to a batch, one stream at a time: NumPy's per-call overhead,
+#: which the vectorized pass amortizes, is a small share of its cost
+#: then, its arrays stay cache-sized, and it needs no copy (the
+#: measurement is in docs/architecture.md)
+LARGE_STREAM = 4096
+#: streams of at most this many accesses are priced with Python ints, a
+#: set and a list when priced one kernel at a time: for them NumPy's
+#: per-call overhead is the whole cost (docs/architecture.md)
+SHORT_STREAM = 48
+#: a batch is priced one kernel at a time while its kernels plus its
+#: streams longer than SHORT_STREAM number fewer than this: the vectorized
+#: pass costs about as much as that many short kernels, or long streams,
+#: priced alone, however little it prices (the tracer and the fault
+#: injector price batches of one; docs/architecture.md)
+SMALL_BATCH = 16
+
+
+class KernelBatch:
+    """Kernels waiting for one :meth:`CostModel.charge_many` pass.
+
+    :meth:`add` keeps the workload and a copy of each of its address
+    streams, so a kernel is priced on the addresses it had when it was
+    added even if its caller reuses the arrays (the 2LB frontier's
+    ``offsets`` buffer is one).  A kernel with a stream of more than
+    :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
+    away instead, which needs no copy.  The workload's other fields are
+    read when the batch is priced.
+    """
+
+    def __init__(self, model: "CostModel", workloads: Iterable[KernelWorkload] = ()):
+        self.model = model
+        self.workloads: List[KernelWorkload] = []
+        #: per kernel, its memory-hierarchy counts if priced on adding
+        self.memory: List[Optional[tuple]] = []
+        #: per kernel, its streams as ``(addresses, item_bytes, region)``
+        #: (none if priced on adding)
+        self.streams: List[list] = []
+        #: accesses held in the copies
+        self.accesses = 0
+        #: copied streams longer than SHORT_STREAM
+        self.long_streams = 0
+        for wl in workloads:
+            self.add(wl)
+
+    def __len__(self) -> int:
+        return len(self.workloads)
+
+    def add(self, wl: KernelWorkload) -> None:
+        sizes = [s.addresses.size for s in wl.streams]
+        largest = max(sizes, default=0)
+        if largest > LARGE_STREAM:
+            streams = [(s.addresses, s.item_bytes, s.region) for s in wl.streams]
+            self.memory.append(self.model._kernel_memory(streams))
+            self.streams.append([])
+        else:
+            self.memory.append(None)
+            self.streams.append([(s.addresses.copy(), s.item_bytes, s.region) for s in wl.streams])
+            self.accesses += sum(sizes)
+            if largest > SHORT_STREAM:
+                self.long_streams += sum(size > SHORT_STREAM for size in sizes)
+        self.workloads.append(wl)
 
 
 #: shared placeholder geometry for never-costed workloads
@@ -171,83 +241,98 @@ class CostModel:
         l2_bytes = max(line * 16, int(spec.l2_bytes * CACHE_SCALE))
         self._l1_lines = max(1, l1_bytes // line)
         self._l2_lines = max(1, l2_bytes // line)
+        self._launch_ns = self.traits.launch_overhead_us * 1_000.0
+        self._throughput = max(1, spec.compute_units * self.LANES_PER_CU_PER_CYCLE)
+        # subgroups in flight that saturate DRAM bandwidth device-wide
+        width_factor = spec.preferred_subgroup_size / 32.0
+        self._peak_subgroups = spec.compute_units * self.SUBGROUPS_FOR_PEAK_BW_PER_CU / width_factor
 
     # ------------------------------------------------------------------ #
     def charge(self, wl: KernelWorkload) -> KernelCost:
-        geom = wl.geometry
-        occupancy = achieved_occupancy(geom, self.spec)
-        lane_fraction = (
-            wl.active_lanes / geom.total_lanes if geom.total_lanes else 0.0
-        )
+        """Price one kernel: a batch of one."""
+        return self.charge_many([wl])[0]
 
-        compute_ns = self._compute_time_ns(wl)
-        l1, l2, dram_bytes = self._memory_hierarchy(wl)
+    def charge_many(self, workloads) -> List[KernelCost]:
+        """Price several kernels, in order.
+
+        ``workloads`` is a :class:`KernelBatch`, whose streams were copied
+        when each kernel was added, or any sequence of workloads, which is
+        captured now.  Each cost equals what pricing its kernel alone gives;
+        its fields are Python ints and floats.
+        """
+        batch = workloads if isinstance(workloads, KernelBatch) else KernelBatch(self, workloads)
+        if len(batch) + batch.long_streams >= SMALL_BATCH:
+            return self._charge_batch(batch)
+        return [
+            self._kernel_cost(wl, *(memory or self._kernel_memory(streams)))
+            for wl, memory, streams in zip(batch.workloads, batch.memory, batch.streams)
+        ]
+
+    # ------------------------------------------------------------------ #
+    # one kernel at a time
+    def _kernel_cost(self, wl: KernelWorkload, l1_acc, l1_hits, l2_acc, l2_hits) -> KernelCost:
+        geom = wl.geometry
+        total_lanes = geom.total_lanes
+        dram_bytes = (l2_acc - l2_hits) * self.spec.l1_line_bytes
         engaged = wl.engaged_subgroups
         if engaged is None:
             engaged = wl.active_lanes / max(1, geom.subgroup_size)
+        compute_ns = self._compute_time_ns(wl, total_lanes)
         memory_ns = self._memory_time_ns(dram_bytes, engaged)
-        launch_ns = self.traits.launch_overhead_us * 1_000.0
         dispatch_ns = geom.num_workgroups * self.WG_DISPATCH_NS
-        time_ns = launch_ns + max(compute_ns, memory_ns, dispatch_ns)
         return KernelCost(
             name=wl.name,
-            time_ns=time_ns,
+            time_ns=self._launch_ns + max(compute_ns, memory_ns, dispatch_ns),
             compute_ns=compute_ns,
             memory_ns=memory_ns,
-            launch_ns=launch_ns,
-            l1=l1,
-            l2=l2,
+            launch_ns=self._launch_ns,
+            l1=CacheStats(l1_acc, l1_hits),
+            l2=CacheStats(l2_acc, l2_hits),
             dram_bytes=dram_bytes,
-            occupancy=occupancy,
-            active_lane_fraction=lane_fraction,
+            occupancy=achieved_occupancy(geom, self.spec),
+            active_lane_fraction=wl.active_lanes / total_lanes if total_lanes else 0.0,
         )
 
-    # ------------------------------------------------------------------ #
-    def _compute_time_ns(self, wl: KernelWorkload) -> float:
-        geom = wl.geometry
+    def _compute_time_ns(self, wl: KernelWorkload, total_lanes: int) -> float:
         # All scheduled lanes burn slots for the kernel's instruction count.
-        lane_ops = geom.total_lanes * wl.instructions_per_lane + wl.serial_ops
-        throughput = self.spec.compute_units * self.LANES_PER_CU_PER_CYCLE
-        cycles = lane_ops / max(1, throughput)
+        lane_ops = total_lanes * wl.instructions_per_lane + wl.serial_ops
+        cycles = lane_ops / self._throughput
         # Atomics: aggregate throughput cost, floored by the longest
         # serialization chain on one location (chains on distinct targets
         # proceed in parallel).
         if wl.atomics:
-            aggregate = wl.atomics * self.ATOMIC_CYCLES / max(1, throughput)
+            aggregate = wl.atomics * self.ATOMIC_CYCLES / self._throughput
             chain = (wl.atomics / max(1, wl.atomic_targets or wl.atomics)) * self.ATOMIC_CYCLES
             cycles += max(aggregate, chain)
         return cycles / self.spec.clock_ghz  # GHz -> ns per cycle
 
-    #: streams of at most this many accesses are priced with Python ints,
-    #: a set and a list: for them NumPy's per-call overhead is the whole
-    #: cost (the measurement is in docs/architecture.md)
-    SHORT_STREAM = 48
+    def _kernel_memory(self, streams) -> tuple:
+        """L1 accesses and hits, L2 accesses and hits of one kernel's
+        ``(addresses, item_bytes, region)`` streams, one stream at a time.
 
-    def _memory_hierarchy(self, wl: KernelWorkload):
-        if not wl.streams:
-            return CacheStats(0, 0), CacheStats(0, 0), 0
-        line = self.spec.l1_line_bytes
-        l1_lines = self._l1_lines
-        short = self.SHORT_STREAM
-        # Each stream is modeled independently: real L1s keep concurrently
-        # streamed regions in distinct sets, and the ordering information
-        # (sequential vs scattered) lives within a stream.
+        Each stream goes through L1 on its own: real L1s keep concurrently
+        streamed regions in distinct sets, and the ordering information
+        (sequential vs scattered) lives within a stream.  The misses fall
+        through to the device-wide L2, which sees the thinned misses of all
+        the kernel's streams in stream order: distinct lines and repeats
+        count across stream boundaries.
+        """
+        line, l1_lines = self.spec.l1_line_bytes, self._l1_lines
         l1_acc = l1_hits = l2_acc = 0
-        # per stream, the lines of the accesses that missed L1, and the
-        # stream's line bounds (None for a short stream's Python list)
+        # per stream with misses: the lines of the thinned misses, its
+        # region, and its line bounds (None for a short stream's list)
         missed = []
-        for s in wl.streams:
-            addresses = np.asarray(s.addresses, dtype=np.int64)
+        for addresses, item, region in streams:
             n = addresses.size
             if n == 0:
                 continue
-            item, base = s.item_bytes, s.region * s._REGION_STRIDE
-            if n <= short:
+            base = region * AccessStream._REGION_STRIDE
+            if n <= SHORT_STREAM:
                 lines = [(a * item + base) // line for a in addresses.tolist()]
                 bounds = None
                 hits = lru_hits(n, len(set(lines)), sum(map(eq, lines, lines[1:])), l1_lines)
             else:
-                lines = line_ids(addresses * item + base, line)
+                lines = (np.asarray(addresses, dtype=np.int64) * item + base) // line
                 bounds = (int(lines.min()), int(lines.max()))
                 hits = lru_hits(n, count_distinct(lines, *bounds), count_adjacent(lines), l1_lines)
             l1_acc += n
@@ -255,9 +340,9 @@ class CostModel:
             m = n - hits
             if m == 0:
                 continue
-            # L2 sees the misses thinned deterministically, preserving
-            # order and distribution: the m accesses np.linspace(0, n-1, m)
-            # indexes, computed in the float64 arithmetic it performs
+            # L2 sees the m misses thinned to the m accesses
+            # np.linspace(0, n-1, m) indexes, computed in the float64
+            # arithmetic it performs
             if m == 1:
                 lines = lines[:1]
             elif m < n:
@@ -268,50 +353,186 @@ class CostModel:
                     idx = (np.arange(m) * step).astype(np.int64)
                     idx[-1] = n - 1
                     lines = lines[idx]
-            missed.append((lines, bounds))
+            missed.append((lines, region, bounds))
             l2_acc += m
-        l1 = CacheStats(l1_acc, l1_hits)
-        # Misses fall through to the device-wide L2, which sees the thinned
-        # union of the per-stream miss traffic: distinct lines and
-        # repeats are counted across stream boundaries.
         if l2_acc == 0:
-            return l1, CacheStats(0, 0), 0
-        if l2_acc <= short:
+            return l1_acc, l1_hits, 0, 0
+        if l2_acc <= SHORT_STREAM:
             stream = []
-            for lines, bounds in missed:
+            for lines, _, bounds in missed:
                 stream += lines if bounds is None else lines.tolist()
             distinct = len(set(stream))
             adjacent = sum(map(eq, stream, stream[1:]))
         else:
-            distinct = self._distinct_union(missed)
-            adjacent = count_adjacent(np.concatenate([lines for lines, _ in missed]))
-        l2_hits = lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
-        return l1, CacheStats(l2_acc, l2_hits), (l2_acc - l2_hits) * line
+            # regions never share a line: count distinct lines per region
+            by_region = {}
+            for lines, region, bounds in missed:
+                by_region.setdefault(region, []).append((lines, bounds or (min(lines), max(lines))))
+            distinct = sum(
+                count_distinct(
+                    np.concatenate([lines for lines, _ in parts]),
+                    min(lo for _, (lo, _) in parts),
+                    max(hi for _, (_, hi) in parts),
+                )
+                for parts in by_region.values()
+            )
+            adjacent = count_adjacent(np.concatenate([lines for lines, _, _ in missed]))
+        return l1_acc, l1_hits, l2_acc, lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
 
-    @staticmethod
-    def _distinct_union(missed) -> int:
-        """Distinct lines across several streams' misses.
+    # ------------------------------------------------------------------ #
+    # the whole batch at once
+    def _charge_batch(self, batch: KernelBatch) -> List[KernelCost]:
+        """:meth:`_kernel_cost` and its formulas, elementwise over the
+        batch's kernels."""
+        spec, wls = self.spec, batch.workloads
+        l1_acc, l1_hits, l2_acc, l2_hits = self._batch_memory(batch)
+        (global_size, workgroup_size, subgroup_size, active, per_lane, serial, atomics, targets,
+         engaged) = map(np.array, zip(*[
+            (g.global_size, g.workgroup_size, g.subgroup_size, wl.active_lanes,
+             wl.instructions_per_lane, wl.serial_ops, wl.atomics, wl.atomic_targets,
+             np.nan if wl.engaged_subgroups is None else wl.engaged_subgroups)
+            for wl in wls
+            for g in (wl.geometry,)
+        ]))
+        num_workgroups = -(-global_size // workgroup_size)
+        total_lanes = num_workgroups * workgroup_size
+        lane_fraction = np.where(total_lanes > 0, active / np.maximum(total_lanes, 1), 0.0)
 
-        Streams whose line bounds overlap (one buffer read twice) are
-        merged into one cluster and counted over its span; clusters are
-        disjoint, so their counts add up.
-        """
-        parts = sorted(
-            (bounds or (min(lines), max(lines)), i, lines)
-            for i, (lines, bounds) in enumerate(missed)
+        cycles = (total_lanes * per_lane + serial) / self._throughput
+        aggregate = atomics * self.ATOMIC_CYCLES / self._throughput
+        chain = atomics / np.maximum(1, np.where(targets != 0, targets, atomics)) * self.ATOMIC_CYCLES
+        cycles = np.where(atomics != 0, cycles + np.maximum(aggregate, chain), cycles)
+        compute_ns = cycles / spec.clock_ghz
+
+        dram_bytes = (l2_acc - l2_hits) * spec.l1_line_bytes
+        engaged = np.where(np.isnan(engaged), active / np.maximum(1, subgroup_size), engaged)
+        efficiency = np.maximum(self.MIN_MEM_EFFICIENCY, np.minimum(1.0, engaged / self._peak_subgroups))
+        penalty = self.traits.usm_penalty if self.usm else 1.0
+        memory_ns = np.where(
+            dram_bytes == 0, 0.0, dram_bytes * penalty / (spec.mem_bandwidth_gbs * efficiency)
         )
-        distinct = 0
-        cluster = []
-        lo = hi = 0
-        for (p_lo, p_hi), _, lines in parts:
-            if cluster and p_lo > hi:
-                distinct += count_distinct(np.concatenate(cluster), lo, hi)
-                cluster = []
-            if not cluster:
-                lo, hi = p_lo, p_hi
-            hi = max(hi, p_hi)
-            cluster.append(lines)
-        return distinct + count_distinct(np.concatenate(cluster), lo, hi)
+        time_ns = self._launch_ns + np.maximum(
+            np.maximum(compute_ns, memory_ns), num_workgroups * self.WG_DISPATCH_NS
+        )
+
+        per_cu = np.minimum(spec.max_workgroups_per_cu, num_workgroups / spec.compute_units)
+        resident = np.minimum(spec.max_threads_per_cu, per_cu * workgroup_size)
+        occupancy = np.where(
+            num_workgroups == 0, 0.0, np.minimum(RESOURCE_CEILING, resident / spec.max_threads_per_cu)
+        )
+        launch_ns = self._launch_ns
+        return [
+            KernelCost(wl.name, t, c, m, launch_ns, CacheStats(a1, h1), CacheStats(a2, h2), d, o, f)
+            for wl, t, c, m, a1, h1, a2, h2, d, o, f in zip(
+                wls, time_ns.tolist(), compute_ns.tolist(), memory_ns.tolist(),
+                l1_acc.tolist(), l1_hits.tolist(), l2_acc.tolist(), l2_hits.tolist(),
+                dram_bytes.tolist(), occupancy.tolist(), lane_fraction.tolist(),
+            )
+        ]
+
+    def _batch_memory(self, batch: KernelBatch) -> np.ndarray:
+        """:meth:`_kernel_memory` for every kernel of ``batch`` at once:
+        rows of L1 accesses and hits, L2 accesses and hits, one column per
+        kernel.  Repeats and distinct lines never count across kernels."""
+        kernels = len(batch.workloads)
+        counts = np.zeros((4, kernels), dtype=np.int64)
+        for k, memory in enumerate(batch.memory):
+            if memory is not None:
+                counts[:, k] = memory
+        streams = [s for kernel_streams in batch.streams for s in kernel_streams]
+        if not streams:
+            return counts
+        addresses, items, regions = zip(*streams)
+        n = np.array([a.size for a in addresses], dtype=np.int64)
+        nonempty = n > 0
+        if not nonempty.any():
+            return counts
+        n = n[nonempty]
+        items = np.array(items, dtype=np.int64)[nonempty]
+        regions = np.array(regions, dtype=np.int64)[nonempty]
+        kernel = np.repeat(np.arange(kernels), [len(k) for k in batch.streams])[nonempty]
+        starts = np.cumsum(n) - n
+        # line ids within each stream's region: a region starts on a line
+        # boundary, so its offset changes no count within the region
+        lines = np.concatenate(addresses, dtype=np.int64, casting="unsafe")
+        lines *= np.repeat(items, n)
+        lines //= self.spec.l1_line_bytes
+        lo = np.minimum.reduceat(lines, starts)
+        hi = np.maximum.reduceat(lines, starts)
+
+        # L1, per stream.  Most streams never step back (scans, sorted
+        # ids): each of their line changes is a new line.
+        repeat = np.empty(lines.size, dtype=np.bool_)
+        np.equal(lines[1:], lines[:-1], out=repeat[1:])
+        repeat[starts] = False
+        adjacent = np.add.reduceat(repeat, starts, dtype=np.int64)
+        back = np.empty(lines.size, dtype=np.bool_)
+        np.less(lines[1:], lines[:-1], out=back[1:])
+        back[starts] = False
+        unsorted = np.logical_or.reduceat(back, starts)
+        distinct = n - adjacent
+        if unsorted.any():
+            distinct[unsorted] = count_distinct_segments(
+                lines[np.repeat(unsorted, n)],
+                np.repeat(np.arange(np.count_nonzero(unsorted)), n[unsorted]),
+                lo[unsorted],
+                hi[unsorted],
+                n[unsorted],
+            )
+        hits = lru_hits(n, distinct, adjacent, self._l1_lines)
+        misses = n - hits
+
+        def per_kernel(values, of=kernel):
+            return np.bincount(of, weights=values, minlength=kernels).astype(np.int64)
+
+        counts[0] += per_kernel(n)
+        counts[1] += per_kernel(hits)
+        counts[2] += per_kernel(misses)
+        missed = misses > 0
+        if not missed.any():
+            return counts
+
+        # L2 sees the m misses of an n-access stream thinned to the m
+        # accesses np.linspace(0, n-1, m) indexes, computed in the float64
+        # arithmetic it performs: trunc(j * ((n-1)/(m-1))) for j < m-1,
+        # then n-1; the first access when m == 1
+        m, n, kernel, regions = misses[missed], n[missed], kernel[missed], regions[missed]
+        first = np.cumsum(m) - m
+        owner = np.repeat(np.arange(m.size), m)
+        step = (n - 1) / np.maximum(m - 1, 1)
+        idx = ((np.arange(owner.size) - first[owner]) * step[owner]).astype(np.int64)
+        several = m > 1
+        idx[(first + m - 1)[several]] = n[several] - 1
+        l2_lines = lines[idx + starts[missed][owner]]
+
+        # repeats within a kernel, across its stream boundaries
+        l2_kernel, l2_region = kernel[owner], regions[owner]
+        repeat = l2_lines[1:] == l2_lines[:-1]
+        repeat &= l2_kernel[1:] == l2_kernel[:-1]
+        repeat &= l2_region[1:] == l2_region[:-1]
+        adjacent = np.bincount(l2_kernel[1:][repeat], minlength=kernels)
+        # distinct lines per (kernel, region): regions never share a line
+        key = kernel * (int(regions.max()) + 1) + regions
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_group = np.empty(key.size, dtype=np.bool_)
+        new_group[0] = True
+        np.not_equal(key[1:], key[:-1], out=new_group[1:])
+        group_starts = np.flatnonzero(new_group)
+        group = np.empty(key.size, dtype=np.int64)
+        group[order] = np.cumsum(new_group) - 1
+        group_distinct = count_distinct_segments(
+            l2_lines,
+            group[owner],
+            np.minimum.reduceat(lo[missed][order], group_starts),
+            np.maximum.reduceat(hi[missed][order], group_starts),
+            np.add.reduceat(m[order], group_starts),
+        )
+        distinct = per_kernel(group_distinct, kernel[order][group_starts])
+        # kernels priced on adding have no lines here
+        l2 = distinct > 0
+        counts[3, l2] = lru_hits(counts[2, l2], distinct[l2], adjacent[l2], self._l2_lines)
+        return counts
 
     #: 32-lane subgroups-in-flight needed (per CU) to saturate DRAM
     #: bandwidth; wider subgroups (AMD's 64-lane wavefronts) carry
@@ -321,10 +542,8 @@ class CostModel:
     def _memory_time_ns(self, dram_bytes: int, engaged_subgroups: float) -> float:
         if dram_bytes == 0:
             return 0.0
-        width_factor = self.spec.preferred_subgroup_size / 32.0
-        needed = self.spec.compute_units * self.SUBGROUPS_FOR_PEAK_BW_PER_CU / width_factor
         efficiency = max(
-            self.MIN_MEM_EFFICIENCY, min(1.0, engaged_subgroups / needed)
+            self.MIN_MEM_EFFICIENCY, min(1.0, engaged_subgroups / self._peak_subgroups)
         )
         bw_bytes_per_ns = self.spec.mem_bandwidth_gbs * efficiency  # GB/s == B/ns
         penalty = self.traits.usm_penalty if self.usm else 1.0

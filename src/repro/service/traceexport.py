@@ -25,6 +25,7 @@ slow ``p99`` in the report resolves to exactly one lifecycle here.
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Union
 
@@ -51,7 +52,7 @@ def _flow_id(trace_id: str) -> int:
     try:
         return int(trace_id[:8], 16)
     except ValueError:
-        return abs(hash(trace_id)) & 0xFFFFFFFF
+        return zlib.crc32(trace_id.encode())
 
 
 def service_trace_events(report: "ServiceReport") -> List[dict]:

@@ -9,21 +9,40 @@ can be queried per submission, like SYCL's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.perfmodel.cost import KernelCost
+    from repro.sycl.profiling import ProfileLog
 
 
-@dataclass
 class Event:
-    """Handle to one completed simulated kernel submission."""
+    """Handle to one completed simulated kernel submission.
 
-    kernel_name: str
-    seq: int
-    cost: Optional["KernelCost"] = None
-    _complete: bool = True
+    A profiling queue prices its kernels in batches, so the event holds
+    the kernel's place in the queue's :class:`~repro.sycl.profiling.ProfileLog`;
+    reading :attr:`cost` (or :meth:`profiling_ns`) prices the pending batch
+    if the kernel is in it, and returns the object ``log.costs`` holds.
+    """
+
+    __slots__ = ("kernel_name", "seq", "_cost", "_log", "_index", "_complete")
+
+    def __init__(self, kernel_name: str, seq: int, log: Optional["ProfileLog"] = None, index: int = -1):
+        self.kernel_name = kernel_name
+        self.seq = seq
+        #: the kernel's place in ``log``; no log on a queue without profiling
+        self._log = log
+        self._index = index
+        self._cost: Optional["KernelCost"] = None
+        self._complete = True
+
+    @property
+    def cost(self) -> Optional["KernelCost"]:
+        """The kernel's cost (None on a queue without profiling)."""
+        if self._log is not None:
+            self._cost = self._log.cost(self._index)
+            self._log = None
+        return self._cost
 
     def wait(self) -> "Event":
         """Block until the kernel completes (a no-op in the simulator)."""
@@ -36,4 +55,5 @@ class Event:
 
     def profiling_ns(self) -> float:
         """Simulated kernel duration in nanoseconds (0 if no cost model)."""
-        return 0.0 if self.cost is None else self.cost.time_ns
+        cost = self.cost
+        return 0.0 if cost is None else cost.time_ns

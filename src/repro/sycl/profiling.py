@@ -8,10 +8,15 @@ peak L1 hit-rate / occupancy during advance steps (Table 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
-    from repro.perfmodel.cost import KernelCost
+    from repro.perfmodel.cost import CostModel, KernelBatch, KernelCost, KernelWorkload
+
+#: pending accesses past which a submit prices the batch on the spot, so
+#: a queue whose clock nobody reads holds a bounded copy of its streams
+#: (the measurement is in docs/architecture.md)
+PENDING_ACCESS_CAP = 1 << 17
 
 
 @dataclass
@@ -37,27 +42,91 @@ class KernelSummary:
 class ProfileLog:
     """Ordered log of every kernel cost on a queue.
 
-    The totals are running sums kept by :meth:`record`, so reading the
-    modeled clock (``Queue.elapsed_ns``) is O(1).  They add the costs in
-    log order, one at a time, exactly as a left-to-right loop over
-    ``costs`` would.
+    Submitting a kernel does not price it: :meth:`enqueue` adds it to a
+    pending :class:`~repro.perfmodel.cost.KernelBatch`, and the whole batch
+    is priced in one :meth:`~repro.perfmodel.cost.CostModel.charge_many`
+    pass at the next sync point — a read of ``costs``, ``summaries``,
+    ``total_ns`` or ``total_dram_bytes`` (so of ``Queue.elapsed_ns``), of
+    a pending kernel's cost (:meth:`cost`), or pending accesses passing
+    :data:`PENDING_ACCESS_CAP`.
+
+    The totals are running sums, so reading the modeled clock is O(1)
+    once the batch is priced.  They add the costs in submit order, one at
+    a time, exactly as a left-to-right loop over ``costs`` would.  The
+    per-name summaries are folded in when read.
     """
 
-    def __init__(self) -> None:
-        self.costs: List["KernelCost"] = []
-        self.summaries: Dict[str, KernelSummary] = {}
+    def __init__(self, model: "CostModel") -> None:
+        self.model = model
+        self._costs: List["KernelCost"] = []
+        self._summaries: Dict[str, KernelSummary] = {}
+        #: costs folded into ``_summaries`` so far
+        self._summarized = 0
         # int 0 until the first cost, as sum() over an empty log returns
-        self.total_ns: float = 0
-        self.total_dram_bytes = 0
+        self._total_ns: float = 0
+        self._total_dram_bytes = 0
+        self._pending: Optional["KernelBatch"] = None
 
-    def record(self, cost: "KernelCost") -> None:
-        self.costs.append(cost)
-        self.total_ns += cost.time_ns
-        self.total_dram_bytes += cost.dram_bytes
-        summary = self.summaries.get(cost.name)
-        if summary is None:
-            summary = self.summaries[cost.name] = KernelSummary(cost.name)
-        summary.add(cost)
+    def enqueue(self, workload: "KernelWorkload") -> int:
+        """Add a kernel to the pending batch; returns its index in ``costs``."""
+        pending = self._pending
+        if pending is None:
+            from repro.perfmodel.cost import KernelBatch  # deferred: import cycle
+
+            pending = self._pending = KernelBatch(self.model)
+        index = len(self._costs) + len(pending)
+        pending.add(workload)
+        if pending.accesses > PENDING_ACCESS_CAP:
+            self.flush()
+        return index
+
+    def flush(self) -> None:
+        """Price the pending batch and log its costs in submit order."""
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        costs = self.model.charge_many(pending)
+        total_ns, total_dram_bytes = self._total_ns, self._total_dram_bytes
+        for cost in costs:
+            total_ns += cost.time_ns
+            total_dram_bytes += cost.dram_bytes
+        self._total_ns, self._total_dram_bytes = total_ns, total_dram_bytes
+        self._costs += costs
+
+    def cost(self, index: int) -> "KernelCost":
+        """The cost of the kernel :meth:`enqueue` numbered ``index``."""
+        if index >= len(self._costs):
+            self.flush()
+        return self._costs[index]
+
+    @property
+    def costs(self) -> List["KernelCost"]:
+        if self._pending is not None:
+            self.flush()
+        return self._costs
+
+    @property
+    def summaries(self) -> Dict[str, KernelSummary]:
+        costs = self.costs
+        for cost in costs[self._summarized:]:
+            summary = self._summaries.get(cost.name)
+            if summary is None:
+                summary = self._summaries[cost.name] = KernelSummary(cost.name)
+            summary.add(cost)
+        self._summarized = len(costs)
+        return self._summaries
+
+    @property
+    def total_ns(self) -> float:
+        if self._pending is not None:
+            self.flush()
+        return self._total_ns
+
+    @property
+    def total_dram_bytes(self) -> int:
+        if self._pending is not None:
+            self.flush()
+        return self._total_dram_bytes
 
     def kernels(self, prefix: str = "") -> List["KernelCost"]:
         """All costs whose kernel name starts with ``prefix``."""

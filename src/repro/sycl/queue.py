@@ -14,7 +14,10 @@ In the simulator a :class:`Queue` owns
 Operators call :meth:`Queue.submit` with a
 :class:`~repro.perfmodel.cost.KernelWorkload` *after* having computed the
 kernel's effect with vectorized NumPy; the queue returns an
-:class:`~repro.sycl.event.Event` carrying the kernel's cost.
+:class:`~repro.sycl.event.Event` whose cost is priced, with every other
+kernel submitted since the last sync point, when the host first reads it
+or the queue's clock — like a SYCL kernel, which runs asynchronously
+until the host waits on it.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class Queue:
         self.memory = MemoryManager(cap)
         self.enable_profiling = enable_profiling
         self.cost_model = CostModel(self.device, usm=(memory_mode == "shared"))
-        self.profile = ProfileLog()
+        self.profile = ProfileLog(self.cost_model)
         self._seq = 0
         #: strict-mode hook (repro.checking.invariants); None by default so
         #: submission pays a single is-None check when checking is off
@@ -92,13 +95,23 @@ class Queue:
 
     # ------------------------------------------------------------------ #
     def submit(self, workload: "KernelWorkload") -> Event:
-        """Account one kernel launch and return its completion event.
+        """Launch one kernel and return its completion event.
+
+        Submitting does not price the kernel: a profiling queue copies its
+        address streams into the pending batch of :attr:`profile`, which
+        prices the batch at the next sync point (a read of
+        :attr:`elapsed_ns`, of the log, or of a pending event's cost; see
+        :class:`~repro.sycl.profiling.ProfileLog`).  Only a kernel with a
+        stream longer than :data:`~repro.perfmodel.cost.LARGE_STREAM` has
+        its memory traffic priced here, which needs no copy.  The caller
+        may reuse the stream arrays; the workload itself must not change.
 
         With a fault injector attached, the ``kernel_launch`` site is
-        checked *before* the kernel is charged: a fired fault raises
+        checked *before* the kernel is queued: a fired fault raises
         :class:`~repro.errors.KernelLaunchError` and leaves the profile,
         sequence counter, and memory accounting untouched, exactly like a
-        launch the real runtime rejected.
+        launch the real runtime rejected.  The check reads the modeled
+        clock, so every kernel before it is priced first.
         """
         if self.fault_injector is not None:
             fault = self.fault_injector.check(
@@ -109,14 +122,16 @@ class Queue:
                     f"injected kernel-launch failure for {workload.name!r} "
                     f"(fault #{fault.seq})"
                 )
-        cost = None
         if self.enable_profiling:
-            cost = self.cost_model.charge(workload)
-            self.profile.record(cost)
-        ev = Event(kernel_name=workload.name, seq=self._seq, cost=cost)
+            profile = self.profile
+            ev = Event(workload.name, self._seq, log=profile, index=profile.enqueue(workload))
+        else:
+            ev = Event(workload.name, self._seq)
         self._seq += 1
         if self.tracer is not None:
-            self.tracer.on_kernel(workload.name, ev.seq, cost)
+            # the tracer places the kernel on its timeline now: reading the
+            # cost prices the pending batch, which holds just this kernel
+            self.tracer.on_kernel(workload.name, ev.seq, ev.cost)
         if self.invariant_checker is not None:
             self.invariant_checker.after_kernel(self, workload)
         return ev
@@ -194,8 +209,12 @@ class Queue:
 
     @property
     def elapsed_ns(self) -> float:
-        """Total simulated kernel time accumulated on this queue."""
+        """Total simulated kernel time accumulated on this queue (a sync
+        point: prices the pending batch)."""
         return self.profile.total_ns
 
     def reset_profile(self) -> None:
-        self.profile = ProfileLog()
+        """Start a new, empty profile log.  Kernels still pending in the
+        old one are priced first, so their events keep their costs."""
+        self.profile.flush()
+        self.profile = ProfileLog(self.cost_model)

@@ -1,5 +1,10 @@
 """Scaled dataset registry: shapes must match the paper's regimes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +19,8 @@ from repro.graph.datasets import (
 )
 from repro.graph.properties import compute_properties
 from repro.sycl import Queue
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _props(name, scale="tiny", diameter=False):
@@ -80,3 +87,25 @@ class TestRegimes:
         """twitter and usa are the biggest graphs, as in the paper."""
         sizes = {n: load_dataset(n, "small").n_vertices for n in dataset_names()}
         assert sizes["usa"] == max(sizes.values()) or sizes["twitter"] == max(sizes.values())
+
+
+_WEIGHT_DIGEST = """
+import hashlib
+from repro.graph.datasets import load_dataset
+print(hashlib.sha256(load_dataset("ca", "tiny", weighted=True).weights.tobytes()).hexdigest())
+"""
+
+
+def test_weights_repeat_across_interpreters():
+    """Weighted datasets seed from a digest of their key, not ``hash()``:
+    two interpreters with different string-hash seeds draw the same
+    weights (every SSSP row of Fig. 8, Fig. 10 and Table 6 reads them)."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONHASHSEED="random")
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", _WEIGHT_DIGEST],
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT, check=True,
+        ).stdout
+        for _ in range(2)
+    }
+    assert len(digests) == 1

@@ -1,15 +1,16 @@
-"""The cost model's memory hierarchy is bit-identical to its first,
-sort-based formulation.
+"""The cost model is bit-identical to its first, per-kernel formulation.
 
-``reference_memory_hierarchy`` below is a frozen copy of the original
-per-stream pricing: ``np.unique`` for distinct lines, ``np.linspace`` to
-thin each stream's L1 misses, one :func:`estimate_cache_hits`-style pass
-per stream and one over the concatenated L2 stream.  Every modeled number
-(kernel time, L1 hit rate, DRAM bytes, Table 5) derives from it, so the
-linear-time implementation in :meth:`CostModel._memory_hierarchy` must
-reproduce every :class:`KernelCost` field exactly, on every device, for
-every stream whose byte offsets lie inside its region (``[0, 2**40)``,
-the premise of :class:`AccessStream`'s non-aliasing regions).
+``reference_charge`` below is a frozen copy of the original model: one
+kernel at a time, Python scalars for the launch, compute and memory-time
+formulas, and the sort-based memory hierarchy — ``np.unique`` for
+distinct lines, ``np.linspace`` to thin each stream's L1 misses, one
+:func:`estimate_cache_hits`-style pass per stream and one over the
+concatenated L2 stream.  Every modeled number (kernel time, L1 hit rate,
+DRAM bytes, Table 5) derives from it, so the batched implementation in
+:meth:`CostModel.charge_many` must reproduce every :class:`KernelCost`
+field exactly, with Python types, on every device, for every stream whose
+byte offsets lie inside its region (``[0, 2**40)``, the premise of
+:class:`AccessStream`'s non-aliasing regions).
 """
 
 import numpy as np
@@ -22,13 +23,23 @@ from repro.perfmodel.cache import (
     MARK_SPAN_PER_ACCESS,
     CacheStats,
     count_distinct,
+    count_distinct_segments,
 )
-from repro.perfmodel.cost import CostModel, KernelWorkload
+from repro.perfmodel.cost import (
+    LARGE_STREAM,
+    SMALL_BATCH,
+    CostModel,
+    KernelCost,
+    KernelWorkload,
+    null_workload,
+)
+from repro.perfmodel.metrics import RESOURCE_CEILING
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.device import amd_mi100, nvidia_v100s
 from repro.sycl.ndrange import NDRange
 
-SHORT = CostModel.SHORT_STREAM
+#: the cutoff below which the previous model priced streams in Python
+SHORT = 48
 REGION_STRIDE = 1 << 40
 
 
@@ -82,40 +93,93 @@ def reference_memory_hierarchy(model, wl):
     return CacheStats(l1_acc, l1_hits), l2, int(l2.misses * spec.l1_line_bytes)
 
 
-class ReferenceModel(CostModel):
-    """The cost model with the sort-based memory hierarchy."""
+def reference_charge(model, wl):
+    """The :class:`KernelCost` the per-kernel model computed."""
+    spec, geom = model.spec, wl.geometry
+    num_workgroups = -(-geom.global_size // geom.workgroup_size) if geom.global_size else 0
+    total_lanes = num_workgroups * geom.workgroup_size
+    if num_workgroups == 0:
+        occupancy = 0.0
+    else:
+        per_cu = min(spec.max_workgroups_per_cu, num_workgroups / spec.compute_units)
+        resident = min(spec.max_threads_per_cu, per_cu * geom.workgroup_size)
+        occupancy = float(min(RESOURCE_CEILING, resident / spec.max_threads_per_cu))
+    lane_fraction = wl.active_lanes / total_lanes if total_lanes else 0.0
 
-    def _memory_hierarchy(self, wl):
-        return reference_memory_hierarchy(self, wl)
+    throughput = spec.compute_units * model.LANES_PER_CU_PER_CYCLE
+    cycles = (total_lanes * wl.instructions_per_lane + wl.serial_ops) / max(1, throughput)
+    if wl.atomics:
+        aggregate = wl.atomics * model.ATOMIC_CYCLES / max(1, throughput)
+        chain = (wl.atomics / max(1, wl.atomic_targets or wl.atomics)) * model.ATOMIC_CYCLES
+        cycles += max(aggregate, chain)
+    compute_ns = cycles / spec.clock_ghz
+
+    l1, l2, dram_bytes = reference_memory_hierarchy(model, wl)
+    engaged = wl.engaged_subgroups
+    if engaged is None:
+        engaged = wl.active_lanes / max(1, geom.subgroup_size)
+    if dram_bytes == 0:
+        memory_ns = 0.0
+    else:
+        needed = spec.compute_units * model.SUBGROUPS_FOR_PEAK_BW_PER_CU / (
+            spec.preferred_subgroup_size / 32.0
+        )
+        efficiency = max(model.MIN_MEM_EFFICIENCY, min(1.0, engaged / needed))
+        penalty = model.traits.usm_penalty if model.usm else 1.0
+        memory_ns = dram_bytes * penalty / (spec.mem_bandwidth_gbs * efficiency)
+    launch_ns = model.traits.launch_overhead_us * 1_000.0
+    dispatch_ns = num_workgroups * model.WG_DISPATCH_NS
+    return KernelCost(
+        name=wl.name,
+        time_ns=launch_ns + max(compute_ns, memory_ns, dispatch_ns),
+        compute_ns=compute_ns,
+        memory_ns=memory_ns,
+        launch_ns=launch_ns,
+        l1=l1,
+        l2=l2,
+        dram_bytes=dram_bytes,
+        occupancy=occupancy,
+        active_lane_fraction=lane_fraction,
+    )
 
 
 DEVICES = {"v100s": nvidia_v100s, "mi100": amd_mi100}
+FLOAT_FIELDS = ("time_ns", "compute_ns", "memory_ns", "launch_ns", "occupancy", "active_lane_fraction")
 
 
 @pytest.fixture(scope="module", params=sorted(DEVICES))
-def models(request):
-    device = DEVICES[request.param]()
-    return CostModel(device), ReferenceModel(device)
+def model(request):
+    return CostModel(DEVICES[request.param]())
 
 
-def _workload(streams, lanes=256):
+def _workload(streams, lanes=256, **fields):
     geom = NDRange(max(128, -(-lanes // 128) * 128), 128).resolve(256, 32)
-    wl = KernelWorkload("k", geom, active_lanes=lanes)
+    wl = KernelWorkload("k", geom, active_lanes=lanes, **fields)
     for addresses, item_bytes, region in streams:
         wl.add_stream(addresses, item_bytes, region)
     return wl
 
 
-def assert_identical(models, wl):
-    new, ref = (m.charge(wl) for m in models)
-    for field in (
-        "name", "time_ns", "compute_ns", "memory_ns", "launch_ns",
-        "dram_bytes", "occupancy", "active_lane_fraction",
-    ):
-        assert getattr(new, field) == getattr(ref, field), field
-    assert (new.l1.accesses, new.l1.hits) == (ref.l1.accesses, ref.l1.hits)
-    assert (new.l2.accesses, new.l2.hits) == (ref.l2.accesses, ref.l2.hits)
-    assert type(new.dram_bytes) is int
+def assert_same_cost(new, ref):
+    assert new.name == ref.name
+    for field in FLOAT_FIELDS:
+        value = getattr(new, field)
+        assert value == getattr(ref, field), field
+        assert type(value) is float, (field, type(value))
+    assert new.dram_bytes == ref.dram_bytes and type(new.dram_bytes) is int
+    for level in ("l1", "l2"):
+        a, b = getattr(new, level), getattr(ref, level)
+        assert (a.accesses, a.hits) == (b.accesses, b.hits), level
+        assert type(a.accesses) is int and type(a.hits) is int, level
+
+
+def assert_identical(model, wl):
+    """``wl`` priced alone and in a batch big enough for the vectorized
+    pass both equal the reference."""
+    ref = reference_charge(model, wl)
+    assert_same_cost(model.charge(wl), ref)
+    padding = [null_workload("pad")] * (SMALL_BATCH - 1)
+    assert_same_cost(model.charge_many(padding + [wl])[-1], ref)
     return ref
 
 
@@ -132,16 +196,17 @@ LENGTHS = st.one_of(
     st.sampled_from([SHORT - 1, SHORT, SHORT + 1, 2 * SHORT, 2 * SHORT + 1]),
     st.integers(0, 400),
 )
+LARGE_LENGTHS = st.sampled_from([LARGE_STREAM, LARGE_STREAM + 1, LARGE_STREAM + 700])
 KINDS = ("random", "runs", "arange", "sparse", "same")
 
 
 @st.composite
-def streams(draw):
+def streams(draw, lengths=LENGTHS, regions=st.integers(0, 2)):
     kind = draw(st.sampled_from(KINDS))
-    n = draw(LENGTHS)
+    n = draw(lengths)
     dtype = draw(st.sampled_from([np.int32, np.int64]))
     item_bytes = draw(st.sampled_from([1, 4, 8]))
-    region = draw(st.integers(0, 2))
+    region = draw(regions)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
         addresses = rng.integers(0, draw(st.sampled_from([4, 64, 4096, 1 << 20])), n)
@@ -160,10 +225,42 @@ def streams(draw):
     return addresses.astype(dtype), item_bytes, region
 
 
+@st.composite
+def workloads(draw):
+    """A kernel whose streams are mostly short, sometimes past
+    ``LARGE_STREAM``, on a few regions (so shared within the kernel), with
+    the launch fields every formula reads."""
+    lengths = st.one_of(LENGTHS, LARGE_LENGTHS) if draw(st.integers(0, 7)) == 0 else LENGTHS
+    stream_list = draw(st.lists(streams(lengths, st.integers(0, 3)), max_size=6))
+    lanes = draw(st.integers(0, 1 << 14))
+    atomics = draw(st.sampled_from([0, 0, 1, 37, 5000]))
+    return _workload(
+        stream_list,
+        lanes,
+        instructions_per_lane=draw(st.sampled_from([1.0, 6.0, 8.0, 2.5])),
+        serial_ops=draw(st.sampled_from([0, 17, 3.5, 40000])),
+        atomics=atomics,
+        atomic_targets=draw(st.integers(0, atomics)),
+        engaged_subgroups=draw(st.sampled_from([None, None, 0.5, 3.0, 900.0])),
+    )
+
+
 @settings(max_examples=250, deadline=None)
 @given(st.lists(streams(), min_size=0, max_size=6), st.integers(1, 1 << 14))
-def test_charge_matches_reference(models, stream_list, lanes):
-    assert_identical(models, _workload(stream_list, lanes))
+def test_charge_matches_reference(model, stream_list, lanes):
+    assert_identical(model, _workload(stream_list, lanes))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(workloads(), min_size=1, max_size=40))
+def test_charge_many_matches_reference_kernel_by_kernel(model, wls):
+    """One batch prices every kernel exactly as pricing it alone did:
+    regions are shared within a kernel and across kernels, and no repeat
+    or distinct line is counted across a kernel boundary."""
+    costs = model.charge_many(wls)
+    assert len(costs) == len(wls)
+    for wl, cost in zip(wls, costs):
+        assert_same_cost(cost, reference_charge(model, wl))
 
 
 @settings(max_examples=60, deadline=None)
@@ -172,68 +269,109 @@ def test_charge_matches_reference(models, stream_list, lanes):
     st.sampled_from([1, 4, 8]),
     st.integers(0, 2**32 - 1),
 )
-def test_streams_sharing_one_region(models, lengths, item_bytes, seed):
+def test_streams_sharing_one_region(model, lengths, item_bytes, seed):
     """Misses of several streams on one buffer overlap in L2: distinct
     lines and repeats are counted across stream boundaries."""
     rng = np.random.default_rng(seed)
     wl = _workload([(rng.integers(0, 2048, n), item_bytes, 1) for n in lengths])
-    assert_identical(models, wl)
+    assert_identical(model, wl)
 
 
 # --------------------------------------------------------------------- #
 # the edges, pinned                                                     #
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("n", [8, 3000])
-def test_l2_repeat_across_a_stream_boundary(models, n):
+@pytest.mark.parametrize("n", [8, 3000, LARGE_STREAM + 1])
+def test_l2_repeat_across_a_stream_boundary(model, n):
     """Two streams on one buffer, every access a new line: the second
     starts on the line where the first ended, so the L2 stream repeats a
     line across the boundary.  At 3000 lines the working set overflows L2
     and that one repeat changes the hit count."""
     forward = np.arange(n) * 64
-    assert_identical(models, _workload([(forward, 8, 1), (forward[::-1].copy(), 8, 1)]))
+    assert_identical(model, _workload([(forward, 8, 1), (forward[::-1].copy(), 8, 1)]))
 
 
-def test_no_streams(models):
-    ref = assert_identical(models, _workload([]))
+def test_no_repeat_across_a_kernel_boundary(model):
+    """Two kernels that each read one buffer forward, then backward: each
+    kernel's L2 stream repeats a line at its stream boundary, and the
+    second kernel starts on the line where the first ended, which is no
+    repeat at all."""
+    forward = np.arange(3000) * 64
+    kernel = [(forward, 8, 1), (forward[::-1].copy(), 8, 1)]
+    wls = [null_workload("pad")] * SMALL_BATCH + [_workload(kernel), _workload(kernel)]
+    for wl, cost in zip(wls, model.charge_many(wls)):
+        assert_same_cost(cost, reference_charge(model, wl))
+
+
+def test_no_repeat_across_a_region_change(model):
+    """A stream on another buffer ends on the line offset where the next
+    stream starts: different regions, so no repeat."""
+    forward = np.arange(3000) * 64
+    assert_identical(
+        model, _workload([(forward, 8, 1), (forward[::-1].copy(), 8, 2), (forward, 8, 1)])
+    )
+
+
+def test_no_streams(model):
+    ref = assert_identical(model, _workload([]))
     assert ref.l1.accesses == 0 and ref.dram_bytes == 0
 
 
-def test_empty_streams(models):
+def test_empty_streams(model):
     empty = np.empty(0, np.int64)
-    ref = assert_identical(models, _workload([(empty, 4, 0), (empty, 8, 1)]))
+    ref = assert_identical(model, _workload([(empty, 4, 0), (empty, 8, 1)]))
     assert ref.l1.accesses == 0 and ref.l2.accesses == 0
+
+
+def test_empty_batch(model):
+    assert model.charge_many([]) == []
 
 
 @pytest.mark.parametrize("n", [SHORT - 1, SHORT, SHORT + 1])
 @pytest.mark.parametrize("item_bytes", [1, 4, 8])
-def test_both_sides_of_the_short_stream_cutoff(models, n, item_bytes):
+def test_both_sides_of_the_short_stream_cutoff(model, n, item_bytes):
     rng = np.random.default_rng(n)
     wl = _workload([(rng.integers(0, 4096, n), item_bytes, 0), (np.arange(n), item_bytes, 1)])
-    assert_identical(models, wl)
+    assert_identical(model, wl)
 
 
-@pytest.mark.parametrize("n", [1, 2, SHORT, 5 * SHORT])
-def test_one_miss_thins_to_the_first_access(models, n):
+@pytest.mark.parametrize("n", [LARGE_STREAM - 1, LARGE_STREAM, LARGE_STREAM + 1])
+@pytest.mark.parametrize("item_bytes", [1, 4, 8])
+def test_both_sides_of_the_large_stream_cutoff(model, n, item_bytes):
+    rng = np.random.default_rng(n)
+    wl = _workload([(rng.integers(0, 4096, n), item_bytes, 0), (np.arange(n), item_bytes, 1)])
+    assert_identical(model, wl)
+
+
+@pytest.mark.parametrize("n", [1, 2, SHORT, 5 * SHORT, LARGE_STREAM + 1])
+def test_one_miss_thins_to_the_first_access(model, n):
     """All accesses on one line: a single L1 miss (m == 1)."""
-    ref = assert_identical(models, _workload([(np.full(n, 7), 4, 0)]))
+    ref = assert_identical(model, _workload([(np.full(n, 7), 4, 0)]))
     assert ref.l1.misses == 1
 
 
-@pytest.mark.parametrize("n", [2, SHORT, 5 * SHORT])
-def test_all_misses_keep_the_whole_stream(models, n):
+@pytest.mark.parametrize("n", [2, SHORT, 5 * SHORT, LARGE_STREAM + 1])
+def test_all_misses_keep_the_whole_stream(model, n):
     """Every access on a new line: nothing hits (m == n)."""
-    ref = assert_identical(models, _workload([(np.arange(n) * 64, 8, 0)]))
+    ref = assert_identical(model, _workload([(np.arange(n) * 64, 8, 0)]))
     assert ref.l1.misses == n
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_sparse_streams_use_the_sort_fallback(models, dtype):
+def _sparse_workload(model, dtype, n):
     rng = np.random.default_rng(3)
-    n = 5 * SHORT
     addresses = rng.integers(0, _region_end(dtype, 8), n).astype(dtype)
-    lines = addresses.astype(np.int64) * 8 // models[0].spec.l1_line_bytes
+    lines = addresses.astype(np.int64) * 8 // model.spec.l1_line_bytes
     assert np.ptp(lines) + 1 > MARK_SPAN_PER_ACCESS * n + MARK_SPAN_BASE
-    assert_identical(models, _workload([(addresses, 8, 2), (addresses[::-1], 8, 2)]))
+    return _workload([(addresses, 8, 2), (addresses[::-1], 8, 2)])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_sparse_streams_use_the_sort_fallback(model, dtype):
+    assert_identical(model, _sparse_workload(model, dtype, 5 * SHORT))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_large_sparse_streams_use_the_sort_fallback(model, dtype):
+    assert_identical(model, _sparse_workload(model, dtype, LARGE_STREAM + 1))
 
 
 def test_count_distinct_both_ways():
@@ -242,3 +380,24 @@ def test_count_distinct_both_ways():
     sparse = rng.integers(0, 1 << 50, 1000)
     for lines in (dense, sparse):
         assert count_distinct(lines, int(lines.min()), int(lines.max())) == np.unique(lines).size
+        assert count_distinct(lines) == np.unique(lines).size
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 300), st.sampled_from([4, 64, 1 << 12, 1 << 40])), min_size=1, max_size=12))
+def test_count_distinct_segments_matches_unique(segments):
+    """Dense segments (marked) and sparse ones (sorted) in one call, with
+    the values of different segments interleaved."""
+    rng = np.random.default_rng(len(segments))
+    parts = [rng.integers(0, span, n) for n, span in segments]
+    segment = np.concatenate([np.full(n, g) for g, (n, _) in enumerate(segments)])
+    order = rng.permutation(segment.size)
+    values = np.concatenate(parts)[order]
+    counts = count_distinct_segments(
+        values,
+        segment[order],
+        np.array([p.min() for p in parts]),
+        np.array([p.max() for p in parts]),
+        np.array([n for n, _ in segments]),
+    )
+    assert counts.tolist() == [np.unique(p).size for p in parts]

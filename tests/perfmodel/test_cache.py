@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel.cache import CacheSim, CacheStats, estimate_cache_hits, line_ids
+from repro.perfmodel.cache import CacheSim, CacheStats, estimate_cache_hits, line_ids, unique_ints
 
 
 class TestExactSim:
@@ -101,3 +101,23 @@ class TestEstimator:
 class TestLineIds:
     def test_mapping(self):
         assert list(line_ids(np.array([0, 63, 64, 127, 128]), 64)) == [0, 0, 1, 1, 2]
+
+
+class TestUniqueInts:
+    """``unique_ints`` is ``np.unique`` for 1-D integer arrays, by sorting."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([np.int32, np.uint32, np.int64]),
+        st.one_of(
+            st.just([]),
+            st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=1),
+            st.lists(st.integers(0, 3), max_size=200),
+            st.lists(st.integers(0, 2**31 - 1), max_size=200),
+        ),
+    )
+    def test_equals_np_unique(self, dtype, values):
+        ids = np.array(values, dtype=dtype)
+        got, want = unique_ints(ids), np.unique(ids)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)

@@ -136,3 +136,76 @@ class TestProfileLog:
         queue.submit(_workload("advance.frontier"))
         assert 0 <= queue.profile.peak_l1_hit_rate("advance") <= 1
         assert 0 <= queue.profile.peak_occupancy("advance") <= 1
+
+
+class TestBatchedPricing:
+    """Submitting queues a kernel; the host's next read of the clock, the
+    log or an event's cost prices everything queued since the last one."""
+
+    def test_stream_overwritten_after_submit_keeps_its_cost(self, queue):
+        reference = Queue(capacity_limit=0)
+        reference.submit(_workload())
+        buffer = np.arange(500)
+        wl = _workload(streams=False)
+        wl.add_stream(buffer, 4, region=1)
+        ev = queue.submit(wl)
+        buffer[:] = np.random.default_rng(0).integers(0, 1 << 30, buffer.size)
+        assert ev.cost == reference.profile.costs[0]
+
+    def test_event_cost_is_the_logged_cost(self, queue):
+        events = [queue.submit(_workload(name)) for name in ("a", "b", "c")]
+        assert events[1].cost is queue.profile.costs[1]
+        assert all(ev.cost is cost for ev, cost in zip(events, queue.profile.costs))
+
+    def test_totals_are_the_left_to_right_sum_over_batches(self, queue):
+        for k in range(7):
+            queue.submit(_workload(lanes=100 + k))
+            if k == 3:
+                queue.elapsed_ns  # a sync point in the middle
+        folded = 0
+        for cost in queue.profile.costs:
+            folded += cost.time_ns
+        assert queue.elapsed_ns == folded
+        assert len(queue.profile.costs) == 7
+
+    def test_reset_profile_with_kernels_pending(self, queue):
+        ev = queue.submit(_workload())
+        old = queue.profile
+        queue.reset_profile()
+        assert queue.elapsed_ns == 0 and queue.profile.costs == []
+        assert ev.cost is old.costs[0] and ev.profiling_ns() > 0
+
+    def test_pending_accesses_past_the_cap_are_priced(self, queue, monkeypatch):
+        from repro.sycl import profiling
+
+        monkeypatch.setattr(profiling, "PENDING_ACCESS_CAP", 1200)
+        queue.submit(_workload())
+        queue.submit(_workload())
+        assert queue.profile._pending is not None
+        queue.submit(_workload())  # 1500 pending accesses
+        assert queue.profile._pending is None
+        assert len(queue.profile._costs) == 3
+
+    def test_tracer_sees_each_cost_at_submit(self, queue):
+        tracer = queue.enable_tracing()
+        with queue.span("outer"):
+            events = [queue.submit(_workload(name)) for name in ("a", "b")]
+            kernels = tracer.current.kernels
+            assert [k.cost for k in kernels] == [ev.cost for ev in events]
+            assert [k.dur_ns for k in kernels] == [ev.cost.time_ns for ev in events]
+            assert kernels[1].ts_ns == events[0].cost.time_ns
+
+    def test_fault_injector_clock_includes_every_earlier_kernel(self, queue):
+        from repro.faults import FaultInjector
+
+        injector = FaultInjector([], seed=0)
+        clocks = []
+        check = injector.check
+        injector.check = lambda site, now_ns, **kw: clocks.append(now_ns) or check(site, now_ns, **kw)
+        queue.enable_fault_injection(injector)
+        events = [queue.submit(_workload(lanes=128 * k)) for k in (1, 2, 3)]
+        expected, clock = [], 0
+        for ev in events:
+            expected.append(clock)
+            clock += ev.cost.time_ns
+        assert clocks == expected
