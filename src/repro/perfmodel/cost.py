@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import eq
-from typing import Iterable, List, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.perfmodel.cache import (
     count_distinct_segments,
     lru_hits,
 )
-from repro.perfmodel.metrics import RESOURCE_CEILING, achieved_occupancy
+from repro.perfmodel.metrics import achieved_occupancy
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.backend import backend_traits
 from repro.sycl.ndrange import WorkgroupGeometry
@@ -125,21 +125,36 @@ SHORT_STREAM = 48
 SMALL_BATCH = 16
 
 
+class KernelLaunch(NamedTuple):
+    """The fields of a :class:`KernelWorkload` that pricing reads besides
+    its streams."""
+
+    name: str
+    geometry: WorkgroupGeometry
+    active_lanes: int
+    instructions_per_lane: float
+    atomics: int
+    atomic_targets: int
+    serial_ops: int
+    engaged_subgroups: Optional[float]
+
+
 class KernelBatch:
     """Kernels waiting for one :meth:`CostModel.charge_many` pass.
 
-    :meth:`add` keeps the workload and a copy of each of its address
-    streams, so a kernel is priced on the addresses it had when it was
-    added even if its caller reuses the arrays (the 2LB frontier's
-    ``offsets`` buffer is one).  A kernel with a stream of more than
-    :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
-    away instead, which needs no copy.  The workload's other fields are
-    read when the batch is priced.
+    :meth:`add` keeps what pricing reads of a kernel, not the workload: its
+    :class:`KernelLaunch` fields and a copy of each of its address streams.
+    So a kernel is priced on the addresses it had when it was added even if
+    its caller reuses the arrays (the 2LB frontier's ``offsets`` buffer is
+    one), and the caller's arrays are freed as soon as the caller drops
+    them.  A kernel with a stream of more than :data:`LARGE_STREAM`
+    accesses has its memory hierarchy priced right away instead, which
+    needs no copy.
     """
 
     def __init__(self, model: "CostModel", workloads: Iterable[KernelWorkload] = ()):
         self.model = model
-        self.workloads: List[KernelWorkload] = []
+        self.launches: List[KernelLaunch] = []
         #: per kernel, its memory-hierarchy counts if priced on adding
         self.memory: List[Optional[tuple]] = []
         #: per kernel, its streams as ``(addresses, item_bytes, region)``
@@ -153,7 +168,7 @@ class KernelBatch:
             self.add(wl)
 
     def __len__(self) -> int:
-        return len(self.workloads)
+        return len(self.launches)
 
     def add(self, wl: KernelWorkload) -> None:
         sizes = [s.addresses.size for s in wl.streams]
@@ -168,7 +183,18 @@ class KernelBatch:
             self.accesses += sum(sizes)
             if largest > SHORT_STREAM:
                 self.long_streams += sum(size > SHORT_STREAM for size in sizes)
-        self.workloads.append(wl)
+        self.launches.append(
+            KernelLaunch(
+                wl.name,
+                wl.geometry,
+                wl.active_lanes,
+                wl.instructions_per_lane,
+                wl.atomics,
+                wl.atomic_targets,
+                wl.serial_ops,
+                wl.engaged_subgroups,
+            )
+        )
 
 
 #: shared placeholder geometry for never-costed workloads
@@ -262,15 +288,15 @@ class CostModel:
         """
         batch = workloads if isinstance(workloads, KernelBatch) else KernelBatch(self, workloads)
         if len(batch) + batch.long_streams >= SMALL_BATCH:
-            return self._charge_batch(batch)
-        return [
-            self._kernel_cost(wl, *(memory or self._kernel_memory(streams)))
-            for wl, memory, streams in zip(batch.workloads, batch.memory, batch.streams)
-        ]
+            memory = self._batch_memory(batch).T.tolist()
+        else:
+            memory = [
+                counts or self._kernel_memory(streams)
+                for counts, streams in zip(batch.memory, batch.streams)
+            ]
+        return [self._kernel_cost(launch, *counts) for launch, counts in zip(batch.launches, memory)]
 
-    # ------------------------------------------------------------------ #
-    # one kernel at a time
-    def _kernel_cost(self, wl: KernelWorkload, l1_acc, l1_hits, l2_acc, l2_hits) -> KernelCost:
+    def _kernel_cost(self, wl: KernelLaunch, l1_acc, l1_hits, l2_acc, l2_hits) -> KernelCost:
         geom = wl.geometry
         total_lanes = geom.total_lanes
         dram_bytes = (l2_acc - l2_hits) * self.spec.l1_line_bytes
@@ -293,7 +319,7 @@ class CostModel:
             active_lane_fraction=wl.active_lanes / total_lanes if total_lanes else 0.0,
         )
 
-    def _compute_time_ns(self, wl: KernelWorkload, total_lanes: int) -> float:
+    def _compute_time_ns(self, wl: KernelLaunch, total_lanes: int) -> float:
         # All scheduled lanes burn slots for the kernel's instruction count.
         lane_ops = total_lanes * wl.instructions_per_lane + wl.serial_ops
         cycles = lane_ops / self._throughput
@@ -306,6 +332,8 @@ class CostModel:
             cycles += max(aggregate, chain)
         return cycles / self.spec.clock_ghz  # GHz -> ns per cycle
 
+    # ------------------------------------------------------------------ #
+    # one kernel at a time
     def _kernel_memory(self, streams) -> tuple:
         """L1 accesses and hits, L2 accesses and hits of one kernel's
         ``(addresses, item_bytes, region)`` streams, one stream at a time.
@@ -381,60 +409,11 @@ class CostModel:
 
     # ------------------------------------------------------------------ #
     # the whole batch at once
-    def _charge_batch(self, batch: KernelBatch) -> List[KernelCost]:
-        """:meth:`_kernel_cost` and its formulas, elementwise over the
-        batch's kernels."""
-        spec, wls = self.spec, batch.workloads
-        l1_acc, l1_hits, l2_acc, l2_hits = self._batch_memory(batch)
-        (global_size, workgroup_size, subgroup_size, active, per_lane, serial, atomics, targets,
-         engaged) = map(np.array, zip(*[
-            (g.global_size, g.workgroup_size, g.subgroup_size, wl.active_lanes,
-             wl.instructions_per_lane, wl.serial_ops, wl.atomics, wl.atomic_targets,
-             np.nan if wl.engaged_subgroups is None else wl.engaged_subgroups)
-            for wl in wls
-            for g in (wl.geometry,)
-        ]))
-        num_workgroups = -(-global_size // workgroup_size)
-        total_lanes = num_workgroups * workgroup_size
-        lane_fraction = np.where(total_lanes > 0, active / np.maximum(total_lanes, 1), 0.0)
-
-        cycles = (total_lanes * per_lane + serial) / self._throughput
-        aggregate = atomics * self.ATOMIC_CYCLES / self._throughput
-        chain = atomics / np.maximum(1, np.where(targets != 0, targets, atomics)) * self.ATOMIC_CYCLES
-        cycles = np.where(atomics != 0, cycles + np.maximum(aggregate, chain), cycles)
-        compute_ns = cycles / spec.clock_ghz
-
-        dram_bytes = (l2_acc - l2_hits) * spec.l1_line_bytes
-        engaged = np.where(np.isnan(engaged), active / np.maximum(1, subgroup_size), engaged)
-        efficiency = np.maximum(self.MIN_MEM_EFFICIENCY, np.minimum(1.0, engaged / self._peak_subgroups))
-        penalty = self.traits.usm_penalty if self.usm else 1.0
-        memory_ns = np.where(
-            dram_bytes == 0, 0.0, dram_bytes * penalty / (spec.mem_bandwidth_gbs * efficiency)
-        )
-        time_ns = self._launch_ns + np.maximum(
-            np.maximum(compute_ns, memory_ns), num_workgroups * self.WG_DISPATCH_NS
-        )
-
-        per_cu = np.minimum(spec.max_workgroups_per_cu, num_workgroups / spec.compute_units)
-        resident = np.minimum(spec.max_threads_per_cu, per_cu * workgroup_size)
-        occupancy = np.where(
-            num_workgroups == 0, 0.0, np.minimum(RESOURCE_CEILING, resident / spec.max_threads_per_cu)
-        )
-        launch_ns = self._launch_ns
-        return [
-            KernelCost(wl.name, t, c, m, launch_ns, CacheStats(a1, h1), CacheStats(a2, h2), d, o, f)
-            for wl, t, c, m, a1, h1, a2, h2, d, o, f in zip(
-                wls, time_ns.tolist(), compute_ns.tolist(), memory_ns.tolist(),
-                l1_acc.tolist(), l1_hits.tolist(), l2_acc.tolist(), l2_hits.tolist(),
-                dram_bytes.tolist(), occupancy.tolist(), lane_fraction.tolist(),
-            )
-        ]
-
     def _batch_memory(self, batch: KernelBatch) -> np.ndarray:
         """:meth:`_kernel_memory` for every kernel of ``batch`` at once:
         rows of L1 accesses and hits, L2 accesses and hits, one column per
         kernel.  Repeats and distinct lines never count across kernels."""
-        kernels = len(batch.workloads)
+        kernels = len(batch)
         counts = np.zeros((4, kernels), dtype=np.int64)
         for k, memory in enumerate(batch.memory):
             if memory is not None:
@@ -460,25 +439,12 @@ class CostModel:
         lo = np.minimum.reduceat(lines, starts)
         hi = np.maximum.reduceat(lines, starts)
 
-        # L1, per stream.  Most streams never step back (scans, sorted
-        # ids): each of their line changes is a new line.
+        # L1, per stream
         repeat = np.empty(lines.size, dtype=np.bool_)
         np.equal(lines[1:], lines[:-1], out=repeat[1:])
         repeat[starts] = False
         adjacent = np.add.reduceat(repeat, starts, dtype=np.int64)
-        back = np.empty(lines.size, dtype=np.bool_)
-        np.less(lines[1:], lines[:-1], out=back[1:])
-        back[starts] = False
-        unsorted = np.logical_or.reduceat(back, starts)
-        distinct = n - adjacent
-        if unsorted.any():
-            distinct[unsorted] = count_distinct_segments(
-                lines[np.repeat(unsorted, n)],
-                np.repeat(np.arange(np.count_nonzero(unsorted)), n[unsorted]),
-                lo[unsorted],
-                hi[unsorted],
-                n[unsorted],
-            )
+        distinct = count_distinct_segments(lines, np.repeat(np.arange(n.size), n), lo, hi, n)
         hits = lru_hits(n, distinct, adjacent, self._l1_lines)
         misses = n - hits
 

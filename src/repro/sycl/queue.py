@@ -103,8 +103,9 @@ class Queue:
         :attr:`elapsed_ns`, of the log, or of a pending event's cost; see
         :class:`~repro.sycl.profiling.ProfileLog`).  Only a kernel with a
         stream longer than :data:`~repro.perfmodel.cost.LARGE_STREAM` has
-        its memory traffic priced here, which needs no copy.  The caller
-        may reuse the stream arrays; the workload itself must not change.
+        its memory traffic priced here, which needs no copy.  The batch
+        keeps no reference to the workload, so the caller may reuse or
+        drop it and its arrays.
 
         With a fault injector attached, the ``kernel_launch`` site is
         checked *before* the kernel is queued: a fired fault raises

@@ -1,16 +1,15 @@
 """The cost model is bit-identical to its first, per-kernel formulation.
 
-``reference_charge`` below is a frozen copy of the original model: one
-kernel at a time, Python scalars for the launch, compute and memory-time
-formulas, and the sort-based memory hierarchy — ``np.unique`` for
-distinct lines, ``np.linspace`` to thin each stream's L1 misses, one
-:func:`estimate_cache_hits`-style pass per stream and one over the
-concatenated L2 stream.  Every modeled number (kernel time, L1 hit rate,
-DRAM bytes, Table 5) derives from it, so the batched implementation in
+``reference_memory_hierarchy`` below is a frozen copy of the original
+per-stream pricing: ``np.unique`` for distinct lines, ``np.linspace`` to
+thin each stream's L1 misses, one :func:`estimate_cache_hits`-style pass
+per stream and one over the concatenated L2 stream.  Every modeled number
+(kernel time, L1 hit rate, DRAM bytes, Table 5) derives from it, so
 :meth:`CostModel.charge_many` must reproduce every :class:`KernelCost`
-field exactly, with Python types, on every device, for every stream whose
-byte offsets lie inside its region (``[0, 2**40)``, the premise of
-:class:`AccessStream`'s non-aliasing regions).
+field exactly, with Python types, on every device, whether it prices a
+kernel alone or in a batch, for every stream whose byte offsets lie
+inside its region (``[0, 2**40)``, the premise of :class:`AccessStream`'s
+non-aliasing regions).
 """
 
 import numpy as np
@@ -29,11 +28,9 @@ from repro.perfmodel.cost import (
     LARGE_STREAM,
     SMALL_BATCH,
     CostModel,
-    KernelCost,
     KernelWorkload,
     null_workload,
 )
-from repro.perfmodel.metrics import RESOURCE_CEILING
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.device import amd_mi100, nvidia_v100s
 from repro.sycl.ndrange import NDRange
@@ -94,53 +91,10 @@ def reference_memory_hierarchy(model, wl):
 
 
 def reference_charge(model, wl):
-    """The :class:`KernelCost` the per-kernel model computed."""
-    spec, geom = model.spec, wl.geometry
-    num_workgroups = -(-geom.global_size // geom.workgroup_size) if geom.global_size else 0
-    total_lanes = num_workgroups * geom.workgroup_size
-    if num_workgroups == 0:
-        occupancy = 0.0
-    else:
-        per_cu = min(spec.max_workgroups_per_cu, num_workgroups / spec.compute_units)
-        resident = min(spec.max_threads_per_cu, per_cu * geom.workgroup_size)
-        occupancy = float(min(RESOURCE_CEILING, resident / spec.max_threads_per_cu))
-    lane_fraction = wl.active_lanes / total_lanes if total_lanes else 0.0
-
-    throughput = spec.compute_units * model.LANES_PER_CU_PER_CYCLE
-    cycles = (total_lanes * wl.instructions_per_lane + wl.serial_ops) / max(1, throughput)
-    if wl.atomics:
-        aggregate = wl.atomics * model.ATOMIC_CYCLES / max(1, throughput)
-        chain = (wl.atomics / max(1, wl.atomic_targets or wl.atomics)) * model.ATOMIC_CYCLES
-        cycles += max(aggregate, chain)
-    compute_ns = cycles / spec.clock_ghz
-
-    l1, l2, dram_bytes = reference_memory_hierarchy(model, wl)
-    engaged = wl.engaged_subgroups
-    if engaged is None:
-        engaged = wl.active_lanes / max(1, geom.subgroup_size)
-    if dram_bytes == 0:
-        memory_ns = 0.0
-    else:
-        needed = spec.compute_units * model.SUBGROUPS_FOR_PEAK_BW_PER_CU / (
-            spec.preferred_subgroup_size / 32.0
-        )
-        efficiency = max(model.MIN_MEM_EFFICIENCY, min(1.0, engaged / needed))
-        penalty = model.traits.usm_penalty if model.usm else 1.0
-        memory_ns = dram_bytes * penalty / (spec.mem_bandwidth_gbs * efficiency)
-    launch_ns = model.traits.launch_overhead_us * 1_000.0
-    dispatch_ns = num_workgroups * model.WG_DISPATCH_NS
-    return KernelCost(
-        name=wl.name,
-        time_ns=launch_ns + max(compute_ns, memory_ns, dispatch_ns),
-        compute_ns=compute_ns,
-        memory_ns=memory_ns,
-        launch_ns=launch_ns,
-        l1=l1,
-        l2=l2,
-        dram_bytes=dram_bytes,
-        occupancy=occupancy,
-        active_lane_fraction=lane_fraction,
-    )
+    """The :class:`KernelCost` of ``wl`` with the reference memory
+    hierarchy, read straight from the workload."""
+    l1, l2, _ = reference_memory_hierarchy(model, wl)
+    return model._kernel_cost(wl, l1.accesses, l1.hits, l2.accesses, l2.hits)
 
 
 DEVICES = {"v100s": nvidia_v100s, "mi100": amd_mi100}

@@ -1,9 +1,12 @@
 """Queue submission, events, profiling accumulation, backends."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.perfmodel.cost import KernelWorkload
+from repro.perfmodel.cost import LARGE_STREAM, KernelWorkload
 from repro.sycl import Backend, NDRange, Queue, get_device
 from repro.sycl.backend import backend_traits
 
@@ -151,6 +154,23 @@ class TestBatchedPricing:
         ev = queue.submit(wl)
         buffer[:] = np.random.default_rng(0).integers(0, 1 << 30, buffer.size)
         assert ev.cost == reference.profile.costs[0]
+
+    @pytest.mark.parametrize("n", [500, LARGE_STREAM + 1])
+    def test_pending_kernel_holds_no_caller_array(self, queue, n):
+        """The pending batch keeps a copy of a stream (or, past
+        LARGE_STREAM, its counts), never the workload: the caller's array
+        is freed while the kernel waits to be priced."""
+        buffer = np.arange(n)
+        alive = weakref.ref(buffer)
+        wl = _workload(streams=False)
+        wl.add_stream(buffer, 4, region=1)
+        expected = Queue(capacity_limit=0).submit(wl).cost
+        ev = queue.submit(wl)
+        del wl, buffer
+        gc.collect()
+        assert alive() is None
+        assert queue.profile._pending is not None
+        assert ev.cost == expected
 
     def test_event_cost_is_the_logged_cost(self, queue):
         events = [queue.submit(_workload(name)) for name in ("a", "b", "c")]
