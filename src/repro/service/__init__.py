@@ -40,7 +40,6 @@ from repro.service.scheduler import (
     QueryScheduler,
     SchedulerConfig,
     ServiceReport,
-    TransientFault,
     Worker,
 )
 from repro.service.workload import (
@@ -63,7 +62,6 @@ __all__ = [
     "RequestStatus",
     "SchedulerConfig",
     "ServiceReport",
-    "TransientFault",
     "Worker",
     "WorkloadConfig",
     "default_catalog",

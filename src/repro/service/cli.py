@@ -44,10 +44,6 @@ def add_serve_arguments(parser) -> None:
         help="re-verify every Nth completion against the oracle (0 = off)",
     )
     group.add_argument(
-        "--fault-fraction", type=float, default=0.0,
-        help="fraction of requests whose first attempt fails (retry path)",
-    )
-    group.add_argument(
         "--timeout-ms", type=float, default=None,
         help="per-request deadline in modeled ms (default: none)",
     )
@@ -251,7 +247,6 @@ def run_serve(args) -> int:
         WorkloadConfig(
             n_requests=n_requests,
             mean_interarrival_ns=args.interarrival_us * 1e3,
-            fault_fraction=args.fault_fraction,
             timeout_ns=timeout_ns,
         ),
         seed=seed,

@@ -5,7 +5,10 @@ request's ``algorithm`` name up in a :class:`DispatchRegistry` mapping
 names to runner callables.  The default registry covers the seven
 algorithms of the differential matrix (``bfs dobfs sssp delta_stepping
 cc bc pagerank``); tests swap runners in to inject faults or wrong
-results without touching the scheduler.
+results without touching the scheduler.  Gang requests (``devices >
+1``) go through the registry's gang runners instead: bfs, sssp and cc
+over the :mod:`repro.dist` BSP engine, each handed a
+:class:`GangBundle` in place of a worker's graph bundle.
 
 A :class:`GraphBundle` caches the device-resident representations one
 worker needs for one catalog graph — CSR, symmetrized CSR (cc), CSC
@@ -21,7 +24,7 @@ differential spot-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +35,7 @@ from repro.graph.coo import COOGraph
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.service.request import Request
+    from repro.sycl.device import Device
     from repro.sycl.queue import Queue
 
 #: the seven servable algorithms (== the differential matrix's coverage)
@@ -78,6 +82,35 @@ class GraphBundle:
             with self.queue.span("service.graph_build", self.name, attrs={"repr": "csc"}):
                 self._csc = GraphBuilder(self.queue).to_csc(self.coo)
         return self._csc
+
+
+@dataclass
+class GangBundle:
+    """What a gang runner gets in place of a :class:`GraphBundle`.
+
+    The :mod:`repro.dist` BSP engine partitions the host graph onto its
+    own per-device queues, so a gang caches nothing on its workers.  The
+    runner records the run's BSP makespan (the gang's service time) and
+    summed per-device compute time (``solo_ns``) back on the bundle.
+    """
+
+    coo: COOGraph
+    devices: List["Device"]
+    metrics: object = None
+    injector: object = None
+    makespan_ns: float = 0.0
+    solo_ns: float = 0.0
+
+    def run(self, entry: Callable, request: "Request", *args) -> np.ndarray:
+        """Call one ``repro.dist`` entry point over the gang's devices."""
+        res = entry(
+            self.coo, len(self.devices), *args, devices=self.devices,
+            layout=request.layout, bits=request.bits,
+            metrics=self.metrics, injector=self.injector,
+        )
+        self.makespan_ns = res.makespan_ns
+        self.solo_ns = float(sum(res.device_times_ns))
+        return res.values
 
 
 # --------------------------------------------------------------------- #
@@ -127,6 +160,24 @@ def _run_pagerank(bundle: GraphBundle, req: "Request") -> np.ndarray:
     return pagerank(bundle.csr, layout=req.layout, bits=req.bits).ranks
 
 
+def _run_gang_bfs(gang: GangBundle, req: "Request") -> np.ndarray:
+    from repro.dist import distributed_bfs
+
+    return gang.run(distributed_bfs, req, req.source)
+
+
+def _run_gang_sssp(gang: GangBundle, req: "Request") -> np.ndarray:
+    from repro.dist import distributed_sssp
+
+    return gang.run(distributed_sssp, req, req.source)
+
+
+def _run_gang_cc(gang: GangBundle, req: "Request") -> np.ndarray:
+    from repro.dist import distributed_cc
+
+    return gang.run(distributed_cc, req)
+
+
 #: graph representations each algorithm reads (default: csr only); the
 #: scheduler materializes these BEFORE the request's allocation window so
 #: the bundle cache is never freed with the request's scratch memory
@@ -140,12 +191,19 @@ class DispatchRegistry:
     """Name → runner mapping the scheduler executes requests through.
 
     A runner takes ``(bundle, request)`` and returns the per-vertex
-    result array.  :meth:`register` replaces or extends entries — the
-    spot-check tests use it to serve a deliberately wrong ``bfs``.
+    result array.  A request with ``devices > 1`` runs through the gang
+    runners, whose bundle is a :class:`GangBundle`.  :meth:`register`
+    replaces or extends single-device entries — the spot-check tests use
+    it to serve a deliberately wrong ``bfs``.
     """
 
-    def __init__(self, runners: Optional[Dict[str, Callable]] = None):
+    def __init__(
+        self,
+        runners: Optional[Dict[str, Callable]] = None,
+        gang_runners: Optional[Dict[str, Callable]] = None,
+    ):
         self._runners: Dict[str, Callable] = dict(runners) if runners else {}
+        self._gang_runners: Dict[str, Callable] = dict(gang_runners) if gang_runners else {}
 
     def register(self, name: str, runner: Callable) -> None:
         self._runners[name] = runner
@@ -159,7 +217,9 @@ class DispatchRegistry:
         Called by the scheduler before it snapshots live allocations, so
         lazily built graphs land in the worker's persistent cache rather
         than the request's scratch window (which is freed — and, in
-        strict mode, poisoned — on completion).
+        strict mode, poisoned — on completion).  Gangs build nothing on
+        their workers, and an unknown algorithm builds nothing before
+        :meth:`run` rejects it.
 
         A build interrupted by an injected fault frees its own scraps
         before re-raising: the half-built representation's allocations
@@ -168,6 +228,8 @@ class DispatchRegistry:
         cached representations are untouched, so a retry rebuilds only
         what actually failed.
         """
+        if request.devices > 1 or request.algorithm not in self._runners:
+            return
         mm = bundle.queue.memory
         for attr in GRAPH_REQUIREMENTS.get(request.algorithm, ("csr",)):
             before = {a.alloc_id for a in mm.live_allocations}
@@ -179,6 +241,14 @@ class DispatchRegistry:
                 raise
 
     def run(self, bundle: GraphBundle, request: "Request") -> np.ndarray:
+        if request.devices > 1:
+            runner = self._gang_runners.get(request.algorithm)
+            if runner is None:
+                raise DispatchError(
+                    f"algorithm {request.algorithm!r} has no gang (multi-device) "
+                    f"implementation; gang-capable: {', '.join(self._gang_runners)}"
+                )
+            return runner(bundle, request)
         runner = self._runners.get(request.algorithm)
         if runner is None:
             raise DispatchError(
@@ -189,7 +259,8 @@ class DispatchRegistry:
 
 
 def default_registry() -> DispatchRegistry:
-    """Registry serving the seven differential-matrix algorithms."""
+    """Registry serving the seven differential-matrix algorithms, and
+    bfs/sssp/cc on gangs."""
     return DispatchRegistry(
         {
             "bfs": _run_bfs,
@@ -199,7 +270,8 @@ def default_registry() -> DispatchRegistry:
             "cc": _run_cc,
             "bc": _run_bc,
             "pagerank": _run_pagerank,
-        }
+        },
+        gang_runners={"bfs": _run_gang_bfs, "sssp": _run_gang_sssp, "cc": _run_gang_cc},
     )
 
 

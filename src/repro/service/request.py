@@ -98,15 +98,11 @@ class Request:
     timeout_ns:
         Deadline relative to arrival (None = scheduler default for the
         priority class).
-    fail_attempts:
-        Deterministic fault injection: the first ``fail_attempts``
-        execution attempts raise a transient fault (drives the
-        retry/backoff path in tests and workloads).
     devices:
         Worker gang size.  1 (default) is an ordinary request; > 1 asks
         for a multi-device BSP run (``repro.dist``) that reserves that
         many idle workers at once and reports the BSP makespan as its
-        service time.  Only bfs/sssp/cc have gang implementations.
+        service time.  Only bfs/sssp/cc have gang runners.
     """
 
     req_id: int
@@ -118,7 +114,6 @@ class Request:
     priority: int = 1
     arrival_ns: float = 0.0
     timeout_ns: Optional[float] = None
-    fail_attempts: int = 0
     devices: int = 1
     #: end-to-end trace context: one id per request, shared by every
     #: retry attempt, span, histogram exemplar and flight-recorder event

@@ -24,19 +24,21 @@ The moving parts, in dispatch order:
   :func:`repro.sycl.concurrency.overlap_factor`, the incremental form of
   ``overlapped_makespan``'s same-device shrink; different devices run
   fully concurrently.
-* **Gang dispatch** — a request with ``devices > 1`` is a multi-device
-  BSP job (:mod:`repro.dist`): it waits at the head of the line until
-  that many workers are idle simultaneously (a FIFO gang barrier — no
-  lower-priority bypass, so gangs cannot starve), reserves them all for
-  the run's BSP makespan, and records the summed per-device compute
-  time (``solo_ns``) so the serialized-makespan counterfactual charges
-  the single-device cost of the same work.
+* **Gangs** — every dispatch is a gang of ``devices`` workers; an
+  ordinary request is a gang of one.  The head of the line waits until
+  that many workers are idle at once (a FIFO barrier — no
+  lower-priority bypass, so gangs cannot starve) and runs through the
+  one dispatch path.  A multi-device gang runs its registry gang runner
+  (a :mod:`repro.dist` BSP job) alone, reserves every worker for the BSP
+  makespan, and records the summed per-device compute time
+  (``solo_ns``) so the serialized-makespan counterfactual charges the
+  single-device cost of the same work.
 * **Deadlines** — a request still queued past ``arrival + timeout`` is
   dropped (TIMED_OUT, never executed); one that finishes past its
   deadline is completed-but-discarded (also TIMED_OUT).
-* **Retry with backoff** — transient faults (injected, OOM) re-enqueue
-  the request at ``now + backoff · 2^(attempt-1)`` up to
-  ``max_retries``, then FAIL it.
+* **Retry with backoff** — transient faults (injected by
+  :mod:`repro.faults`, OOM) re-enqueue the request at ``now + backoff ·
+  2^(attempt-1)`` up to ``max_retries``, then FAIL it.
 * **Differential spot-check** — every ``spot_check_every``-th completed
   request is re-verified against the pure-Python oracle; a divergence
   FAILs the request loudly instead of returning corrupt data.
@@ -45,14 +47,14 @@ Observability: every request carries a ``service.request > dispatch >
 <algorithm>`` span on its worker's tracer when tracing is enabled, and a
 :class:`~repro.obs.metrics.MetricsRegistry` accumulates the service
 counters (admitted/rejected/shed/timed-out/retried/failed/completed,
-batches, spot-checks) plus a queue-depth gauge — all timestamped on the
-simulated clock.
+batches, gang dispatches, spot-checks) plus a queue-depth gauge — all
+timestamped on the simulated clock.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -64,13 +66,13 @@ from repro.errors import (
     FaultInjected,
     KernelLaunchError,
     OutOfMemoryError,
-    SYgraphError,
 )
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.service.dispatch import (
     DispatchError,
     DispatchRegistry,
+    GangBundle,
     GraphBundle,
     default_registry,
     verify_result,
@@ -87,10 +89,6 @@ from repro.service.workload import GraphSpec
 from repro.sycl.concurrency import SAME_DEVICE_OVERLAP, overlap_factor
 from repro.sycl.device import Device, get_device
 from repro.sycl.queue import Queue
-
-
-class TransientFault(SYgraphError):
-    """Injected execution fault (a request's ``fail_attempts`` budget)."""
 
 
 def _fault_kind(error: Exception) -> str:
@@ -288,7 +286,7 @@ class QueryScheduler:
         self._completions = 0
         #: the fault plane: armed on every worker queue (kernel_launch +
         #: alloc sites) and consulted directly for device_loss; the
-        #: exchange site rides into repro.dist with _execute_gang
+        #: exchange site rides into repro.dist with each GangBundle
         self._injector = self.config.fault_injector
         if self._injector is not None:
             self._injector.metrics = self.metrics
@@ -370,7 +368,6 @@ class QueryScheduler:
                 req, RequestStatus.FAILED, now,
                 reason="device pool exhausted (all workers quarantined)",
             )
-            self.metrics.inc("service.failed", 1.0, now)
             self.metrics.inc("faults.degraded", 1.0, now)
         self._pending = []
 
@@ -431,7 +428,6 @@ class QueryScheduler:
                     victim, RequestStatus.SHED, now,
                     reason="shed for higher-priority admission",
                 )
-                self.metrics.inc("service.shed", 1.0, now)
             else:
                 if self._observe:
                     self._event(
@@ -439,7 +435,6 @@ class QueryScheduler:
                         priority=req.priority, queue_depth=len(self._pending),
                     )
                 self._finalize(req, RequestStatus.REJECTED, now, reason="queue full")
-                self.metrics.inc("service.rejected", 1.0, now)
                 return
         self._pending.append(req)
         if self._observe:
@@ -456,11 +451,9 @@ class QueryScheduler:
     # ------------------------------------------------------------------ #
     def _dispatch_idle(self, now: float, events: List[tuple], seq: int) -> int:
         # head-of-line loop: recompute the idle set and the best pending
-        # request after every dispatch.  For devices == 1 this serves the
-        # same (worker, batch) pairs as iterating workers in id order; a
-        # gang head additionally blocks here (FIFO barrier) until enough
-        # workers are idle at once, so gangs cannot be starved by a
-        # stream of single-device work.
+        # request after every dispatch.  The head waits here (a FIFO
+        # barrier) until ``head.devices`` workers are idle at once, so a
+        # gang cannot be starved by a stream of single-device work.
         while True:
             self._expire(now)
             if not self._pending:
@@ -469,37 +462,24 @@ class QueryScheduler:
             if not idle:
                 return seq
             head = min(self._pending, key=Request.sort_key)
-            if head.devices > 1:
+            if len(idle) < head.devices:
                 alive = sum(1 for w in self.workers if not w.quarantined)
-                if head.devices > alive:
-                    # the gang can never assemble on the surviving pool
-                    self._pending.remove(head)
-                    self._finalize(
-                        head, RequestStatus.FAILED, now,
-                        reason=f"gang of {head.devices} exceeds surviving pool ({alive})",
-                    )
-                    self.metrics.inc("service.failed", 1.0, now)
-                    self.metrics.inc("faults.degraded", 1.0, now)
-                    continue
-                if len(idle) < head.devices:
+                if head.devices <= alive:
                     return seq
-                gang = idle[: head.devices]
-                if self._injector is not None and self._lose_device(gang, now):
-                    continue  # failover: gang re-waits on the survivors
+                # the gang can never assemble on the surviving pool
                 self._pending.remove(head)
-                seq = self._dispatch_gang(gang, head, now, events, seq)
-            else:
-                batch = self._pick_batch(now)
-                if not batch:
-                    return seq
-                worker = idle[0]
-                if self._injector is not None and self._lose_device([worker], now):
-                    # failover re-dispatch: the batch goes back to pending
-                    # with attempts/backoff state untouched — the next loop
-                    # iteration re-picks it for a surviving worker
-                    self._pending.extend(batch)
-                    continue
-                seq = self._dispatch(worker, batch, now, events, seq)
+                self._finalize(
+                    head, RequestStatus.FAILED, now,
+                    reason=f"gang of {head.devices} exceeds surviving pool ({alive})",
+                )
+                self.metrics.inc("faults.degraded", 1.0, now)
+                continue
+            gang = idle[: head.devices]
+            # device loss is rolled before the batch leaves the queue: on
+            # failover the next iteration re-plans on the survivors
+            if self._injector is not None and self._lose_device(gang, now):
+                continue
+            seq = self._dispatch(gang, self._take_batch(head), now, events, seq)
 
     def _lose_device(self, candidates: List[Worker], now: float) -> bool:
         """Roll the ``device_loss`` site for each candidate worker.
@@ -546,206 +526,124 @@ class QueryScheduler:
                 self._finalize(
                     req, RequestStatus.TIMED_OUT, now, reason="deadline passed in queue"
                 )
-                self.metrics.inc("service.timed_out", 1.0, now)
             else:
                 still.append(req)
         self._pending = still
 
-    def _pick_batch(self, now: float) -> List[Request]:
-        """Head-of-line request plus compatible same-graph companions."""
-        self._expire(now)
-        if not self._pending:
-            return []
-        head = min(self._pending, key=Request.sort_key)
+    def _take_batch(self, head: Request) -> List[Request]:
+        """Take the head and its same-key companions off the pending
+        queue; a gang runs alone."""
+        size = self.config.max_batch if head.devices == 1 else 1
         key = head.batch_key()
         companions = sorted(
             (r for r in self._pending if r is not head and r.batch_key() == key),
             key=Request.sort_key,
         )
-        batch = [head] + companions[: self.config.max_batch - 1]
+        batch = [head] + companions[: size - 1]
         for r in batch:
             self._pending.remove(r)
         return batch
 
     def _dispatch(
-        self, worker: Worker, batch: List[Request], now: float, events: List[tuple], seq: int
+        self, gang: List[Worker], batch: List[Request], now: float, events: List[tuple], seq: int
     ) -> int:
+        """Run ``batch`` on ``gang``: one worker, or ``devices`` for a gang.
+
+        A gang differs only where a multi-device BSP run must: it is a
+        batch of one, its service time is the BSP makespan (recorded
+        with its ``solo_ns``), every gang worker is busy for all of it
+        with no same-device overlap discount (the engine owns the
+        devices), and it counts as ``service.gang_dispatches`` rather
+        than ``service.batches``.
+        """
+        lead = gang[0]
         spec = self.catalog[batch[0].graph]
-        bundle = worker.bundle_for(spec)
-        # same-device overlap: count this device's busy workers, this
-        # dispatch included (overlapped_makespan's incremental form)
-        active = 1 + sum(
-            1
-            for w in self.workers
-            if w is not worker and w.busy_until > now and id(w.device.spec) == id(worker.device.spec)
-        )
-        factor = overlap_factor(active, self.config.overlap)
-        batch_id = worker.dispatched
-        worker.dispatched += 1
-        self.metrics.inc("service.batches", 1.0, now)
+        if len(gang) == 1:
+            bundle = lead.bundle_for(spec)
+            # same-device overlap: count this device's busy workers, this
+            # dispatch included (overlapped_makespan's incremental form)
+            active = 1 + sum(
+                1
+                for w in self.workers
+                if w is not lead and w.busy_until > now and id(w.device.spec) == id(lead.device.spec)
+            )
+            factor = overlap_factor(active, self.config.overlap)
+            self.metrics.inc("service.batches", 1.0, now)
+        else:
+            bundle = GangBundle(spec.coo, [w.device for w in gang], self.metrics, self._injector)
+            factor = 1.0
+            self.metrics.inc("service.gang_dispatches", 1.0, now)
+        batch_id = lead.dispatched
+        for w in gang:
+            w.dispatched += 1
         if len(batch) > 1:
             self.metrics.inc("service.batched_requests", float(len(batch) - 1), now)
 
         # traced workers anchor the batch on the simulated clock, so the
         # worker track's spans line up with the scheduler's request track
         # (cursor moves are tracer-only state: modeled ns are untouched)
-        tracer = worker.queue.tracer
+        tracer = lead.queue.tracer
         if tracer is not None:
             tracer.cursor_ns = max(tracer.cursor_ns, now)
-        with worker.queue.span(
+        with lead.queue.span(
             "service.batch", batch_id,
-            attrs={"worker": worker.wid, "size": len(batch), "overlap_factor": round(factor, 4)},
+            attrs={"worker": lead.wid, "size": len(batch), "overlap_factor": round(factor, 4)},
         ):
             start = now
             for req in batch:
                 req.attempts += 1
                 if tracer is not None:
                     tracer.cursor_ns = max(tracer.cursor_ns, start)
-                result, raw_ns, error, span_ts = self._execute(worker, bundle, req)
+                result, raw_ns, solo_ns, error, span_ts = self._execute(lead, bundle, req)
                 effective = raw_ns * factor
                 finish = start + effective
-                worker.busy_ns += effective
+                for w in gang:
+                    w.busy_ns += effective
                 rec = self._record_for(req)
                 rec.start_ns = start
                 rec.service_ns = raw_ns
                 rec.attempts = req.attempts
-                rec.worker = worker.wid
+                rec.worker = lead.wid
                 rec.batch_id = batch_id
+                rec.gang = len(gang)
+                rec.solo_ns = solo_ns
                 if self._observe:
                     self._event(
                         "dispatch", start, req_id=req.req_id, trace_id=req.trace_id,
-                        attempt=req.attempts, worker=worker.wid, batch_id=batch_id,
+                        attempt=req.attempts, worker=lead.wid, batch_id=batch_id,
                         algorithm=req.algorithm, raw_ns=raw_ns, effective_ns=effective,
-                        worker_ts_ns=span_ts,
+                        gang=len(gang), solo_ns=solo_ns, worker_ts_ns=span_ts,
                         error=repr(error) if error is not None else "",
                     )
-                heapq.heappush(
-                    events, (finish, _COMPLETION, seq, (req, result, error, raw_ns))
-                )
+                heapq.heappush(events, (finish, _COMPLETION, seq, (req, result, error)))
                 seq += 1
                 start = finish
-        worker.busy_until = start
+        for w in gang:
+            w.busy_until = start
         return seq
 
-    def _dispatch_gang(
-        self, gang: List[Worker], req: Request, now: float, events: List[tuple], seq: int
-    ) -> int:
-        """Reserve ``len(gang)`` workers for one multi-device BSP run.
+    def _execute(self, lead: Worker, bundle, req: Request):
+        """Run one attempt on the lead worker's queue; never leaks allocations.
 
-        The job's service time is the BSP makespan (per-superstep device
-        barriers + modeled interconnect exchange); every gang worker is
-        busy for all of it.  No same-device overlap discount applies —
-        the BSP engine already owns the gang's devices for the duration.
-        ``solo_ns`` (summed per-device compute) is recorded for the
-        serialized-makespan counterfactual.
+        Returns ``(result_copy, raw_service_ns, solo_ns, error,
+        span_start_ns)``.  An ordinary attempt's service time is the
+        kernel time it adds to the worker's queue.  A gang's is the BSP
+        makespan its runner records on the :class:`GangBundle`, with the
+        summed per-device compute as ``solo_ns``; the BSP engine runs on
+        its own partition queues, so the gang's spans on the lead worker
+        stay empty.  The span start is where the attempt's
+        ``service.request`` span landed on the worker's tracer (-1.0
+        untraced), which the trace exporter uses to bind flow arrows.
+        All allocations the attempt made are freed once the result is
+        copied out, so live bytes return to the graph-cache baseline
+        after every request (pinned by the stress suite).
         """
-        req.attempts += 1
-        batch_id = gang[0].dispatched
-        for w in gang:
-            w.dispatched += 1
-        self.metrics.inc("service.gang_dispatches", 1.0, now)
-        result = error = None
-        solo_ns = 0.0
-        if req.attempts <= req.fail_attempts:
-            error = TransientFault(
-                f"injected fault (attempt {req.attempts}/{req.fail_attempts})"
-            )
-            raw_ns = self.config.fault_service_ns
-        else:
-            try:
-                result, raw_ns, solo_ns = self._execute_gang(gang, req)
-            except (DispatchError, FaultInjected) as exc:
-                # FaultInjected here means the BSP engine could not recover
-                # (exchange kept firing past the superstep retry bound, or
-                # a launch/alloc fault hit a gang partition queue); the
-                # attempt is retryable like any transient
-                error = exc
-                raw_ns = self.config.fault_service_ns
-        finish = now + raw_ns
-        for w in gang:
-            w.busy_until = finish
-            w.busy_ns += raw_ns
-        rec = self._record_for(req)
-        rec.start_ns = now
-        rec.service_ns = raw_ns
-        rec.attempts = req.attempts
-        rec.worker = gang[0].wid
-        rec.batch_id = batch_id
-        rec.gang = len(gang)
-        rec.solo_ns = solo_ns
-        if self._observe:
-            self._event(
-                "dispatch", now, req_id=req.req_id, trace_id=req.trace_id,
-                attempt=req.attempts, worker=gang[0].wid, batch_id=batch_id,
-                algorithm=req.algorithm, raw_ns=raw_ns, effective_ns=raw_ns,
-                gang=len(gang), solo_ns=solo_ns, worker_ts_ns=-1.0,
-                error=repr(error) if error is not None else "",
-            )
-        heapq.heappush(events, (finish, _COMPLETION, seq, (req, result, error, raw_ns)))
-        return seq + 1
-
-    def _execute_gang(self, gang: List[Worker], req: Request):
-        """Run the request's algorithm through the repro.dist BSP engine.
-
-        Returns ``(result_copy, makespan_ns, solo_ns)``.  The engine
-        builds its own per-partition queues on the gang workers' devices;
-        the workers' serving queues (and bundle caches) are untouched.
-        """
-        from repro.dist import distributed_bfs, distributed_cc, distributed_sssp
-
-        coo = self.catalog[req.graph].coo
-        devices = [w.device for w in gang]
-        injector = self._injector
-        if req.algorithm == "bfs":
-            res = distributed_bfs(
-                coo, len(gang), req.source, devices=devices,
-                layout=req.layout, bits=req.bits, metrics=self.metrics,
-                injector=injector,
-            )
-            values = res.distances
-        elif req.algorithm == "sssp":
-            res = distributed_sssp(
-                coo, len(gang), req.source, devices=devices,
-                layout=req.layout, bits=req.bits, metrics=self.metrics,
-                injector=injector,
-            )
-            values = res.distances
-        elif req.algorithm == "cc":
-            res = distributed_cc(
-                coo, len(gang), devices=devices,
-                layout=req.layout, bits=req.bits, metrics=self.metrics,
-                injector=injector,
-            )
-            values = res.labels
-        else:
-            raise DispatchError(
-                f"algorithm {req.algorithm!r} has no gang (multi-device) "
-                "implementation; gang-capable: bfs, sssp, cc"
-            )
-        return (
-            np.array(values, copy=True),
-            res.makespan_ns,
-            float(sum(res.device_times_ns)),
-        )
-
-    def _execute(self, worker: Worker, bundle: GraphBundle, req: Request):
-        """Run one attempt on the worker's queue; never leaks allocations.
-
-        Returns ``(result_copy, raw_service_ns, error, span_start_ns)``
-        — the span start is where the attempt's ``service.request`` span
-        landed on the worker's tracer (-1.0 untraced), which the trace
-        exporter uses to bind flow arrows.  All allocations the attempt
-        made are freed once the result is copied out, so live bytes
-        return to the graph-cache baseline after every request (pinned
-        by the stress suite).
-        """
-        q = worker.queue
+        q = lead.queue
         t_prep = q.elapsed_ns
         try:
-            if req.algorithm in self.registry.names():
-                # graph builds go to the persistent bundle cache, not the
-                # request's scratch window (freed + poisoned on completion)
-                self.registry.prepare(bundle, req)
+            # graph builds go to the persistent bundle cache, not the
+            # request's scratch window (freed + poisoned on completion)
+            self.registry.prepare(bundle, req)
         except (OutOfMemoryError, FaultInjected) as exc:
             # an injected launch/alloc fault interrupted the graph build;
             # prepare() already freed its scraps, so only the partial
@@ -753,7 +651,7 @@ class QueryScheduler:
             raw_ns = q.elapsed_ns - t_prep
             if raw_ns == 0.0:
                 raw_ns = self.config.fault_service_ns
-            return None, raw_ns, exc, -1.0
+            return None, raw_ns, 0.0, exc, -1.0
         before = {a.alloc_id for a in q.memory.live_allocations}
         t0 = q.elapsed_ns
         result = error = None
@@ -764,27 +662,30 @@ class QueryScheduler:
         ) as sp:
             if sp is not None:
                 span_ts = sp.start_ns
-            with q.span("service.dispatch", worker.wid, attrs={"trace_id": req.trace_id}):
+            with q.span("service.dispatch", lead.wid, attrs={"trace_id": req.trace_id}):
                 try:
-                    if req.attempts <= req.fail_attempts:
-                        raise TransientFault(
-                            f"injected fault (attempt {req.attempts}/{req.fail_attempts})"
-                        )
                     result = np.array(self.registry.run(bundle, req), copy=True)
-                except (TransientFault, OutOfMemoryError, DispatchError, FaultInjected) as exc:
+                except (OutOfMemoryError, DispatchError, FaultInjected) as exc:
+                    # FaultInjected from a gang means the BSP engine could
+                    # not recover (exchange kept firing past the superstep
+                    # retry bound, or a launch/alloc fault hit a partition
+                    # queue); like any transient, the attempt is retryable
                     error = exc
         raw_ns = q.elapsed_ns - t0
+        solo_ns = 0.0
+        if isinstance(bundle, GangBundle) and error is None:
+            raw_ns, solo_ns = bundle.makespan_ns, bundle.solo_ns
         if error is not None and raw_ns == 0.0:
             raw_ns = self.config.fault_service_ns
         for alloc in [a for a in q.memory.live_allocations if a.alloc_id not in before]:
             q.memory.free(alloc.array)
-        return result, raw_ns, error, span_ts
+        return result, raw_ns, solo_ns, error, span_ts
 
     # ------------------------------------------------------------------ #
     # completion                                                         #
     # ------------------------------------------------------------------ #
     def _complete(self, payload, now: float, events: List[tuple], seq: int) -> int:
-        req, result, error, _raw = payload
+        req, result, error = payload
         if error is not None:
             return self._retry_or_fail(req, now, error, events, seq)
         timeout = req.timeout_ns
@@ -797,7 +698,6 @@ class QueryScheduler:
                     where="executed",
                 )
             self._finalize(req, RequestStatus.TIMED_OUT, now, reason="finished past deadline")
-            self.metrics.inc("service.timed_out", 1.0, now)
             return seq
         self._completions += 1
         every = self.config.spot_check_every
@@ -815,7 +715,6 @@ class QueryScheduler:
             if mismatch is not None:
                 v, want, got = mismatch
                 self.metrics.inc("service.spot_check_failures", 1.0, now)
-                self.metrics.inc("service.failed", 1.0, now)
                 self._finalize(
                     req, RequestStatus.FAILED, now,
                     reason=f"spot-check divergence at vertex {v}: oracle {want!r}, served {got!r}",
@@ -824,7 +723,6 @@ class QueryScheduler:
         self._finalize(req, RequestStatus.COMPLETED, now)
         if self.config.keep_result_digests and result is not None:
             self._records[req.req_id].result_digest = result_digest(result)
-        self.metrics.inc("service.completed", 1.0, now)
         if self.config.histograms:
             rec = self._records[req.req_id]
             self.metrics.observe("service.latency", rec.latency_ns, now, req.trace_id)
@@ -854,22 +752,9 @@ class QueryScheduler:
                     attempt=req.attempts, backoff_ns=backoff,
                     retry_at_ns=now + backoff, error=repr(error),
                 )
-            retry = Request(
-                req_id=req.req_id,
-                algorithm=req.algorithm,
-                graph=req.graph,
-                source=req.source,
-                layout=req.layout,
-                bits=req.bits,
-                priority=req.priority,
-                arrival_ns=req.arrival_ns,  # latency measured from first arrival
-                timeout_ns=req.timeout_ns,
-                fail_attempts=req.fail_attempts,
-                devices=req.devices,
-                trace_id=req.trace_id,  # retries stay in the same trace
-            )
-            retry.attempts = req.attempts
-            heapq.heappush(events, (now + backoff, _ARRIVAL, seq, retry))
+            # every field carries over: latency is measured from the first
+            # arrival, and the retry stays in the same trace
+            heapq.heappush(events, (now + backoff, _ARRIVAL, seq, replace(req)))
             seq += 1
         else:
             reason = f"failed after {req.attempts} attempts: {error}"
@@ -878,7 +763,6 @@ class QueryScheduler:
                 reason = f"{_fault_kind(error)}: {reason}"
                 self.metrics.inc("faults.degraded", 1.0, now)
             self._finalize(req, RequestStatus.FAILED, now, reason=reason)
-            self.metrics.inc("service.failed", 1.0, now)
         return seq
 
     # ------------------------------------------------------------------ #
@@ -901,6 +785,8 @@ class QueryScheduler:
         return rec
 
     def _finalize(self, req: Request, status: RequestStatus, now: float, reason: str = "") -> None:
+        # one counter per terminal status: service.completed, .failed, ...
+        self.metrics.inc(f"service.{status.name.lower()}", 1.0, now)
         rec = self._record_for(req)
         rec.status = status
         rec.finish_ns = now

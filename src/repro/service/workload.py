@@ -11,8 +11,7 @@ Models the traffic mix a shared analytics service sees:
 * **mixed algorithm distribution** — traversal-heavy by default (BFS
   and friends dominate, like interactive path queries), with analytics
   (pagerank/bc) as the long-running tail;
-* **priority mix** and a small **fault fraction** (requests whose first
-  attempt fails transiently, exercising retry/backoff).
+* **priority mix** over high/normal/low.
 
 Everything is driven by one seed: the same seed yields a bit-identical
 request trace, which is what makes the whole serving simulation
@@ -95,8 +94,6 @@ class WorkloadConfig:
     algorithm_mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ALGORITHM_MIX))
     priority_mix: Tuple[float, ...] = DEFAULT_PRIORITY_MIX
     layout_mix: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_LAYOUT_MIX))
-    #: fraction of requests whose first attempt fails transiently
-    fault_fraction: float = 0.0
     #: per-priority deadline relative to arrival (None = no deadline)
     timeout_ns: Optional[float] = None
 
@@ -128,7 +125,9 @@ def generate_workload(
 
     Only ``rng.random()`` draws are consumed — one fixed-size block per
     request — so the trace is a pure function of ``(catalog names,
-    config, seed)``.
+    config, seed)``.  The block's seventh draw once picked the requests
+    whose first attempt failed; it is still drawn, so every seed keeps
+    its trace (faults now come from :mod:`repro.faults`).
     """
     config = config or WorkloadConfig()
     if not catalog:
@@ -164,7 +163,6 @@ def generate_workload(
                 priority=priority,
                 arrival_ns=clock,
                 timeout_ns=config.timeout_ns,
-                fail_attempts=1 if u[6] < config.fault_fraction else 0,
                 # hashed, not drawn: trace context must not perturb the
                 # RNG stream (the 7-draw block per request is pinned)
                 trace_id=make_trace_id(seed, req_id),

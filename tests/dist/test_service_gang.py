@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.checking import graphgen, oracle
+from repro.faults import FaultInjector, FaultRule
 from repro.service.request import Request, RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.workload import GraphSpec
@@ -89,10 +90,12 @@ class TestGangFailures:
         assert rec.attempts == 1  # DispatchError is not retried
 
     def test_transient_fault_retries_with_devices_preserved(self, spec):
-        s = make_scheduler(spec)
+        # the first kernel launch on a gang partition queue faults
+        s = make_scheduler(
+            spec, fault_injector=FaultInjector([FaultRule("kernel_launch", count=1)])
+        )
         rep = s.run(
-            [Request(req_id=0, algorithm="bfs", graph="pl", source=0,
-                     devices=2, fail_attempts=1)]
+            [Request(req_id=0, algorithm="bfs", graph="pl", source=0, devices=2)]
         )
         rec = rep.records[0]
         assert rec.status is RequestStatus.COMPLETED

@@ -18,19 +18,24 @@ from repro.service.workload import WorkloadConfig, default_catalog, generate_wor
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 _TIMELINE_SNIPPET = """
+from repro.faults import FaultInjector, FaultRule
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.workload import WorkloadConfig, default_catalog, generate_workload
 
 catalog = default_catalog(seed=9, scale="tiny")
 trace = generate_workload(
-    catalog,
-    WorkloadConfig(n_requests=80, mean_interarrival_ns=2_000.0, fault_fraction=0.1),
-    seed=9,
+    catalog, WorkloadConfig(n_requests=80, mean_interarrival_ns=2_000.0), seed=9
 )
 sched = QueryScheduler(
     pool=("v100s", "v100s", "mi100"),
     catalog=catalog,
-    config=SchedulerConfig(spot_check_every=7, timeout_ns=(None, None, 400_000.0)),
+    config=SchedulerConfig(
+        spot_check_every=7,
+        timeout_ns=(None, None, 400_000.0),
+        fault_injector=FaultInjector(
+            [FaultRule("kernel_launch", probability=0.01, count=8)], seed=9
+        ),
+    ),
 )
 report = sched.run(trace)
 print(repr(report.timeline()))

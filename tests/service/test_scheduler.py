@@ -3,6 +3,7 @@ overlap accounting and the makespan-vs-serialized contract."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultRule
 from repro.service.dispatch import default_registry
 from repro.service.request import Request, RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
@@ -12,6 +13,11 @@ from tests.service.conftest import burst
 
 def sched(pool=("v100s",), catalog=None, **cfg):
     return QueryScheduler(pool=pool, catalog=catalog, config=SchedulerConfig(**cfg))
+
+
+def launch_faults(count):
+    """Injector failing the first ``count`` kernel launches (None = all)."""
+    return FaultInjector([FaultRule("kernel_launch", count=count)])
 
 
 class TestBasicServing:
@@ -124,28 +130,35 @@ class TestBatching:
 
 class TestRetries:
     def test_transient_fault_retries_then_completes(self, tiny_catalog):
-        trace = [Request(req_id=0, algorithm="bfs", graph="rmat", fail_attempts=1)]
-        report = sched(catalog=tiny_catalog).run(trace)
+        trace = [Request(req_id=0, algorithm="bfs", graph="rmat")]
+        report = sched(catalog=tiny_catalog, fault_injector=launch_faults(1)).run(trace)
         (rec,) = report.records
         assert rec.status is RequestStatus.COMPLETED
         assert rec.attempts == 2
         assert report.metrics.value("service.retried") == 1
 
     def test_backoff_is_exponential(self, tiny_catalog):
-        trace = [Request(req_id=0, algorithm="bfs", graph="rmat", fail_attempts=2)]
-        s = sched(catalog=tiny_catalog, backoff_ns=1000.0, max_retries=3)
+        trace = [Request(req_id=0, algorithm="bfs", graph="rmat")]
+        s = sched(
+            catalog=tiny_catalog, backoff_ns=1000.0, max_retries=3,
+            fault_injector=launch_faults(2),
+        )
         report = s.run(trace)
         (rec,) = report.records
         assert rec.status is RequestStatus.COMPLETED
+        assert rec.attempts == 3
         # two faults: backoffs 1000 + 2000 plus two fault service slots
         assert rec.finish_ns > 3000.0
 
     def test_exhausted_retries_fail(self, tiny_catalog):
-        trace = [Request(req_id=0, algorithm="bfs", graph="rmat", fail_attempts=99)]
-        report = sched(catalog=tiny_catalog, max_retries=2).run(trace)
+        trace = [Request(req_id=0, algorithm="bfs", graph="rmat")]
+        report = sched(
+            catalog=tiny_catalog, max_retries=2, fault_injector=launch_faults(None)
+        ).run(trace)
         (rec,) = report.records
         assert rec.status is RequestStatus.FAILED
         assert rec.attempts == 3  # 1 try + 2 retries
+        assert rec.reason.startswith("kernel-launch-fault: failed after 3 attempts")
         assert report.metrics.value("service.failed") == 1
         assert report.metrics.value("service.retried") == 2
 

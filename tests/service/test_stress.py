@@ -4,6 +4,7 @@ the pool never does worse than one serialized queue."""
 
 import pytest
 
+from repro.faults import FaultInjector, FaultRule
 from repro.service.request import RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.workload import WorkloadConfig, default_catalog, generate_workload
@@ -17,15 +18,20 @@ def stress_report_and_scheduler():
         WorkloadConfig(
             n_requests=500,
             mean_interarrival_ns=1_500.0,
-            fault_fraction=0.05,
             timeout_ns=2_000_000.0,
         ),
         seed=1,
     )
+    launch_faults = FaultInjector(
+        [FaultRule("kernel_launch", probability=0.002, count=25)], seed=1
+    )
     sched = QueryScheduler(
         pool=("v100s", "max1100", "mi100"),
         catalog=catalog,
-        config=SchedulerConfig(strict=True, spot_check_every=25, max_queue_depth=128),
+        config=SchedulerConfig(
+            strict=True, spot_check_every=25, max_queue_depth=128,
+            fault_injector=launch_faults,
+        ),
     )
     report = sched.run(trace)
     return report, sched, trace

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultRule
 from repro.service.dispatch import default_registry
 from repro.service.request import Request, RequestStatus, make_trace_id
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
@@ -35,14 +36,14 @@ def _run(tiny_catalog, workload, **config_kw):
     return scheduler.run(workload)
 
 
-def _small_trace(tiny_catalog, n=30, fault_fraction=0.0, seed=7):
+def _small_trace(tiny_catalog, n=30, seed=7):
     return generate_workload(
-        tiny_catalog,
-        WorkloadConfig(
-            n_requests=n, mean_interarrival_ns=2_000.0, fault_fraction=fault_fraction
-        ),
-        seed=seed,
+        tiny_catalog, WorkloadConfig(n_requests=n, mean_interarrival_ns=2_000.0), seed=seed
     )
+
+
+def _launch_faults(probability=1.0, count=1):
+    return FaultInjector([FaultRule("kernel_launch", probability=probability, count=count)])
 
 
 # --------------------------------------------------------------------- #
@@ -109,8 +110,19 @@ def test_one_export_chains_lifecycle_under_one_trace_id(tiny_catalog, tmp_path):
 
 def test_retry_attempts_are_linked_by_flow_events(tiny_catalog, tmp_path):
     # one request whose first attempt faults: two dispatches, one trace
-    workload = burst(1, fail_attempts=1)
-    report = _run(tiny_catalog, workload, trace=True)
+    injector = _launch_faults()
+    scheduler = QueryScheduler(
+        pool=("v100s", "mi100"),
+        catalog=tiny_catalog,
+        config=SchedulerConfig(trace=True, fault_injector=injector),
+    )
+    # build the graph first, so the fault lands in the algorithm, inside
+    # the first attempt's span, rather than in the graph build
+    worker = scheduler.workers[0]
+    worker.queue.disable_fault_injection()
+    worker.bundle_for(tiny_catalog[0]).csr
+    worker.queue.enable_fault_injection(injector)
+    report = scheduler.run(burst(1))
     rec = report.records[0]
     assert rec.status is RequestStatus.COMPLETED
     assert rec.attempts == 2
@@ -167,15 +179,20 @@ def test_histograms_off_records_nothing(tiny_catalog):
 # zero-cost: instrumentation must not move modeled time                 #
 # --------------------------------------------------------------------- #
 def test_timeline_identical_with_and_without_instrumentation(tiny_catalog, tmp_path):
-    plain = _run(tiny_catalog, _small_trace(tiny_catalog, fault_fraction=0.1))
+    plain = _run(
+        tiny_catalog, _small_trace(tiny_catalog),
+        fault_injector=_launch_faults(0.01, count=5),
+    )
     instrumented = _run(
         tiny_catalog,
-        _small_trace(tiny_catalog, fault_fraction=0.1),  # fresh Request objects
+        _small_trace(tiny_catalog),  # fresh Request objects
+        fault_injector=_launch_faults(0.01, count=5),
         trace=True,
         histograms=True,
         flight_capacity=64,
         flight_path=str(tmp_path / "fl.json"),
     )
+    assert plain.metrics.value("service.retried") > 0
     assert plain.timeline() == instrumented.timeline()
     assert plain.makespan_ns == instrumented.makespan_ns
 

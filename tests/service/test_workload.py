@@ -15,7 +15,7 @@ from repro.service.workload import (
 def _trace_fields(trace):
     return [
         (r.req_id, r.algorithm, r.graph, r.source, r.layout, r.priority,
-         r.arrival_ns, r.fail_attempts)
+         r.arrival_ns)
         for r in trace
     ]
 
@@ -70,13 +70,15 @@ class TestShape:
         sizes = {s.name: s.n_vertices for s in tiny_catalog}
         assert all(0 <= r.source < sizes[r.graph] for r in trace)
 
-    def test_fault_fraction(self, tiny_catalog):
-        cfg = WorkloadConfig(n_requests=1000, fault_fraction=0.25)
+    def test_seven_draws_per_request(self, tiny_catalog):
+        """Each request consumes one 7-draw block; the seventh draw, which
+        once picked the requests whose first attempt failed, is still
+        drawn so every seed keeps its trace."""
+        cfg = WorkloadConfig(n_requests=50)
         trace = generate_workload(tiny_catalog, cfg, seed=7)
-        frac = sum(r.fail_attempts for r in trace) / len(trace)
-        assert frac == pytest.approx(0.25, abs=0.05)
-        clean = generate_workload(tiny_catalog, WorkloadConfig(n_requests=100), seed=7)
-        assert all(r.fail_attempts == 0 for r in clean)
+        u = np.random.default_rng(7).random((50, 7))
+        arrivals = np.cumsum(-cfg.mean_interarrival_ns * np.log(1.0 - u[:, 0]))
+        assert [r.arrival_ns for r in trace] == pytest.approx(arrivals, rel=1e-12)
 
 
 class TestValidation:
