@@ -12,9 +12,9 @@ Run:  python examples/community_structure.py
 import numpy as np
 
 from repro.algorithms import jones_plassmann, k_core, luby_mis
+from repro.dist import distributed_bfs
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
-from repro.graph.distributed import distributed_bfs
 from repro.sycl import Queue, get_device
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from repro.algorithms import bc, bfs, cc, sssp
 from repro.bench.reporting import format_table
+from repro.dist import edge_balance, partition_static
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
 from repro.graph.io import read_matrix_market, write_matrix_market
-from repro.graph.partition import edge_balance, partition_static
 from repro.sycl import Queue, get_device, list_devices
 
 

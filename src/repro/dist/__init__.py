@@ -2,8 +2,7 @@
 
 The paper's conclusion names static graph partitioning — each GPU owning
 a local subgraph — as SYgraph's multi-GPU path.  This package is that
-path, grown from the old ``repro.graph.distributed`` preview into a real
-subsystem:
+path, grown from an earlier single-file preview into a real subsystem:
 
 * :mod:`repro.dist.partition` — static 1-D edge-balanced partitioner
   (degenerate inputs collapse to fewer, non-empty partitions);
@@ -15,9 +14,6 @@ subsystem:
 * :mod:`repro.dist.algorithms` — distributed BFS, SSSP (Bellman-Ford)
   and CC (min-label propagation), bit-identical to the single-device
   algorithms.
-
-``repro.graph.partition`` and ``repro.graph.distributed`` remain as
-re-export shims for backward compatibility.
 """
 
 from repro.dist.algorithms import (

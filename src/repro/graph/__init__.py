@@ -14,10 +14,10 @@ users plug custom representations implementing an iterator interface
 * :mod:`~repro.graph.datasets` — scaled stand-ins for the paper's Table 3
   datasets (DESIGN.md substitution #3);
 * :mod:`~repro.graph.io` — edge-list / MatrixMarket / NPZ readers and
-  writers (the SYgraph IO API);
-* :mod:`~repro.graph.partition` — compatibility shim for the static
-  partitioner, which now lives in :mod:`repro.dist.partition` (the
-  multi-GPU subsystem grown from the paper's future-work sketch).
+  writers (the SYgraph IO API).
+
+The static partitioner lives in :mod:`repro.dist.partition`, part of the
+multi-GPU subsystem grown from the paper's future-work sketch.
 """
 
 from repro.graph.builder import GraphBuilder, from_edges

@@ -110,13 +110,3 @@ class TestValidation:
             distributed_bfs(coo, 2, 99)
         with pytest.raises(ValueError):
             distributed_sssp(coo, 2, -1)
-
-    def test_legacy_import_paths_still_work(self):
-        from repro.graph.distributed import distributed_bfs as legacy_bfs
-        from repro.graph.partition import partition_static as legacy_split
-
-        coo = graphgen.chain(8)
-        assert np.array_equal(
-            legacy_bfs(coo, 2, 0).distances, distributed_bfs(coo, 2, 0).distances
-        )
-        assert len(legacy_split(coo, 2)) == 2

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.dist import Partition, edge_balance, partition_static
 from repro.graph import generators as gen
-from repro.graph.partition import Partition, edge_balance, partition_static
 
 
 @pytest.fixture
