@@ -6,8 +6,8 @@ names to runner callables.  The default registry covers the seven
 algorithms of the differential matrix (``bfs dobfs sssp delta_stepping
 cc bc pagerank``); tests swap runners in to inject faults or wrong
 results without touching the scheduler.  Gang requests (``devices >
-1``) go through the registry's gang runners instead: bfs, sssp and cc
-over the :mod:`repro.dist` BSP engine, each handed a
+1``) go through the gang runners of :data:`GANG_RUNNERS` instead: bfs,
+sssp and cc over the :mod:`repro.dist` BSP engine, each handed a
 :class:`GangBundle` in place of a worker's graph bundle.
 
 A :class:`GraphBundle` caches the device-resident representations one
@@ -178,6 +178,15 @@ def _run_gang_cc(gang: GangBundle, req: "Request") -> np.ndarray:
     return gang.run(distributed_cc, req)
 
 
+#: runners for requests with ``devices > 1``, in the order a
+#: DispatchError lists them
+GANG_RUNNERS: Dict[str, Callable] = {
+    "bfs": _run_gang_bfs,
+    "sssp": _run_gang_sssp,
+    "cc": _run_gang_cc,
+}
+
+
 #: graph representations each algorithm reads (default: csr only); the
 #: scheduler materializes these BEFORE the request's allocation window so
 #: the bundle cache is never freed with the request's scratch memory
@@ -191,19 +200,14 @@ class DispatchRegistry:
     """Name → runner mapping the scheduler executes requests through.
 
     A runner takes ``(bundle, request)`` and returns the per-vertex
-    result array.  A request with ``devices > 1`` runs through the gang
-    runners, whose bundle is a :class:`GangBundle`.  :meth:`register`
-    replaces or extends single-device entries — the spot-check tests use
-    it to serve a deliberately wrong ``bfs``.
+    result array.  A request with ``devices > 1`` runs through
+    :data:`GANG_RUNNERS` instead, whose bundle is a :class:`GangBundle`.
+    :meth:`register` replaces or extends single-device entries — the
+    spot-check tests use it to serve a deliberately wrong ``bfs``.
     """
 
-    def __init__(
-        self,
-        runners: Optional[Dict[str, Callable]] = None,
-        gang_runners: Optional[Dict[str, Callable]] = None,
-    ):
+    def __init__(self, runners: Optional[Dict[str, Callable]] = None):
         self._runners: Dict[str, Callable] = dict(runners) if runners else {}
-        self._gang_runners: Dict[str, Callable] = dict(gang_runners) if gang_runners else {}
 
     def register(self, name: str, runner: Callable) -> None:
         self._runners[name] = runner
@@ -242,11 +246,11 @@ class DispatchRegistry:
 
     def run(self, bundle: GraphBundle, request: "Request") -> np.ndarray:
         if request.devices > 1:
-            runner = self._gang_runners.get(request.algorithm)
+            runner = GANG_RUNNERS.get(request.algorithm)
             if runner is None:
                 raise DispatchError(
                     f"algorithm {request.algorithm!r} has no gang (multi-device) "
-                    f"implementation; gang-capable: {', '.join(self._gang_runners)}"
+                    f"implementation; gang-capable: {', '.join(GANG_RUNNERS)}"
                 )
             return runner(bundle, request)
         runner = self._runners.get(request.algorithm)
@@ -259,8 +263,7 @@ class DispatchRegistry:
 
 
 def default_registry() -> DispatchRegistry:
-    """Registry serving the seven differential-matrix algorithms, and
-    bfs/sssp/cc on gangs."""
+    """Registry serving the seven differential-matrix algorithms."""
     return DispatchRegistry(
         {
             "bfs": _run_bfs,
@@ -270,8 +273,7 @@ def default_registry() -> DispatchRegistry:
             "cc": _run_cc,
             "bc": _run_bc,
             "pagerank": _run_pagerank,
-        },
-        gang_runners={"bfs": _run_gang_bfs, "sssp": _run_gang_sssp, "cc": _run_gang_cc},
+        }
     )
 
 
