@@ -622,7 +622,7 @@ class QueryScheduler:
             w.busy_until = start
         return seq
 
-    def _execute(self, lead: Worker, bundle, req: Request):
+    def _execute(self, lead: Worker, bundle: "GraphBundle | GangBundle", req: Request):
         """Run one attempt on the lead worker's queue; never leaks allocations.
 
         Returns ``(result_copy, raw_service_ns, solo_ns, error,

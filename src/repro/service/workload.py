@@ -125,9 +125,8 @@ def generate_workload(
 
     Only ``rng.random()`` draws are consumed — one fixed-size block per
     request — so the trace is a pure function of ``(catalog names,
-    config, seed)``.  The block's seventh draw once picked the requests
-    whose first attempt failed; it is still drawn, so every seed keeps
-    its trace (faults now come from :mod:`repro.faults`).
+    config, seed)``.  The block's seventh draw is unused but still
+    drawn, so a seed's trace stays the same across versions.
     """
     config = config or WorkloadConfig()
     if not catalog:

@@ -22,6 +22,19 @@ def contended_trace(tiny_catalog):
     )
 
 
+def build_graph_caches(scheduler):
+    """Build every representation of every catalog graph on every worker
+    with fault injection detached, so injected faults land in requests."""
+    for worker in scheduler.workers:
+        injector = worker.queue.fault_injector
+        worker.queue.disable_fault_injection()
+        for spec in scheduler.catalog.values():
+            bundle = worker.bundle_for(spec)
+            bundle.csr, bundle.csr_undirected, bundle.csc
+        if injector is not None:
+            worker.queue.enable_fault_injection(injector)
+
+
 def burst(n, graph="rmat", algorithm="bfs", priority=1, arrival_ns=0.0, **kw):
     """n identical requests arriving at the same instant (id-ordered)."""
     return [

@@ -18,6 +18,7 @@ from repro.service.dispatch import ALGORITHMS
 from repro.service.request import Request, RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.workload import default_catalog
+from tests.service.conftest import build_graph_caches
 
 CATALOG = default_catalog(seed=0, scale="tiny")
 POOL = ("v100s", "v100s", "mi100")
@@ -88,14 +89,8 @@ def test_requests_and_bytes_are_conserved(
             fault_injector=injector,
         ),
     )
-    # the graph cache is the baseline: build every representation of
-    # every graph with the injector detached, then re-arm it
-    for worker in scheduler.workers:
-        worker.queue.disable_fault_injection()
-        for spec in CATALOG:
-            bundle = worker.bundle_for(spec)
-            bundle.csr, bundle.csr_undirected, bundle.csc
-        worker.queue.enable_fault_injection(injector)
+    # the graph caches are the live-bytes baseline
+    build_graph_caches(scheduler)
     before = [w.queue.memory.bytes_in_use for w in scheduler.workers]
 
     report = scheduler.run(trace)

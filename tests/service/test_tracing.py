@@ -24,7 +24,7 @@ from repro.service.request import Request, RequestStatus, make_trace_id
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.traceexport import export_service_trace, service_trace_events
 from repro.service.workload import WorkloadConfig, generate_workload
-from tests.service.conftest import burst
+from tests.service.conftest import build_graph_caches, burst
 
 
 def _run(tiny_catalog, workload, **config_kw):
@@ -110,18 +110,14 @@ def test_one_export_chains_lifecycle_under_one_trace_id(tiny_catalog, tmp_path):
 
 def test_retry_attempts_are_linked_by_flow_events(tiny_catalog, tmp_path):
     # one request whose first attempt faults: two dispatches, one trace
-    injector = _launch_faults()
     scheduler = QueryScheduler(
         pool=("v100s", "mi100"),
         catalog=tiny_catalog,
-        config=SchedulerConfig(trace=True, fault_injector=injector),
+        config=SchedulerConfig(trace=True, fault_injector=_launch_faults()),
     )
-    # build the graph first, so the fault lands in the algorithm, inside
-    # the first attempt's span, rather than in the graph build
-    worker = scheduler.workers[0]
-    worker.queue.disable_fault_injection()
-    worker.bundle_for(tiny_catalog[0]).csr
-    worker.queue.enable_fault_injection(injector)
+    # the fault must land in the algorithm, inside the first attempt's
+    # span, not in the graph build before it
+    build_graph_caches(scheduler)
     report = scheduler.run(burst(1))
     rec = report.records[0]
     assert rec.status is RequestStatus.COMPLETED

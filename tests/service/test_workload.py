@@ -71,9 +71,8 @@ class TestShape:
         assert all(0 <= r.source < sizes[r.graph] for r in trace)
 
     def test_seven_draws_per_request(self, tiny_catalog):
-        """Each request consumes one 7-draw block; the seventh draw, which
-        once picked the requests whose first attempt failed, is still
-        drawn so every seed keeps its trace."""
+        """Each request consumes one 7-draw block (the seventh draw is
+        unused), so a seed's trace stays the same across versions."""
         cfg = WorkloadConfig(n_requests=50)
         trace = generate_workload(tiny_catalog, cfg, seed=7)
         u = np.random.default_rng(7).random((50, 7))
