@@ -28,11 +28,11 @@ The moving parts, in dispatch order:
   ordinary request is a gang of one.  The head of the line waits until
   that many workers are idle at once (a FIFO barrier — no
   lower-priority bypass, so gangs cannot starve) and runs through the
-  one dispatch path.  A multi-device gang runs its registry gang runner
-  (a :mod:`repro.dist` BSP job) alone, reserves every worker for the BSP
-  makespan, and records the summed per-device compute time
-  (``solo_ns``) so the serialized-makespan counterfactual charges the
-  single-device cost of the same work.
+  one dispatch path.  A multi-device gang runs one of the registry's
+  gang runners (a :mod:`repro.dist` BSP job) alone, reserves every
+  worker for the BSP makespan, and records the summed per-device
+  compute time (``solo_ns``) so the serialized-makespan counterfactual
+  charges the single-device cost of the same work.
 * **Deadlines** — a request still queued past ``arrival + timeout`` is
   dropped (TIMED_OUT, never executed); one that finishes past its
   deadline is completed-but-discarded (also TIMED_OUT).
@@ -44,7 +44,8 @@ The moving parts, in dispatch order:
   FAILs the request loudly instead of returning corrupt data.
 
 Observability: every request carries a ``service.request > dispatch >
-<algorithm>`` span on its worker's tracer when tracing is enabled, and a
+<algorithm>`` span on its (lead) worker's tracer when tracing is enabled
+— empty for a gang, whose BSP engine runs on its own queues — and a
 :class:`~repro.obs.metrics.MetricsRegistry` accumulates the service
 counters (admitted/rejected/shed/timed-out/retried/failed/completed,
 batches, gang dispatches, spot-checks) plus a queue-depth gauge — all
