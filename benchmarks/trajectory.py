@@ -1,465 +1,50 @@
 #!/usr/bin/env python
-"""Trajectory benchmark: host wall-time of the frontier hot path.
+"""Write the BENCH ledger: every modeled result, one record per case.
 
-Runs BFS / SSSP / CC over seeded :mod:`repro.checking.graphgen` graphs
-across frontier layouts, twice per case:
+Runs every case of :mod:`repro.bench.ledger` — algorithm × layout ×
+graph × {unfused, fused} on one device, plus the BSP gangs at 2 and 4
+devices — and writes ``BENCH_ledger.json`` at the repo root (override
+with ``--output``)::
 
-* **memo on** — the current single-scan hot path (epoch-memoized frontier
-  scans, swap cache-transfer, primed inserts);
-* **memo off** — the pre-memoization baseline, restored in-process via
-  :func:`repro.frontier.base.scan_memoization`, where every
-  ``count``/``active_elements``/``compute_offsets`` call rescans the
-  backing storage.
+    python benchmarks/trajectory.py [--seed 7] [--output PATH]
 
-Both modes produce *identical results and identical modeled kernel time*
-(the cost model sees the same kernels and streams either way) — the only
-thing that moves is host wall-time.  The harness verifies both: result
-digests must match and modeled ns must be equal, else the entry is
-flagged ``modeled_unchanged: false`` and the process exits nonzero.
-
-Timings interleave the two modes and keep the best of ``--repeats``
-passes to shave scheduler noise; everything is seeded, so reruns measure
-the same work.
-
-Output: ``BENCH_pr3.json`` at the repo root (override with ``--output``),
-including a ``hot_loop`` aggregate for the BFS/2lb chain case whose
-``speedup`` field is the PR's headline number.
-
-``--dist`` instead benchmarks the multi-GPU BSP engine (:mod:`repro.dist`):
-distributed BFS/SSSP/CC at 2 and 4 devices over the same golden graphs,
-emitting ``BENCH_pr8.json`` with per-run BSP makespan (corrected
-sum-of-superstep-barriers form plus the naive lower bound), exchange
-time, and ghost-exchange wire bytes against the uncompressed id-list
-bytes — the numbers the SLO gate watches for comm-cost drift.  The run
-fails if any distributed result diverges from the single-device digest
-or any wire payload exceeds its id-list equivalent.
-
-``--fused`` benchmarks the execution-plan layer's kernel-fusion pass
-(:mod:`repro.exec`): every algorithm × layout × graph runs with
-``fuse=False`` and ``fuse=True`` on fresh profiling queues, emitting
-``BENCH_pr10.json`` with both modeled kernel times and the reduction.
-Results must be **bit-identical** (exact digest over the result array)
-and the BFS and CC hot cases must show a positive modeled-ns reduction,
-else the run exits nonzero — fusion that changes results or saves
-nothing is a regression either way.
+Every value is deterministic, so a rerun reproduces the file byte for
+byte and ``python -m repro slo`` can recompute all of it.  The file is
+written either way; the run exits non-zero when a ledger contract
+(:func:`repro.bench.ledger.check_contracts`) fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import cc
-from repro.algorithms.pagerank import pagerank
-from repro.algorithms.sssp import sssp
-from repro.checking import graphgen
-from repro.frontier.base import scan_memoization
-from repro.graph.builder import GraphBuilder
-from repro.graph.coo import COOGraph
-from repro.sycl.device import get_device
-from repro.sycl.queue import Queue
-
-#: the aggregate the PR's acceptance criterion reads
-HOT_LOOP_ALGORITHM = "bfs"
-HOT_LOOP_LAYOUT = "2lb"
-HOT_LOOP_GRAPH = "chain"
-
-LAYOUTS = ("2lb", "bitmap", "vector", "boolmap")
-ALGORITHMS = ("bfs", "sssp", "cc")
-
-#: gang sizes the --dist mode sweeps
-DIST_DEVICES = (2, 4)
-#: the aggregate the distributed SLO drift check reads
-DIST_HOT_ALGORITHM = "bfs"
-DIST_HOT_GRAPH = "power_law"
-DIST_HOT_DEVICES = 4
-
-#: the --fused mode adds pagerank — its scatter+apply pair is the
-#: biggest single fusion win in the suite
-FUSED_ALGORITHMS = ("bfs", "sssp", "cc", "pagerank")
-#: hot cases the fusion SLO drift check reads; both must show a
-#: positive modeled-ns reduction for the run to pass
-FUSE_HOT_CASES = (("bfs", "chain"), ("cc", "power_law"))
-FUSE_HOT_LAYOUT = "2lb"
-
-
-def chain_graph(n: int) -> COOGraph:
-    """Bidirectional path graph: the deepest trajectory per vertex.
-
-    One frontier vertex per iteration for ~n iterations — the worst case
-    for per-iteration rescans and therefore the hot-loop showcase.
-    """
-    src = np.arange(n - 1, dtype=np.int64)
-    dst = src + 1
-    return COOGraph(n, np.concatenate([src, dst]), np.concatenate([dst, src]))
-
-
-def make_cases(quick: bool, seed: int):
-    chain_n = 2000 if quick else 5000
-    pl_n = 1500 if quick else 4000
-    return [
-        ("chain", chain_graph(chain_n)),
-        ("power_law", graphgen.power_law(n=pl_n, avg_degree=6.0, seed=seed)),
-        ("disconnected", graphgen.disconnected(8, (pl_n // 8) if quick else 512, seed=seed)),
-    ]
-
-
-def run_algorithm(algorithm: str, graph, graph_und, layout: str, fuse: bool = False):
-    if algorithm == "bfs":
-        return bfs(graph, 0, layout=layout, fuse=fuse)
-    if algorithm == "sssp":
-        return sssp(graph, 0, layout=layout, fuse=fuse)
-    if algorithm == "cc":
-        return cc(graph_und, layout=layout, fuse=fuse)
-    if algorithm == "pagerank":
-        return pagerank(graph, layout=layout, fuse=fuse)
-    raise ValueError(algorithm)
-
-
-def result_array(algorithm: str, result) -> np.ndarray:
-    if algorithm in ("bfs", "sssp"):
-        return np.asarray(result.distances)
-    if algorithm == "pagerank":
-        return np.asarray(result.ranks)
-    return np.asarray(result.labels)
-
-
-def result_digest(algorithm: str, result) -> str:
-    arr = result_array(algorithm, result).astype(np.float64)
-    arr = np.where(np.isfinite(arr), arr, -1.0)
-    return f"{arr.size}:{float(arr.sum()):.6g}:{float((arr * np.arange(1, arr.size + 1)).sum()):.6g}"
-
-
-def exact_digest(algorithm: str, result) -> str:
-    """Bit-exact digest — the fusion contract is stricter than drift."""
-    import hashlib
-
-    arr = np.ascontiguousarray(result_array(algorithm, result))
-    h = hashlib.blake2b(arr.tobytes(), digest_size=16)
-    return f"{arr.dtype}:{arr.shape}:{h.hexdigest()}"
-
-
-def modeled_ns(algorithm: str, coo, coo_und, layout: str, memo: bool) -> int:
-    """Modeled kernel time from a fresh *profiling* queue."""
-    q = Queue(get_device("v100s"), enable_profiling=True, capacity_limit=0)
-    b = GraphBuilder(q)
-    graph = b.to_csr(coo)
-    graph_und = b.to_csr(coo_und) if algorithm == "cc" else None
-    q.reset_profile()
-    with scan_memoization(memo):
-        run_algorithm(algorithm, graph, graph_und, layout)
-    return int(q.elapsed_ns)
-
-
-def bench_case(algorithm: str, graph_name: str, coo, coo_und, layout: str, repeats: int) -> dict:
-    q = Queue(get_device("v100s"), enable_profiling=False, capacity_limit=0)
-    b = GraphBuilder(q)
-    graph = b.to_csr(coo)
-    graph_und = b.to_csr(coo_und) if algorithm == "cc" else None
-
-    # warm both paths once (allocations, numpy dispatch caches)
-    with scan_memoization(True):
-        warm = run_algorithm(algorithm, graph, graph_und, layout)
-
-    best = {"on": float("inf"), "off": float("inf")}
-    digests = {}
-    iterations = 0
-    for _ in range(repeats):
-        for mode, enabled in (("on", True), ("off", False)):
-            with scan_memoization(enabled):
-                t0 = time.perf_counter()
-                result = run_algorithm(algorithm, graph, graph_und, layout)
-                best[mode] = min(best[mode], time.perf_counter() - t0)
-            digests[mode] = result_digest(algorithm, result)
-            iterations = int(result.iterations)
-
-    ns_on = modeled_ns(algorithm, coo, coo_und, layout, True)
-    ns_off = modeled_ns(algorithm, coo, coo_und, layout, False)
-    return {
-        "algorithm": algorithm,
-        "graph": graph_name,
-        "layout": layout,
-        "iterations": iterations,
-        "host_ms_memo_on": round(best["on"] * 1e3, 3),
-        "host_ms_memo_off": round(best["off"] * 1e3, 3),
-        "speedup": round(best["off"] / best["on"], 3) if best["on"] > 0 else None,
-        "modeled_ns": ns_on,
-        "modeled_ns_memo_off": ns_off,
-        "modeled_unchanged": ns_on == ns_off,
-        "results_match": digests.get("on") == digests.get("off"),
-    }
-
-
-def bench_dist_case(algorithm: str, graph_name: str, coo, n_devices: int, ref_digest: str) -> dict:
-    from repro.dist import distributed_bfs, distributed_cc, distributed_sssp
-
-    if algorithm == "bfs":
-        res = distributed_bfs(coo, n_devices, 0)
-    elif algorithm == "sssp":
-        res = distributed_sssp(coo, n_devices, 0)
-    else:
-        res = distributed_cc(coo, n_devices)
-    return {
-        "algorithm": algorithm,
-        "graph": graph_name,
-        "devices": n_devices,
-        "supersteps": int(res.iterations),
-        "makespan_ns": round(res.makespan_ns, 3),
-        "makespan_naive_ns": round(res.makespan_naive_ns, 3),
-        "exchange_ns": round(res.exchange_ns, 3),
-        "ghost_messages": int(res.ghost_messages),
-        "ghost_vertices": int(res.ghost_vertices),
-        "wire_bytes": int(res.wire_bytes),
-        "idlist_bytes": int(res.idlist_bytes),
-        "bitmap_bytes": int(res.bitmap_bytes),
-        "compression_ok": bool(res.wire_bytes <= res.idlist_bytes),
-        # corrected makespan (sum of superstep barriers) can never beat
-        # the naive max-total-plus-exchange lower bound
-        "makespan_ge_naive": bool(res.makespan_ns >= res.makespan_naive_ns - 1e-6),
-        "results_match": result_digest(algorithm, res) == ref_digest,
-    }
-
-
-def run_dist(args) -> int:
-    """The --dist mode: BSP engine benchmark, emits BENCH_pr8.json."""
-    entries = []
-    for graph_name, coo in make_cases(args.quick, args.seed):
-        q = Queue(get_device("v100s"), enable_profiling=False, capacity_limit=0)
-        b = GraphBuilder(q)
-        graph = b.to_csr(coo)
-        # CC references run on the symmetrized graph, exactly like the
-        # distributed engine does internally
-        graph_und = b.to_csr(coo.symmetrized())
-        for algorithm in ALGORITHMS:
-            ref_digest = result_digest(
-                algorithm, run_algorithm(algorithm, graph, graph_und, "2lb")
-            )
-            for n_devices in DIST_DEVICES:
-                entry = bench_dist_case(algorithm, graph_name, coo, n_devices, ref_digest)
-                entries.append(entry)
-                flag = "" if (
-                    entry["results_match"] and entry["compression_ok"] and entry["makespan_ge_naive"]
-                ) else "  <-- MISMATCH"
-                print(
-                    f"{algorithm:5s} {graph_name:12s} {n_devices}dev "
-                    f"makespan={entry['makespan_ns']:12.0f}ns "
-                    f"(naive {entry['makespan_naive_ns']:12.0f}ns) "
-                    f"wire={entry['wire_bytes']:9d}B idlist={entry['idlist_bytes']:9d}B "
-                    f"steps={entry['supersteps']}{flag}"
-                )
-
-    hot = next(
-        e
-        for e in entries
-        if e["algorithm"] == DIST_HOT_ALGORITHM
-        and e["graph"] == DIST_HOT_GRAPH
-        and e["devices"] == DIST_HOT_DEVICES
-    )
-    report = {
-        "benchmark": "trajectory-dist",
-        "pr": 8,
-        "mode": "quick" if args.quick else "full",
-        "seed": args.seed,
-        "device_pools": list(DIST_DEVICES),
-        "hot": {
-            "case": f"{DIST_HOT_ALGORITHM}/{DIST_HOT_DEVICES}dev/{DIST_HOT_GRAPH}",
-            "makespan_ns": hot["makespan_ns"],
-            "wire_bytes": hot["wire_bytes"],
-            "idlist_bytes": hot["idlist_bytes"],
-        },
-        "all_results_match": all(e["results_match"] for e in entries),
-        "all_compressed": all(e["compression_ok"] for e in entries),
-        "entries": entries,
-    }
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\ndist hot case {report['hot']['case']}: makespan {hot['makespan_ns']:.0f}ns, "
-          f"wire {hot['wire_bytes']}B <= idlist {hot['idlist_bytes']}B")
-    print(f"wrote {args.output}")
-
-    bad = [
-        e for e in entries
-        if not (e["results_match"] and e["compression_ok"] and e["makespan_ge_naive"])
-    ]
-    if bad:
-        print(f"ERROR: {len(bad)} distributed entries with result/compression drift", file=sys.stderr)
-        return 1
-    return 0
-
-
-def bench_fused_case(algorithm: str, graph_name: str, coo, coo_und, layout: str) -> dict:
-    times = {}
-    digests = {}
-    iterations = {}
-    for fuse in (False, True):
-        q = Queue(get_device("v100s"), enable_profiling=True, capacity_limit=0)
-        b = GraphBuilder(q)
-        graph = b.to_csr(coo)
-        graph_und = b.to_csr(coo_und) if algorithm == "cc" else None
-        q.reset_profile()
-        result = run_algorithm(algorithm, graph, graph_und, layout, fuse=fuse)
-        times[fuse] = int(q.elapsed_ns)
-        digests[fuse] = exact_digest(algorithm, result)
-        iterations[fuse] = int(result.iterations)
-    reduction = 1.0 - times[True] / times[False] if times[False] else 0.0
-    return {
-        "algorithm": algorithm,
-        "graph": graph_name,
-        "layout": layout,
-        "iterations": iterations[False],
-        "modeled_ns_unfused": times[False],
-        "modeled_ns_fused": times[True],
-        "reduction": round(reduction, 4),
-        "results_match": digests[False] == digests[True],
-        "iterations_match": iterations[False] == iterations[True],
-    }
-
-
-def run_fused(args) -> int:
-    """The --fused mode: kernel-fusion benchmark, emits BENCH_pr10.json."""
-    entries = []
-    for graph_name, coo in make_cases(args.quick, args.seed):
-        coo_und = coo.symmetrized()
-        for algorithm in FUSED_ALGORITHMS:
-            for layout in LAYOUTS:
-                entry = bench_fused_case(algorithm, graph_name, coo, coo_und, layout)
-                entries.append(entry)
-                flag = "" if entry["results_match"] and entry["iterations_match"] else "  <-- MISMATCH"
-                print(
-                    f"{algorithm:8s} {graph_name:12s} {layout:7s} "
-                    f"unfused={entry['modeled_ns_unfused']:12d}ns "
-                    f"fused={entry['modeled_ns_fused']:12d}ns "
-                    f"saved={entry['reduction'] * 100:5.1f}% "
-                    f"iters={entry['iterations']}{flag}"
-                )
-
-    hot = {}
-    for algorithm, graph_name in FUSE_HOT_CASES:
-        e = next(
-            e for e in entries
-            if e["algorithm"] == algorithm
-            and e["graph"] == graph_name
-            and e["layout"] == FUSE_HOT_LAYOUT
-        )
-        hot[algorithm] = {
-            "case": f"{algorithm}/{FUSE_HOT_LAYOUT}/{graph_name}",
-            "modeled_ns_unfused": e["modeled_ns_unfused"],
-            "modeled_ns_fused": e["modeled_ns_fused"],
-            "reduction": e["reduction"],
-            "reduced": bool(e["reduction"] > 0),
-        }
-    report = {
-        "benchmark": "trajectory-fused",
-        "pr": 10,
-        "mode": "quick" if args.quick else "full",
-        "seed": args.seed,
-        "device": "v100s",
-        "hot": hot,
-        "all_results_match": all(e["results_match"] for e in entries),
-        "all_hot_reduced": all(h["reduced"] for h in hot.values()),
-        "entries": entries,
-    }
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    for h in hot.values():
-        print(f"\nfusion hot case {h['case']}: {h['reduction'] * 100:.1f}% modeled-ns saved "
-              f"({h['modeled_ns_unfused']} -> {h['modeled_ns_fused']}ns)", end="")
-    print(f"\nwrote {args.output}")
-
-    bad = [e for e in entries if not (e["results_match"] and e["iterations_match"])]
-    if bad:
-        print(f"ERROR: {len(bad)} fused entries diverge from unfused results", file=sys.stderr)
-        return 1
-    if not report["all_hot_reduced"]:
-        print("ERROR: fusion hot case shows no modeled-ns reduction", file=sys.stderr)
-        return 1
-    return 0
+from repro.bench import ledger
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--quick", action="store_true", help="smaller graphs, fewer repeats (CI)")
-    parser.add_argument("--repeats", type=int, default=None, help="timing passes per mode (best-of)")
-    parser.add_argument("--seed", type=int, default=7, help="graph generator seed")
+    parser.add_argument("--seed", type=int, default=ledger.SEED, help="graph generator seed (default 7)")
     parser.add_argument(
-        "--dist", action="store_true",
-        help="benchmark the repro.dist BSP engine instead (emits BENCH_pr8.json)",
-    )
-    parser.add_argument(
-        "--fused", action="store_true",
-        help="benchmark repro.exec kernel fusion instead (emits BENCH_pr10.json)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        help="output JSON path (default: repo-root BENCH_pr3.json, "
-        "BENCH_pr8.json with --dist, or BENCH_pr10.json with --fused)",
+        "--output", default=str(ROOT / "BENCH_ledger.json"),
+        help="output JSON path (default: BENCH_ledger.json at the repo root)",
     )
     args = parser.parse_args(argv)
-    if args.output is None:
-        name = "BENCH_pr8.json" if args.dist else "BENCH_pr10.json" if args.fused else "BENCH_pr3.json"
-        args.output = str(Path(__file__).resolve().parent.parent / name)
-    if args.dist:
-        return run_dist(args)
-    if args.fused:
-        return run_fused(args)
-    repeats = args.repeats or (3 if args.quick else 5)
 
-    entries = []
-    for graph_name, coo in make_cases(args.quick, args.seed):
-        coo_und = coo  # generators already emit symmetric-enough inputs for CC
-        for algorithm in ALGORITHMS:
-            for layout in LAYOUTS:
-                entry = bench_case(algorithm, graph_name, coo, coo_und, layout, repeats)
-                entries.append(entry)
-                flag = "" if entry["modeled_unchanged"] and entry["results_match"] else "  <-- MISMATCH"
-                print(
-                    f"{algorithm:5s} {graph_name:12s} {layout:7s} "
-                    f"on={entry['host_ms_memo_on']:8.2f}ms off={entry['host_ms_memo_off']:8.2f}ms "
-                    f"speedup={entry['speedup']:.2f}x iters={entry['iterations']}{flag}"
-                )
+    records, naive_ns = ledger.measure(ledger.case_keys(), args.seed)
+    for key, rec in records.items():
+        print(f"{key:36s} modeled={rec['modeled_ns']:>14}ns iters={rec['iterations']}")
+    ledger.write(args.output, args.seed, records)
+    print(f"wrote {args.output} ({len(records)} cases)")
 
-    hot = next(
-        e
-        for e in entries
-        if e["algorithm"] == HOT_LOOP_ALGORITHM
-        and e["layout"] == HOT_LOOP_LAYOUT
-        and e["graph"] == HOT_LOOP_GRAPH
-    )
-    report = {
-        "benchmark": "trajectory",
-        "pr": 3,
-        "mode": "quick" if args.quick else "full",
-        "seed": args.seed,
-        "repeats": repeats,
-        "device": "v100s",
-        "hot_loop": {
-            "case": f"{HOT_LOOP_ALGORITHM}/{HOT_LOOP_LAYOUT}/{HOT_LOOP_GRAPH}",
-            "speedup": hot["speedup"],
-            "host_ms_memo_on": hot["host_ms_memo_on"],
-            "host_ms_memo_off": hot["host_ms_memo_off"],
-            "modeled_unchanged": hot["modeled_unchanged"],
-            "target_speedup": 1.3,
-            "meets_target": bool(hot["speedup"] and hot["speedup"] >= 1.3),
-        },
-        "entries": entries,
-    }
-    Path(args.output).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"\nhot loop {report['hot_loop']['case']}: {hot['speedup']}x "
-          f"(target 1.3x, modeled_unchanged={hot['modeled_unchanged']})")
-    print(f"wrote {args.output}")
-
-    bad = [e for e in entries if not (e["modeled_unchanged"] and e["results_match"])]
-    if bad:
-        print(f"ERROR: {len(bad)} entries with modeled-time or result drift", file=sys.stderr)
-        return 1
-    return 0
+    problems = ledger.check_contracts(records, naive_ns)
+    for problem in problems:
+        print(f"ERROR: {problem}", file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

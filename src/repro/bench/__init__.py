@@ -18,6 +18,10 @@ able to print the same table/series the paper reports:
 * :func:`~repro.bench.experiments.fig10_portability` — SYgraph across
   V100S / MAX1100 (LevelZero + OpenCL) / MI100.
 
+:mod:`repro.bench.ledger` holds the BENCH ledger (``BENCH_ledger.json``):
+every modeled result over algorithm × layout × graph × {fused, devices},
+one record per case, recomputed by ``python -m repro slo``.
+
 Environment knobs: ``REPRO_SCALE`` (tiny/small/medium, default small),
 ``REPRO_SOURCES`` (sources per measurement, default 3 — the paper uses
 200; raise it when you have the time budget).

@@ -17,7 +17,7 @@ contract:
 Everything runs on the modeled clock with seeded randomness, so the
 printed report is **byte-deterministic**: two invocations with the same
 ``--fault-seed`` (and rules) produce identical bytes, which is what the
-CI ``chaos-smoke`` job diffs and archives.
+CI ``bench-gate`` job archives.
 """
 
 from __future__ import annotations

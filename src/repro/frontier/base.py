@@ -50,9 +50,9 @@ class Frontier(abc.ABC):
     silently serve a stale frontier.
     """
 
-    #: class-wide switch for the epoch memoization.  The trajectory
-    #: benchmark flips it off (via :func:`scan_memoization`) to measure
-    #: the pre-memoization rescan-everything baseline in-process.
+    #: class-wide switch for the epoch memoization.  Tests flip it off
+    #: (via :func:`scan_memoization`) to run the pre-memoization
+    #: rescan-everything path as a reference.
     _memo_enabled = True
 
     def __init__(self, queue: "Queue", n_elements: int, view: FrontierView):
@@ -253,10 +253,9 @@ def scan_memoization(enabled: bool = True):
 
     ``with scan_memoization(False):`` restores the pre-memoization
     behaviour — every ``count``/``active_elements``/``nonzero_words``/
-    ``compute_offsets`` call rescans the backing storage.  The
-    trajectory benchmark uses it to measure the memoization speedup
-    against an in-process baseline; results are identical either way
-    (epochs keep advancing while disabled, so re-enabling can never
+    ``compute_offsets`` call rescans the backing storage.  Tests use it
+    as the reference path: results and modeled ns are identical either
+    way (epochs keep advancing while disabled, so re-enabling can never
     revive a stale cache).
     """
     previous = Frontier._memo_enabled

@@ -6,9 +6,9 @@ queue land on separate timelines — with each kernel as an ``X``
 (complete) event nested inside its span, and ``C`` (counter) tracks for
 every registry metric plus the memory manager's bytes-in-use samples.
 
-This replaces the old flat back-to-back ``X``-event layout for traced
-queues; :func:`repro.sycl.trace.trace_events` still produces the flat
-layout for queues without a tracer.
+This is the one trace exporter: attach a tracer with
+:meth:`Queue.enable_tracing` before the run, then call
+:func:`export_trace`.
 
 Load the JSON in ``ui.perfetto.dev`` or ``chrome://tracing``.
 """

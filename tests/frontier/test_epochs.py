@@ -14,6 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bfs import bfs
+from repro.algorithms.cc import cc
+from repro.algorithms.sssp import sssp
+from repro.checking import graphgen
 from repro.checking.invariants import strict_mode
 from repro.errors import InvariantViolation
 from repro.frontier import make_frontier
@@ -24,6 +28,8 @@ from repro.frontier.ops import (
     frontier_union,
     swap,
 )
+from repro.graph.builder import GraphBuilder
+from repro.sycl import Queue, get_device
 
 LAYOUTS = ["bitmap", "2lb", "tree", "vector", "boolmap"]
 N = 300
@@ -133,8 +139,6 @@ class TestMemoizedScans:
         lay=st.sampled_from(LAYOUTS),
     )
     def test_memoized_equals_fresh_under_random_ops(self, ops, lay):
-        from repro.sycl import Queue, get_device
-
         q = Queue(get_device("v100s"), capacity_limit=0)
         f = make_frontier(q, N, layout=lay)
         reference = set()
@@ -152,6 +156,38 @@ class TestMemoizedScans:
             assert f.count() == len(reference)
             assert np.array_equal(f.active_elements(), fresh_view(f))
             assert f.scan_cache_coherent() is None
+
+
+#: graphs and runners (each returns the result array) of the whole-run check
+WHOLE_RUN_GRAPHS = {
+    "chain": lambda: graphgen.chain(300).symmetrized(),
+    "power_law": lambda: graphgen.power_law(n=1500, avg_degree=6.0, seed=7),
+}
+WHOLE_RUNS = {
+    "bfs": lambda g, layout: bfs(g, 0, layout=layout).distances,
+    "sssp": lambda g, layout: sssp(g, 0, layout=layout).distances,
+    "cc": lambda g, layout: cc(g, layout=layout).labels,
+}
+
+
+@pytest.mark.parametrize("graph", sorted(WHOLE_RUN_GRAPHS))
+@pytest.mark.parametrize("run_layout", ["2lb", "bitmap", "vector", "boolmap"])
+@pytest.mark.parametrize("algorithm", sorted(WHOLE_RUNS))
+def test_whole_run_identical_without_memoization(algorithm, run_layout, graph):
+    """Memoization moves host time only: a whole run gives the same
+    result bytes and modeled ns with it off."""
+    coo = WHOLE_RUN_GRAPHS[graph]()
+    if algorithm == "cc":
+        coo = coo.symmetrized()
+    runs = []
+    for enabled in (True, False):
+        q = Queue(get_device("v100s"), capacity_limit=0)
+        g = GraphBuilder(q).to_csr(coo)
+        q.reset_profile()
+        with scan_memoization(enabled):
+            values = WHOLE_RUNS[algorithm](g, run_layout)
+        runs.append((q.elapsed_ns, np.asarray(values).tobytes()))
+    assert runs[0] == runs[1]
 
 
 class TestPrimedInserts:

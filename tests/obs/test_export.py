@@ -6,8 +6,6 @@ from repro.algorithms.bfs import bfs
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
 from repro.obs import export_trace, trace_events
-from repro.sycl.trace import export_chrome_trace
-from repro.sycl.trace import trace_events as queue_trace_events
 
 
 def _traced_bfs(queue, layout="2lb"):
@@ -84,24 +82,6 @@ def test_export_trace_file_payload(queue, tmp_path):
     assert other["spans"] >= result.iterations
     assert other["memory_peak_bytes"] > 0
     assert payload["traceEvents"]
-
-
-def test_queue_trace_module_delegates_when_traced(queue, tmp_path):
-    tracer, _ = _traced_bfs(queue)
-    events = queue_trace_events(queue)
-    assert events == trace_events(tracer)
-    path = export_chrome_trace(queue, tmp_path / "delegated.json")
-    payload = json.loads(path.read_text())
-    assert any(e["ph"] == "B" for e in payload["traceEvents"])
-
-
-def test_queue_trace_module_flat_without_tracer(queue):
-    coo = gen.erdos_renyi(100, 3.0, seed=1)
-    graph = GraphBuilder(queue).to_csr(coo)
-    bfs(graph, 0)
-    events = queue_trace_events(queue)
-    assert events, "untraced queue must keep the flat layout"
-    assert all(e["ph"] == "X" for e in events)
 
 
 def test_zero_ts_counter_samples_get_monotonic_fallback(queue):

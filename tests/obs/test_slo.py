@@ -3,6 +3,10 @@
 import argparse
 import json
 
+import pytest
+
+from repro.__main__ import main
+from repro.bench import ledger
 from repro.obs.slo import SLOThresholds, evaluate_slo, run_slo
 
 
@@ -35,6 +39,7 @@ def test_each_threshold_triggers_independently():
         ({"failed": 3}, "FAILED"),
         ({"modeled_drift_pct": 0.01}, "drifted"),
         ({"modeled_drift_pct": -0.01}, "drifted"),  # drift is two-sided
+        ({"digest_changes": ["bfs/2lb/chain/1dev/unfused"]}, "digest"),
     ]
     for summary, needle in cases:
         violations = evaluate_slo(summary, t)
@@ -57,7 +62,7 @@ def test_violations_accumulate():
 # --------------------------------------------------------------------- #
 def _args(**kw):
     ns = argparse.Namespace(
-        baseline="BENCH_pr3.json",
+        baseline="BENCH_ledger.json",
         slo_report=None,
         slo_output=None,
         seed=7,
@@ -74,7 +79,7 @@ def _args(**kw):
 
 
 def test_run_slo_smoke_passes_and_writes_bench(tmp_path, capsys):
-    out = tmp_path / "BENCH_pr7.json"
+    out = tmp_path / "slo_gate.json"
     rc = run_slo(_args(slo_output=str(out)))
     assert rc == 0
     result = json.loads(out.read_text())
@@ -87,7 +92,7 @@ def test_run_slo_smoke_passes_and_writes_bench(tmp_path, capsys):
 
 
 def test_run_slo_tightened_threshold_fails_but_still_writes(tmp_path, capsys):
-    out = tmp_path / "BENCH_pr7.json"
+    out = tmp_path / "slo_gate.json"
     rc = run_slo(_args(slo_output=str(out), max_p99_ms=1e-9))
     assert rc == 1
     result = json.loads(out.read_text())  # artifact exists despite the failure
@@ -96,30 +101,46 @@ def test_run_slo_tightened_threshold_fails_but_still_writes(tmp_path, capsys):
     assert "SLO VIOLATION" in capsys.readouterr().err
 
 
+def test_run_slo_writes_nothing_without_output(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_slo(_args()) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_slo_seed_zero_gates_seed_zero(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["slo", "--skip-drift", "--seed", "0"]) == 0
+    assert "slo gate over smoke run (seed 0):" in capsys.readouterr().out
+
+
 def test_run_slo_drift_check_against_stale_baseline(tmp_path):
-    # a baseline whose hot-loop modeled ns disagrees with today's model
-    baseline = {
-        "mode": "quick",
-        "device": "v100s",
-        "hot_loop": {"case": "bfs/2lb/chain"},
-        "entries": [
-            {
-                "algorithm": "bfs",
-                "graph": "chain",
-                "layout": "2lb",
-                "modeled_ns": 123456,
-            }
-        ],
-    }
-    bpath = tmp_path / "stale.json"
-    bpath.write_text(json.dumps(baseline))
-    out = tmp_path / "BENCH_pr7.json"
+    key = "bfs/2lb/power_law/4dev/unfused"
+    records, _ = ledger.measure([key], 7)
+    record = records[key]
+    bpath = tmp_path / "ledger.json"
+    out = tmp_path / "slo_gate.json"
+
+    # a one-case ledger whose makespan disagrees with today's model
+    ledger.write(bpath, 7, {key: dict(record, modeled_ns=record["modeled_ns"] * 2)})
     rc = run_slo(_args(baseline=str(bpath), slo_output=str(out), skip_drift=False))
     assert rc == 1
     result = json.loads(out.read_text())
-    assert any("drifted" in v for v in result["violations"])
-    assert result["summary"]["baseline_modeled_ns"] == 123456
-    assert result["summary"]["modeled_ns"] != 123456
+    assert result["summary"]["ledger_cases"] == 1
+    assert result["summary"]["modeled_drift_pct"] == pytest.approx(-50.0)
+    assert result["summary"]["drift_field"] == f"{key} modeled_ns"
+    assert result["summary"]["digest_changes"] == []
+    assert [v for v in result["violations"] if "drifted" in v]
+
+    # same numbers, changed result digest: a violation with no budget
+    ledger.write(bpath, 7, {key: dict(record, digest="int64:(1500,):0")})
+    rc = run_slo(
+        _args(baseline=str(bpath), slo_output=str(out), skip_drift=False, max_drift_pct=100.0)
+    )
+    assert rc == 1
+    result = json.loads(out.read_text())
+    assert result["summary"]["modeled_drift_pct"] == 0.0
+    assert result["summary"]["digest_changes"] == [key]
+    assert result["violations"] == [f"1 ledger case(s) changed result digest: {key}"]
 
 
 def test_run_slo_evaluates_existing_report(tmp_path):
@@ -139,7 +160,7 @@ def test_run_slo_evaluates_existing_report(tmp_path):
     }
     rpath = tmp_path / "report.json"
     rpath.write_text(json.dumps(report))
-    out = tmp_path / "BENCH_pr7.json"
+    out = tmp_path / "slo_gate.json"
     rc = run_slo(
         _args(slo_report=str(rpath), slo_output=str(out), max_shed_rate=0.5)
     )
