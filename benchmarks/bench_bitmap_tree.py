@@ -13,8 +13,8 @@ instructions), and checks the paper's conclusion — two layers win.
 
 import numpy as np
 
-from repro.algorithms.validation import reference_bfs
 from repro.bench.reporting import format_table
+from repro.checking.oracle import oracle_bfs
 from repro.frontier import make_frontier, swap
 from repro.graph.builder import GraphBuilder
 from repro.graph.datasets import load_dataset
@@ -54,7 +54,7 @@ def _sweep(device_name, coo, ref):
 
 def test_bitmap_tree_depth(benchmark):
     coo = load_dataset("indochina", "small")
-    ref = reference_bfs(coo.n_vertices, coo.src, coo.dst, 1)
+    ref = oracle_bfs(coo.n_vertices, coo.src, coo.dst, 1)
 
     def run():
         return {dev: _sweep(dev, coo, ref) for dev in ("v100s", "max1100")}

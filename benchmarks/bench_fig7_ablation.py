@@ -21,15 +21,15 @@ def test_fig7_all_configs_correct():
     import numpy as np
 
     from repro.algorithms import bfs
-    from repro.algorithms.validation import reference_bfs
     from repro.bench.experiments import ABLATION_CONFIGS
+    from repro.checking.oracle import oracle_bfs
     from repro.graph.builder import GraphBuilder
     from repro.graph.datasets import load_dataset
     from repro.operators.advance import AdvanceConfig
     from repro.sycl import Queue, get_device
 
     coo = load_dataset("indochina", "tiny")
-    ref = reference_bfs(coo.n_vertices, coo.src, coo.dst, 1)
+    ref = oracle_bfs(coo.n_vertices, coo.src, coo.dst, 1)
     for name, (layout, inspect_kwargs) in ABLATION_CONFIGS.items():
         q = Queue(get_device("v100s"), capacity_limit=0)
         g = GraphBuilder(q).to_csr(coo)

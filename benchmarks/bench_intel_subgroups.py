@@ -13,8 +13,8 @@ wins: at SIMD16 every 32-bit word needs two subgroup passes.
 import numpy as np
 
 from repro.algorithms import bfs
-from repro.algorithms.validation import reference_bfs
 from repro.bench.reporting import format_table
+from repro.checking.oracle import oracle_bfs
 from repro.graph.builder import GraphBuilder
 from repro.graph.datasets import load_dataset
 from repro.operators.advance import AdvanceConfig
@@ -23,7 +23,7 @@ from repro.sycl import Queue, get_device
 
 def test_intel_subgroup_choice(benchmark):
     coo = load_dataset("indochina", "small")
-    ref = reference_bfs(coo.n_vertices, coo.src, coo.dst, 1)
+    ref = oracle_bfs(coo.n_vertices, coo.src, coo.dst, 1)
 
     def run():
         out = {}

@@ -20,7 +20,10 @@ file is byte-identical, ``benchmarks/trajectory.py`` writes it as
 against it with a 0% default budget.  :func:`check_contracts` holds the
 invariants the writer and the tier-1 tests enforce.
 
-CC always runs on the symmetrized graph.
+Each case runs its algorithm's row of the catalog
+(:data:`repro.algorithms.catalog.CATALOG`): its entry point on the
+representations the row reads (CC on the symmetrized graph), or its
+:mod:`repro.dist` entry point for a gang.
 """
 
 from __future__ import annotations
@@ -33,13 +36,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import cc
-from repro.algorithms.pagerank import pagerank
-from repro.algorithms.sssp import sssp
+from repro.algorithms.catalog import CATALOG, GraphBundle
 from repro.checking import graphgen
-from repro.dist import distributed_bfs, distributed_cc, distributed_sssp
-from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 from repro.sycl.device import get_device
 from repro.sycl.queue import Queue
@@ -54,18 +52,6 @@ GANG_DEVICES = (2, 4)
 #: (algorithm, graph) pairs whose fused 2lb run must save modeled ns
 FUSION_WINS = (("bfs", "chain"), ("cc", "power_law"))
 
-_RESULT_FIELD = {"bfs": "distances", "sssp": "distances", "cc": "labels", "pagerank": "ranks"}
-_RUNNERS = {
-    "bfs": lambda graph, layout, fuse: bfs(graph, 0, layout=layout, fuse=fuse),
-    "sssp": lambda graph, layout, fuse: sssp(graph, 0, layout=layout, fuse=fuse),
-    "cc": lambda graph, layout, fuse: cc(graph, layout=layout, fuse=fuse),
-    "pagerank": lambda graph, layout, fuse: pagerank(graph, layout=layout, fuse=fuse),
-}
-_GANG_RUNNERS = {
-    "bfs": lambda coo, n, layout: distributed_bfs(coo, n, 0, layout=layout),
-    "sssp": lambda coo, n, layout: distributed_sssp(coo, n, 0, layout=layout),
-    "cc": lambda coo, n, layout: distributed_cc(coo, n, layout=layout),
-}
 
 
 def graphs(seed: int) -> Dict[str, COOGraph]:
@@ -109,26 +95,27 @@ def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[flo
     not store.
     """
     algorithm, layout, graph, devices, fusion = key.split("/")
+    spec = CATALOG[algorithm]
     n_devices = int(devices[: -len("dev")])
-    coo = coos[graph].symmetrized() if algorithm == "cc" else coos[graph]
     if n_devices > 1:
-        res = _GANG_RUNNERS[algorithm](coo, n_devices, layout)
+        res = spec.dist(coos[graph], n_devices, 0, layout=layout)
         record = {
             "modeled_ns": round(res.makespan_ns, 3),
             "iterations": int(res.iterations),
-            "digest": _digest(getattr(res, _RESULT_FIELD[algorithm])),
+            "digest": _digest(spec.values(res)),
             "wire_bytes": int(res.wire_bytes),
             "idlist_bytes": int(res.idlist_bytes),
         }
         return record, round(res.makespan_naive_ns, 3)
     q = Queue(get_device(DEVICE), enable_profiling=True, capacity_limit=0)
-    device_graph = GraphBuilder(q).to_csr(coo)
+    bundle = GraphBundle(graph, coos[graph], q)
+    spec.inputs(bundle)
     q.reset_profile()
-    res = _RUNNERS[algorithm](device_graph, layout, fusion == "fused")
+    res = spec.run(bundle, 0, layout=layout, fuse=fusion == "fused")
     record = {
         "modeled_ns": int(q.elapsed_ns),
         "iterations": int(res.iterations),
-        "digest": _digest(getattr(res, _RESULT_FIELD[algorithm])),
+        "digest": _digest(spec.values(res)),
     }
     return record, None
 

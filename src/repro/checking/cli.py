@@ -84,6 +84,7 @@ def _parse_list(spec: Optional[str], default: Sequence[str]) -> Tuple[str, ...]:
 
 def run_check(args) -> int:
     """Execute the differential sweep described by parsed CLI args."""
+    from repro.algorithms.catalog import CATALOG
     from repro.checking import differential
 
     if args.self_test:
@@ -94,7 +95,7 @@ def run_check(args) -> int:
     unknown = [
         (kind, bad)
         for kind, spec, valid in (
-            ("algorithm", args.algorithms, differential.ALGORITHMS),
+            ("algorithm", args.algorithms, tuple(CATALOG)),
             ("layout", args.layouts, differential.LAYOUTS),
             ("backend", args.backends, differential.BACKEND_DEVICES),
         )
@@ -125,7 +126,7 @@ def run_check(args) -> int:
             return 2
 
     report = differential.run_differential(
-        algorithms=_parse_list(args.algorithms, differential.ALGORITHMS),
+        algorithms=_parse_list(args.algorithms, tuple(CATALOG)),
         layouts=_parse_list(args.layouts, differential.LAYOUTS),
         backends=_parse_list(args.backends, tuple(differential.BACKEND_DEVICES)),
         widths=widths,

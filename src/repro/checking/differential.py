@@ -20,16 +20,16 @@ Programmatic use::
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.checking import graphgen, oracle
+from repro.algorithms.catalog import CATALOG, AlgorithmSpec, GraphBundle
+from repro.checking import graphgen
 from repro.checking.invariants import strict_mode
 from repro.frontier import BITMAP_LAYOUTS
-from repro.graph.builder import GraphBuilder
 from repro.sycl import Queue, get_device
 
 #: backend name -> simulated device short name (repro.sycl.device registry).
@@ -38,15 +38,6 @@ BACKEND_DEVICES = {"cuda": "v100s", "level_zero": "max1100", "hip": "mi100"}
 
 #: the four frontier data layouts of paper §4
 LAYOUTS = ("2lb", "bitmap", "vector", "boolmap")
-
-#: algorithms with an oracle (paper §3.4 plus the PageRank extension,
-#: the Beamer direction-optimizing BFS, and Δ-stepping SSSP — the last
-#: two reuse the bfs/sssp oracles since they compute identical results)
-ALGORITHMS = ("bfs", "sssp", "cc", "bc", "pagerank", "dobfs", "delta_stepping")
-
-#: algorithms with a repro.dist BSP implementation (the distributed mode)
-DIST_ALGORITHMS = ("bfs", "sssp", "cc")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -151,114 +142,6 @@ class DifferentialReport:
 
 
 # --------------------------------------------------------------------- #
-# oracle + comparison plumbing                                          #
-# --------------------------------------------------------------------- #
-def _canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel each component with its smallest member id (representative-
-    independent comparison of CC labelings)."""
-    first: Dict[int, int] = {}
-    out = np.empty(labels.size, dtype=np.int64)
-    for v, lab in enumerate(labels):
-        rep = first.setdefault(int(lab), v)
-        out[v] = rep
-    return out
-
-
-def _oracle_result(case: graphgen.GraphCase, algorithm: str) -> np.ndarray:
-    coo, s = case.coo, case.source
-    n = coo.n_vertices
-    if algorithm in ("bfs", "dobfs"):
-        return oracle.oracle_bfs(n, coo.src, coo.dst, s)
-    if algorithm in ("sssp", "delta_stepping"):
-        return oracle.oracle_sssp(n, coo.src, coo.dst, coo.weights, s)
-    if algorithm == "cc":
-        return oracle.oracle_cc(n, coo.src, coo.dst)
-    if algorithm == "bc":
-        return oracle.oracle_bc(n, coo.src, coo.dst, [s])
-    if algorithm == "pagerank":
-        return oracle.oracle_pagerank(n, coo.src, coo.dst)
-    raise ValueError(f"no oracle for algorithm {algorithm!r}")
-
-
-def _run_framework(
-    csr, csr_undirected, csc, case: graphgen.GraphCase, cfg: RunConfig
-) -> np.ndarray:
-    from repro.algorithms import bc, bfs, cc, pagerank, sssp
-    from repro.algorithms.bfs import direction_optimizing_bfs
-    from repro.algorithms.sssp import delta_stepping
-
-    s = case.source
-    if cfg.algorithm == "bfs":
-        return bfs(csr, s, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused).distances
-    if cfg.algorithm == "dobfs":
-        return direction_optimizing_bfs(
-            csr, csc, s, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused
-        ).distances
-    if cfg.algorithm == "sssp":
-        return sssp(csr, s, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused).distances
-    if cfg.algorithm == "delta_stepping":
-        return delta_stepping(
-            csr, s, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused
-        ).distances
-    if cfg.algorithm == "cc":
-        return _canonical_labels(
-            cc(csr_undirected, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused).labels
-        )
-    if cfg.algorithm == "bc":
-        return bc(csr, sources=[s], layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused).scores
-    if cfg.algorithm == "pagerank":
-        return pagerank(csr, layout=cfg.layout, bits=cfg.bits, fuse=cfg.fused).ranks
-    raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-
-
-def _run_distributed(
-    case: graphgen.GraphCase, algorithm: str, n_devices: int, layout: str, bits: Optional[int]
-) -> np.ndarray:
-    """One distributed-mode cell: run repro.dist's BSP algorithm."""
-    from repro.dist import distributed_bfs, distributed_cc, distributed_sssp
-
-    if algorithm == "bfs":
-        return distributed_bfs(
-            case.coo, n_devices, case.source, layout=layout, bits=bits
-        ).distances
-    if algorithm == "sssp":
-        return distributed_sssp(
-            case.coo, n_devices, case.source, layout=layout, bits=bits
-        ).distances
-    if algorithm == "cc":
-        return _canonical_labels(
-            distributed_cc(case.coo, n_devices, layout=layout, bits=bits).labels
-        )
-    raise ValueError(f"algorithm {algorithm!r} has no distributed implementation")
-
-
-#: per-algorithm result comparators -> indices of mismatching vertices
-_COMPARATORS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "bfs": lambda a, b: np.nonzero(a != b)[0],
-    "cc": lambda a, b: np.nonzero(a != b)[0],
-    "sssp": lambda a, b: np.nonzero(
-        ~np.isclose(a, b, rtol=1e-9, atol=1e-12, equal_nan=True)
-    )[0],
-    "bc": lambda a, b: np.nonzero(~np.isclose(a, b, rtol=1e-6, atol=1e-9))[0],
-    "pagerank": lambda a, b: np.nonzero(~np.isclose(a, b, rtol=1e-6, atol=1e-9))[0],
-}
-_COMPARATORS["dobfs"] = _COMPARATORS["bfs"]
-_COMPARATORS["delta_stepping"] = _COMPARATORS["sssp"]
-
-
-def _first_mismatch(
-    algorithm: str, got: np.ndarray, want: np.ndarray
-) -> Optional[Tuple[int, object, object]]:
-    if got.shape != want.shape:
-        return (-1, f"shape {want.shape}", f"shape {got.shape}")
-    bad = _COMPARATORS[algorithm](got, want)
-    if bad.size == 0:
-        return None
-    v = int(bad[0])
-    return (v, want[v], got[v])
-
-
-# --------------------------------------------------------------------- #
 # BFS frontier tracing — first-divergence at superstep granularity      #
 # --------------------------------------------------------------------- #
 def bfs_frontier_trace(
@@ -327,7 +210,7 @@ def _widths_for(layout: str, widths: Sequence[Optional[int]]) -> Sequence[Option
 
 def run_differential(
     cases: Optional[Sequence[graphgen.GraphCase]] = None,
-    algorithms: Sequence[str] = ALGORITHMS,
+    algorithms: Sequence[str] = tuple(CATALOG),
     layouts: Sequence[str] = LAYOUTS,
     backends: Sequence[str] = tuple(BACKEND_DEVICES),
     widths: Sequence[Optional[int]] = (None,),
@@ -340,16 +223,19 @@ def run_differential(
 ) -> DifferentialReport:
     """Sweep the full matrix and diff everything against everything.
 
-    Per (case, algorithm): the oracle result is computed once; each
-    (layout, backend, width) run is compared to the oracle and to the
-    matrix's first run of that case/algorithm (the cross-configuration
-    diff).  BFS layout-pair mismatches additionally get a frontier trace
-    to locate the first divergent superstep.
+    ``algorithms`` name rows of the algorithm catalog
+    (:data:`repro.algorithms.catalog.CATALOG`), which supplies each
+    one's entry point, oracle and comparator.  Per (case, algorithm):
+    the oracle result is computed once; each (layout, backend, width)
+    run is compared to the oracle and to the matrix's first run of that
+    case/algorithm (the cross-configuration diff).  BFS layout-pair
+    mismatches additionally get a frontier trace to locate the first
+    divergent superstep.
 
     ``distributed`` lists device counts to sweep through the
-    :mod:`repro.dist` BSP engine: for each count, every distributed
-    algorithm (BFS/SSSP/CC) runs over layouts × widths and must be
-    **bit-equal** to the oracle and to the case's single-device baseline.
+    :mod:`repro.dist` BSP engine: for each count, every row with a
+    ``dist`` entry point (bfs, sssp, cc) runs over layouts × widths and
+    must match the oracle and the case's single-device baseline.
 
     ``strict=True`` wraps every run in
     :func:`repro.checking.invariants.strict_mode`, so frontier invariants
@@ -372,10 +258,12 @@ def run_differential(
         distributed=list(distributed),
         fused=fused,
     )
+    specs = [CATALOG[name] for name in algorithms]
     fuse_axis = (False, True) if fused else (False,)
 
     for case in cases:
-        oracle_cache: Dict[str, np.ndarray] = {}
+        wants = {spec.name: spec.oracle(case.coo, case.source) for spec in specs}
+        #: algorithm -> (config, result) of the case's first run
         baselines: Dict[str, Tuple[RunConfig, np.ndarray]] = {}
         for backend in backends:
             queue = Queue(
@@ -383,105 +271,92 @@ def run_differential(
                 enable_profiling=False,
                 capacity_limit=0,
             )
-            builder = GraphBuilder(queue)
-            csr = builder.to_csr(case.coo)
-            csr_undirected = builder.to_csr(case.coo.symmetrized())
-            csc = builder.to_csc(case.coo)  # pull direction for dobfs
-            for algorithm in algorithms:
-                if algorithm not in oracle_cache:
-                    oracle_cache[algorithm] = _oracle_result(case, algorithm)
-                want = oracle_cache[algorithm]
+            bundle = GraphBundle(case.name, case.coo, queue)
+            # build before the first run, so strict mode guards only the
+            # runs' own allocations
+            for spec in specs:
+                spec.inputs(bundle)
+            for spec in specs:
                 for layout in layouts:
                     for bits, fuse_flag in (
                         (b, f) for b in _widths_for(layout, widths) for f in fuse_axis
                     ):
-                        cfg = RunConfig(algorithm, layout, backend, bits, fused=fuse_flag)
+                        cfg = RunConfig(spec.name, layout, backend, bits, fused=fuse_flag)
                         if progress:
                             progress(f"{case.name}: {cfg.describe()}")
                         try:
-                            if strict:
-                                with strict_mode(queue, guard=4):
-                                    got = _run_framework(csr, csr_undirected, csc, case, cfg)
-                            else:
-                                got = _run_framework(csr, csr_undirected, csc, case, cfg)
+                            with strict_mode(queue, guard=4) if strict else nullcontext():
+                                res = spec.run(
+                                    bundle, case.source, layout=layout, bits=bits, fuse=fuse_flag
+                                )
                         except Exception as exc:  # noqa: BLE001 — report, don't abort the sweep
                             report.errors.append(
                                 RunError(case.name, cfg, f"{type(exc).__name__}: {exc}")
                             )
                             continue
-                        report.n_runs += 1
-
-                        # diff 1: against the oracle
-                        report.n_comparisons += 1
-                        miss = _first_mismatch(algorithm, got, want)
-                        if miss is not None:
-                            report.divergences.append(
-                                Divergence(case.name, cfg, "oracle", *miss)
-                            )
-
-                        # diff 2: against the matrix's first run (cross-config)
-                        if algorithm not in baselines:
-                            baselines[algorithm] = (cfg, got)
-                        else:
-                            base_cfg, base = baselines[algorithm]
-                            report.n_comparisons += 1
-                            miss = _first_mismatch(algorithm, got, base)
-                            if miss is not None:
-                                iteration = None
-                                if algorithm == "bfs":
-                                    div = first_divergent_iteration(
-                                        csr, case.source, base_cfg.layout, cfg.layout, bits
-                                    )
-                                    if div is not None:
-                                        iteration = div[0]
-                                report.divergences.append(
-                                    Divergence(
-                                        case.name,
-                                        cfg,
-                                        base_cfg.describe(),
-                                        *miss,
-                                        iteration=iteration,
-                                    )
-                                )
+                        got = spec.values(res)
+                        base = baselines.get(spec.name)
+                        if base is None:
+                            baselines[spec.name] = (cfg, got)
+                        _diff(report, case, cfg, spec, got, wants[spec.name], base, bundle)
 
         # distributed mode: repro.dist BSP runs, bit-equal to the oracle
         # and to this case's single-device baseline
-        dist_algorithms = [a for a in algorithms if a in DIST_ALGORITHMS]
         for n_devices in distributed:
-            for algorithm in dist_algorithms:
-                if algorithm not in oracle_cache:
-                    oracle_cache[algorithm] = _oracle_result(case, algorithm)
-                want = oracle_cache[algorithm]
+            for spec in (s for s in specs if s.dist):
                 for layout in layouts:
                     for bits in _widths_for(layout, widths):
-                        cfg = RunConfig(f"dist_{algorithm}", layout, f"{n_devices}dev", bits)
+                        cfg = RunConfig(f"dist_{spec.name}", layout, f"{n_devices}dev", bits)
                         if progress:
                             progress(f"{case.name}: {cfg.describe()}")
                         try:
-                            got = _run_distributed(case, algorithm, n_devices, layout, bits)
+                            res = spec.dist(case.coo, n_devices, case.source, layout=layout, bits=bits)
                         except Exception as exc:  # noqa: BLE001 — report, don't abort the sweep
                             report.errors.append(
                                 RunError(case.name, cfg, f"{type(exc).__name__}: {exc}")
                             )
                             continue
-                        report.n_runs += 1
-
-                        report.n_comparisons += 1
-                        miss = _first_mismatch(algorithm, got, want)
-                        if miss is not None:
-                            report.divergences.append(
-                                Divergence(case.name, cfg, "oracle", *miss)
-                            )
-
-                        if algorithm in baselines:
-                            base_cfg, base = baselines[algorithm]
-                            report.n_comparisons += 1
-                            miss = _first_mismatch(algorithm, got, base)
-                            if miss is not None:
-                                report.divergences.append(
-                                    Divergence(case.name, cfg, base_cfg.describe(), *miss)
-                                )
+                        _diff(report, case, cfg, spec, spec.values(res), wants[spec.name],
+                              baselines.get(spec.name))
     return report
+
+
+def _diff(
+    report: DifferentialReport,
+    case: graphgen.GraphCase,
+    cfg: RunConfig,
+    spec: AlgorithmSpec,
+    got: np.ndarray,
+    want: np.ndarray,
+    base: Optional[Tuple[RunConfig, np.ndarray]],
+    bundle: Optional[GraphBundle] = None,
+) -> None:
+    """Count one run and record where it diverges from the oracle's
+    ``want`` and from ``base``, the (config, result) of the case's first
+    run.  With the single-device ``bundle``, a row with
+    ``trace_frontiers`` locates a layout-pair divergence to its first
+    divergent superstep."""
+    report.n_runs += 1
+    report.n_comparisons += 1
+    miss = spec.mismatch(got, want)
+    if miss is not None:
+        report.divergences.append(Divergence(case.name, cfg, "oracle", *miss))
+    if base is None:
+        return
+    base_cfg, base_got = base
+    report.n_comparisons += 1
+    miss = spec.mismatch(got, base_got)
+    if miss is None:
+        return
+    iteration = None
+    if spec.trace_frontiers and bundle is not None:
+        div = first_divergent_iteration(
+            bundle.get("csr"), case.source, base_cfg.layout, cfg.layout, cfg.bits
+        )
+        iteration = div[0] if div else None
+    report.divergences.append(
+        Divergence(case.name, cfg, base_cfg.describe(), *miss, iteration=iteration)
+    )
 
 
 # --------------------------------------------------------------------- #

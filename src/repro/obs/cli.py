@@ -9,26 +9,28 @@ per-iteration breakdown table.  CI runs ``python -m repro trace bfs
 
 from __future__ import annotations
 
-#: supported algorithm names (matches the differential matrix)
-TRACE_ALGORITHMS = ("bfs", "dobfs", "sssp", "delta_stepping", "cc", "bc", "pagerank")
-
 #: supported frontier layouts
 TRACE_LAYOUTS = ("2lb", "bitmap", "vector", "boolmap")
 
 #: rmat scale per dataset-scale profile
 _SCALES = {"tiny": 7, "small": 9, "medium": 11}
 
+#: extra entry-point keywords per algorithm: PageRank stops after 20
+#: iterations, which keeps its trace small
+_ENTRY_KEYWORDS = {"pagerank": {"max_iterations": 20}}
+
 
 def add_trace_arguments(parser) -> None:
     """Attach the ``trace`` subcommand's flags to the main parser."""
+    from repro.algorithms.catalog import CATALOG
+
     group = parser.add_argument_group("trace options (experiment = 'trace')")
     group.add_argument(
         "trace_args",
         nargs="*",
         metavar="ALGO LAYOUT",
-        help="algorithm (bfs | dobfs | sssp | delta_stepping | cc | bc | "
-        "pagerank) and frontier layout (2lb | bitmap | vector | boolmap); "
-        "layout defaults to 2lb",
+        help=f"algorithm ({' | '.join(CATALOG)}) and frontier layout "
+        f"({' | '.join(TRACE_LAYOUTS)}); layout defaults to 2lb",
     )
     group.add_argument(
         "--output", default=None,
@@ -38,13 +40,8 @@ def add_trace_arguments(parser) -> None:
 
 def run_trace(args) -> int:
     """Run one traced algorithm and export its span tree; 0 on success."""
-    from repro.algorithms.bc import bc
-    from repro.algorithms.bfs import bfs, direction_optimizing_bfs
-    from repro.algorithms.cc import cc
-    from repro.algorithms.pagerank import pagerank
-    from repro.algorithms.sssp import delta_stepping, sssp
+    from repro.algorithms.catalog import CATALOG, GraphBundle
     from repro.bench.reporting import format_iteration_breakdown
-    from repro.graph.builder import GraphBuilder
     from repro.graph.generators import rmat
     from repro.obs import export_trace, iteration_breakdown
     from repro.sycl import Queue
@@ -52,38 +49,31 @@ def run_trace(args) -> int:
     if not args.trace_args:
         print("error: trace needs an algorithm, e.g. 'python -m repro trace bfs 2lb'")
         return 2
+    if len(args.trace_args) > 2:
+        print(f"error: trace takes ALGO [LAYOUT]; unexpected {' '.join(args.trace_args[2:])!r}")
+        return 2
     algo = args.trace_args[0]
     layout = args.trace_args[1] if len(args.trace_args) > 1 else "2lb"
-    if algo not in TRACE_ALGORITHMS:
-        print(f"error: unknown algorithm {algo!r}; known: {', '.join(TRACE_ALGORITHMS)}")
+    spec = CATALOG.get(algo)
+    if spec is None:
+        print(f"error: unknown algorithm {algo!r}; known: {', '.join(CATALOG)}")
         return 2
     if layout not in TRACE_LAYOUTS:
         print(f"error: unknown layout {layout!r}; known: {', '.join(TRACE_LAYOUTS)}")
         return 2
-
     scale = args.scale or "tiny"
-    seed = getattr(args, "seed", 0)
-    coo = rmat(_SCALES.get(scale, 7), 8, seed=seed, weighted=True)
-    queue = Queue(capacity_limit=0)
-    builder = GraphBuilder(queue)
+    if scale not in _SCALES:
+        print(f"error: unknown scale {scale!r}; known: {', '.join(_SCALES)}")
+        return 2
 
+    seed = getattr(args, "seed", 0)
+    coo = rmat(_SCALES[scale], 8, seed=seed, weighted=True)
+    queue = Queue(capacity_limit=0)
     tracer = queue.enable_tracing()
-    if algo == "bfs":
-        graph = builder.to_csr(coo)
-        bfs(graph, 0, layout=layout)
-    elif algo == "dobfs":
-        graph = builder.to_csr(coo)
-        direction_optimizing_bfs(graph, builder.to_csc(coo), 0, layout=layout)
-    elif algo == "sssp":
-        sssp(builder.to_csr(coo), 0, layout=layout)
-    elif algo == "delta_stepping":
-        delta_stepping(builder.to_csr(coo), 0, layout=layout)
-    elif algo == "cc":
-        cc(builder.to_csr(coo.symmetrized()), layout=layout)
-    elif algo == "bc":
-        bc(builder.to_csr(coo), sources=[0], layout=layout)
-    else:
-        pagerank(builder.to_csr(coo), layout=layout, max_iterations=20)
+    spec.run(
+        GraphBundle("rmat", coo, queue), 0,
+        layout=layout, **_ENTRY_KEYWORDS.get(algo, {}),
+    )
 
     out = args.output or f"{algo}_{layout}_trace.json"
     path = export_trace(tracer, out, queue=queue)

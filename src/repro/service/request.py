@@ -102,7 +102,8 @@ class Request:
         Worker gang size.  1 (default) is an ordinary request; > 1 asks
         for a multi-device BSP run (``repro.dist``) that reserves that
         many idle workers at once and reports the BSP makespan as its
-        service time.  Only bfs/sssp/cc have gang runners.
+        service time.  Only bfs/sssp/cc have a ``repro.dist`` entry
+        point in the algorithm catalog.
     """
 
     req_id: int

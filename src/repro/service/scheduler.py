@@ -16,7 +16,7 @@ The moving parts, in dispatch order:
   degradation for paid traffic.
 * **Batching** — an idle worker takes up to ``max_batch`` pending
   requests sharing ``(graph, algorithm, layout, bits)``.  The worker's
-  :class:`~repro.service.dispatch.GraphBundle` cache means the batch
+  :class:`~repro.algorithms.catalog.GraphBundle` cache means the batch
   pays the graph build once; batch members complete in sequence on the
   worker's in-order queue.
 * **Overlap accounting** — a dispatch that shares its device with other
@@ -28,8 +28,8 @@ The moving parts, in dispatch order:
   ordinary request is a gang of one.  The head of the line waits until
   that many workers are idle at once (a FIFO barrier — no
   lower-priority bypass, so gangs cannot starve) and runs through the
-  one dispatch path.  A multi-device gang runs one of the registry's
-  gang runners (a :mod:`repro.dist` BSP job) alone, reserves every
+  one dispatch path.  A multi-device gang runs its algorithm-catalog
+  row's :mod:`repro.dist` entry point (a BSP job) alone, reserves every
   worker for the BSP makespan, and records the summed per-device
   compute time (``solo_ns``) so the serialized-makespan counterfactual
   charges the single-device cost of the same work.

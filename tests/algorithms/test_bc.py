@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bc
-from repro.algorithms.validation import reference_bc
+from tests.validation import reference_bc
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.sycl import Queue

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms import cc
 from repro.algorithms.cc import count_components_reference
-from repro.algorithms.validation import reference_cc
+from tests.validation import reference_cc
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.sycl import Queue

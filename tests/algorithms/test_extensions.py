@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import pagerank, triangle_count
-from repro.algorithms.validation import reference_pagerank, reference_triangles
+from tests.validation import reference_pagerank, reference_triangles
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
 

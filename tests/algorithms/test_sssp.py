@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import delta_stepping, sssp
-from repro.algorithms.validation import reference_sssp
+from tests.validation import reference_sssp
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.sycl import Queue

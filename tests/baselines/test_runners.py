@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.validation import reference_bfs, reference_cc, reference_sssp
+from tests.validation import reference_bfs, reference_cc, reference_sssp
 from repro.baselines import make_runner, runner_names
 from repro.graph import generators as gen
 from repro.graph.datasets import load_dataset

@@ -79,6 +79,18 @@ class TestTraceCLI:
         assert main(["trace", "bfs", "hexmap"]) == 2
         assert "unknown layout" in capsys.readouterr().out
 
+    def test_trace_unknown_scale(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "bfs", "2lb", "--scale", "huge"]) == 2
+        assert "unknown scale 'huge'" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
+    def test_trace_extra_words(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["trace", "bfs", "2lb", "extra", "junk"]) == 2
+        assert "unexpected 'extra junk'" in capsys.readouterr().out
+        assert not list(tmp_path.iterdir())
+
 
 class TestTable1:
     def test_matches_paper(self):

@@ -4,7 +4,7 @@ scipy/networkx references (which the oracle deliberately does not use)."""
 import numpy as np
 import pytest
 
-from repro.algorithms import validation as ref
+from tests import validation as ref
 from repro.checking import oracle
 from repro.checking.graphgen import chain, duplicate_edge_graph, star
 from repro.graph import generators as gen

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.catalog import CATALOG
 from repro.checking import differential, graphgen
 
 
@@ -56,10 +57,24 @@ class TestDistributedMode:
         assert not report.ok
         assert any(d.config.backend == "2dev" for d in report.divergences)
 
-    def test_helper_rejects_unknown_algorithm(self):
-        case = graphgen.GraphCase("c", graphgen.chain(8))
-        with pytest.raises(ValueError):
-            differential._run_distributed(case, "pagerank", 2, "2lb", None)
+    @pytest.mark.parametrize(
+        "algorithm", [name for name, spec in CATALOG.items() if spec.dist is None]
+    )
+    def test_helper_rejects_unknown_algorithm(self, algorithm):
+        """A 2-device gang of a row without a repro.dist entry point is
+        rejected with the registry's DispatchError."""
+        from repro.service.dispatch import DispatchError, DispatchRegistry, GangBundle
+        from repro.service.request import Request
+        from repro.sycl import get_device
+
+        gang = GangBundle(graphgen.chain(8), [get_device("v100s")] * 2)
+        req = Request(req_id=0, algorithm=algorithm, graph="chain", source=0, devices=2)
+        with pytest.raises(DispatchError) as err:
+            DispatchRegistry().run(gang, req)
+        assert str(err.value) == (
+            f"algorithm {algorithm!r} has no gang (multi-device) implementation; "
+            "gang-capable: bfs, sssp, cc"
+        )
 
 
 class TestGraphgenCase:

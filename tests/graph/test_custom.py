@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs, sssp
-from repro.algorithms.validation import reference_bfs, reference_sssp
+from tests.validation import reference_bfs, reference_sssp
 from repro.graph import generators as gen
 from repro.graph.csr import GRAPH_INTERFACE_METHODS
 from repro.graph.custom import SortedDegreeGraph

@@ -78,7 +78,7 @@ class TestRoundtrip:
     def test_sssp_on_dimacs_graph(self, tmp_path):
         """End to end: DIMACS road file -> SSSP (the road-USA workflow)."""
         from repro.algorithms import sssp
-        from repro.algorithms.validation import reference_sssp
+        from tests.validation import reference_sssp
         from repro.graph import generators as gen
         from repro.graph.builder import GraphBuilder
         from repro.sycl import Queue

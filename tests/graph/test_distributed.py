@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.validation import reference_bfs
+from tests.validation import reference_bfs
 from repro.dist import distributed_bfs
 from repro.graph import generators as gen
 from repro.sycl.device import get_device

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs, sssp
-from repro.algorithms.validation import reference_bfs
+from tests.validation import reference_bfs
 from repro.errors import GraphFormatError
 from repro.graph import generators as gen
 from repro.graph.coo import COOGraph

@@ -90,7 +90,7 @@ class TestPreferentialAttachment:
             gen.preferential_attachment(5, 10)
 
     def test_connected(self):
-        from repro.algorithms.validation import reference_cc
+        from tests.validation import reference_cc
 
         coo = gen.preferential_attachment(500, 4, seed=9)
         n_comp, _ = reference_cc(coo.n_vertices, coo.src, coo.dst)

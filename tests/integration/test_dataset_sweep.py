@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs, cc, sssp
-from repro.algorithms.validation import reference_bfs, reference_cc, reference_sssp
+from tests.validation import reference_bfs, reference_cc, reference_sssp
 from repro.bench.harness import pick_sources
 from repro.graph.builder import GraphBuilder
 from repro.graph.datasets import dataset_names, load_dataset

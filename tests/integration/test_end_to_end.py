@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import bfs, cc, pagerank, sssp
-from repro.algorithms.validation import reference_bfs
+from tests.validation import reference_bfs
 from repro.frontier import frontier_subtraction, frontier_union, make_frontier
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder

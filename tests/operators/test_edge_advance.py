@@ -99,7 +99,7 @@ class TestComposition:
 
     def test_bfs_via_edge_frontiers(self, queue):
         """A full BFS written with V2E + E2V matches the reference."""
-        from repro.algorithms.validation import reference_bfs
+        from tests.validation import reference_bfs
 
         coo = gen.erdos_renyi(120, 3.0, seed=72)
         g = GraphBuilder(queue).to_csr(coo)

@@ -30,7 +30,8 @@ def build_graph_caches(scheduler):
         worker.queue.disable_fault_injection()
         for spec in scheduler.catalog.values():
             bundle = worker.bundle_for(spec)
-            bundle.csr, bundle.csr_undirected, bundle.csc
+            for representation in ("csr", "csr_undirected", "csc"):
+                bundle.get(representation)
         if injector is not None:
             worker.queue.enable_fault_injection(injector)
 

@@ -4,6 +4,7 @@ requests, never silently returned data."""
 import numpy as np
 import pytest
 
+from repro.algorithms.catalog import CATALOG, GraphBundle
 from repro.service.dispatch import default_registry, verify_result
 from repro.service.request import Request, RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
@@ -27,13 +28,11 @@ def _sabotaged_registry():
 
 
 class TestVerifyResult:
-    @pytest.mark.parametrize(
-        "algorithm", ["bfs", "dobfs", "sssp", "delta_stepping", "cc", "bc", "pagerank"]
-    )
+    @pytest.mark.parametrize("algorithm", list(CATALOG))
     def test_honest_results_pass(self, tiny_catalog, algorithm):
-        """Every served algorithm agrees with the oracle on every catalog
-        graph (the service-side slice of the differential matrix)."""
-        from repro.service.dispatch import GraphBundle
+        """Every row of the algorithm catalog agrees with the oracle on
+        every graph the service serves (the service-side slice of the
+        differential matrix)."""
         from repro.sycl import Queue, get_device
 
         for spec in tiny_catalog:
@@ -45,7 +44,6 @@ class TestVerifyResult:
 
     def test_wrong_result_is_located(self, tiny_catalog):
         spec = tiny_catalog[0]
-        from repro.service.dispatch import GraphBundle
         from repro.sycl import Queue, get_device
 
         q = Queue(get_device("v100s"), capacity_limit=0)

@@ -200,7 +200,7 @@ def _wrong_bfs(bundle, req):
     from repro.algorithms import bfs
 
     out = np.array(
-        bfs(bundle.csr, req.source, layout=req.layout, bits=req.bits).distances,
+        bfs(bundle.get("csr"), req.source, layout=req.layout, bits=req.bits).distances,
         copy=True,
     )
     out[0] += 1.0  # sabotage: served result diverges from the oracle

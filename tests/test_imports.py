@@ -1,4 +1,5 @@
-"""Every subpackage imports on its own, in a fresh interpreter.
+"""Every subpackage (and each module in MODULES) imports on its own, in
+a fresh interpreter.
 
 The test session itself imports ``repro.graph`` first (conftest), which
 would hide an import cycle that only breaks when a cycle is entered
@@ -19,11 +20,16 @@ SUBPACKAGES = ["repro"] + sorted(
 )
 
 
+#: modules imported alone as well: repro.checking imports the algorithm
+#: catalog, so the catalog must not import repro.checking at module level
+MODULES = ["repro.algorithms.catalog"]
+
+
 def test_every_subpackage_is_listed():
     assert {"repro.perfmodel", "repro.obs", "repro.sycl", "repro.frontier"} <= set(SUBPACKAGES)
 
 
-@pytest.mark.parametrize("package", SUBPACKAGES)
+@pytest.mark.parametrize("package", SUBPACKAGES + MODULES)
 def test_imports_alone(package):
     src = os.path.dirname(os.path.dirname(repro.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
