@@ -3,13 +3,16 @@
 ``reference_memory_hierarchy`` below is a frozen copy of the original
 per-stream pricing: ``np.unique`` for distinct lines, ``np.linspace`` to
 thin each stream's L1 misses, one :func:`estimate_cache_hits`-style pass
-per stream and one over the concatenated L2 stream.  Every modeled number
-(kernel time, L1 hit rate, DRAM bytes, Table 5) derives from it, so
+per stream and one over the concatenated L2 stream.
+``reference_kernel_cost`` is a frozen copy of the original per-kernel
+launch pricing: compute, memory and dispatch time, DRAM bytes, achieved
+occupancy and lane fraction, with its constants.  Every modeled number
+(kernel time, L1 hit rate, DRAM bytes, Table 5) derives from them, so
 :meth:`CostModel.charge_many` must reproduce every :class:`KernelCost`
-field exactly, with Python types, on every device, whether it prices a
-kernel alone or in a batch, for every stream whose byte offsets lie
-inside its region (``[0, 2**40)``, the premise of :class:`AccessStream`'s
-non-aliasing regions).
+field exactly, with Python types, on every device, with and without USM,
+whether it prices a kernel alone or in a batch, for every stream whose
+byte offsets lie inside its region (``[0, 2**40)``, the premise of
+:class:`AccessStream`'s non-aliasing regions).
 """
 
 import numpy as np
@@ -28,12 +31,14 @@ from repro.perfmodel.cost import (
     LARGE_STREAM,
     SMALL_BATCH,
     CostModel,
+    KernelCost,
     KernelWorkload,
     null_workload,
 )
 from repro.perfmodel.scaling import CACHE_SCALE
+from repro.sycl.backend import backend_traits
 from repro.sycl.device import amd_mi100, nvidia_v100s
-from repro.sycl.ndrange import NDRange
+from repro.sycl.ndrange import NDRange, WorkgroupGeometry
 
 #: the cutoff below which the previous model priced streams in Python
 SHORT = 48
@@ -90,11 +95,87 @@ def reference_memory_hierarchy(model, wl):
     return CacheStats(l1_acc, l1_hits), l2, int(l2.misses * spec.l1_line_bytes)
 
 
+# the launch constants of the reference
+LANES_PER_CU_PER_CYCLE = 32
+ATOMIC_CYCLES = 8
+MIN_MEM_EFFICIENCY = 0.05
+WG_DISPATCH_NS = 1.0
+SUBGROUPS_FOR_PEAK_BW_PER_CU = 16.0
+RESOURCE_CEILING = 0.93
+
+
+def _reference_workgroups(geom):
+    return -(-geom.global_size // geom.workgroup_size) if geom.global_size else 0
+
+
+def reference_occupancy(geom, spec):
+    """``achieved_occupancy`` as the per-kernel model computed it."""
+    workgroups = _reference_workgroups(geom)
+    if workgroups == 0:
+        return 0.0
+    per_cu_workgroups = min(spec.max_workgroups_per_cu, workgroups / spec.compute_units)
+    resident_threads = min(spec.max_threads_per_cu, per_cu_workgroups * geom.workgroup_size)
+    occ = resident_threads / spec.max_threads_per_cu
+    return float(min(RESOURCE_CEILING, occ))
+
+
+def reference_compute_time_ns(spec, wl, total_lanes):
+    throughput = max(1, spec.compute_units * LANES_PER_CU_PER_CYCLE)
+    lane_ops = total_lanes * wl.instructions_per_lane + wl.serial_ops
+    cycles = lane_ops / throughput
+    if wl.atomics:
+        aggregate = wl.atomics * ATOMIC_CYCLES / throughput
+        chain = (wl.atomics / max(1, wl.atomic_targets or wl.atomics)) * ATOMIC_CYCLES
+        cycles += max(aggregate, chain)
+    return cycles / spec.clock_ghz
+
+
+def reference_memory_time_ns(model, dram_bytes, engaged_subgroups):
+    if dram_bytes == 0:
+        return 0.0
+    spec = model.spec
+    width_factor = spec.preferred_subgroup_size / 32.0
+    peak_subgroups = spec.compute_units * SUBGROUPS_FOR_PEAK_BW_PER_CU / width_factor
+    efficiency = max(MIN_MEM_EFFICIENCY, min(1.0, engaged_subgroups / peak_subgroups))
+    bw_bytes_per_ns = spec.mem_bandwidth_gbs * efficiency
+    penalty = backend_traits(model.device.backend).usm_penalty if model.usm else 1.0
+    return dram_bytes * penalty / bw_bytes_per_ns
+
+
+def reference_kernel_cost(model, wl, l1, l2):
+    """The :class:`KernelCost` the per-kernel model built from ``wl``'s
+    launch fields and its memory counts."""
+    spec = model.spec
+    geom = wl.geometry
+    workgroups = _reference_workgroups(geom)
+    total_lanes = workgroups * geom.workgroup_size
+    dram_bytes = (l2.accesses - l2.hits) * spec.l1_line_bytes
+    engaged = wl.engaged_subgroups
+    if engaged is None:
+        engaged = wl.active_lanes / max(1, geom.subgroup_size)
+    compute_ns = reference_compute_time_ns(spec, wl, total_lanes)
+    memory_ns = reference_memory_time_ns(model, dram_bytes, engaged)
+    dispatch_ns = workgroups * WG_DISPATCH_NS
+    launch_ns = backend_traits(model.device.backend).launch_overhead_us * 1_000.0
+    return KernelCost(
+        name=wl.name,
+        time_ns=launch_ns + max(compute_ns, memory_ns, dispatch_ns),
+        compute_ns=compute_ns,
+        memory_ns=memory_ns,
+        launch_ns=launch_ns,
+        l1=CacheStats(l1.accesses, l1.hits),
+        l2=CacheStats(l2.accesses, l2.hits),
+        dram_bytes=dram_bytes,
+        occupancy=reference_occupancy(geom, spec),
+        active_lane_fraction=wl.active_lanes / total_lanes if total_lanes else 0.0,
+    )
+
+
 def reference_charge(model, wl):
     """The :class:`KernelCost` of ``wl`` with the reference memory
-    hierarchy, read straight from the workload."""
+    hierarchy and launch pricing, read straight from the workload."""
     l1, l2, _ = reference_memory_hierarchy(model, wl)
-    return model._kernel_cost(wl, l1.accesses, l1.hits, l2.accesses, l2.hits)
+    return reference_kernel_cost(model, wl, l1, l2)
 
 
 DEVICES = {"v100s": nvidia_v100s, "mi100": amd_mi100}
@@ -106,8 +187,14 @@ def model(request):
     return CostModel(DEVICES[request.param]())
 
 
-def _workload(streams, lanes=256, **fields):
-    geom = NDRange(max(128, -(-lanes // 128) * 128), 128).resolve(256, 32)
+@pytest.fixture(scope="module", params=sorted(DEVICES))
+def device_memory_model(request):
+    """Explicit device allocations: no USM penalty (paper §3.3)."""
+    return CostModel(DEVICES[request.param](), usm=False)
+
+
+def _workload(streams, lanes=256, geometry=None, **fields):
+    geom = geometry or NDRange(max(128, -(-lanes // 128) * 128), 128).resolve(256, 32)
     wl = KernelWorkload("k", geom, active_lanes=lanes, **fields)
     for addresses, item_bytes, region in streams:
         wl.add_stream(addresses, item_bytes, region)
@@ -180,6 +267,16 @@ def streams(draw, lengths=LENGTHS, regions=st.integers(0, 2)):
 
 
 @st.composite
+def geometries(draw):
+    """Launch shapes: an empty grid, partial last workgroups, and 32- and
+    64-lane subgroups."""
+    subgroup = draw(st.sampled_from([32, 64]))
+    workgroup = subgroup * draw(st.sampled_from([1, 2, 4, 8]))
+    global_size = draw(st.one_of(st.just(0), st.integers(1, 1 << 17)))
+    return WorkgroupGeometry(global_size, workgroup, subgroup)
+
+
+@st.composite
 def workloads(draw):
     """A kernel whose streams are mostly short, sometimes past
     ``LARGE_STREAM``, on a few regions (so shared within the kernel), with
@@ -191,10 +288,11 @@ def workloads(draw):
     return _workload(
         stream_list,
         lanes,
-        instructions_per_lane=draw(st.sampled_from([1.0, 6.0, 8.0, 2.5])),
+        geometry=draw(st.one_of(st.none(), geometries())),
+        instructions_per_lane=draw(st.sampled_from([1.0, 6.0, 8.0, 2.5, 3])),
         serial_ops=draw(st.sampled_from([0, 17, 3.5, 40000])),
         atomics=atomics,
-        atomic_targets=draw(st.integers(0, atomics)),
+        atomic_targets=draw(st.one_of(st.just(0), st.integers(0, atomics))),
         engaged_subgroups=draw(st.sampled_from([None, None, 0.5, 3.0, 900.0])),
     )
 
@@ -214,6 +312,34 @@ def test_charge_many_matches_reference_kernel_by_kernel(model, wls):
     costs = model.charge_many(wls)
     assert len(costs) == len(wls)
     for wl, cost in zip(wls, costs):
+        assert_same_cost(cost, reference_charge(model, wl))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(workloads(), min_size=1, max_size=20))
+def test_charge_many_matches_reference_with_device_memory(device_memory_model, wls):
+    """Explicit device allocations price DRAM traffic without the
+    backend's USM penalty, by the same formulas."""
+    model = device_memory_model
+    for wl, cost in zip(wls, model.charge_many(wls)):
+        assert_same_cost(cost, reference_charge(model, wl))
+    assert_same_cost(model.charge(wls[-1]), reference_charge(model, wls[-1]))
+
+
+@pytest.mark.parametrize("subgroup", [32, 64])
+def test_engaged_subgroups_default_to_active_lanes(model, subgroup):
+    """Without ``engaged_subgroups``, memory-level parallelism is the
+    active lanes over the subgroup width; an empty grid, partial
+    workgroups and contended atomics on no target price as before."""
+    rng = np.random.default_rng(subgroup)
+    stream = (rng.integers(0, 1 << 22, 3000), 4, 1)
+    wls = [
+        _workload([stream], lanes, geometry=WorkgroupGeometry(size, 2 * subgroup, subgroup), atomics=atomics)
+        for lanes, size, atomics in [(0, 0, 0), (77, 77, 5), (1000, 4096, 37), (3, 1 << 16, 1)]
+    ]
+    for wl in wls:
+        assert_identical(model, wl)
+    for wl, cost in zip(wls, model.charge_many(wls)):
         assert_same_cost(cost, reference_charge(model, wl))
 
 

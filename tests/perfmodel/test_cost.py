@@ -88,13 +88,17 @@ class TestCharge:
 class TestDeviceDifferences:
     def test_usm_penalty_on_rocm(self):
         """Same DRAM bytes cost more on ROCm (Xnack USM, paper §3.3)."""
-        amd = CostModel(amd_mi100())
-        nv = CostModel(nvidia_v100s())
-        dram = 1_000_000
-        # normalize by bandwidth so only the USM penalty differs
-        amd_t = amd._memory_time_ns(dram, 1e9) * amd.spec.mem_bandwidth_gbs
-        nv_t = nv._memory_time_ns(dram, 1e9) * nv.spec.mem_bandwidth_gbs
-        assert amd_t > nv_t
+        per_byte = {}
+        for dev in (amd_mi100(), nvidia_v100s()):
+            # every access a new line: all of them reach DRAM on both devices
+            wl = _wl(n_addrs=0)
+            wl.add_stream(np.arange(20_000) * 64, 8, region=1)
+            wl.engaged_subgroups = 1e9  # full bandwidth
+            cost = CostModel(dev).charge(wl)
+            assert cost.dram_bytes == 20_000 * dev.spec.l1_line_bytes
+            # normalize by bytes and bandwidth so only the USM penalty differs
+            per_byte[dev.spec.name] = cost.memory_ns * dev.spec.mem_bandwidth_gbs / cost.dram_bytes
+        assert per_byte["MI100"] > per_byte["Tesla V100S"]
 
     def test_large_l2_absorbs_more(self):
         """MAX1100's 108MB L2 leaves fewer DRAM bytes than V100S's 6MB."""

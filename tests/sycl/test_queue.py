@@ -199,12 +199,84 @@ class TestBatchedPricing:
         from repro.sycl import profiling
 
         monkeypatch.setattr(profiling, "PENDING_ACCESS_CAP", 1200)
+        priced = []
+        charge_many = queue.cost_model.charge_many
+        monkeypatch.setattr(
+            queue.cost_model, "charge_many", lambda batch: priced.append(len(batch)) or charge_many(batch)
+        )
         queue.submit(_workload())
         queue.submit(_workload())
-        assert queue.profile._pending is not None
+        assert priced == []
         queue.submit(_workload())  # 1500 pending accesses
-        assert queue.profile._pending is None
-        assert len(queue.profile._costs) == 3
+        assert priced == [3]
+        assert len(queue.profile.costs) == 3
+        assert priced == [3]
+
+    def test_event_cost_is_the_logged_cost_across_flushes(self, queue):
+        """Costs are one object per kernel however the log is read: an
+        event first, the log first, across several priced batches."""
+        first = [queue.submit(_workload(name)) for name in ("a", "b")]
+        queue.elapsed_ns
+        second = [queue.submit(_workload(name)) for name in ("c", "d", "e")]
+        queue.elapsed_ns
+        early = second[1].cost
+        costs = queue.profile.costs
+        assert [c.name for c in costs] == ["a", "b", "c", "d", "e"]
+        assert early is costs[3]
+        assert all(ev.cost is cost for ev, cost in zip(first + second, costs))
+        third = queue.submit(_workload("f"))
+        assert queue.profile.costs[:5] == costs[:5]
+        assert third.cost is queue.profile.costs[5]
+
+    def test_summaries_and_kernels_after_the_build(self, queue):
+        names = ["advance.frontier", "compute", "advance.frontier.offsets", "compute"]
+        for k, name in enumerate(names):
+            queue.submit(_workload(name, lanes=100 * (k + 1)))
+        queue.elapsed_ns
+        costs = queue.profile.costs
+        advance = queue.profile.kernels("advance")
+        assert len(advance) == 2 and advance[0] is costs[0] and advance[1] is costs[2]
+        compute = queue.profile.summaries["compute"]
+        assert compute.launches == 2
+        assert compute.total_ns == 0.0 + costs[1].time_ns + costs[3].time_ns
+        assert compute.total_dram_bytes == costs[1].dram_bytes + costs[3].dram_bytes
+        assert compute.peak_occupancy == max(costs[1].occupancy, costs[3].occupancy)
+        before = compute.total_ns
+        queue.submit(_workload("compute", lanes=900))
+        assert queue.profile.summaries["compute"].launches == 3
+        assert compute.total_ns == before + queue.profile.costs[4].time_ns
+        assert queue.profile.time_ns("compute") == sum(queue.profile.costs[k].time_ns for k in (1, 3, 4))
+
+    def test_totals_are_the_left_to_right_sum_of_costs_read_later(self, queue):
+        """The clock is read before any cost is: the running totals still
+        add the costs in submit order, one at a time."""
+        clocks = []
+        for k in range(9):
+            queue.submit(_workload(lanes=64 * k + 1))
+            if k % 4 == 1:
+                clocks.append(queue.elapsed_ns)
+        clocks.append(queue.elapsed_ns)
+        folded, partial = 0, []
+        for k, cost in enumerate(queue.profile.costs):
+            folded += cost.time_ns
+            if k % 4 == 1:
+                partial.append(folded)
+        assert clocks == partial + [folded]
+        assert type(queue.elapsed_ns) is float
+        assert queue.profile.total_dram_bytes == sum(c.dram_bytes for c in queue.profile.costs)
+
+    def test_reset_profile_with_priced_and_pending_kernels(self, queue):
+        priced = queue.submit(_workload("a"))
+        queue.elapsed_ns  # priced, no cost read yet
+        pending = queue.submit(_workload("b"))
+        old = queue.profile
+        queue.reset_profile()
+        fresh = queue.submit(_workload("c"))
+        assert [c.name for c in old.costs] == ["a", "b"]
+        assert priced.cost is old.costs[0] and pending.cost is old.costs[1]
+        assert [c.name for c in queue.profile.costs] == ["c"]
+        assert fresh.cost is queue.profile.costs[0]
+        assert queue.elapsed_ns == fresh.cost.time_ns
 
     def test_tracer_sees_each_cost_at_submit(self, queue):
         tracer = queue.enable_tracing()
