@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import FrontierError
 from repro.obs.metrics import SCAN_STATS
+from repro.perfmodel.cache import unique_ints
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sycl.queue import Queue
@@ -245,6 +246,26 @@ class Frontier(abc.ABC):
     def _as_ids(elements) -> np.ndarray:
         ids = np.atleast_1d(np.asarray(elements, dtype=np.int64))
         return ids
+
+    def _validated(self, elements) -> np.ndarray:
+        ids = self._as_ids(elements)
+        if ids.size and (ids.min() < 0 or ids.max() >= self.n_elements):
+            raise _out_of_range(self.n_elements, ids.min(), ids.max())
+        return ids
+
+
+def _out_of_range(n_elements: int, lowest, highest) -> FrontierError:
+    return FrontierError(f"element id out of range [0, {n_elements}): [{lowest}, {highest}]")
+
+
+def distinct_ids(elements, n_elements: int) -> np.ndarray:
+    """The distinct element ids of ``elements`` (scalar or array), sorted
+    — one sort, whose ends give the range check against
+    ``[0, n_elements)``."""
+    ids = unique_ints(Frontier._as_ids(elements))
+    if ids.size and (ids[0] < 0 or ids[-1] >= n_elements):
+        raise _out_of_range(n_elements, ids[0], ids[-1])
+    return ids
 
 
 @contextmanager

@@ -12,8 +12,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.frontier import _bitops
-from repro.frontier.base import Frontier, FrontierView
-from repro.perfmodel.cache import unique_ints
+from repro.frontier.base import Frontier, FrontierView, distinct_ids
+from repro.perfmodel.cache import unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,7 +50,7 @@ class BitmapFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
-        ids = self._validated(elements)
+        ids = distinct_ids(elements, self.n_elements)
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
@@ -59,10 +59,7 @@ class BitmapFrontier(Frontier):
         if was_empty:
             # insert into a provably-empty frontier: the scans are known by
             # construction, no bitmap pass needed for the next query
-            active = unique_ints(ids)
-            self._prime_scan_cache(
-                active=active, nonzero_words=unique_ints(active // self.bits)
-            )
+            self._prime_scan_cache(active=ids, nonzero_words=unique_sorted(ids // self.bits))
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)
@@ -120,14 +117,3 @@ class BitmapFrontier(Frontier):
         """No bit set beyond ``n_elements`` (the tail of the last word)."""
         ids = _bitops.expand_words(self.words, self.bits, self.n_words * self.bits)
         return ids.size == 0 or int(ids.max()) < self.n_elements
-
-    def _validated(self, elements) -> np.ndarray:
-        ids = self._as_ids(elements)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_elements):
-            from repro.errors import FrontierError
-
-            raise FrontierError(
-                f"element id out of range [0, {self.n_elements}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        return ids

@@ -26,8 +26,8 @@ import numpy as np
 
 from repro.errors import FrontierError
 from repro.frontier import _bitops
-from repro.frontier.base import Frontier, FrontierView
-from repro.perfmodel.cache import unique_ints
+from repro.frontier.base import Frontier, FrontierView, distinct_ids
+from repro.perfmodel.cache import unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,24 +92,23 @@ class MultiLayerBitmapFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
-        ids = self._validated(elements)
+        active = ids = distinct_ids(elements, self.n_elements)
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
-        primed_active = unique_ints(ids) if was_empty else None
         # every layer gets its summary bit — the per-insert cost that grows
-        # with tree depth (paper §4.4)
+        # with tree depth (paper §4.4).  Sorted ids have sorted words.
         level0_words = None
         for layer in self.layers:
             _bitops.set_bits(layer, ids, self.bits)
-            ids = unique_ints(ids // self.bits)
+            ids = unique_sorted(ids // self.bits)
             if level0_words is None:
                 level0_words = ids
         self._bump_epoch()
         if was_empty:
             # insert into a provably-empty frontier determines both scans by
             # construction — no tree walk needed for the next query
-            self._prime_scan_cache(active=primed_active, nonzero_words=level0_words)
+            self._prime_scan_cache(active=active, nonzero_words=level0_words)
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)
@@ -231,12 +230,3 @@ class MultiLayerBitmapFrontier(Frontier):
             below = layer
         ids = _bitops.expand_words(self.layers[0], self.bits, self.n_words * self.bits)
         return ids.size == 0 or int(ids.max()) < self.n_elements
-
-    def _validated(self, elements) -> np.ndarray:
-        ids = self._as_ids(elements)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_elements):
-            raise FrontierError(
-                f"element id out of range [0, {self.n_elements}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        return ids

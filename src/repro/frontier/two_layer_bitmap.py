@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.frontier import _bitops
-from repro.frontier.base import Frontier, FrontierView
-from repro.perfmodel.cache import unique_ints
+from repro.frontier.base import Frontier, FrontierView, distinct_ids
+from repro.perfmodel.cache import unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -68,21 +68,21 @@ class TwoLayerBitmapFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
-        ids = self._validated(elements)
+        ids = distinct_ids(elements, self.n_elements)
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
         _bitops.set_bits(self.words, ids, self.bits)
         # "When adding a vertex, the corresponding bit in the second layer
-        # is calculated and set to 1 if it's not already." (an idempotent
-        # OR: repeated words need no dedup)
-        touched_words = ids // self.bits
+        # is calculated and set to 1 if it's not already."  The ids are
+        # sorted, so their words are too: one pass drops the repeats.
+        touched_words = unique_sorted(ids // self.bits)
         _bitops.set_bits(self.words_l2, touched_words, self.bits)
         self._bump_epoch()
         if was_empty:
             # inserting into a provably-empty frontier determines the scans
             # by construction: no bitmap pass needed to answer the next query
-            self._prime_scan_cache(active=unique_ints(ids), nonzero_words=unique_ints(touched_words))
+            self._prime_scan_cache(active=ids, nonzero_words=touched_words)
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)
@@ -204,14 +204,3 @@ class TwoLayerBitmapFrontier(Frontier):
             return False
         ids = _bitops.expand_words(self.words, self.bits, self.n_words * self.bits)
         return ids.size == 0 or int(ids.max()) < self.n_elements
-
-    def _validated(self, elements) -> np.ndarray:
-        ids = self._as_ids(elements)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.n_elements):
-            from repro.errors import FrontierError
-
-            raise FrontierError(
-                f"element id out of range [0, {self.n_elements}): "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-        return ids

@@ -14,6 +14,7 @@ import numpy as np
 
 from repro.errors import GraphFormatError
 from repro.graph.coo import COOGraph
+from repro.graph.csr import expand_ranges, offset_differences, offset_ranges
 from repro.types import edge_t, vertex_t, weight_t
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,16 +72,10 @@ class CSCGraph:
         return self.get_edge_count()
 
     def in_degrees(self, vertices: Optional[np.ndarray] = None) -> np.ndarray:
-        cp = self.col_ptr.astype(np.int64)
-        if vertices is None:
-            return cp[1:] - cp[:-1]
-        v = np.asarray(vertices, dtype=np.int64)
-        return cp[v + 1] - cp[v]
+        return offset_differences(self.col_ptr, vertices)
 
     def in_neighbor_ranges(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        v = np.asarray(vertices, dtype=np.int64)
-        cp = self.col_ptr.astype(np.int64)
-        return cp[v], cp[v + 1]
+        return offset_ranges(self.col_ptr, vertices)
 
     def in_neighbors(self, vertex: int) -> np.ndarray:
         s, e = int(self.col_ptr[vertex]), int(self.col_ptr[vertex + 1])
@@ -92,18 +87,12 @@ class CSCGraph:
         """Expand all in-edges of ``vertices``; returns (src, dst, eid, w)
         where ``dst`` repeats the queried vertices."""
         v = np.asarray(vertices, dtype=np.int64)
-        starts, ends = self.in_neighbor_ranges(v)
-        degs = ends - starts
-        total = int(degs.sum())
+        edge_ids, degs = expand_ranges(self.col_ptr, v)
+        total = edge_ids.size
         if total == 0:
             z = np.empty(0, dtype=np.int64)
             return z, z, z, np.empty(0, dtype=weight_t)
         dst = np.repeat(v, degs)
-        offsets = np.repeat(starts, degs)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(degs)[:-1])), degs
-        )
-        edge_ids = offsets + within
         src = self.row_idx[edge_ids].astype(np.int64)
         w = (
             self.weights[edge_ids]

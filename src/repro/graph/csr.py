@@ -36,6 +36,36 @@ GRAPH_INTERFACE_METHODS = (
 )
 
 
+def offset_differences(offsets: np.ndarray, vertices: Optional[np.ndarray] = None) -> np.ndarray:
+    """``offsets[v + 1] - offsets[v]`` as int64 for each of ``vertices``
+    (every vertex when None): indexed first, so a lookup costs
+    O(|vertices|), then widened.  Offsets never decrease, so the
+    difference cannot wrap in their unsigned dtype."""
+    if vertices is None:
+        return np.diff(offsets).astype(np.int64)
+    v = np.asarray(vertices, dtype=np.int64)
+    return (offsets[v + 1] - offsets[v]).astype(np.int64)
+
+
+def offset_ranges(offsets: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(offsets[v], offsets[v + 1])`` as int64 for each of ``vertices``."""
+    v = np.asarray(vertices, dtype=np.int64)
+    return offsets[v].astype(np.int64), offsets[v + 1].astype(np.int64)
+
+
+def expand_ranges(offsets: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every edge id in the ranges of ``vertices``, run after run, and each
+    vertex's degree (the standard vectorized CSR expansion)."""
+    starts, ends = offset_ranges(offsets, vertices)
+    degs = ends - starts
+    # an edge's id is its run's start plus its position within the run,
+    # which is its position in the output less the run's first position
+    first = np.cumsum(degs) - degs
+    edge_ids = np.repeat(starts - first, degs)
+    edge_ids += np.arange(edge_ids.size, dtype=np.int64)
+    return edge_ids, degs
+
+
 class CSRGraph:
     """Directed graph in CSR form on a simulated device.
 
@@ -106,18 +136,12 @@ class CSRGraph:
     # -- interface: topology --------------------------------------------- #
     def out_degrees(self, vertices: Optional[np.ndarray] = None) -> np.ndarray:
         """Out-degree of the given vertices (all vertices when None)."""
-        rp = self.row_ptr.astype(np.int64)
-        if vertices is None:
-            return rp[1:] - rp[:-1]
-        v = np.asarray(vertices, dtype=np.int64)
-        return rp[v + 1] - rp[v]
+        return offset_differences(self.row_ptr, vertices)
 
     def neighbor_ranges(self, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(start, end) edge-index ranges for each vertex — the per-vertex
         regions subgroup lanes divide among themselves (Figure 4c)."""
-        v = np.asarray(vertices, dtype=np.int64)
-        rp = self.row_ptr.astype(np.int64)
-        return rp[v], rp[v + 1]
+        return offset_ranges(self.row_ptr, vertices)
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Adjacency of a single vertex (the iterator interface, scalar)."""
@@ -133,19 +157,12 @@ class CSRGraph:
         of the paper's Advance functor — with one entry per traversed edge.
         """
         v = np.asarray(vertices, dtype=np.int64)
-        starts, ends = self.neighbor_ranges(v)
-        degs = ends - starts
-        total = int(degs.sum())
+        edge_ids, degs = expand_ranges(self.row_ptr, v)
+        total = edge_ids.size
         if total == 0:
             z = np.empty(0, dtype=np.int64)
             return z, z, z, np.empty(0, dtype=weight_t)
-        # standard vectorized CSR expansion: edge ids are contiguous runs
         src = np.repeat(v, degs)
-        offsets = np.repeat(starts, degs)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.concatenate(([0], np.cumsum(degs)[:-1])), degs
-        )
-        edge_ids = offsets + within
         dst = self.col_idx[edge_ids].astype(np.int64)
         w = (
             self.weights[edge_ids]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sycl.device import TunedParameters
-from repro.sycl.ndrange import NDRange, WorkgroupGeometry
+from repro.sycl.ndrange import WorkgroupGeometry
 
 #: model constants: per-lane dynamic instructions for the word-scan /
 #: subgroup-compaction stage, and per-edge instructions for stage 2.
@@ -102,7 +102,8 @@ def characterize_bitmap_advance(
         n_wg = max(1, words_scanned)
     rounds = -(-max(1, words_scanned) // n_wg)  # words each WG visits
     wg_size = params.workgroup_size
-    geometry = NDRange(n_wg * wg_size, wg_size).resolve(wg_size, params.subgroup_size)
+    # an nd_range of n_wg whole workgroups
+    geometry = WorkgroupGeometry(n_wg * wg_size, wg_size, params.subgroup_size)
 
     edges = int(degrees.sum()) if degrees.size else 0
 
@@ -124,21 +125,32 @@ def characterize_bitmap_advance(
     # S / engagement.  Cross-workgroup imbalance is smoothed by the
     # persistent grid's round-robin word assignment but not eliminated.
     sgs_per_wg = max(1, params.workgroup_size // params.subgroup_size)
-    msi_on = params.bitmap_bits <= params.subgroup_size
+    if params.bitmap_bits <= params.subgroup_size:  # MSI on
+        max_engaged = sgs_per_wg
+    else:
+        slice_limit = max(1, int(cf * params.bitmap_bits // params.subgroup_size))
+        max_engaged = min(sgs_per_wg, slice_limit)
     if active_vertices.size:
-        wg_of_vertex = scan_position % n_wg
-        wg_bits = np.bincount(wg_of_vertex, minlength=n_wg)
-        wg_edges = np.bincount(wg_of_vertex, weights=degrees.astype(np.float64), minlength=n_wg)
-        if msi_on:
-            engaged = np.minimum(sgs_per_wg, np.maximum(1, wg_bits))
+        if n_wg == 1:
+            # one workgroup holds every active vertex: its numbers are the
+            # totals, and the sums below have one term
+            engaged = min(max_engaged, active_vertices.size)
+            edge_ops = float(edges) * (sgs_per_wg / engaged) * EDGE_OPS
+            engaged_total = float(engaged)
+            max_wg_edges = edges
         else:
-            slice_limit = max(1, int(cf * params.bitmap_bits // params.subgroup_size))
-            engaged = np.minimum(sgs_per_wg, np.minimum(slice_limit, np.maximum(1, wg_bits)))
-        inflation = sgs_per_wg / engaged
-        edge_ops = float((wg_edges * inflation).sum()) * EDGE_OPS
-        # total memory-level parallelism: subgroups with work across the grid
-        engaged_total = float(engaged[wg_bits > 0].sum())
-        max_wg_edges = int(wg_edges.max())
+            wg_of_vertex = scan_position % n_wg
+            wg_bits = np.bincount(wg_of_vertex, minlength=n_wg)
+            # float64 sums of the degrees, in vertex order
+            wg_edges = np.bincount(wg_of_vertex, weights=degrees, minlength=n_wg)
+            # subgroups with work per workgroup (none in an empty one)
+            working = np.minimum(max_engaged, wg_bits)
+            inflation = sgs_per_wg / np.maximum(1, working)
+            edge_ops = float((wg_edges * inflation).sum()) * EDGE_OPS
+            # total memory-level parallelism: subgroups with work across the
+            # grid (an integer sum, exact in any order)
+            engaged_total = float(working.sum())
+            max_wg_edges = int(wg_edges.max())
         mean_wg_edges = edges / n_wg
         imbalance_excess = (max_wg_edges - mean_wg_edges) * n_wg
     else:

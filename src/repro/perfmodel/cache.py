@@ -126,7 +126,12 @@ def unique_ints(ids: np.ndarray) -> np.ndarray:
     NumPy 2 answers ``np.unique`` from a hash table, which takes several
     times longer than a sort plus an adjacent-difference mask.
     """
-    ordered = np.sort(ids)
+    return unique_sorted(np.sort(ids))
+
+
+def unique_sorted(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-D array, in one adjacent-difference
+    pass (no sort)."""
     keep = np.empty(ordered.size, dtype=np.bool_)
     keep[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])

@@ -23,7 +23,7 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import eq
+from operator import attrgetter, eq
 from typing import Iterable, List, NamedTuple, Optional
 
 import numpy as np
@@ -104,7 +104,9 @@ class KernelWorkload:
         is_write: bool = False,
         label: str = "",
     ) -> None:
-        self.streams.append(AccessStream(np.asarray(addresses), item_bytes, region, is_write, label))
+        if not isinstance(addresses, np.ndarray):
+            addresses = np.asarray(addresses)
+        self.streams.append(AccessStream(addresses, item_bytes, region, is_write, label))
 
 
 #: a kernel with a stream of more accesses than this is priced as it is
@@ -123,38 +125,40 @@ SHORT_STREAM = 48
 #: priced alone, however little it prices (the tracer and the fault
 #: injector price batches of one; docs/architecture.md)
 SMALL_BATCH = 16
-
-
-class KernelLaunch(NamedTuple):
-    """The fields of a :class:`KernelWorkload` that pricing reads besides
-    its streams."""
-
-    name: str
-    geometry: WorkgroupGeometry
-    active_lanes: int
-    instructions_per_lane: float
-    atomics: int
-    atomic_targets: int
-    serial_ops: int
-    engaged_subgroups: Optional[float]
+#: what :meth:`KernelBatch.add` records of a kernel's launch for pricing,
+#: one column each, in this order
+LAUNCH_COLUMNS = (
+    "num_workgroups",
+    "total_lanes",
+    "subgroup_size",
+    "active_lanes",
+    "instructions_per_lane",
+    "serial_ops",
+    "atomics",
+    "atomic_targets",
+    "engaged_subgroups",
+)
 
 
 class KernelBatch:
-    """Kernels waiting for one :meth:`CostModel.charge_many` pass.
+    """Kernels waiting for one :meth:`CostModel.price` pass.
 
     :meth:`add` keeps what pricing reads of a kernel, not the workload: its
-    :class:`KernelLaunch` fields and a copy of each of its address streams.
-    So a kernel is priced on the addresses it had when it was added even if
-    its caller reuses the arrays (the 2LB frontier's ``offsets`` buffer is
-    one), and the caller's arrays are freed as soon as the caller drops
-    them.  A kernel with a stream of more than :data:`LARGE_STREAM`
-    accesses has its memory hierarchy priced right away instead, which
-    needs no copy.
+    name, geometry and launch fields, and a copy of each of its address
+    streams.  So a kernel is priced on the addresses it had when it was
+    added even if its caller reuses the arrays (the 2LB frontier's
+    ``offsets`` buffer is one), and the caller's arrays are freed as soon
+    as the caller drops them.  A kernel with a stream of more than
+    :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
+    away instead, which needs no copy.
     """
 
     def __init__(self, model: "CostModel", workloads: Iterable[KernelWorkload] = ()):
         self.model = model
-        self.launches: List[KernelLaunch] = []
+        self.names: List[str] = []
+        self.geometries: List[WorkgroupGeometry] = []
+        #: per kernel, its :data:`LAUNCH_COLUMNS`
+        self.launches: List[tuple] = []
         #: per kernel, its memory-hierarchy counts if priced on adding
         self.memory: List[Optional[tuple]] = []
         #: per kernel, its streams as ``(addresses, item_bytes, region)``
@@ -171,27 +175,37 @@ class KernelBatch:
         return len(self.launches)
 
     def add(self, wl: KernelWorkload) -> None:
-        sizes = [s.addresses.size for s in wl.streams]
-        largest = max(sizes, default=0)
-        if largest > LARGE_STREAM:
-            streams = [(s.addresses, s.item_bytes, s.region) for s in wl.streams]
-            self.memory.append(self.model._kernel_memory(streams))
-            self.streams.append([])
+        copies, accesses, long_streams = [], 0, 0
+        for s in wl.streams:
+            addresses = s.addresses
+            size = addresses.size
+            if size > LARGE_STREAM:
+                # priced now, from the caller's arrays: the copies go unused
+                streams = [(s.addresses, s.item_bytes, s.region) for s in wl.streams]
+                self.memory.append(self.model._kernel_memory(streams))
+                self.streams.append([])
+                break
+            copies.append((addresses.copy(), s.item_bytes, s.region))
+            accesses += size
+            long_streams += size > SHORT_STREAM
         else:
             self.memory.append(None)
-            self.streams.append([(s.addresses.copy(), s.item_bytes, s.region) for s in wl.streams])
-            self.accesses += sum(sizes)
-            if largest > SHORT_STREAM:
-                self.long_streams += sum(size > SHORT_STREAM for size in sizes)
+            self.streams.append(copies)
+            self.accesses += accesses
+            self.long_streams += long_streams
+        geometry = wl.geometry
+        self.names.append(wl.name)
+        self.geometries.append(geometry)
         self.launches.append(
-            KernelLaunch(
-                wl.name,
-                wl.geometry,
+            (
+                geometry.num_workgroups,
+                geometry.total_lanes,
+                geometry.subgroup_size,
                 wl.active_lanes,
                 wl.instructions_per_lane,
+                wl.serial_ops,
                 wl.atomics,
                 wl.atomic_targets,
-                wl.serial_ops,
                 wl.engaged_subgroups,
             )
         )
@@ -233,6 +247,55 @@ class KernelCost:
     @property
     def l1_hit_rate(self) -> float:
         return self.l1.hit_rate
+
+
+class PricedBatch(NamedTuple):
+    """The costs of a batch of kernels as columns, one entry per kernel in
+    submit order; :meth:`costs` builds the :class:`KernelCost` objects."""
+
+    names: List[str]
+    time_ns: np.ndarray
+    compute_ns: np.ndarray
+    memory_ns: np.ndarray
+    launch_ns: float
+    #: rows of L1 accesses, L1 hits, L2 accesses, L2 hits
+    memory: np.ndarray
+    dram_bytes: np.ndarray
+    occupancy: List[float]
+    active_lane_fraction: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def costs(self) -> List[KernelCost]:
+        """One :class:`KernelCost` per kernel, its fields Python ints and
+        floats."""
+        launch_ns = self.launch_ns
+        l1_acc, l1_hits, l2_acc, l2_hits = self.memory.tolist()
+        columns = zip(
+            self.names,
+            self.time_ns.tolist(),
+            self.compute_ns.tolist(),
+            self.memory_ns.tolist(),
+            l1_acc,
+            l1_hits,
+            l2_acc,
+            l2_hits,
+            self.dram_bytes.tolist(),
+            self.occupancy,
+            self.active_lane_fraction.tolist(),
+        )
+        return [
+            KernelCost(
+                name, time, compute, memory, launch_ns, CacheStats(a1, h1), CacheStats(a2, h2), dram, occ, frac
+            )
+            for name, time, compute, memory, a1, h1, a2, h2, dram, occ, frac in columns
+        ]
+
+
+#: what :meth:`CostModel._price_launches` reads of a geometry to tell
+#: distinct ones apart (its dataclass fields)
+_GEOMETRY_KEY = attrgetter("global_size", "workgroup_size", "subgroup_size")
 
 
 class CostModel:
@@ -286,51 +349,75 @@ class CostModel:
         captured now.  Each cost equals what pricing its kernel alone gives;
         its fields are Python ints and floats.
         """
+        return self.price(workloads).costs()
+
+    def price(self, workloads) -> PricedBatch:
+        """:meth:`charge_many`'s costs as columns, without building a
+        :class:`KernelCost` per kernel."""
         batch = workloads if isinstance(workloads, KernelBatch) else KernelBatch(self, workloads)
         if len(batch) + batch.long_streams >= SMALL_BATCH:
-            memory = self._batch_memory(batch).T.tolist()
+            memory = self._batch_memory(batch)
         else:
-            memory = [
-                counts or self._kernel_memory(streams)
-                for counts, streams in zip(batch.memory, batch.streams)
-            ]
-        return [self._kernel_cost(launch, *counts) for launch, counts in zip(batch.launches, memory)]
+            memory = np.array(
+                [
+                    counts or self._kernel_memory(streams)
+                    for counts, streams in zip(batch.memory, batch.streams)
+                ],
+                dtype=np.int64,
+            ).reshape(-1, 4).T
+        return self._price_launches(batch, memory)
 
-    def _kernel_cost(self, wl: KernelLaunch, l1_acc, l1_hits, l2_acc, l2_hits) -> KernelCost:
-        geom = wl.geometry
-        total_lanes = geom.total_lanes
-        dram_bytes = (l2_acc - l2_hits) * self.spec.l1_line_bytes
-        engaged = wl.engaged_subgroups
-        if engaged is None:
-            engaged = wl.active_lanes / max(1, geom.subgroup_size)
-        compute_ns = self._compute_time_ns(wl, total_lanes)
-        memory_ns = self._memory_time_ns(dram_bytes, engaged)
-        dispatch_ns = geom.num_workgroups * self.WG_DISPATCH_NS
-        return KernelCost(
-            name=wl.name,
-            time_ns=self._launch_ns + max(compute_ns, memory_ns, dispatch_ns),
-            compute_ns=compute_ns,
-            memory_ns=memory_ns,
-            launch_ns=self._launch_ns,
-            l1=CacheStats(l1_acc, l1_hits),
-            l2=CacheStats(l2_acc, l2_hits),
-            dram_bytes=dram_bytes,
-            occupancy=achieved_occupancy(geom, self.spec),
-            active_lane_fraction=wl.active_lanes / total_lanes if total_lanes else 0.0,
-        )
+    def _price_launches(self, batch: KernelBatch, memory: np.ndarray) -> PricedBatch:
+        """The launch half of pricing, for every kernel of ``batch`` at once:
+        compute, memory and dispatch time, DRAM bytes, occupancy and lane
+        fraction, from the launch fields and ``memory``'s counts.
 
-    def _compute_time_ns(self, wl: KernelLaunch, total_lanes: int) -> float:
+        Each formula runs in float64 with the operations, and their order,
+        of scalar Python arithmetic, so every field equals what pricing the
+        kernel alone with Python floats gives.  The launch fields are ints
+        below 2^53, exact in float64; a missing ``engaged_subgroups`` (None)
+        becomes NaN.
+        """
+        kernels = len(batch)
+        columns = np.array(batch.launches, dtype=np.float64).reshape(kernels, len(LAUNCH_COLUMNS)).T
+        workgroups, total_lanes, subgroup, active, instructions, serial, atomics, targets, engaged = columns
+
         # All scheduled lanes burn slots for the kernel's instruction count.
-        lane_ops = total_lanes * wl.instructions_per_lane + wl.serial_ops
-        cycles = lane_ops / self._throughput
+        cycles = (total_lanes * instructions + serial) / self._throughput
         # Atomics: aggregate throughput cost, floored by the longest
         # serialization chain on one location (chains on distinct targets
         # proceed in parallel).
-        if wl.atomics:
-            aggregate = wl.atomics * self.ATOMIC_CYCLES / self._throughput
-            chain = (wl.atomics / max(1, wl.atomic_targets or wl.atomics)) * self.ATOMIC_CYCLES
-            cycles += max(aggregate, chain)
-        return cycles / self.spec.clock_ghz  # GHz -> ns per cycle
+        aggregate = atomics * self.ATOMIC_CYCLES / self._throughput
+        chain = (atomics / np.maximum(1, np.where(targets != 0, targets, atomics))) * self.ATOMIC_CYCLES
+        cycles = np.where(atomics != 0, cycles + np.maximum(aggregate, chain), cycles)
+        compute_ns = cycles / self.spec.clock_ghz  # GHz -> ns per cycle
+
+        dram_bytes = (memory[2] - memory[3]) * self.spec.l1_line_bytes
+        engaged = np.where(np.isnan(engaged), active / np.maximum(1, subgroup), engaged)
+        efficiency = np.maximum(self.MIN_MEM_EFFICIENCY, np.minimum(1.0, engaged / self._peak_subgroups))
+        bw_bytes_per_ns = self.spec.mem_bandwidth_gbs * efficiency  # GB/s == B/ns
+        penalty = self.traits.usm_penalty if self.usm else 1.0
+        memory_ns = dram_bytes * penalty / bw_bytes_per_ns
+
+        dispatch_ns = workgroups * self.WG_DISPATCH_NS
+        time_ns = self._launch_ns + np.maximum(np.maximum(compute_ns, memory_ns), dispatch_ns)
+        fraction = np.divide(active, total_lanes, out=np.zeros(kernels), where=total_lanes != 0)
+
+        # one achieved_occupancy call per distinct geometry
+        keys = list(map(_GEOMETRY_KEY, batch.geometries))
+        distinct = dict(zip(keys, batch.geometries))
+        occupancy_of = {key: achieved_occupancy(geometry, self.spec) for key, geometry in distinct.items()}
+        return PricedBatch(
+            batch.names,
+            time_ns,
+            compute_ns,
+            memory_ns,
+            self._launch_ns,
+            memory,
+            dram_bytes,
+            list(map(occupancy_of.__getitem__, keys)),
+            fraction,
+        )
 
     # ------------------------------------------------------------------ #
     # one kernel at a time
@@ -504,13 +591,3 @@ class CostModel:
     #: bandwidth; wider subgroups (AMD's 64-lane wavefronts) carry
     #: proportionally more requests each, so fewer are needed.
     SUBGROUPS_FOR_PEAK_BW_PER_CU = 16.0
-
-    def _memory_time_ns(self, dram_bytes: int, engaged_subgroups: float) -> float:
-        if dram_bytes == 0:
-            return 0.0
-        efficiency = max(
-            self.MIN_MEM_EFFICIENCY, min(1.0, engaged_subgroups / self._peak_subgroups)
-        )
-        bw_bytes_per_ns = self.spec.mem_bandwidth_gbs * efficiency  # GB/s == B/ns
-        penalty = self.traits.usm_penalty if self.usm else 1.0
-        return dram_bytes * penalty / bw_bytes_per_ns

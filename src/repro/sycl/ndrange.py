@@ -9,7 +9,7 @@ resolved launch shape the cost model consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import KernelError
 
@@ -66,27 +66,34 @@ class NDRange:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WorkgroupGeometry:
-    """Resolved launch shape: how workitems group into WGs and SGs."""
+    """Resolved launch shape: how workitems group into WGs and SGs.
+
+    The derived counts are computed once, when the shape is built: the
+    cost model reads them for every kernel it prices.
+    """
 
     global_size: int
     workgroup_size: int
     subgroup_size: int
+    num_workgroups: int = field(init=False, repr=False, compare=False)
+    num_subgroups: int = field(init=False, repr=False, compare=False)
+    #: lanes actually scheduled (workgroups are padded to full size)
+    total_lanes: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def num_workgroups(self) -> int:
-        return _ceil_div(self.global_size, self.workgroup_size) if self.global_size else 0
+    def __init__(self, global_size: int, workgroup_size: int, subgroup_size: int) -> None:
+        workgroups = _ceil_div(global_size, workgroup_size) if global_size else 0
+        # frozen: every field goes straight into the instance dict
+        self.__dict__.update(
+            global_size=global_size,
+            workgroup_size=workgroup_size,
+            subgroup_size=subgroup_size,
+            num_workgroups=workgroups,
+            num_subgroups=workgroups * _ceil_div(workgroup_size, subgroup_size),
+            total_lanes=workgroups * workgroup_size,
+        )
 
     @property
     def subgroups_per_workgroup(self) -> int:
         return _ceil_div(self.workgroup_size, self.subgroup_size)
-
-    @property
-    def num_subgroups(self) -> int:
-        return self.num_workgroups * self.subgroups_per_workgroup
-
-    @property
-    def total_lanes(self) -> int:
-        """Lanes actually scheduled (workgroups are padded to full size)."""
-        return self.num_workgroups * self.workgroup_size

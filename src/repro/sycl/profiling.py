@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
-    from repro.perfmodel.cost import CostModel, KernelBatch, KernelCost, KernelWorkload
+    from repro.perfmodel.cost import CostModel, KernelBatch, KernelCost, KernelWorkload, PricedBatch
 
 #: pending accesses past which a submit prices the batch on the spot, so
 #: a queue whose clock nobody reads holds a bounded copy of its streams
@@ -44,21 +44,28 @@ class ProfileLog:
 
     Submitting a kernel does not price it: :meth:`enqueue` adds it to a
     pending :class:`~repro.perfmodel.cost.KernelBatch`, and the whole batch
-    is priced in one :meth:`~repro.perfmodel.cost.CostModel.charge_many`
-    pass at the next sync point — a read of ``costs``, ``summaries``,
-    ``total_ns`` or ``total_dram_bytes`` (so of ``Queue.elapsed_ns``), of
-    a pending kernel's cost (:meth:`cost`), or pending accesses passing
+    is priced in one :meth:`~repro.perfmodel.cost.CostModel.price` pass at
+    the next sync point — a read of ``costs``, ``summaries``, ``total_ns``
+    or ``total_dram_bytes`` (so of ``Queue.elapsed_ns``), of a pending
+    kernel's cost (:meth:`cost`), or pending accesses passing
     :data:`PENDING_ACCESS_CAP`.
 
-    The totals are running sums, so reading the modeled clock is O(1)
-    once the batch is priced.  They add the costs in submit order, one at
-    a time, exactly as a left-to-right loop over ``costs`` would.  The
-    per-name summaries are folded in when read.
+    A priced batch is kept as columns.  The totals are running sums, so
+    reading the modeled clock is O(1) once the batch is priced; they add
+    the costs in submit order, one at a time, exactly as a left-to-right
+    loop over ``costs`` would.  The :class:`KernelCost` objects are built
+    only when ``costs`` (so ``summaries`` or :meth:`kernels`) or an
+    event's cost is read, once each; the per-name summaries are folded in
+    when read.
     """
 
     def __init__(self, model: "CostModel") -> None:
         self.model = model
         self._costs: List["KernelCost"] = []
+        #: priced batches whose costs are not built yet, in submit order
+        self._priced: List["PricedBatch"] = []
+        #: kernels priced so far
+        self._priced_kernels = 0
         self._summaries: Dict[str, KernelSummary] = {}
         #: costs folded into ``_summaries`` so far
         self._summarized = 0
@@ -74,35 +81,39 @@ class ProfileLog:
             from repro.perfmodel.cost import KernelBatch  # deferred: import cycle
 
             pending = self._pending = KernelBatch(self.model)
-        index = len(self._costs) + len(pending)
+        index = self._priced_kernels + len(pending)
         pending.add(workload)
         if pending.accesses > PENDING_ACCESS_CAP:
             self.flush()
         return index
 
     def flush(self) -> None:
-        """Price the pending batch and log its costs in submit order."""
+        """Price the pending batch and add its costs to the totals."""
         pending, self._pending = self._pending, None
         if pending is None:
             return
-        costs = self.model.charge_many(pending)
-        total_ns, total_dram_bytes = self._total_ns, self._total_dram_bytes
-        for cost in costs:
-            total_ns += cost.time_ns
-            total_dram_bytes += cost.dram_bytes
-        self._total_ns, self._total_dram_bytes = total_ns, total_dram_bytes
-        self._costs += costs
+        priced = self.model.price(pending)
+        total_ns = self._total_ns
+        for time_ns in priced.time_ns.tolist():
+            total_ns += time_ns
+        self._total_ns = total_ns
+        self._total_dram_bytes += int(priced.dram_bytes.sum())
+        self._priced.append(priced)
+        self._priced_kernels += len(priced)
 
     def cost(self, index: int) -> "KernelCost":
         """The cost of the kernel :meth:`enqueue` numbered ``index``."""
-        if index >= len(self._costs):
-            self.flush()
-        return self._costs[index]
+        costs = self._costs
+        return costs[index] if index < len(costs) else self.costs[index]
 
     @property
     def costs(self) -> List["KernelCost"]:
         if self._pending is not None:
             self.flush()
+        if self._priced:
+            for priced in self._priced:
+                self._costs += priced.costs()
+            self._priced = []
         return self._costs
 
     @property

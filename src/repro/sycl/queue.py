@@ -92,6 +92,8 @@ class Queue:
         #: default — injection-off submission pays one is-None check and
         #: the modeled timeline is bit-identical either way
         self.fault_injector = None
+        #: the device inspector's default parameters, once asked for
+        self._tuned: Optional[TunedParameters] = None
 
     # ------------------------------------------------------------------ #
     def submit(self, workload: "KernelWorkload") -> Event:
@@ -205,8 +207,13 @@ class Queue:
         self.memory.free(array)
 
     def inspect(self, **kwargs) -> TunedParameters:
-        """Run the device inspector for this queue's device."""
-        return self.device.inspect(**kwargs)
+        """Run the device inspector for this queue's device.  Its default
+        parameters are computed once per queue: every advance reads them."""
+        if kwargs:
+            return self.device.inspect(**kwargs)
+        if self._tuned is None:
+            self._tuned = self.device.inspect()
+        return self._tuned
 
     @property
     def elapsed_ns(self) -> float:

@@ -103,9 +103,10 @@ def assert_same_shape(params, words, active, degrees, position, cap):
 @st.composite
 def advances(draw):
     """An advance over 1, 2-7 or at least 8 workgroups, with frontiers
-    from empty to a few hundred vertices, the per-workgroup bit counts
-    that make ``sgs_per_wg / engaged`` a non-integer, zero degrees and
-    scan positions in or out of order."""
+    from empty to a few hundred vertices spread over every word or over
+    2-7 busy ones, the per-workgroup bit counts that make
+    ``sgs_per_wg / engaged`` a non-integer, zero degrees and scan
+    positions in or out of order."""
     workgroups = draw(st.sampled_from(["one", "few", "many"]))
     if workgroups == "one":
         words = draw(st.integers(1, 3))
@@ -118,7 +119,14 @@ def advances(draw):
         cap = draw(st.sampled_from([0, 8, 9, 160, 2560]))
     n_active = draw(st.one_of(st.just(0), st.integers(1, 7), st.integers(8, 300)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    position = rng.integers(0, words, n_active)
+    if draw(st.booleans()):
+        position = rng.integers(0, words, n_active)
+    else:
+        # a few busy words, several active bits in each: inflations such
+        # as 4/3 make the per-workgroup terms inexact, so the order they
+        # are added in shows
+        busy = rng.choice(words, size=min(words, draw(st.integers(2, 7))), replace=False)
+        position = rng.choice(busy, n_active)
     if draw(st.booleans()):
         position.sort()
     degree_cap = draw(st.sampled_from([1, 4, 50, 100_000]))
@@ -159,3 +167,19 @@ def test_empty_frontier(device, words):
     params = DEVICES[device]().inspect()
     empty = np.empty(0, dtype=np.int64)
     assert_same_shape(params, words, empty, empty, empty, 2560)
+
+
+@pytest.mark.parametrize("device", sorted(DEVICES))
+def test_few_busy_workgroups_among_many(device):
+    """20 workgroups, 5 of them busy with 3 active bits each: the terms
+    ``edges * 4/3`` are inexact, and NumPy's pairwise sum over all 20
+    adds them in another order than a loop over the busy 5 would.  These
+    edge counts carry that last-bit difference into ``serial_ops``."""
+    params = DEVICES[device]().inspect()
+    busy = np.array([1, 3, 9, 14, 18])
+    wg_edges = np.array([67079, 80500, 2266, 80794, 46885])
+    position = np.repeat(busy, 3)
+    degrees = np.stack([wg_edges // 3, wg_edges // 3, wg_edges - 2 * (wg_edges // 3)], axis=1).ravel()
+    active = np.arange(position.size, dtype=np.int64)
+    shape = assert_same_shape(params, 20, active, degrees.astype(np.int64), position.astype(np.int64), 2560)
+    assert shape.n_workgroups == 20

@@ -200,10 +200,8 @@ class TestBatchedPricing:
 
         monkeypatch.setattr(profiling, "PENDING_ACCESS_CAP", 1200)
         priced = []
-        charge_many = queue.cost_model.charge_many
-        monkeypatch.setattr(
-            queue.cost_model, "charge_many", lambda batch: priced.append(len(batch)) or charge_many(batch)
-        )
+        price = queue.cost_model.price
+        monkeypatch.setattr(queue.cost_model, "price", lambda batch: priced.append(len(batch)) or price(batch))
         queue.submit(_workload())
         queue.submit(_workload())
         assert priced == []
