@@ -33,6 +33,7 @@ from repro.errors import FrontierError
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
+from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
 from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
 from repro.frontier.vector import VectorFrontier
 from repro.operators.functor import as_mask
@@ -239,8 +240,6 @@ def _scan_frontier(
         position = np.searchsorted(offsets, word_of_v)
         return active, max(1, offsets.size), position
 
-    from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
-
     if isinstance(in_frontier, MultiLayerBitmapFrontier):
         if in_frontier.n_layers == 1:
             # no summary layer: the advance must scan the whole bitmap,
@@ -325,8 +324,6 @@ def _charge_memory(
             wl.add_stream(eid, 4, REGION_WEIGHTS, label="weights")
         # user-data reads inside the functor (e.g. dist[dst])
         wl.add_stream(dst, config.functor_read_bytes, REGION_USERDATA, label="functor.read")
-    from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
-
     if out_frontier is not None and accepted.size:
         if isinstance(out_frontier, (BitmapFrontier, TwoLayerBitmapFrontier, MultiLayerBitmapFrontier)):
             words = accepted // out_frontier.bits
