@@ -109,21 +109,21 @@ class KernelWorkload:
         self.streams.append(AccessStream(addresses, item_bytes, region, is_write, label))
 
 
-#: a kernel with a stream of more accesses than this is priced as it is
-#: added to a batch, one stream at a time: NumPy's per-call overhead,
-#: which the vectorized pass amortizes, is a small share of its cost
-#: then, its arrays stay cache-sized, and it needs no copy (the
-#: measurement is in docs/architecture.md)
+#: a kernel with a stream of more accesses than this has its memory
+#: hierarchy priced as it is added to a batch, one stream at a time:
+#: NumPy's per-call overhead, which the memory pass amortizes, is a small
+#: share of its cost then, its arrays stay cache-sized, and it needs no
+#: copy (the measurement is in docs/architecture.md)
 LARGE_STREAM = 4096
 #: streams of at most this many accesses are priced with Python ints, a
 #: set and a list when priced one kernel at a time: for them NumPy's
 #: per-call overhead is the whole cost (docs/architecture.md)
 SHORT_STREAM = 48
-#: a batch is priced one kernel at a time while its kernels plus its
-#: streams longer than SHORT_STREAM number fewer than this: the vectorized
-#: pass costs about as much as that many short kernels, or long streams,
-#: priced alone, however little it prices (the tracer and the fault
-#: injector price batches of one; docs/architecture.md)
+#: a batch's memory hierarchy is priced one kernel at a time while its
+#: kernels plus its streams longer than SHORT_STREAM number fewer than
+#: this: the memory pass costs about as much as that many short kernels,
+#: or long streams, priced alone, however little it prices (the tracer
+#: and the fault injector price batches of one; docs/architecture.md)
 SMALL_BATCH = 16
 #: what :meth:`KernelBatch.add` records of a kernel's launch for pricing,
 #: one column each, in this order
