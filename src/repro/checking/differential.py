@@ -372,9 +372,9 @@ def inject_frontier_bug(layout_cls=None, drop_modulus: int = 5, drop_residue: in
     frontier bug (a harness that can't fail is no oracle).
     """
     if layout_cls is None:
-        from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
+        from repro.frontier.bitmap import BitmapFrontier
 
-        layout_cls = TwoLayerBitmapFrontier
+        layout_cls = BitmapFrontier
     original = layout_cls.insert
 
     def broken_insert(self, elements):
@@ -391,7 +391,7 @@ def inject_frontier_bug(layout_cls=None, drop_modulus: int = 5, drop_residue: in
 def self_test(seed: int = 0) -> Tuple[bool, str]:
     """Verify the harness catches an injected frontier bug.
 
-    Runs a small BFS matrix with a sabotaged 2LB insert; returns
+    Runs a small BFS matrix with a sabotaged bitmap insert; returns
     ``(caught, summary)`` where ``caught`` means the sweep reported the
     divergence it must report.
     """

@@ -1,13 +1,14 @@
 """Frontier data layouts (paper Section 4).
 
 The frontier is "the set of active vertices or edges during a graph
-algorithm iteration".  Four layouts are implemented:
+algorithm iteration".  Three classes implement five layout names:
 
 * :class:`~repro.frontier.bitmap.BitmapFrontier` — one bit per element
-  (Section 4.1), the baseline bitmap.
-* :class:`~repro.frontier.two_layer_bitmap.TwoLayerBitmapFrontier` — the
-  paper's primary contribution (Section 4.3): a secondary bitmap marks
-  which primary words are nonzero, so advance kernels skip empty words.
+  (Section 4.1) under ``n_layers - 1`` summary layers, each with one bit
+  per word of the layer below.  ``make_frontier`` names it ``bitmap`` at
+  one layer; ``2lb`` at two, the paper's primary contribution (Section
+  4.3): advance kernels skip the words the summary marks empty; and
+  ``tree`` at ``n_layers`` (Section 4.4's bitmap-tree, two by default).
 * :class:`~repro.frontier.vector.VectorFrontier` — the Gunrock-style
   dynamic vector with local-memory staging and duplicate accumulation
   (Section 4, intro); used by the baselines.
@@ -29,14 +30,12 @@ from repro.frontier.base import (
 )
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
-from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
 from repro.frontier.ops import (
     frontier_intersection,
     frontier_subtraction,
     frontier_union,
     swap,
 )
-from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
 from repro.frontier.vector import VectorFrontier
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "make_frontier",
     "scan_memoization",
     "BitmapFrontier",
-    "MultiLayerBitmapFrontier",
-    "TwoLayerBitmapFrontier",
     "VectorFrontier",
     "BoolmapFrontier",
     "frontier_union",

@@ -34,8 +34,9 @@ class FrontierView(enum.Enum):
 class Frontier(abc.ABC):
     """Set of active elements for one algorithm iteration.
 
-    Concrete layouts: bitmap, two-layer bitmap, vector, boolmap.  All
-    methods take/return NumPy integer arrays of element ids.
+    Concrete layouts: the bitmap (flat, 2LB or bitmap-tree, by its
+    number of layers), vector and boolmap.  All methods take/return
+    NumPy integer arrays of element ids.
 
     Every frontier carries a **mutation epoch** — a version counter
     bumped by every operation that can change the active set (insert,
@@ -290,6 +291,9 @@ def scan_memoization(enabled: bool = True):
 #: layouts whose constructor accepts a ``bits`` word-width argument
 BITMAP_LAYOUTS = ("2lb", "bitmap", "tree")
 
+#: layer count of the bitmap layouts whose depth is fixed
+_BITMAP_DEPTHS = {"bitmap": 1, "2lb": 2}
+
 
 def layout_bits_kwargs(layout: str, bits) -> dict:
     """``make_frontier`` kwargs carrying an explicit bitmap word width.
@@ -314,24 +318,30 @@ def make_frontier(
 
     ``layout`` selects the data layout: ``"2lb"`` (default, the paper's
     Two-Layer Bitmap), ``"bitmap"``, ``"vector"``, ``"boolmap"`` or
-    ``"tree"`` (the §4.4 bitmap-tree; pass ``n_layers=...``).
-    Extra kwargs go to the layout constructor (e.g. ``bits=32``).
+    ``"tree"`` (the §4.4 bitmap-tree; pass ``n_layers=...``, default 2).
+    The three bitmap layouts are one :class:`BitmapFrontier` at two,
+    one and ``n_layers`` layers.  Extra kwargs go to the layout
+    constructor (e.g. ``bits=32``).
     """
     from repro.frontier.bitmap import BitmapFrontier
     from repro.frontier.boolmap import BoolmapFrontier
-    from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
-    from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
     from repro.frontier.vector import VectorFrontier
 
     layouts = {
-        "2lb": TwoLayerBitmapFrontier,
+        "2lb": BitmapFrontier,
         "bitmap": BitmapFrontier,
         "vector": VectorFrontier,
         "boolmap": BoolmapFrontier,
-        "tree": MultiLayerBitmapFrontier,  # §4.4's bitmap-tree (n_layers=...)
+        "tree": BitmapFrontier,
     }
     try:
         cls = layouts[layout]
     except KeyError:
         raise FrontierError(f"unknown frontier layout {layout!r}; known: {sorted(layouts)}") from None
+    if layout in _BITMAP_DEPTHS:
+        if "n_layers" in kwargs:
+            raise TypeError(f"layout {layout!r} has a fixed depth; pass n_layers with layout='tree'")
+        kwargs["n_layers"] = _BITMAP_DEPTHS[layout]
+    elif layout == "tree":
+        kwargs.setdefault("n_layers", 2)
     return cls(queue, n_elements, view, **kwargs)

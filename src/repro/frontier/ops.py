@@ -33,9 +33,6 @@ from repro.frontier import _bitops
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
-from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
-from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
-from repro.perfmodel.cache import unique_ints
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.ndrange import Range
 from repro.types import vertex_t
@@ -43,8 +40,7 @@ from repro.types import vertex_t
 #: address-space regions for the cost model (distinct buffers never alias)
 _REGION_A = 10
 _REGION_B = 11
-_REGION_OUT = 12
-_REGION_OUT_SUMMARY = 13  # +k for the k-th summary layer above layer 0
+_REGION_OUT = 12  # +k for the output's layer k
 
 
 def swap(a: Frontier, b: Frontier) -> None:
@@ -54,10 +50,6 @@ def swap(a: Frontier, b: Frontier) -> None:
     ``frontier::swap``.
     """
     a._swap_payload(b)
-
-
-def _is_bitmap_family(f: Frontier) -> bool:
-    return isinstance(f, (BitmapFrontier, TwoLayerBitmapFrontier, MultiLayerBitmapFrontier))
 
 
 def _check_compatible(a: Frontier, b: Frontier, out: Frontier) -> None:
@@ -74,27 +66,26 @@ def _check_compatible(a: Frontier, b: Frontier, out: Frontier) -> None:
             )
 
 
-def _bitwise_op(a: Frontier, b: Frontier, out: Frontier, op: Callable, name: str) -> None:
+def _bitwise_op(
+    a: BitmapFrontier, b: BitmapFrontier, out: BitmapFrontier, op: Callable, name: str
+) -> None:
     """Word-parallel bitmap kernel; one workitem per word."""
-    if not (a.bits == b.bits == out.bits):  # type: ignore[attr-defined]
+    if not (a.bits == b.bits == out.bits):
         raise FrontierError("bitmap word widths differ between operands")
-    result = op(a.words, b.words)  # type: ignore[attr-defined]
+    result = op(a.words, b.words)
     out.clear()
-    out.words[:] = result  # type: ignore[attr-defined]
-    # summary-layer writes, remembered as (word indices, word bytes, label)
-    # so the profiling workload below streams them too — layer 0 alone
-    # undercounts exactly when the 2LB/MLB layouts pay for their L2 update
-    summary_writes = []
-    if isinstance(out, TwoLayerBitmapFrontier):
-        nz = np.nonzero(result)[0]
-        _bitops.set_bits(out.words_l2, nz, out.bits)
-        summary_writes.append((nz // out.bits, out.words_l2.dtype.itemsize, "out.words_l2"))
-    elif isinstance(out, MultiLayerBitmapFrontier):
-        ids = np.nonzero(result)[0]  # nonzero layer-0 word indices
-        for depth, layer in enumerate(out.layers[1:], start=1):
-            _bitops.set_bits(layer, ids, out.bits)
-            summary_writes.append((ids // out.bits, layer.dtype.itemsize, f"out.layer{depth}"))
-            ids = unique_ints(ids // out.bits)
+    out.words[:] = result
+    # each summary layer gets the bits of the nonzero words below it; the
+    # set words are remembered so the profiling workload below streams
+    # them too — layer 0 alone undercounts exactly when the 2LB and the
+    # tree pay for their summary update
+    summaries = []
+    below = result
+    for layer in out.layers[1:]:
+        nz = np.nonzero(below)[0]
+        _bitops.set_bits(layer, nz, out.bits)
+        summaries.append(nz)
+        below = layer
     # the writes above bypass insert(): invalidate out's memoized scans
     out._bump_epoch()
 
@@ -102,7 +93,7 @@ def _bitwise_op(a: Frontier, b: Frontier, out: Frontier, op: Callable, name: str
     if not queue.enable_profiling:
         queue.submit(null_workload(f"frontier.{name}"))
         return
-    n_words = a.words.size  # type: ignore[attr-defined]
+    n_words = a.words.size
     geom = Range(n_words).resolve(
         queue.device.spec.max_workgroup_size // 4, queue.device.spec.preferred_subgroup_size
     )
@@ -112,13 +103,13 @@ def _bitwise_op(a: Frontier, b: Frontier, out: Frontier, op: Callable, name: str
         active_lanes=n_words,
         instructions_per_lane=4.0,
     )
-    word_bytes = a.words.dtype.itemsize  # type: ignore[attr-defined]
+    word_bytes = a.words.dtype.itemsize
     idx = np.arange(n_words)
     wl.add_stream(idx, word_bytes, _REGION_A, label="lhs.words")
     wl.add_stream(idx, word_bytes, _REGION_B, label="rhs.words")
     wl.add_stream(idx, word_bytes, _REGION_OUT, is_write=True, label="out.words")
-    for k, (word_idx, item_bytes, label) in enumerate(summary_writes):
-        wl.add_stream(word_idx, item_bytes, _REGION_OUT_SUMMARY + k, is_write=True, label=label)
+    for k, nz in enumerate(summaries, start=1):
+        wl.add_stream(nz // out.bits, word_bytes, _REGION_OUT + k, is_write=True, label=f"out.layer{k}")
     queue.submit(wl)
 
 
@@ -172,7 +163,7 @@ def _set_fallback(a: Frontier, b: Frontier, out: Frontier, setop: Callable, name
 
 def _dispatch(a: Frontier, b: Frontier, out: Frontier, bitop, setop, name: str) -> Frontier:
     _check_compatible(a, b, out)
-    if _is_bitmap_family(a) and _is_bitmap_family(b) and _is_bitmap_family(out):
+    if all(isinstance(f, BitmapFrontier) for f in (a, b, out)):
         _bitwise_op(a, b, out, bitop, name)
     else:
         _set_fallback(a, b, out, setop, name)

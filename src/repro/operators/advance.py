@@ -7,8 +7,9 @@ does the same starting from *all* vertices (e.g. BC initialization).
 
 Execution model per launch (bitmap-family input frontiers):
 
-1. *(2LB only)* a pre-pass kernel scans the second layer and writes the
-   nonzero word offsets to the global offsets buffer;
+1. *(bitmaps with summary layers: the 2LB and the §4.4 tree)* pre-pass
+   kernels scan the summary layers and write the nonzero word offsets to
+   the global offsets buffer;
 2. the advance kernel maps workgroups to (coarsened groups of) bitmap
    words, compacts active bits into local memory with subgroup scans, and
    spreads each vertex's neighbor range across subgroup lanes;
@@ -33,8 +34,6 @@ from repro.errors import FrontierError
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
-from repro.frontier.multi_layer_bitmap import MultiLayerBitmapFrontier
-from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
 from repro.frontier.vector import VectorFrontier
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance
@@ -122,8 +121,8 @@ def _advance_workload(
     (:mod:`repro.exec.fusion`): the effect and the workload description
     happen here, identically to the submitting path; whether the
     workload is submitted standalone (:func:`frontier` / :func:`vertices`)
-    or merged into a fused kernel is the caller's choice.  2LB/MLB
-    offsets pre-pass kernels are still submitted from
+    or merged into a fused kernel is the caller's choice.  The offsets
+    pre-pass kernels of a bitmap with summary layers are still submitted from
     :func:`_scan_frontier` — they are a separate launch either way.
     """
     queue = graph.queue
@@ -209,75 +208,24 @@ def _scan_frontier(
     if in_frontier is None:
         raise FrontierError("advance.frontier requires an input frontier")
 
-    if isinstance(in_frontier, TwoLayerBitmapFrontier):
-        # pre-pass kernel: scan layer 2, emit nonzero word offsets.  The
-        # layer-2 expansion is memoized against the frontier's mutation
-        # epoch, so compute_offsets() and active_elements() share ONE
-        # scan — and the driver's empty()/count() call already primed
-        # it.  Only host wall-time changes; the kernels charged below
-        # are identical to the unshared path.
+    if isinstance(in_frontier, BitmapFrontier):
+        if in_frontier.n_layers == 1:
+            # no summary layer: the advance scans the whole bitmap
+            active = in_frontier.active_elements()
+            return active, max(1, in_frontier.n_words), active // in_frontier.bits
+        # pre-pass kernels fill the offsets buffer.  The summary walk is
+        # memoized against the frontier's mutation epoch, so
+        # compute_offsets() and active_elements() share ONE walk — and
+        # the driver's empty()/count() call already primed it.  Only host
+        # wall-time changes; the kernels charged are identical to the
+        # unshared path.
         offsets = in_frontier.compute_offsets()
         active = in_frontier.active_elements()
-        if queue.enable_profiling:
-            geom = Range(max(1, in_frontier.n_words_l2)).resolve(
-                params.workgroup_size, params.subgroup_size
-            )
-            pre = KernelWorkload(
-                name=f"{kernel}.offsets",
-                geometry=geom,
-                active_lanes=in_frontier.n_words_l2,
-                instructions_per_lane=6.0,
-            )
-            word_bytes = in_frontier.words.dtype.itemsize
-            pre.add_stream(np.arange(in_frontier.n_words_l2), word_bytes, REGION_L2, label="l2.words")
-            pre.add_stream(offsets, word_bytes, REGION_FRONTIER_IN, label="l1.probe")
-            pre.add_stream(np.arange(offsets.size), 8, REGION_OFFSETS, is_write=True, label="offsets.out")
-        else:
-            pre = null_workload(f"{kernel}.offsets")
-        queue.submit(pre)
+        _submit_offsets_kernels(queue, in_frontier, offsets, params, kernel)
         # scan position = index within the compacted offsets buffer
         word_of_v = active // in_frontier.bits
         position = np.searchsorted(offsets, word_of_v)
         return active, max(1, offsets.size), position
-
-    if isinstance(in_frontier, MultiLayerBitmapFrontier):
-        if in_frontier.n_layers == 1:
-            # no summary layer: the advance must scan the whole bitmap,
-            # exactly like the flat BitmapFrontier
-            active = in_frontier.active_elements()
-            return active, max(1, in_frontier.n_words), active // in_frontier.bits
-        # bitmap-tree (§4.4): one *dependent* offsets kernel per extra
-        # layer — "extra synchronization during advance operations" — and,
-        # without native specialization constants, the dynamic layer loop
-        # cannot be unrolled (extra per-word instructions).  As with 2LB,
-        # the tree walk is epoch-memoized: offsets and expansion share it.
-        offsets = in_frontier.compute_offsets()
-        active = in_frontier.active_elements()
-        unrolled = queue.device.traits.spec_constants_native
-        layer_ops = 6.0 if unrolled else 10.0
-        for k in range(1, in_frontier.n_layers):
-            layer = in_frontier.layers[k]
-            if not queue.enable_profiling:
-                queue.submit(null_workload(f"{kernel}.offsets.l{k}"))
-                continue
-            geom = Range(max(1, layer.size)).resolve(params.workgroup_size, params.subgroup_size)
-            pre = KernelWorkload(
-                name=f"{kernel}.offsets.l{k}",
-                geometry=geom,
-                active_lanes=int(layer.size),
-                instructions_per_lane=layer_ops,
-            )
-            wb = layer.dtype.itemsize
-            pre.add_stream(np.arange(layer.size), wb, REGION_L2 + k, label=f"l{k}.words")
-            pre.add_stream(np.arange(max(1, offsets.size)), 8, REGION_OFFSETS, is_write=True, label="offsets")
-            queue.submit(pre)
-        word_of_v = active // in_frontier.bits
-        position = np.searchsorted(offsets, word_of_v)
-        return active, max(1, offsets.size), position
-
-    if isinstance(in_frontier, BitmapFrontier):
-        active = in_frontier.active_elements()
-        return active, max(1, in_frontier.n_words), active // in_frontier.bits
 
     if isinstance(in_frontier, VectorFrontier):
         # vector frontiers are consumed with duplicates — the advance
@@ -296,6 +244,42 @@ def _scan_frontier(
     raise FrontierError(f"unsupported frontier layout {type(in_frontier).__name__}")
 
 
+def _submit_offsets_kernels(
+    queue, in_frontier: BitmapFrontier, offsets: np.ndarray, params: TunedParameters, kernel: str
+) -> None:
+    """Submit the pre-advance kernels of a bitmap with summary layers.
+
+    The 2LB's kernel scans layer 1 for the nonzero layer-0 words, probes
+    them and writes their offsets (§4.3).  Each layer above it — the
+    bitmap-tree of §4.4 — adds one *dependent* kernel over its words:
+    "extra synchronization during advance operations".  Without native
+    specialization constants the dynamic layer loop cannot be unrolled,
+    so those kernels pay extra per-word instructions.
+    """
+    word_bytes = in_frontier.words.dtype.itemsize
+    layer_ops = 6.0 if queue.device.traits.spec_constants_native else 10.0
+    for k in range(1, in_frontier.n_layers):
+        name = f"{kernel}.offsets" if k == 1 else f"{kernel}.offsets.l{k}"
+        if not queue.enable_profiling:
+            queue.submit(null_workload(name))
+            continue
+        n_words = int(in_frontier.layers[k].size)
+        pre = KernelWorkload(
+            name=name,
+            geometry=Range(max(1, n_words)).resolve(params.workgroup_size, params.subgroup_size),
+            active_lanes=n_words,
+            instructions_per_lane=6.0 if k == 1 else layer_ops,
+        )
+        if k == 1:
+            pre.add_stream(np.arange(n_words), word_bytes, REGION_L2, label="l2.words")
+            pre.add_stream(offsets, word_bytes, REGION_FRONTIER_IN, label="l1.probe")
+            pre.add_stream(np.arange(offsets.size), 8, REGION_OFFSETS, is_write=True, label="offsets.out")
+        else:
+            pre.add_stream(np.arange(n_words), word_bytes, REGION_L2 + k, label=f"layer{k}.words")
+            pre.add_stream(np.arange(max(1, offsets.size)), 8, REGION_OFFSETS, is_write=True, label="offsets")
+        queue.submit(pre)
+
+
 def _charge_memory(
     wl: KernelWorkload,
     graph,
@@ -311,7 +295,8 @@ def _charge_memory(
 ) -> None:
     """Record the advance kernel's global-memory address streams."""
     # the frontier words the kernel scans (all words for a flat bitmap,
-    # offsets-selected ones for 2LB, vector slots for a vector frontier)
+    # offsets-selected ones under summary layers, vector slots for a
+    # vector frontier)
     if scan_words:
         word_bytes = params.bitmap_bits // 8
         wl.add_stream(np.arange(scan_words), word_bytes, REGION_FRONTIER_IN, label="frontier.scan")
@@ -325,27 +310,27 @@ def _charge_memory(
         # user-data reads inside the functor (e.g. dist[dst])
         wl.add_stream(dst, config.functor_read_bytes, REGION_USERDATA, label="functor.read")
     if out_frontier is not None and accepted.size:
-        if isinstance(out_frontier, (BitmapFrontier, TwoLayerBitmapFrontier, MultiLayerBitmapFrontier)):
+        if isinstance(out_frontier, BitmapFrontier):
             words = accepted // out_frontier.bits
-            wl.add_stream(words, out_frontier.words.dtype.itemsize, REGION_FRONTIER_OUT, is_write=True, label="out.bitmap")
+            word_bytes = out_frontier.words.dtype.itemsize
+            wl.add_stream(words, word_bytes, REGION_FRONTIER_OUT, is_write=True, label="out.bitmap")
             # subgroup compaction pre-merges same-word bits in registers
             # (warp-aggregated atomicOr): one atomic per touched word
             n_words_touched = count_distinct(words)
             wl.atomics += n_words_touched
             wl.atomic_targets += n_words_touched
-            if isinstance(out_frontier, TwoLayerBitmapFrontier):
-                l2_words = words // out_frontier.bits
-                wl.add_stream(l2_words, out_frontier.words_l2.dtype.itemsize, REGION_L2, is_write=True, label="out.l2")
-            elif isinstance(out_frontier, MultiLayerBitmapFrontier):
-                # every extra tree layer is another atomic summary write
-                layer_words = words
-                for k in range(1, out_frontier.n_layers):
-                    layer_words = unique_ints(layer_words // out_frontier.bits)
-                    wl.add_stream(
-                        layer_words, 8, REGION_L2 + k, is_write=True, label=f"out.l{k}"
-                    )
-                    wl.atomics += int(layer_words.size)
-                    wl.atomic_targets += int(layer_words.size)
+            if out_frontier.n_layers > 1:
+                # the 2LB's summary write: each accepted word's layer-1
+                # word, as a plain store
+                summary = words // out_frontier.bits
+                wl.add_stream(summary, word_bytes, REGION_L2, is_write=True, label="out.l2")
+                # every tree layer above it is one atomic write per
+                # distinct word it touches
+                for k in range(2, out_frontier.n_layers):
+                    summary = unique_ints(summary // out_frontier.bits)
+                    wl.add_stream(summary, word_bytes, REGION_L2 + k, is_write=True, label=f"out.layer{k}")
+                    wl.atomics += int(summary.size)
+                    wl.atomic_targets += int(summary.size)
         elif isinstance(out_frontier, VectorFrontier):
             # appended entries: coalesced tail writes + one global atomic
             # tail bump per (simulated) workgroup flush

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.frontier.base import Frontier
+from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.ops import frontier_intersection
 from repro.operators import advance
 
@@ -23,16 +24,15 @@ from repro.operators import advance
 def segmented_intersection(graph, a: Frontier, b: Frontier, out: Frontier) -> Frontier:
     """out = N(a) ∩ N(b) — the shared out-neighborhood of two frontiers.
 
-    ``out`` must be a bitmap-family frontier of the graph's vertex count;
-    two scratch frontiers of the same layout are allocated internally and
-    freed via the queue's memory manager when possible.
+    ``out`` should be a bitmap frontier of the graph's vertex count: the
+    two scratch neighborhoods are bitmaps of its word width and depth, so
+    the AND runs word-parallel.  Any other ``out`` gets flat scratch
+    bitmaps of the device's width, and the set-op's generic path.
     """
-    from repro.frontier.base import make_frontier
-
     with graph.queue.span("intersection.segmented"):
-        layout = "2lb" if hasattr(out, "words_l2") else "bitmap"
-        na = make_frontier(graph.queue, a.n_elements, a.view, layout=layout)
-        nb = make_frontier(graph.queue, b.n_elements, b.view, layout=layout)
+        shape = {"bits": out.bits, "n_layers": out.n_layers} if isinstance(out, BitmapFrontier) else {}
+        na = BitmapFrontier(graph.queue, a.n_elements, a.view, **shape)
+        nb = BitmapFrontier(graph.queue, b.n_elements, b.view, **shape)
 
         accept_all = lambda src, dst, eid, w: np.ones(src.size, dtype=bool)  # noqa: E731
         advance.frontier(graph, a, na, accept_all)

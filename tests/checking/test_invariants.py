@@ -7,7 +7,7 @@ import pytest
 from repro.algorithms import bfs
 from repro.checking.invariants import InvariantChecker, strict_mode
 from repro.errors import InvariantViolation
-from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
+from repro.frontier.bitmap import BitmapFrontier
 from repro.graph.builder import from_edges
 from repro.sycl import Queue
 
@@ -99,17 +99,17 @@ class TestPerKernelChecks:
         q = quiet_queue
         g = from_edges(q, [0, 1], [1, 2])
         with strict_mode(q):
-            f = TwoLayerBitmapFrontier(q, 100)
+            f = BitmapFrontier(q, 100, n_layers=2)
             f.insert([3])
             # corrupt layer 1 directly, bypassing insert: layer 2 goes stale
             np.asarray(f.words)[2] |= 1
-            with pytest.raises(InvariantViolation, match="TwoLayerBitmapFrontier"):
+            with pytest.raises(InvariantViolation, match="BitmapFrontier"):
                 bfs(g, 0)
 
     def test_check_now_outside_kernels(self, quiet_queue):
         q = quiet_queue
         with strict_mode(q) as checker:
-            f = TwoLayerBitmapFrontier(q, 100)
+            f = BitmapFrontier(q, 100, n_layers=2)
             np.asarray(f.words)[0] = 1  # layer 2 not updated
             with pytest.raises(InvariantViolation):
                 checker.check_now(q)
@@ -123,7 +123,7 @@ class TestPerKernelChecks:
 
     def test_dead_frontiers_are_pruned(self, quiet_queue):
         checker = InvariantChecker()
-        f = TwoLayerBitmapFrontier(quiet_queue, 64)
+        f = BitmapFrontier(quiet_queue, 64, n_layers=2)
         checker.register(f)
         assert len(checker.live_frontiers()) == 1
         del f

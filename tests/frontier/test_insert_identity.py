@@ -29,11 +29,7 @@ LAYOUTS = {
 
 
 def layers_of(frontier):
-    if hasattr(frontier, "layers"):
-        return list(frontier.layers)
-    if hasattr(frontier, "words_l2"):
-        return [frontier.words, frontier.words_l2]
-    return [frontier.words]
+    return list(frontier.layers)
 
 
 def reference_layers(before, ids, bits):

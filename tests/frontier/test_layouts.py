@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FrontierError
-from repro.frontier import FrontierView, make_frontier
+from repro.frontier import BITMAP_LAYOUTS, FrontierView, make_frontier
 from repro.frontier.vector import VectorFrontier
 from repro.sycl import Queue
 
@@ -93,6 +93,31 @@ class TestSwap:
         b = make_frontier(queue, 200, layout="2lb")
         with pytest.raises(FrontierError):
             swap(a, b)
+
+    def test_swap_mismatched_bitmap_depths_rejected(self, queue):
+        from repro.frontier import swap
+
+        a = make_frontier(queue, 100, layout="bitmap")
+        b = make_frontier(queue, 100, layout="2lb")
+        with pytest.raises(FrontierError, match="layer"):
+            swap(a, b)
+
+    @pytest.mark.parametrize("layout", BITMAP_LAYOUTS)
+    def test_swap_mismatched_word_widths_rejected(self, queue, layout):
+        """A 32-bit payload read as 64-bit words reports the wrong members:
+        the swap must refuse, and leave both frontiers as they were."""
+        from repro.frontier import swap
+
+        a = make_frontier(queue, 100, layout=layout, bits=32)
+        b = make_frontier(queue, 100, layout=layout, bits=64)
+        a.insert([70, 99])
+        b.insert([5])
+        with pytest.raises(FrontierError, match="bit"):
+            swap(a, b)
+        assert list(a.active_elements()) == [70, 99] and a.check_invariant()
+        assert list(b.active_elements()) == [5] and b.check_invariant()
+        a.insert([1])  # and both stay usable
+        b.insert([2])
 
 
 class TestValidation:

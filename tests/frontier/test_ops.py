@@ -162,9 +162,9 @@ class TestStreamWidths:
         captured = _capture_workloads(monkeypatch, queue)
         frontier_union(a, b, out)
         (wl,) = captured
-        l2 = _stream(wl, "out.words_l2")
+        l2 = _stream(wl, "out.layer1")
         assert l2.is_write
-        assert l2.item_bytes == out.words_l2.dtype.itemsize
+        assert l2.item_bytes == out.layers[1].dtype.itemsize
 
     def test_bitwise_path_streams_every_mlb_summary_layer(self, queue, monkeypatch):
         a = make_frontier(queue, 5000, layout="tree")

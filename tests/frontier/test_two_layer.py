@@ -1,30 +1,31 @@
-"""Two-Layer Bitmap specifics: the layer-2 invariant and the offsets pass."""
+"""Two-Layer Bitmap specifics (a two-layer ``BitmapFrontier``): the
+layer-2 invariant and the offsets pass."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontier.two_layer_bitmap import TwoLayerBitmapFrontier
+from repro.frontier.bitmap import BitmapFrontier
 from repro.sycl import Queue
 
 
 @pytest.fixture
 def f2lb(queue):
-    return TwoLayerBitmapFrontier(queue, 10_000)
+    return BitmapFrontier(queue, 10_000, n_layers=2)
 
 
 class TestSizes:
     def test_layer_sizes_match_paper(self, queue):
         """Layer 1: ceil(|V|/b) words; layer 2: ceil(|V|/b^2) (paper §4.3)."""
-        f = TwoLayerBitmapFrontier(queue, 10_000, bits=32)
+        f = BitmapFrontier(queue, 10_000, bits=32, n_layers=2)
         assert f.n_words == -(-10_000 // 32)
-        assert f.n_words_l2 == -(-f.n_words // 32)
+        assert f.layers[1].size == -(-f.n_words // 32)
 
     def test_64bit_layers(self, queue):
-        f = TwoLayerBitmapFrontier(queue, 100_000, bits=64)
+        f = BitmapFrontier(queue, 100_000, bits=64, n_layers=2)
         assert f.n_words == -(-100_000 // 64)
-        assert f.n_words_l2 == -(-f.n_words // 64)
+        assert f.layers[1].size == -(-f.n_words // 64)
 
 
 class TestLayer2Maintenance:
@@ -45,7 +46,7 @@ class TestLayer2Maintenance:
         f2lb.insert(np.arange(0, 10_000, 13))
         f2lb.clear()
         assert f2lb.check_invariant()
-        assert (np.asarray(f2lb.words_l2) == 0).all()
+        assert (np.asarray(f2lb.layers[1]) == 0).all()
 
 
 class TestRemoveThenScan:
@@ -59,7 +60,7 @@ class TestRemoveThenScan:
         assert list(f2lb.nonzero_words()) == [40]
         assert list(f2lb.compute_offsets()) == [40]
         # the layer-2 bit for word 0 must be cleared, not conservatively set
-        assert not (int(np.asarray(f2lb.words_l2)[0]) & 1)
+        assert not (int(np.asarray(f2lb.layers[1])[0]) & 1)
         assert sorted(f2lb.active_elements()) == [40 * bits]
         assert f2lb.check_invariant()
 
@@ -70,7 +71,7 @@ class TestRemoveThenScan:
         assert f2lb.empty()
         assert f2lb.nonzero_words().size == 0
         assert f2lb.compute_offsets().size == 0
-        assert (np.asarray(f2lb.words_l2) == 0).all()
+        assert (np.asarray(f2lb.layers[1]) == 0).all()
 
 
 class TestOffsets:
@@ -100,7 +101,7 @@ class TestOffsets:
 def test_layer2_invariant_under_mutation(inserts, removes, bits):
     """layer2 bit == (layer1 word nonzero), after arbitrary insert/remove."""
     queue = Queue(capacity_limit=0, enable_profiling=False)
-    f = TwoLayerBitmapFrontier(queue, 2000, bits=bits)
+    f = BitmapFrontier(queue, 2000, bits=bits, n_layers=2)
     f.insert(inserts)
     assert f.check_invariant()
     f.remove(removes)

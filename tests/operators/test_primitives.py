@@ -218,6 +218,33 @@ class TestSegmentedIntersection:
         segmented_intersection(g, a, b, out)
         assert out.empty()
 
+    @pytest.mark.parametrize(
+        "layout,shape",
+        [("bitmap", {"bits": 64}), ("2lb", {"bits": 64}), ("tree", {"n_layers": 3})],
+    )
+    def test_scratch_frontiers_shaped_like_out(self, queue, monkeypatch, layout, shape):
+        """The scratch neighborhoods take ``out``'s word width and depth: a
+        64-bit output on the 32-bit V100S, and a tree output."""
+        from repro.operators import intersection
+
+        scratch = []
+        real = intersection.frontier_intersection
+
+        def spy(na, nb, out):
+            scratch.extend((na, nb))
+            return real(na, nb, out)
+
+        monkeypatch.setattr(intersection, "frontier_intersection", spy)
+        g = from_edges(queue, [0, 0, 1, 1], [2, 3, 3, 4])
+        a = make_frontier(queue, 5)
+        b = make_frontier(queue, 5)
+        out = make_frontier(queue, 5, layout=layout, **shape)
+        a.insert(0)
+        b.insert(1)
+        segmented_intersection(g, a, b, out)
+        assert list(out.active_elements()) == [3]
+        assert [(f.bits, f.n_layers) for f in scratch] == [(out.bits, out.n_layers)] * 2
+
 
 class TestFunctorValidation:
     def test_bad_mask_shape_rejected(self, queue, diamond):
