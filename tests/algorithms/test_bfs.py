@@ -1,11 +1,16 @@
 """BFS correctness vs reference, across layouts, plus direction switching."""
 
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, direction_optimizing_bfs
+from repro.frontier import BITMAP_LAYOUTS, make_frontier
+from repro.operators.advance import AdvanceConfig
 from tests.validation import reference_bfs
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
@@ -68,6 +73,32 @@ class TestDeviceIndependence:
         r = bfs(g, 0)
         ref = reference_bfs(coo.n_vertices, coo.src, coo.dst, 0)
         assert np.array_equal(r.distances, ref)
+
+
+class TestConfiguredWordWidth:
+    @pytest.mark.parametrize("layout", BITMAP_LAYOUTS)
+    @pytest.mark.parametrize("entry", ["bfs", "direction_optimizing_bfs"])
+    def test_config_width_reaches_every_bitmap_layout(self, queue, builder, monkeypatch, layout, entry):
+        """Without ``bits``, a ``config.params`` word width builds both
+        frontiers of every bitmap-family layout, the tree's included, at
+        that width rather than the device's default."""
+        made = []
+
+        def recording_make_frontier(*args, **kwargs):
+            made.append(make_frontier(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(importlib.import_module("repro.algorithms.bfs"), "make_frontier", recording_make_frontier)
+        coo = gen.erdos_renyi(200, 4.0, seed=8)
+        g = builder.to_csr(coo)
+        assert queue.inspect().bitmap_bits == 32
+        config = AdvanceConfig(params=replace(queue.inspect(), bitmap_bits=64))
+        if entry == "bfs":
+            r = bfs(g, 0, layout=layout, config=config)
+        else:
+            r = direction_optimizing_bfs(g, builder.to_csc(coo), 0, layout=layout, config=config)
+        assert np.array_equal(r.distances, reference_bfs(coo.n_vertices, coo.src, coo.dst, 0))
+        assert [f.bits for f in made] == [64, 64]
 
 
 class TestDirectionOptimizing:
