@@ -29,6 +29,7 @@ from repro.perfmodel.cache import (
 )
 from repro.perfmodel.cost import (
     LARGE_STREAM,
+    SHORT_STREAM,
     SMALL_BATCH,
     CostModel,
     KernelCost,
@@ -239,6 +240,9 @@ LENGTHS = st.one_of(
 )
 LARGE_LENGTHS = st.sampled_from([LARGE_STREAM, LARGE_STREAM + 1, LARGE_STREAM + 700])
 KINDS = ("random", "runs", "arange", "sparse", "same")
+#: item sizes that divide every device's cache line, one that divides
+#: none (12) and one wider than any line (256)
+ITEM_BYTES = [1, 4, 8, 12, 256]
 
 
 @st.composite
@@ -246,7 +250,7 @@ def streams(draw, lengths=LENGTHS, regions=st.integers(0, 2)):
     kind = draw(st.sampled_from(KINDS))
     n = draw(lengths)
     dtype = draw(st.sampled_from([np.int32, np.int64]))
-    item_bytes = draw(st.sampled_from([1, 4, 8]))
+    item_bytes = draw(st.sampled_from(ITEM_BYTES))
     region = draw(regions)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "random":
@@ -280,9 +284,19 @@ def geometries(draw):
 def workloads(draw):
     """A kernel whose streams are mostly short, sometimes past
     ``LARGE_STREAM``, on a few regions (so shared within the kernel), with
-    the launch fields every formula reads."""
+    the launch fields every formula reads.  Some streams read an earlier
+    stream's array object again, on another region, at the same or
+    another item size, as an advance reads ``col_idx`` and ``weights`` at
+    the same edge ids."""
     lengths = st.one_of(LENGTHS, LARGE_LENGTHS) if draw(st.integers(0, 7)) == 0 else LENGTHS
     stream_list = draw(st.lists(streams(lengths, st.integers(0, 3)), max_size=6))
+    for _ in range(draw(st.integers(0, 2)) if stream_list else 0):
+        addresses, item_bytes, region = draw(st.sampled_from(stream_list))
+        other = draw(st.sampled_from(ITEM_BYTES))
+        if addresses.size == 0 or int(addresses.max()) < _region_end(np.int64, other):
+            item_bytes = other
+        again = (addresses, item_bytes, draw(st.integers(0, 3).filter(lambda r: r != region)))
+        stream_list.insert(draw(st.integers(0, len(stream_list))), again)
     lanes = draw(st.integers(0, 1 << 14))
     atomics = draw(st.sampled_from([0, 0, 1, 37, 5000]))
     return _workload(
@@ -346,7 +360,7 @@ def test_engaged_subgroups_default_to_active_lanes(model, subgroup):
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(0, 2 * SHORT), min_size=2, max_size=6),
-    st.sampled_from([1, 4, 8]),
+    st.sampled_from(ITEM_BYTES),
     st.integers(0, 2**32 - 1),
 )
 def test_streams_sharing_one_region(model, lengths, item_bytes, seed):
@@ -434,6 +448,50 @@ def test_all_misses_keep_the_whole_stream(model, n):
     """Every access on a new line: nothing hits (m == n)."""
     ref = assert_identical(model, _workload([(np.arange(n) * 64, 8, 0)]))
     assert ref.l1.misses == n
+
+
+@pytest.mark.parametrize("n", [3000, LARGE_STREAM + 1])
+@pytest.mark.parametrize("descent", [SHORT_STREAM, SHORT_STREAM + 1, 1000])
+def test_sorted_prefix_then_one_descent(model, n, descent):
+    """A long stream whose lines rise through at least its first
+    ``SHORT_STREAM`` accesses, then fall back once to lines it already
+    read: the prefix looks sorted, so only the whole-stream test keeps its
+    distinct lines from being counted as accesses minus repeats."""
+    addresses = np.concatenate([np.arange(descent), np.arange(n - descent)]) * 16
+    assert_identical(model, _workload([(addresses, 8, 2), (addresses, 4, 3)]))
+
+
+@pytest.mark.parametrize("n", [SHORT_STREAM + 1, 3000, LARGE_STREAM + 1])
+def test_sorted_but_the_last_access(model, n):
+    """A long stream that reads a new line at every access until its last,
+    which returns to its first line."""
+    addresses = np.arange(n) * 16
+    addresses[-1] = 0
+    assert_identical(model, _workload([(addresses, 8, 2)]))
+
+
+def _edge_ids(n, seed):
+    """An advance's edge ids: the sorted edge range of each of a few
+    hundred random rows, in frontier order, ``n`` in all."""
+    rng = np.random.default_rng(seed)
+    starts = rng.integers(0, 1 << 20, 400)
+    return np.concatenate([np.arange(s, s + rng.integers(1, 40)) for s in starts])[:n]
+
+
+@pytest.mark.parametrize("item_bytes", [4, 8, 12])
+@pytest.mark.parametrize("n", [3000, LARGE_STREAM + 1])
+def test_shared_array_prices_as_its_copy(model, n, item_bytes):
+    """A kernel that reads ``col_idx`` and ``weights`` at one ``eid``
+    array costs what it costs with an equal copy of the array in the
+    second stream, at the second stream's own item size.  Its stream past
+    ``LARGE_STREAM`` has it priced on adding, from the caller's arrays."""
+    eid = _edge_ids(n, n)
+    assert eid.size == n
+    extra = (np.arange(LARGE_STREAM + 1), 4, 1)
+    shared = _workload([extra, (eid, 4, 2), (eid, item_bytes, 3)])
+    copied = _workload([extra, (eid, 4, 2), (eid.copy(), item_bytes, 3)])
+    assert_same_cost(model.charge(shared), model.charge(copied))
+    assert_identical(model, shared)
 
 
 def _sparse_workload(model, dtype, n):
