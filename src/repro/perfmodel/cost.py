@@ -431,25 +431,40 @@ class CostModel:
         through to the device-wide L2, which sees the thinned misses of all
         the kernel's streams in stream order: distinct lines and repeats
         count across stream boundaries.
+
+        A stream longer than :data:`SHORT_STREAM` is priced within its
+        region by :meth:`_long_stream`, once per array object and item size
+        in this call: a stream that reads the same array again at another
+        region (an advance reads ``col_idx`` and ``weights`` at the same
+        edge ids) takes the earlier stream's counts, shifted to its region.
         """
         line, l1_lines = self.spec.l1_line_bytes, self._l1_lines
         l1_acc = l1_hits = l2_acc = 0
         # per stream with misses: the lines of the thinned misses, its
         # region, and its line bounds (None for a short stream's list)
         missed = []
+        # the long streams priced so far, by array object and item size
+        priced = {}
         for addresses, item, region in streams:
             n = addresses.size
             if n == 0:
                 continue
             base = region * AccessStream._REGION_STRIDE
-            if n <= SHORT_STREAM:
-                lines = [(a * item + base) // line for a in addresses.tolist()]
-                bounds = None
-                hits = lru_hits(n, len(set(lines)), sum(map(eq, lines, lines[1:])), l1_lines)
-            else:
-                lines = (np.asarray(addresses, dtype=np.int64) * item + base) // line
-                bounds = (int(lines.min()), int(lines.max()))
-                hits = lru_hits(n, count_distinct(lines, *bounds), count_adjacent(lines), l1_lines)
+            if n > SHORT_STREAM:
+                key = (id(addresses), item)
+                if key not in priced:
+                    priced[key] = self._long_stream(addresses, item)
+                hits, lines, lo, hi = priced[key]
+                # the region starts on a line boundary: its lines are the
+                # stream's lines within it, offset by its first line
+                first = base // line
+                missed.append((lines + first, region, (lo + first, hi + first)))
+                l1_acc += n
+                l1_hits += hits
+                l2_acc += n - hits
+                continue
+            lines = [(a * item + base) // line for a in addresses.tolist()]
+            hits = lru_hits(n, len(set(lines)), sum(map(eq, lines, lines[1:])), l1_lines)
             l1_acc += n
             l1_hits += hits
             m = n - hits
@@ -462,13 +477,8 @@ class CostModel:
                 lines = lines[:1]
             elif m < n:
                 step = (n - 1) / (m - 1)
-                if bounds is None:
-                    lines = [lines[int(j * step)] for j in range(m - 1)] + lines[-1:]
-                else:
-                    idx = (np.arange(m) * step).astype(np.int64)
-                    idx[-1] = n - 1
-                    lines = lines[idx]
-            missed.append((lines, region, bounds))
+                lines = [lines[int(j * step)] for j in range(m - 1)] + lines[-1:]
+            missed.append((lines, region, None))
             l2_acc += m
         if l2_acc == 0:
             return l1_acc, l1_hits, 0, 0
@@ -493,6 +503,38 @@ class CostModel:
             )
             adjacent = count_adjacent(np.concatenate([lines for lines, _, _ in missed]))
         return l1_acc, l1_hits, l2_acc, lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
+
+    def _long_stream(self, addresses: np.ndarray, item: int) -> tuple:
+        """L1 hits, the lines of the thinned misses and the line bounds of
+        a stream of more than :data:`SHORT_STREAM` accesses, each line
+        counted from the first line of its region.  A stream has at least
+        one distinct line, so at least one miss."""
+        line = self.spec.l1_line_bytes
+        lines = np.asarray(addresses, dtype=np.int64)
+        lines = lines // (line // item) if line % item == 0 else lines * item // line
+        n = lines.size
+        adjacent = count_adjacent(lines)
+        # lines that never decrease are distinct wherever they change; an
+        # unsorted stream almost always shows it in its first few lines
+        head = lines[:SHORT_STREAM]
+        if (head[1:] >= head[:-1]).all() and (lines[1:] >= lines[:-1]).all():
+            lo, hi = int(lines[0]), int(lines[-1])
+            distinct = n - adjacent
+        else:
+            lo, hi = int(lines.min()), int(lines.max())
+            distinct = count_distinct(lines, lo, hi)
+        hits = lru_hits(n, distinct, adjacent, self._l1_lines)
+        m = n - hits
+        # L2 sees the m misses thinned to the m accesses
+        # np.linspace(0, n-1, m) indexes, computed in the float64
+        # arithmetic it performs
+        if m == 1:
+            lines = lines[:1]
+        elif m < n:
+            idx = (np.arange(m) * ((n - 1) / (m - 1))).astype(np.int64)
+            idx[-1] = n - 1
+            lines = lines[idx]
+        return hits, lines, lo, hi
 
     # ------------------------------------------------------------------ #
     # the whole batch at once
