@@ -76,6 +76,12 @@ class DeviceSpec:
     vram_bytes: int
     supported_backends: Tuple[Backend, ...] = ()
 
+    def __post_init__(self) -> None:
+        # the cost model takes a cache line id as a right shift
+        line = self.l1_line_bytes
+        if line < 1 or line & (line - 1):
+            raise DeviceError(f"{self.name}: l1_line_bytes must be a power of two, got {line}")
+
     @property
     def preferred_subgroup_size(self) -> int:
         return self.subgroup_sizes[0]

@@ -1,5 +1,7 @@
 """Device profiles and the device inspector."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DeviceError
@@ -38,6 +40,16 @@ class TestSpecs:
 
     def test_max_resident_workitems(self):
         assert V100S_SPEC.max_resident_workitems == 80 * 2048
+
+    @pytest.mark.parametrize("line", [0, 48, 96, 100, 129])
+    def test_line_size_must_be_a_power_of_two(self, line):
+        """The cost model takes line ids as right shifts."""
+        with pytest.raises(DeviceError, match=f"l1_line_bytes must be a power of two, got {line}"):
+            replace(V100S_SPEC, l1_line_bytes=line)
+
+    @pytest.mark.parametrize("line", [1, 32, 64, 128, 256])
+    def test_power_of_two_line_sizes_accepted(self, line):
+        assert replace(MI100_SPEC, l1_line_bytes=line).l1_line_bytes == line
 
 
 class TestBackendBinding:
