@@ -105,15 +105,16 @@ def count_distinct(lines: np.ndarray, lo: Optional[int] = None, hi: Optional[int
     """Number of distinct values in a non-empty ``lines``, all of which lie
     in ``[lo, hi]`` (by default its own minimum and maximum).
 
-    Linear in ``len(lines) + hi - lo`` with a mark array over the span;
-    a span far wider than the stream is counted by sorting instead.
+    Linear in ``len(lines) + hi - lo`` with a mark array over the span,
+    indexed by the lines themselves when ``lo`` is 0; a span far wider
+    than the stream is counted by sorting instead.
     """
     if lo is None:
         lo, hi = int(lines.min()), int(lines.max())
     span = hi - lo + 1
     if lines.dtype == np.int64 and span <= MARK_SPAN_PER_ACCESS * lines.size + MARK_SPAN_BASE:
         mark = np.zeros(span, dtype=np.bool_)
-        mark[lines - lo] = True
+        mark[lines - lo if lo else lines] = True
         return int(np.count_nonzero(mark))
     ordered = np.sort(lines, axis=None)
     return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))

@@ -29,6 +29,8 @@ from typing import Iterable, List, NamedTuple, Optional
 import numpy as np
 
 from repro.perfmodel.cache import (
+    MARK_SPAN_BASE,
+    MARK_SPAN_PER_ACCESS,
     CacheStats,
     count_adjacent,
     count_distinct,
@@ -330,6 +332,8 @@ class CostModel:
         l2_bytes = max(line * 16, int(spec.l2_bytes * CACHE_SCALE))
         self._l1_lines = max(1, l1_bytes // line)
         self._l2_lines = max(1, l2_bytes // line)
+        # log2 of the line, a power of two (DeviceSpec)
+        self._line_shift = line.bit_length() - 1
         self._launch_ns = self.traits.launch_overhead_us * 1_000.0
         self._throughput = max(1, spec.compute_units * self.LANES_PER_CU_PER_CYCLE)
         # subgroups in flight that saturate DRAM bandwidth device-wide
@@ -432,16 +436,23 @@ class CostModel:
         the kernel's streams in stream order: distinct lines and repeats
         count across stream boundaries.
 
-        A stream longer than :data:`SHORT_STREAM` is priced within its
-        region by :meth:`_long_stream`, once per array object and item size
-        in this call: a stream that reads the same array again at another
-        region (an advance reads ``col_idx`` and ``weights`` at the same
-        edge ids) takes the earlier stream's counts, shifted to its region.
+        Lines are counted within each stream's region: a region starts on
+        a line boundary, so no count within it depends on its offset, and
+        regions never share a line.  So L2 repeats are each stream's own
+        plus one test at each boundary between consecutive streams of one
+        region, and distinct lines are counted per region.
+
+        A stream longer than :data:`SHORT_STREAM` is priced by
+        :meth:`_long_stream`, once per array object and item size in this
+        call: a stream that reads the same array again at another region
+        (an advance reads ``col_idx`` and ``weights`` at the same edge ids)
+        takes the earlier stream's counts.
         """
         line, l1_lines = self.spec.l1_line_bytes, self._l1_lines
         l1_acc = l1_hits = l2_acc = 0
-        # per stream with misses: the lines of the thinned misses, its
-        # region, and its line bounds (None for a short stream's list)
+        # per stream with misses: its region, the lines of its thinned
+        # misses, their adjacent repeats, and its line bounds (None for a
+        # short stream's list)
         missed = []
         # the long streams priced so far, by array object and item size
         priced = {}
@@ -449,22 +460,19 @@ class CostModel:
             n = addresses.size
             if n == 0:
                 continue
-            base = region * AccessStream._REGION_STRIDE
             if n > SHORT_STREAM:
                 key = (id(addresses), item)
                 if key not in priced:
                     priced[key] = self._long_stream(addresses, item)
-                hits, lines, lo, hi = priced[key]
-                # the region starts on a line boundary: its lines are the
-                # stream's lines within it, offset by its first line
-                first = base // line
-                missed.append((lines + first, region, (lo + first, hi + first)))
+                hits, lines, adjacent, bounds = priced[key]
+                missed.append((region, lines, adjacent, bounds))
                 l1_acc += n
                 l1_hits += hits
                 l2_acc += n - hits
                 continue
-            lines = [(a * item + base) // line for a in addresses.tolist()]
-            hits = lru_hits(n, len(set(lines)), sum(map(eq, lines, lines[1:])), l1_lines)
+            lines = [a * item // line for a in addresses.tolist()]
+            adjacent = sum(map(eq, lines, lines[1:]))
+            hits = lru_hits(n, len(set(lines)), adjacent, l1_lines)
             l1_acc += n
             l1_hits += hits
             m = n - hits
@@ -474,54 +482,64 @@ class CostModel:
             # np.linspace(0, n-1, m) indexes, computed in the float64
             # arithmetic it performs
             if m == 1:
-                lines = lines[:1]
+                lines, adjacent = lines[:1], 0
             elif m < n:
                 step = (n - 1) / (m - 1)
                 lines = [lines[int(j * step)] for j in range(m - 1)] + lines[-1:]
-            missed.append((lines, region, None))
+                adjacent = sum(map(eq, lines, lines[1:]))
+            missed.append((region, lines, adjacent, None))
             l2_acc += m
         if l2_acc == 0:
             return l1_acc, l1_hits, 0, 0
-        if l2_acc <= SHORT_STREAM:
-            stream = []
-            for lines, _, bounds in missed:
-                stream += lines if bounds is None else lines.tolist()
-            distinct = len(set(stream))
-            adjacent = sum(map(eq, stream, stream[1:]))
-        else:
-            # regions never share a line: count distinct lines per region
-            by_region = {}
-            for lines, region, bounds in missed:
-                by_region.setdefault(region, []).append((lines, bounds or (min(lines), max(lines))))
-            distinct = sum(
-                count_distinct(
+        adjacent, last = 0, None
+        by_region = {}
+        for region, lines, repeats, bounds in missed:
+            adjacent += repeats + (last == (region, lines[0]))
+            last = region, lines[-1]
+            by_region.setdefault(region, []).append((lines, bounds))
+        distinct = 0
+        for parts in by_region.values():
+            if len(parts) == 1 and parts[0][1] is not None:
+                distinct += count_distinct(parts[0][0], *parts[0][1])
+            elif all(bounds is None for _, bounds in parts):
+                distinct += len(set().union(*(lines for lines, _ in parts)))
+            else:
+                bounds = [bounds or (min(lines), max(lines)) for lines, bounds in parts]
+                distinct += count_distinct(
                     np.concatenate([lines for lines, _ in parts]),
-                    min(lo for _, (lo, _) in parts),
-                    max(hi for _, (_, hi) in parts),
+                    min(lo for lo, _ in bounds),
+                    max(hi for _, hi in bounds),
                 )
-                for parts in by_region.values()
-            )
-            adjacent = count_adjacent(np.concatenate([lines for lines, _, _ in missed]))
         return l1_acc, l1_hits, l2_acc, lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
 
     def _long_stream(self, addresses: np.ndarray, item: int) -> tuple:
-        """L1 hits, the lines of the thinned misses and the line bounds of
-        a stream of more than :data:`SHORT_STREAM` accesses, each line
-        counted from the first line of its region.  A stream has at least
-        one distinct line, so at least one miss."""
+        """L1 hits, the lines of the thinned misses, their adjacent repeats
+        and the line bounds of a stream of more than :data:`SHORT_STREAM`
+        accesses, its lines counted within its region.  A stream has at
+        least one distinct line, so at least one miss."""
+        # every device's line is a power of two (DeviceSpec), so is any
+        # item size that divides it: line ids are one right shift
         line = self.spec.l1_line_bytes
-        lines = np.asarray(addresses, dtype=np.int64)
-        lines = lines // (line // item) if line % item == 0 else lines * item // line
+        if line % item == 0:
+            shift = (line // item).bit_length() - 1
+            lines = np.right_shift(addresses, shift, dtype=np.int64, casting="unsafe")
+        else:
+            lines = np.multiply(addresses, item, dtype=np.int64, casting="unsafe")
+            lines >>= self._line_shift
         n = lines.size
         adjacent = count_adjacent(lines)
         # lines that never decrease are distinct wherever they change; an
         # unsorted stream almost always shows it in its first few lines
         head = lines[:SHORT_STREAM]
         if (head[1:] >= head[:-1]).all() and (lines[1:] >= lines[:-1]).all():
-            lo, hi = int(lines[0]), int(lines[-1])
+            bounds = int(lines[0]), int(lines[-1])
             distinct = n - adjacent
         else:
-            lo, hi = int(lines.min()), int(lines.max())
+            hi = int(lines.max())
+            # few enough lines from line 0 up to mark: no minimum, and
+            # count_distinct subtracts nothing
+            lo = 0 if hi < MARK_SPAN_PER_ACCESS * n + MARK_SPAN_BASE else int(lines.min())
+            bounds = lo, hi
             distinct = count_distinct(lines, lo, hi)
         hits = lru_hits(n, distinct, adjacent, self._l1_lines)
         m = n - hits
@@ -529,12 +547,15 @@ class CostModel:
         # np.linspace(0, n-1, m) indexes, computed in the float64
         # arithmetic it performs
         if m == 1:
-            lines = lines[:1]
+            lines, adjacent = lines[:1], 0
         elif m < n:
-            idx = (np.arange(m) * ((n - 1) / (m - 1))).astype(np.int64)
+            idx = np.arange(m, dtype=np.float64)
+            idx *= (n - 1) / (m - 1)
+            idx = idx.astype(np.int64)
             idx[-1] = n - 1
             lines = lines[idx]
-        return hits, lines, lo, hi
+            adjacent = count_adjacent(lines)
+        return hits, lines, adjacent, bounds
 
     # ------------------------------------------------------------------ #
     # the whole batch at once
@@ -564,7 +585,7 @@ class CostModel:
         # boundary, so its offset changes no count within the region
         lines = np.concatenate(addresses, dtype=np.int64, casting="unsafe")
         lines *= np.repeat(items, n)
-        lines //= self.spec.l1_line_bytes
+        lines >>= self._line_shift
         lo = np.minimum.reduceat(lines, starts)
         hi = np.maximum.reduceat(lines, starts)
 

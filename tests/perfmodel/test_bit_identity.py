@@ -374,14 +374,25 @@ def test_streams_sharing_one_region(model, lengths, item_bytes, seed):
 # --------------------------------------------------------------------- #
 # the edges, pinned                                                     #
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("n", [8, 3000, LARGE_STREAM + 1])
-def test_l2_repeat_across_a_stream_boundary(model, n):
+#: ``(n, between)``: two ``n``-access streams, with or without a stream of
+#: another buffer between them
+BOUNDARY_CASES = [(n, between) for between in (False, True) for n in (8, 3000, LARGE_STREAM + 1)]
+
+
+@pytest.mark.parametrize(
+    "n, between", BOUNDARY_CASES, ids=[f"{n}-between" if between else f"{n}" for n, between in BOUNDARY_CASES]
+)
+def test_l2_repeat_across_a_stream_boundary(model, n, between):
     """Two streams on one buffer, every access a new line: the second
     starts on the line where the first ended, so the L2 stream repeats a
     line across the boundary.  At 3000 lines the working set overflows L2
-    and that one repeat changes the hit count."""
+    and that one repeat changes the hit count.  A stream on another buffer
+    between them reads, at that buffer's own offset, the line where the
+    first ends and the second starts: no repeat counts across either of
+    its boundaries."""
     forward = np.arange(n) * 64
-    assert_identical(model, _workload([(forward, 8, 1), (forward[::-1].copy(), 8, 1)]))
+    middle = [(np.full(n, forward[-1]), 8, 2)] if between else []
+    assert_identical(model, _workload([(forward, 8, 1)] + middle + [(forward[::-1].copy(), 8, 1)]))
 
 
 def test_no_repeat_across_a_kernel_boundary(model):
@@ -461,12 +472,37 @@ def test_sorted_prefix_then_one_descent(model, n, descent):
     assert_identical(model, _workload([(addresses, 8, 2), (addresses, 4, 3)]))
 
 
-@pytest.mark.parametrize("n", [SHORT_STREAM + 1, 3000, LARGE_STREAM + 1])
-def test_sorted_but_the_last_access(model, n):
+#: ``(n, start, top)``: an ``n``-access stream from address ``start``;
+#: ``top``, if not None, puts its last line but one ``top`` lines above
+#: the largest line an unsorted stream of ``n`` accesses marks from line 0
+LAST_ACCESS_CASES = [(n, 0, None) for n in (SHORT_STREAM + 1, 3000, LARGE_STREAM + 1)] + [
+    (n, start, top)
+    for n in (SHORT_STREAM + 1, 3000, LARGE_STREAM + 1)
+    for start, top in ((0, -1), (0, 0), (0, 1), (1 << 30, None))
+]
+
+
+@pytest.mark.parametrize(
+    "n, start, top",
+    LAST_ACCESS_CASES,
+    ids=[
+        f"{n}" + (f"-bound{top:+d}" if top else "-bound" if top == 0 else "-far" if start else "")
+        for n, start, top in LAST_ACCESS_CASES
+    ],
+)
+def test_sorted_but_the_last_access(model, n, start, top):
     """A long stream that reads a new line at every access until its last,
-    which returns to its first line."""
-    addresses = np.arange(n) * 16
-    addresses[-1] = 0
+    which returns to its first line.  Unsorted, it marks its lines from
+    line 0 while its largest line keeps the span from line 0 within
+    ``MARK_SPAN_PER_ACCESS`` lines per access plus ``MARK_SPAN_BASE``:
+    ``top`` puts that line one below, at and one above the largest that
+    does.  Started far above line 0, it spans few lines and marks them
+    from its smallest."""
+    addresses = start + np.arange(n) * 16
+    addresses[-1] = start
+    if top is not None:
+        largest_marked = MARK_SPAN_PER_ACCESS * n + MARK_SPAN_BASE - 1
+        addresses[-2] = (largest_marked + top) * (model.spec.l1_line_bytes // 8)
     assert_identical(model, _workload([(addresses, 8, 2)]))
 
 
