@@ -24,6 +24,7 @@ are called, never at module level.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
@@ -116,6 +117,15 @@ def close_scores(got: np.ndarray, want: np.ndarray) -> Optional[Mismatch]:
     """BC and PageRank scores: accumulation-order tolerance (rtol 1e-6,
     atol 1e-9); NaN is a mismatch."""
     return _first(np.nonzero(~np.isclose(got, want, rtol=1e-6, atol=1e-9))[0], got, want)
+
+
+def result_digest(values) -> str:
+    """Bit-exact digest of a result array, ``dtype:shape:blake2b-16``:
+    the BENCH ledger's checked-in format, and what the serving layer
+    keeps per completed request so chaos runs can compare results."""
+    arr = np.ascontiguousarray(values)
+    h = hashlib.blake2b(arr.tobytes(), digest_size=16)
+    return f"{arr.dtype}:{arr.shape}:{h.hexdigest()}"
 
 
 # --------------------------------------------------------------------- #

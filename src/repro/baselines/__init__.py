@@ -17,7 +17,10 @@ differences to*, on the same simulated runtime and cost model:
 * :class:`~repro.baselines.sygraph.SYgraphRunner` — the paper's system
   (this library) behind the same harness interface.
 
-All runners share :class:`~repro.baselines.common.FrameworkRunner`.
+All runners share :class:`~repro.baselines.common.FrameworkRunner`,
+which drives the three baselines' ``bfs``/``sssp``/``cc``/``bc`` once,
+as plans on the plan executor; each framework module keeps only its
+level method, its backward sweep and its kernels.
 """
 
 from repro.baselines.common import FrameworkRunner, make_runner, runner_names

@@ -16,24 +16,22 @@ Reimplements the mechanisms the paper attributes Gunrock's behaviour to
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import FrameworkRunner, register_runner
-from repro.frontier import FrontierView
+from repro.exec import ExecContext
+from repro.frontier import FrontierView, swap
 from repro.frontier.vector import VectorFrontier
 from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 from repro.operators import advance
 from repro.operators.advance import REGION_FRONTIER_IN, REGION_FRONTIER_OUT
 from repro.perfmodel.cost import KernelWorkload
-from repro.sycl.ndrange import Range
 
 
 @register_runner
 class GunrockRunner(FrameworkRunner):
-    """Vector-frontier BFS/SSSP/CC/BC with dedup post-passes."""
+    """Vector-frontier levels with dedup post-passes."""
 
     name = "gunrock"
 
@@ -55,8 +53,7 @@ class GunrockRunner(FrameworkRunner):
         k = frontier.size_with_duplicates
         raw = frontier.raw_elements()
         removed = frontier.deduplicate()
-        spec = self.queue.device.spec
-        geom = Range(max(1, k)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+        geom = self._geometry(k)
         idx = np.arange(max(0, k))
 
         # kernel 1: mark — probe/claim a |V|-sized visited-hash per element
@@ -101,104 +98,35 @@ class GunrockRunner(FrameworkRunner):
         self.queue.submit(compact)
         return removed
 
-    def _new_frontiers(self, n: int):
+    def _frontiers(self, n: int, seeds: np.ndarray):
         fin = VectorFrontier(self.queue, n, FrontierView.VERTEX)
         fout = VectorFrontier(self.queue, n, FrontierView.VERTEX)
-        return fin, fout
+        fin.insert(seeds)
+        return {"in": fin, "out": fout}
 
-    # ------------------------------------------------------------------ #
-    def bfs(self, source: int):
-        from repro.algorithms.bfs import BFSResult
+    def _level(self, ctx: ExecContext, functor) -> np.ndarray:
+        """Advance into the output vector, then the dedup post-pass."""
+        fin, fout = ctx.frontier("in"), ctx.frontier("out")
+        advance.frontier(ctx.graph("csr"), fin, fout, functor).wait()
+        self._dedup_kernel(fout)
+        accepted = fout.active_elements()
+        swap(fin, fout)
+        fout.clear()
+        return accepted
 
-        g = self.graph
-        n = g.get_vertex_count()
-        fin, fout = self._new_frontiers(n)
-        dist = self.queue.malloc_shared((n,), np.int64, label="gunrock.bfs.dist", fill=-1)
-        dist[source] = 0
-        fin.insert(source)
-        it = 0
-        while not fin.empty() and it <= n:
-            depth = it + 1
-            advance.frontier(g, fin, fout, lambda s, d, e, w: dist[d] == -1).wait()
-            self._dedup_kernel(fout)
-            ids = fout.active_elements()
-            dist[ids] = depth
-            fin, fout = fout, fin
-            fout.clear()
-            it += 1
-            self.queue.memory.tick(f"gunrock.bfs.iter{it}")
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return BFSResult(distances=out, iterations=it, visited=int((out != -1).sum()))
+    def _sweep(self, ctx: ExecContext, ids: np.ndarray, functor) -> None:
+        super()._sweep(ctx, ids, functor)
+        self.queue.memory.tick("gunrock.bc.back")
 
-    def sssp(self, source: int):
-        from repro.algorithms.sssp import SSSPResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        fin, fout = self._new_frontiers(n)
-        dist = self.queue.malloc_shared((n,), np.float64, label="gunrock.sssp.dist", fill=np.inf)
-        dist[source] = 0.0
-        fin.insert(source)
-        it = 0
-        relaxations = 0
-
-        def relax(s, d, e, w):
-            cand = dist[s] + w.astype(np.float64)
-            improved = cand < dist[d]
-            np.minimum.at(dist, d[improved], cand[improved])
-            return improved
-
-        while not fin.empty() and it <= 4 * n:
-            advance.frontier(g, fin, fout, relax).wait()
-            self._dedup_kernel(fout)
-            relaxations += fout.count()
-            fin, fout = fout, fin
-            fout.clear()
-            it += 1
-            self.queue.memory.tick(f"gunrock.sssp.iter{it}")
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return SSSPResult(distances=out, iterations=it, relaxations=relaxations)
-
-    def cc(self):
-        from repro.algorithms.cc import CCResult
-
-        g = self.graph_sym
-        n = g.get_vertex_count()
-        labels = self.queue.malloc_shared((n,), np.int64, label="gunrock.cc.labels")
-        labels[:] = np.arange(n, dtype=np.int64)
-        fin, fout = self._new_frontiers(n)
-        fin.insert(np.arange(n, dtype=np.int64))
-        it = 0
-
-        def propagate(s, d, e, w):
-            improved = labels[s] < labels[d]
-            np.minimum.at(labels, d[improved], labels[s][improved])
-            return improved
-
-        while not fin.empty() and it <= n:
-            advance.frontier(g, fin, fout, propagate).wait()
-            self._dedup_kernel(fout)
-            self._pointer_jump(labels)
-            fin, fout = fout, fin
-            fout.clear()
-            it += 1
-            self.queue.memory.tick(f"gunrock.cc.iter{it}")
-        out = np.asarray(labels).copy()
-        self.queue.free(labels)
-        return CCResult(labels=out, iterations=it)
-
-    def _pointer_jump(self, labels) -> None:
+    def _jump(self, labels) -> None:
         """Gunrock's CC hooks then pointer-jumps labels to their roots
         (a compute kernel per jump round, like our shortcutting)."""
         n = labels.size
-        spec = self.queue.device.spec
         while True:
             parent = labels[labels]
             done = np.array_equal(parent, labels)
             labels[:] = parent
-            geom = Range(max(1, n)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+            geom = self._geometry(n)
             wl = KernelWorkload(
                 name="gunrock.cc.jump",
                 geometry=geom,
@@ -211,64 +139,3 @@ class GunrockRunner(FrameworkRunner):
             self.queue.submit(wl)
             if done:
                 break
-
-    def bc(self, sources: Sequence[int]):
-        from repro.algorithms.bc import BCResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        scores = np.zeros(n, dtype=np.float64)
-        total_iters = 0
-        for src0 in sources:
-            dep, iters = self._brandes(int(src0))
-            scores += dep
-            total_iters += iters
-        return BCResult(scores=scores, sources=[int(s) for s in sources], total_iterations=total_iters)
-
-    def _brandes(self, source: int):
-        g = self.graph
-        n = g.get_vertex_count()
-        q = self.queue
-        dist = q.malloc_shared((n,), np.int64, label="gunrock.bc.dist", fill=-1)
-        sigma = q.malloc_shared((n,), np.float64, label="gunrock.bc.sigma", fill=0)
-        delta = q.malloc_shared((n,), np.float64, label="gunrock.bc.delta", fill=0)
-        dist[source] = 0
-        sigma[source] = 1.0
-        fin, fout = self._new_frontiers(n)
-        fin.insert(source)
-        levels = [np.array([source], dtype=np.int64)]
-        it = 0
-        while not fin.empty():
-            depth = it + 1
-
-            def fwd(s, d, e, w):
-                tree = dist[d] == -1
-                np.add.at(sigma, d[tree], sigma[s][tree])
-                dist[d[tree]] = depth
-                return tree
-
-            advance.frontier(g, fin, fout, fwd).wait()
-            self._dedup_kernel(fout)
-            lvl = fout.active_elements()
-            if lvl.size:
-                levels.append(lvl)
-            fin, fout = fout, fin
-            fout.clear()
-            it += 1
-
-        def back(s, d, e, w):
-            tree = dist[d] == dist[s] + 1
-            contrib = sigma[s][tree] / np.maximum(sigma[d][tree], 1e-300) * (1.0 + delta[d][tree])
-            np.add.at(delta, s[tree], contrib)
-            return np.zeros(s.size, dtype=bool)
-
-        for li in range(len(levels) - 1, 0, -1):
-            fin.clear()
-            fin.insert(levels[li - 1])
-            advance.frontier(g, fin, None, back).wait()
-            it += 1
-            self.queue.memory.tick("gunrock.bc.back")
-        dep = np.asarray(delta).copy()
-        dep[source] = 0.0
-        q.free(dist), q.free(sigma), q.free(delta)
-        return dep, it

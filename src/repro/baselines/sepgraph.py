@@ -20,12 +20,11 @@ returns False for it and Table 6 renders those cells empty.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import FrameworkRunner, register_runner
-from repro.frontier import FrontierView
+from repro.exec import ExecContext
+from repro.frontier import FrontierView, swap
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.vector import VectorFrontier
 from repro.graph.builder import GraphBuilder
@@ -38,7 +37,6 @@ from repro.operators.advance import (
     REGION_USERDATA,
 )
 from repro.perfmodel.cost import KernelWorkload
-from repro.sycl.ndrange import Range
 
 #: edge-partitioning preprocessing throughput (edges per microsecond).
 #: SEP-Graph's loader is a light single pass; the paper observes "shorter
@@ -50,7 +48,7 @@ PULL_THRESHOLD = 0.05
 
 @register_runner
 class SepGraphRunner(FrameworkRunner):
-    """Adaptive push/pull BFS/SSSP/BC (no CC — matches the paper)."""
+    """Adaptive push/pull levels (no CC — matches the paper)."""
 
     name = "sep"
 
@@ -68,9 +66,8 @@ class SepGraphRunner(FrameworkRunner):
     def _selector_kernel(self, frontier_size: int) -> None:
         """Path-selection pass: the runtime reduction over frontier stats
         that feeds SEP-Graph's push/pull decision (pure overhead)."""
-        spec = self.queue.device.spec
         n = self.graph.get_vertex_count()
-        geom = Range(max(1, n // 32)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+        geom = self._geometry(n // 32)
         wl = KernelWorkload(
             name="sep.selector",
             geometry=geom,
@@ -83,9 +80,8 @@ class SepGraphRunner(FrameworkRunner):
 
     def _convert_kernels(self, k: int) -> None:
         """vector -> bitmap -> vector round trip to drop duplicates."""
-        spec = self.queue.device.spec
         for name in ("sep.vec2bitmap", "sep.bitmap2vec"):
-            geom = Range(max(1, k)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+            geom = self._geometry(k)
             wl = KernelWorkload(
                 name=name,
                 geometry=geom,
@@ -116,8 +112,7 @@ class SepGraphRunner(FrameworkRunner):
             accepted = np.unique(dst[mask])
         else:
             accepted = np.empty(0, dtype=np.int64)
-        spec = q.device.spec
-        geom = Range(max(1, unvisited.size)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+        geom = self._geometry(unvisited.size)
         wl = KernelWorkload(
             name="sep.pull",
             geometry=geom,
@@ -136,141 +131,37 @@ class SepGraphRunner(FrameworkRunner):
         return accepted
 
     # ------------------------------------------------------------------ #
-    def _traverse(self, source: int, functor, values: np.ndarray, stamp=None, tag: str = "bfs"):
-        """Shared adaptive BFS-like driver; returns iteration count."""
-        g = self.graph
-        n = g.get_vertex_count()
-        total_edges = g.get_edge_count()
-        fin = VectorFrontier(self.queue, n, FrontierView.VERTEX)
-        fout = VectorFrontier(self.queue, n, FrontierView.VERTEX)
-        fin.insert(source)
-        it = 0
-        while not fin.empty() and it <= 4 * n:
-            ids = fin.active_elements()
-            self._selector_kernel(ids.size)
-            frontier_edges = int(self.out_degs[ids].sum())
-            use_pull = (
-                stamp is not None  # only level-synchronous traversals pull
-                and frontier_edges > PULL_THRESHOLD * total_edges
-            )
-            if use_pull:
-                unvisited = np.nonzero(values == -1)[0]
-                accepted = self._pull_step(unvisited, ids, functor)
-            else:
-                advance.frontier(g, fin, fout, functor).wait()
-                self._convert_kernels(fout.size_with_duplicates)
-                fout.deduplicate()
-                accepted = fout.active_elements()
-            if stamp is not None and accepted.size:
-                stamp(accepted, it + 1)
-            fin.clear()
-            fin.insert(accepted)
-            fout.clear()
-            it += 1
-            self.queue.memory.tick(f"sep.{tag}.iter{it}")
-        return it
-
-    def bfs(self, source: int):
-        from repro.algorithms.bfs import BFSResult
-
-        n = self.graph.get_vertex_count()
-        dist = self.queue.malloc_shared((n,), np.int64, label="sep.bfs.dist", fill=-1)
-        dist[source] = 0
-        it = self._traverse(
-            source,
-            lambda s, d, e, w: dist[d] == -1,
-            np.asarray(dist),
-            stamp=lambda ids, depth: dist.__setitem__(ids, depth),
-            tag="bfs",
-        )
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return BFSResult(distances=out, iterations=it, visited=int((out != -1).sum()))
-
-    def sssp(self, source: int):
-        from repro.algorithms.sssp import SSSPResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        dist = self.queue.malloc_shared((n,), np.float64, label="sep.sssp.dist", fill=np.inf)
-        dist[source] = 0.0
-
-        def relax(s, d, e, w):
-            cand = dist[s] + w.astype(np.float64)
-            improved = cand < dist[d]
-            np.minimum.at(dist, d[improved], cand[improved])
-            return improved
-
-        it = self._traverse(source, relax, np.asarray(dist), stamp=None, tag="sssp")
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return SSSPResult(distances=out, iterations=it, relaxations=0)
-
-    def cc(self):
-        raise NotImplementedError(
-            "SEP-Graph ships no CC implementation (paper §5.2); "
-            "Table 6 leaves these cells empty"
-        )
-
-    def bc(self, sources: Sequence[int]):
-        from repro.algorithms.bc import BCResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        scores = np.zeros(n, dtype=np.float64)
-        total_iters = 0
-        for s0 in sources:
-            dep, iters = self._brandes(int(s0))
-            scores += dep
-            total_iters += iters
-        return BCResult(scores=scores, sources=[int(s) for s in sources], total_iterations=total_iters)
-
-    def _brandes(self, source: int):
-        g = self.graph
-        n = g.get_vertex_count()
+    def _level(self, ctx: ExecContext, functor) -> np.ndarray:
+        """The selector, then a pull level (BFS on a heavy frontier) or a
+        push level with the vector -> bitmap -> vector round trip."""
         q = self.queue
-        dist = q.malloc_shared((n,), np.int64, label="sep.bc.dist", fill=-1)
-        sigma = q.malloc_shared((n,), np.float64, label="sep.bc.sigma", fill=0)
-        delta = q.malloc_shared((n,), np.float64, label="sep.bc.delta", fill=0)
-        dist[source] = 0
-        sigma[source] = 1.0
-        fin = VectorFrontier(q, n, FrontierView.VERTEX)
-        fout = VectorFrontier(q, n, FrontierView.VERTEX)
-        fin.insert(source)
-        levels = [np.array([source], dtype=np.int64)]
-        it = 0
-        while not fin.empty():
-            depth = it + 1
-
-            def fwd(s, d, e, w):
-                tree = dist[d] == -1
-                np.add.at(sigma, d[tree], sigma[s][tree])
-                dist[d[tree]] = depth
-                return tree
-
-            self._selector_kernel(fin.count())
-            advance.frontier(g, fin, fout, fwd).wait()
+        if not ctx.frontiers:
+            # SEP-Graph makes its vectors as the traversal starts, after
+            # the algorithm's value arrays
+            n = self.graph.get_vertex_count()
+            for slot in ("in", "out"):
+                ctx.frontiers[slot] = VectorFrontier(q, n, FrontierView.VERTEX)
+            ctx.frontier("in").insert(ctx.state["active"])
+        fin, fout = ctx.frontier("in"), ctx.frontier("out")
+        ids = fin.active_elements()
+        self._selector_kernel(ids.size)
+        # only BFS names its unvisited vertices, so only BFS pulls
+        unvisited = ctx.state.get("unvisited")
+        heavy = int(self.out_degs[ids].sum()) > PULL_THRESHOLD * self.graph.get_edge_count()
+        if unvisited is not None and heavy:
+            accepted = self._pull_step(unvisited(), ids, functor)
+        else:
+            advance.frontier(self.graph, fin, fout, functor).wait()
             self._convert_kernels(fout.size_with_duplicates)
             fout.deduplicate()
-            lvl = fout.active_elements()
-            if lvl.size:
-                levels.append(lvl)
-            fin, fout = fout, fin
-            fout.clear()
-            it += 1
-
-        def back(s, d, e, w):
-            tree = dist[d] == dist[s] + 1
-            contrib = sigma[s][tree] / np.maximum(sigma[d][tree], 1e-300) * (1.0 + delta[d][tree])
-            np.add.at(delta, s[tree], contrib)
-            return np.zeros(s.size, dtype=bool)
-
-        for li in range(len(levels) - 1, 0, -1):
-            fin.clear()
-            fin.insert(levels[li - 1])
-            advance.frontier(g, fin, None, back).wait()
-            it += 1
-        dep = np.asarray(delta).copy()
-        dep[source] = 0.0
-        q.free(dist), q.free(sigma), q.free(delta)
-        return dep, it
+            accepted = fout.active_elements()
+            if ctx.state["algorithm"] == "bc":
+                # BC's forward sweep hands the deduplicated vector on as
+                # is; BFS and SSSP rebuild it from the sorted accepted ids
+                swap(fin, fout)
+                fout.clear()
+                return accepted
+        fin.clear()
+        fin.insert(accepted)
+        fout.clear()
+        return accepted

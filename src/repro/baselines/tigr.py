@@ -17,11 +17,10 @@ Reimplements the Tigr mechanisms the paper measures (§2.2, §5.2):
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.baselines.common import FrameworkRunner, register_runner
+from repro.exec import ExecContext
 from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 from repro.operators.advance import (
@@ -30,7 +29,6 @@ from repro.operators.advance import (
     REGION_USERDATA,
 )
 from repro.perfmodel.cost import KernelWorkload
-from repro.sycl.ndrange import Range
 
 #: UDT degree bound (Tigr's default splits to warp-sized chunks)
 UDT_K = 32
@@ -41,22 +39,25 @@ UDT_EDGES_PER_US = 50.0
 
 @register_runner
 class TigrRunner(FrameworkRunner):
-    """UDT-transformed topology-driven BFS/SSSP/CC/BC."""
+    """UDT-transformed topology-driven levels."""
 
     name = "tigr"
+    ticks_levels = False
 
     def _load(self, coo: COOGraph) -> None:
         builder = GraphBuilder(self.queue)
         self.graph = builder.to_csr(coo)
         self.graph_sym = builder.to_csr(coo.symmetrized())
-        self._udt(self.graph, "fwd")
-        self._udt(self.graph_sym, "sym")
+        self._n_virtual = {}  # virtual-node count of each graph's UDT form
+        for graph, tag in ((self.graph, "fwd"), (self.graph_sym, "sym")):
+            self._n_virtual[graph] = self._udt(graph, tag)
         # preprocessing: host-side transformation + re-upload of both forms
         total_edges = coo.n_edges * 3  # fwd + symmetrized (2x edges)
         self.preprocessing_ns = total_edges / UDT_EDGES_PER_US * 1_000.0
 
-    def _udt(self, graph, tag: str) -> None:
-        """Build the virtual-node structure for one CSR graph."""
+    def _udt(self, graph, tag: str) -> int:
+        """Build the virtual-node structure for one CSR graph; returns
+        its virtual-node count."""
         q = self.queue
         degs = graph.out_degrees()
         n = graph.get_vertex_count()
@@ -73,22 +74,22 @@ class TigrRunner(FrameworkRunner):
         # resident structures (Figure 9's footprint): virtual row ranges,
         # maps, per-virtual state (flags/labels), double-buffered, plus the
         # transformation workspace Tigr keeps pinned
-        store = {}
-        store["vstart"] = q.malloc_shared((n_virtual,), np.int64, label=f"tigr.{tag}.vstart")
-        store["vstart"][:] = vstart
-        store["vend"] = q.malloc_shared((n_virtual,), np.int64, label=f"tigr.{tag}.vend")
-        store["vend"][:] = vend
-        store["v2r"] = q.malloc_shared((n_virtual,), np.int64, label=f"tigr.{tag}.v2r")
-        store["v2r"][:] = v2r
-        store["flags_a"] = q.malloc_shared((n_virtual,), np.uint8, label=f"tigr.{tag}.flags_a", fill=0)
-        store["flags_b"] = q.malloc_shared((n_virtual,), np.uint8, label=f"tigr.{tag}.flags_b", fill=0)
+        for name, values in (("vstart", vstart), ("vend", vend), ("v2r", v2r)):
+            q.malloc_shared((n_virtual,), np.int64, label=f"tigr.{tag}.{name}")[:] = values
+        for name in ("flags_a", "flags_b"):
+            q.malloc_shared((n_virtual,), np.uint8, label=f"tigr.{tag}.{name}", fill=0)
         m = graph.get_edge_count()
-        store["workspace"] = q.malloc_shared((max(1, m * 2),), np.int64, label=f"tigr.{tag}.workspace", fill=0)
-        setattr(self, f"_udt_{tag}", store)
-        setattr(self, f"_nv_{tag}", n_virtual)
+        q.malloc_shared((max(1, m * 2),), np.int64, label=f"tigr.{tag}.workspace", fill=0)
+        return n_virtual
 
     # ------------------------------------------------------------------ #
-    def _topology_step(self, graph, tag: str, active_real: np.ndarray, functor):
+    def _level(self, ctx: ExecContext, functor) -> np.ndarray:
+        return self._step(ctx.graph("csr"), ctx.state["active"], functor)
+
+    def _sweep(self, ctx: ExecContext, ids: np.ndarray, functor) -> None:
+        self._step(ctx.graph("csr"), ids, functor)
+
+    def _step(self, graph, active_real: np.ndarray, functor) -> np.ndarray:
         """One topology-driven iteration over ALL virtual nodes.
 
         Executes the edge work of the active vertices and charges a launch
@@ -97,8 +98,7 @@ class TigrRunner(FrameworkRunner):
         Returns the accepted destination vertices.
         """
         q = self.queue
-        n_virtual = getattr(self, f"_nv_{tag}")
-        store = getattr(self, f"_udt_{tag}")
+        n_virtual = self._n_virtual[graph]
 
         src, dst, eid, w = graph.gather_neighbors(active_real)
         if src.size:
@@ -107,8 +107,7 @@ class TigrRunner(FrameworkRunner):
         else:
             accepted = np.empty(0, dtype=np.int64)
 
-        spec = q.device.spec
-        geom = Range(n_virtual).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+        geom = self._geometry(n_virtual)
         # UDT keeps per-virtual work uniform (<= K edges), so intra-launch
         # imbalance is tiny — but every virtual node is scanned each step.
         wl = KernelWorkload(
@@ -132,13 +131,12 @@ class TigrRunner(FrameworkRunner):
         q.memory.tick("tigr.step")
         return accepted
 
-    def _translate_kernel(self, tag: str = "fwd") -> None:
+    def _translate(self, graph) -> None:
         """Post-processing: map per-virtual-node values back to real
         vertices (Table 1's Post-Processing "Yes" for Tigr)."""
         q = self.queue
-        n_virtual = getattr(self, f"_nv_{tag}")
-        spec = q.device.spec
-        geom = Range(n_virtual).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+        n_virtual = self._n_virtual[graph]
+        geom = self._geometry(n_virtual)
         wl = KernelWorkload(
             name="tigr.post.translate",
             geometry=geom,
@@ -149,128 +147,3 @@ class TigrRunner(FrameworkRunner):
         wl.add_stream(allv, 8, REGION_ROW_PTR + 200, label="v2r.read")
         wl.add_stream(allv, 8, REGION_USERDATA + 200, is_write=True, label="values.scatter")
         q.submit(wl)
-
-    # ------------------------------------------------------------------ #
-    def bfs(self, source: int):
-        from repro.algorithms.bfs import BFSResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        dist = self.queue.malloc_shared((n,), np.int64, label="tigr.bfs.dist", fill=-1)
-        dist[source] = 0
-        active = np.array([source], dtype=np.int64)
-        it = 0
-        while active.size and it <= n:
-            depth = it + 1
-            accepted = self._topology_step(
-                g, "fwd", active, lambda s, d, e, w: dist[d] == -1
-            )
-            dist[accepted] = depth
-            active = accepted
-            it += 1
-        self._translate_kernel()
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return BFSResult(distances=out, iterations=it, visited=int((out != -1).sum()))
-
-    def sssp(self, source: int):
-        from repro.algorithms.sssp import SSSPResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        dist = self.queue.malloc_shared((n,), np.float64, label="tigr.sssp.dist", fill=np.inf)
-        dist[source] = 0.0
-        active = np.array([source], dtype=np.int64)
-        it = 0
-        relaxations = 0
-
-        def relax(s, d, e, w):
-            cand = dist[s] + w.astype(np.float64)
-            improved = cand < dist[d]
-            np.minimum.at(dist, d[improved], cand[improved])
-            return improved
-
-        while active.size and it <= 4 * n:
-            active = self._topology_step(g, "fwd", active, relax)
-            relaxations += active.size
-            it += 1
-        self._translate_kernel()
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
-        return SSSPResult(distances=out, iterations=it, relaxations=relaxations)
-
-    def cc(self):
-        from repro.algorithms.cc import CCResult
-
-        g = self.graph_sym
-        n = g.get_vertex_count()
-        labels = self.queue.malloc_shared((n,), np.int64, label="tigr.cc.labels")
-        labels[:] = np.arange(n, dtype=np.int64)
-        active = np.arange(n, dtype=np.int64)
-        it = 0
-
-        def propagate(s, d, e, w):
-            improved = labels[s] < labels[d]
-            np.minimum.at(labels, d[improved], labels[s][improved])
-            return improved
-
-        while active.size and it <= n:
-            active = self._topology_step(g, "sym", active, propagate)
-            it += 1
-        self._translate_kernel("sym")
-        out = np.asarray(labels).copy()
-        self.queue.free(labels)
-        return CCResult(labels=out, iterations=it)
-
-    def bc(self, sources: Sequence[int]):
-        from repro.algorithms.bc import BCResult
-
-        g = self.graph
-        n = g.get_vertex_count()
-        scores = np.zeros(n, dtype=np.float64)
-        total_iters = 0
-        for s0 in sources:
-            dep, iters = self._brandes(int(s0))
-            scores += dep
-            total_iters += iters
-        return BCResult(scores=scores, sources=[int(s) for s in sources], total_iterations=total_iters)
-
-    def _brandes(self, source: int):
-        g = self.graph
-        n = g.get_vertex_count()
-        q = self.queue
-        dist = q.malloc_shared((n,), np.int64, label="tigr.bc.dist", fill=-1)
-        sigma = q.malloc_shared((n,), np.float64, label="tigr.bc.sigma", fill=0)
-        delta = q.malloc_shared((n,), np.float64, label="tigr.bc.delta", fill=0)
-        dist[source] = 0
-        sigma[source] = 1.0
-        levels = [np.array([source], dtype=np.int64)]
-        active = levels[0]
-        it = 0
-        while active.size:
-            depth = it + 1
-
-            def fwd(s, d, e, w):
-                tree = dist[d] == -1
-                np.add.at(sigma, d[tree], sigma[s][tree])
-                dist[d[tree]] = depth
-                return tree
-
-            active = self._topology_step(g, "fwd", active, fwd)
-            if active.size:
-                levels.append(active)
-            it += 1
-
-        def back(s, d, e, w):
-            tree = dist[d] == dist[s] + 1
-            contrib = sigma[s][tree] / np.maximum(sigma[d][tree], 1e-300) * (1.0 + delta[d][tree])
-            np.add.at(delta, s[tree], contrib)
-            return np.zeros(s.size, dtype=bool)
-
-        for li in range(len(levels) - 1, 0, -1):
-            self._topology_step(g, "fwd", levels[li - 1], back)
-            it += 1
-        dep = np.asarray(delta).copy()
-        dep[source] = 0.0
-        q.free(dist), q.free(sigma), q.free(delta)
-        return dep, it

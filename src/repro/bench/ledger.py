@@ -28,15 +28,12 @@ representations the row reads (CC on the symmetrized graph), or its
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.algorithms.catalog import CATALOG, GraphBundle
+from repro.algorithms.catalog import CATALOG, GraphBundle, result_digest
 from repro.checking import graphgen
 from repro.graph.coo import COOGraph
 from repro.sycl.device import get_device
@@ -79,13 +76,6 @@ def case_keys() -> List[str]:
     return single + gang
 
 
-def _digest(values) -> str:
-    """Bit-exact digest of a result array: dtype, shape and a blake2b."""
-    arr = np.ascontiguousarray(values)
-    h = hashlib.blake2b(arr.tobytes(), digest_size=16)
-    return f"{arr.dtype}:{arr.shape}:{h.hexdigest()}"
-
-
 def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:
     """Run one case on fresh queues.
 
@@ -102,7 +92,7 @@ def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[flo
         record = {
             "modeled_ns": round(res.makespan_ns, 3),
             "iterations": int(res.iterations),
-            "digest": _digest(spec.values(res)),
+            "digest": result_digest(spec.values(res)),
             "wire_bytes": int(res.wire_bytes),
             "idlist_bytes": int(res.idlist_bytes),
         }
@@ -115,7 +105,7 @@ def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[flo
     record = {
         "modeled_ns": int(q.elapsed_ns),
         "iterations": int(res.iterations),
-        "digest": _digest(spec.values(res)),
+        "digest": result_digest(spec.values(res)),
     }
     return record, None
 

@@ -6,6 +6,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.obs.metrics import nearest_rank
+
 
 def geomean(values: Iterable[float]) -> float:
     """Geometric mean (ignores non-positive values, like the paper's
@@ -21,15 +23,11 @@ def percentile(values: Iterable[float], q: float) -> float:
 
     Nearest-rank rather than interpolating: every reported latency is an
     actually observed one, and the result is bitwise-deterministic — what
-    the service golden files and determinism tests require.
+    the service golden files and determinism tests require.  The rank
+    formula is :func:`repro.obs.metrics.nearest_rank`'s, so latency
+    summaries and histogram quantiles agree on the same samples.
     """
-    if not 0 <= q <= 100:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(float(v) for v in values)
-    if not ordered:
-        return 0.0
-    rank = max(1, -(-int(q * len(ordered)) // 100))  # ceil(q/100 * n), floored at 1
-    return ordered[min(rank, len(ordered)) - 1]
+    return nearest_rank(sorted(float(v) for v in values), q)
 
 
 def latency_summary(values_ns: Iterable[float]) -> dict:

@@ -82,9 +82,9 @@ HISTOGRAM_BUCKET_BOUNDS_NS: Tuple[float, ...] = tuple(
 def nearest_rank(ordered: List[float], q: float) -> float:
     """Nearest-rank percentile over an ascending list; 0.0 when empty.
 
-    The formula is identical to :func:`repro.bench.reporting.percentile`
-    (``rank = max(1, ceil(q/100 * n))``), kept in sync by a property
-    test, so histogram quantiles and latency summaries agree bit-for-bit
+    The one rank formula (``rank = max(1, ceil(q/100 * n))``):
+    :func:`repro.bench.reporting.percentile` sorts its samples and calls
+    this, so histogram quantiles and latency summaries agree bit-for-bit
     on the same samples.
     """
     if not 0 <= q <= 100:

@@ -46,23 +46,6 @@ def priority_name(priority: int) -> str:
     return PRIORITIES[max(0, min(priority, len(PRIORITIES) - 1))]
 
 
-def result_digest(values) -> str:
-    """Content digest of one served result (dtype + shape + bytes).
-
-    The chaos harness compares these across runs: a completed request
-    under a recoverable fault schedule must produce the bit-identical
-    array the fault-free run produced.
-    """
-    import numpy as np
-
-    arr = np.ascontiguousarray(values)
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.dtype).encode())
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
-    return h.hexdigest()
-
-
 class RequestStatus(enum.Enum):
     """Terminal disposition of one request."""
 
@@ -165,7 +148,8 @@ class RequestRecord:
     #: same work costs on ONE device, feeding the serialized-makespan
     #: counterfactual (0.0 for ordinary requests: use service_ns)
     solo_ns: float = 0.0
-    #: blake2b digest of the completed result array, only populated when
+    #: ``repro.algorithms.catalog.result_digest`` of the completed
+    #: result array, only populated when
     #: SchedulerConfig.keep_result_digests is on (the chaos CLI's
     #: bit-identity check); "" otherwise
     result_digest: str = ""

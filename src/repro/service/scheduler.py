@@ -60,6 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.catalog import result_digest
 from repro.errors import (
     AllocationFault,
     DeviceLostError,
@@ -84,7 +85,6 @@ from repro.service.request import (
     RequestRecord,
     RequestStatus,
     make_trace_id,
-    result_digest,
 )
 from repro.service.workload import GraphSpec
 from repro.sycl.concurrency import SAME_DEVICE_OVERLAP, overlap_factor

@@ -50,6 +50,12 @@ class TestCorrectnessParity:
         r = make_runner(name, kron_tiny)
         assert np.allclose(r.sssp(1).distances, references["sssp"], rtol=1e-5)
 
+    def test_sssp_relaxations_agree_with_sygraph(self, name, kron_tiny):
+        """Every runner counts the edges whose relaxation improved a
+        distance, as ``SSSPResult.relaxations`` documents."""
+        ours = make_runner("sygraph", kron_tiny).sssp(1)
+        assert make_runner(name, kron_tiny).sssp(1).relaxations == ours.relaxations
+
     def test_cc(self, name, kron_tiny, references):
         r = make_runner(name, kron_tiny)
         if not r.supports("cc"):

@@ -69,6 +69,26 @@ class TestMeasure:
         assert all(r["kernels"] > 0 for r in traced.iteration_breakdown)
         # tracing is observational: identical modeled times per source
         assert traced.times_ns == plain.times_ns
+        # the baselines run on the plan executor too: one row per iteration
+        for framework in ("gunrock", "tigr", "sep"):
+            for algorithm in ("bfs", "sssp", "cc"):
+                case = f"{framework}/{algorithm}"
+                plain = measure(framework, "kron", algorithm, n_sources=2, scale="tiny")
+                traced = measure(framework, "kron", algorithm, n_sources=2, scale="tiny", trace=True)
+                assert traced.times_ns == plain.times_ns, case
+                coo = load_dataset("kron", "tiny", weighted=(algorithm == "sssp"))
+                runner = make_runner(framework, coo)
+                if not runner.supports(algorithm):
+                    assert traced.iteration_breakdown is None, case
+                    continue
+                rows = traced.iteration_breakdown
+                assert all(r["kernels"] > 0 for r in rows), case
+                degrees = np.bincount(coo.src.astype(np.int64), minlength=coo.n_vertices)
+                runs = [
+                    runner.cc() if algorithm == "cc" else getattr(runner, algorithm)(s)
+                    for s in pick_sources(coo.n_vertices, 2, out_degrees=degrees)
+                ]
+                assert len(rows) == sum(r.iterations for r in runs), case
 
 
 class TestReporting:
