@@ -10,8 +10,9 @@ label changed re-enter the frontier.  A *shortcutting* pass (Stergiou's
 optimization) pointer-jumps labels to their current root every iteration,
 collapsing long chains — togglable to measure its effect.
 
-As a plan: the init advance is the ``setup`` (inside a ``cc.init``
-span), the shortcut is a post-tested :class:`~repro.exec.LoopStep` of
+As a plan: the init advance is the ``setup``, iteration 0, inside its
+own ``cc.iter`` span (so a trace has one ``cc.iter`` row per counted
+iteration), the shortcut is a post-tested :class:`~repro.exec.LoopStep` of
 pure-compute pointer jumps preceding the propagate advance, and the
 final post-convergence shortcut is the ``teardown``.  Under ``fuse=True``
 the shortcut's *last* pointer-jump (the one that proves quiescence) is
@@ -102,8 +103,11 @@ def cc(
         iter_span="cc.iter",
         setup=[
             # initialization advance: all vertices distribute their labels
-            SpanStep("cc.init", [AdvanceStep(lambda ctx: _propagate_functor(labels), mode="vertices")]),
-            SwapClearStep(),
+            SpanStep(
+                "cc.iter",
+                [AdvanceStep(lambda ctx: _propagate_functor(labels), mode="vertices"), SwapClearStep()],
+                arg=0,
+            ),
         ],
         steps=steps,
         teardown=_shortcut_steps(labels, reinsert=None) if shortcutting else [],

@@ -25,7 +25,8 @@ its prologue (CC: the shortcut's final pointer-jump + propagate), and
 the merged kernel is submitted when the pair closes.  Host steps and
 frontier bookkeeping (swap/clear/insert) are transparent to the buffer;
 set-ops and a second advance force a flush, and every iteration
-boundary flushes, so no workload outlives its span.
+boundary and the end of every :class:`~repro.exec.plan.SpanStep`
+flush, so no workload outlives its span.
 """
 
 from __future__ import annotations
@@ -131,7 +132,14 @@ class PlanExecutor:
     # ----------------------------------------------------------------- #
     def _run_steps(self, steps: Sequence[Step], ctx: ExecContext) -> None:
         for step in steps:
-            self._run_step(step, ctx)
+            # the two commonest steps by exact type, before the chain
+            kind = type(step)
+            if kind is AdvanceStep:
+                self._do_advance(step, ctx)
+            elif kind is HostStep:
+                step.fn(ctx)
+            else:
+                self._run_step(step, ctx)
 
     def _run_step(self, step: Step, ctx: ExecContext) -> None:
         if isinstance(step, AdvanceStep):
@@ -170,6 +178,7 @@ class PlanExecutor:
             arg = step.arg(ctx) if callable(step.arg) else step.arg
             with self.queue.span(step.name, arg):
                 self._run_steps(step.body, ctx)
+                self._flush()
         else:
             raise PlanError(f"unknown step type {type(step).__name__}")
 

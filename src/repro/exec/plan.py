@@ -153,8 +153,9 @@ class LoopStep(Step):
 
 @dataclass
 class SpanStep(Step):
-    """Named tracer span wrapping a step list (e.g. ``cc.init``).
-    ``arg`` may be a value or an ``arg(ctx)`` callable."""
+    """Named tracer span wrapping a step list (e.g. CC's init advance,
+    its iteration 0, as ``cc.iter`` with ``arg=0``).  ``arg`` may be a
+    value or an ``arg(ctx)`` callable."""
 
     name: str
     body: Sequence[Step]

@@ -42,14 +42,22 @@ def words_for(n_elements: int, bits: int) -> int:
     return -(-n_elements // bits)
 
 
+#: per word width, the one-bit mask of each bit position, in the width's dtype
+_BIT_MASKS = {
+    bits: np.left_shift(bitmap_dtype(bits).type(1), np.arange(bits, dtype=bitmap_dtype(bits)))
+    for bits in (32, 64)
+}
+#: per word width, log2 of it: a word id is an element id shifted right
+_WORD_SHIFT = {32: 5, 64: 6}
+
+
 def set_bits(words: np.ndarray, elements: np.ndarray, bits: int) -> None:
     """Set the bits for ``elements`` (vectorized atomic-OR equivalent)."""
     elements = np.asarray(elements, dtype=np.int64)
     if elements.size == 0:
         return
-    word_idx = elements // bits
-    masks = words.dtype.type(1) << (elements % bits).astype(words.dtype)
-    np.bitwise_or.at(words, word_idx, masks)
+    word_idx = elements >> _WORD_SHIFT[bits]
+    np.bitwise_or.at(words, word_idx, _BIT_MASKS[bits][elements & (bits - 1)])
 
 
 def clear_bits(words: np.ndarray, elements: np.ndarray, bits: int) -> None:

@@ -34,8 +34,8 @@ import numpy as np
 
 from repro.errors import FrontierError
 from repro.frontier import _bitops
-from repro.frontier.base import Frontier, FrontierView, distinct_ids
-from repro.perfmodel.cache import unique_sorted
+from repro.frontier.base import Frontier, FrontierView, _out_of_range, distinct_ids
+from repro.perfmodel.cache import SHORT_STREAM, unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,6 +43,32 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: shared read-only empty id array for primed empty scans
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+
+
+def _set_few_bits(layers: List[np.ndarray], ids: List[int], bits: int) -> List[int]:
+    """Set the bits of sorted distinct ``ids`` in every layer with Python
+    ints (NumPy's per-call overhead is the whole cost of a few ids): per
+    layer, one OR mask per touched word, applied in place to a single
+    word and by one fancy ``|=`` to several.  Returns the touched layer-0
+    words, sorted."""
+    shift, low = bits.bit_length() - 1, bits - 1
+    touched = ids
+    words = None
+    for layer in layers:
+        masks = {}
+        for i in touched:
+            word = i >> shift
+            masks[word] = masks.get(word, 0) | 1 << (i & low)
+        # sorted ids have sorted words, each once as a key
+        touched = list(masks)
+        if len(touched) == 1:
+            word = touched[0]
+            layer[word] = layer.item(word) | masks[word]
+        else:
+            layer[np.array(touched)] |= np.array(list(masks.values()), dtype=layer.dtype)
+        if words is None:
+            words = touched
+    return words
 
 
 class BitmapFrontier(Frontier):
@@ -72,7 +98,7 @@ class BitmapFrontier(Frontier):
         super().__init__(queue, n_elements, view)
         if n_layers < 1:
             raise FrontierError(f"n_layers must be >= 1, got {n_layers}")
-        self.bits = bits or queue.inspect().bitmap_bits
+        self.bits = int(bits or queue.inspect().bitmap_bits)
         self.n_layers = n_layers
         dtype = bitmap_dtype(self.bits)
         # allocation labels name the layout: they reach memory timelines
@@ -101,28 +127,40 @@ class BitmapFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
-        ids = distinct_ids(elements, self.n_elements)
-        if ids.size == 0:
+        ids = self._as_ids(elements)
+        few = ids.size <= SHORT_STREAM
+        if few:
+            ids = sorted(set(ids.tolist()))
+            if ids and (ids[0] < 0 or ids[-1] >= self.n_elements):
+                raise _out_of_range(self.n_elements, ids[0], ids[-1])
+        else:
+            ids = distinct_ids(ids, self.n_elements)
+        if len(ids) == 0:
             return
         was_empty = self._cached_was_empty()
-        _bitops.set_bits(self.words, ids, self.bits)
-        if self.n_layers > 1 or was_empty:
-            # sorted ids have sorted words: one pass drops the repeats
-            words = unique_sorted(ids // self.bits)
-        if self.n_layers > 1:
-            # "When adding a vertex, the corresponding bit in the second
-            # layer is calculated and set to 1 if it's not already" (§4.3),
-            # and so on up the tree
-            touched = words
-            _bitops.set_bits(self.layers[1], touched, self.bits)
-            for layer in self.layers[2:]:
-                touched = unique_sorted(touched // self.bits)
-                _bitops.set_bits(layer, touched, self.bits)
+        # "When adding a vertex, the corresponding bit in the second layer
+        # is calculated and set to 1 if it's not already" (§4.3), and so on
+        # up the tree
+        if few:
+            words = _set_few_bits(self.layers, ids, self.bits)
+        else:
+            _bitops.set_bits(self.words, ids, self.bits)
+            if self.n_layers > 1 or was_empty:
+                # sorted ids have sorted words: one pass drops the repeats
+                words = unique_sorted(ids // self.bits)
+            if self.n_layers > 1:
+                touched = words
+                _bitops.set_bits(self.layers[1], touched, self.bits)
+                for layer in self.layers[2:]:
+                    touched = unique_sorted(touched // self.bits)
+                    _bitops.set_bits(layer, touched, self.bits)
         self._bump_epoch()
         if was_empty:
             # inserting into a provably-empty frontier determines the scans
             # by construction: no bitmap pass needed to answer the next query
-            self._prime_scan_cache(active=ids, nonzero_words=words)
+            self._prime_scan_cache(
+                active=np.asarray(ids, dtype=np.int64), nonzero_words=np.asarray(words, dtype=np.int64)
+            )
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)

@@ -56,12 +56,16 @@ def offset_ranges(offsets: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray
 def expand_ranges(offsets: np.ndarray, vertices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Every edge id in the ranges of ``vertices``, run after run, and each
     vertex's degree (the standard vectorized CSR expansion)."""
-    starts, ends = offset_ranges(offsets, vertices)
-    degs = ends - starts
+    v = np.asarray(vertices, dtype=np.int64)
+    starts = offsets[v]
+    # offsets never decrease, so the difference cannot wrap in their
+    # unsigned dtype: widened once, as degrees
+    degs = (offsets[v + 1] - starts).astype(np.int64)
     # an edge's id is its run's start plus its position within the run,
     # which is its position in the output less the run's first position
-    first = np.cumsum(degs) - degs
-    edge_ids = np.repeat(starts - first, degs)
+    first = np.cumsum(degs)
+    first -= degs
+    edge_ids = np.repeat(np.subtract(starts, first, dtype=np.int64), degs)
     edge_ids += np.arange(edge_ids.size, dtype=np.int64)
     return edge_ids, degs
 

@@ -36,12 +36,11 @@ from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
 from repro.frontier.vector import VectorFrontier
 from repro.operators.functor import as_mask
-from repro.operators.load_balance import characterize_bitmap_advance
+from repro.operators.load_balance import characterize_bitmap_advance, range_geometry
 from repro.perfmodel.cache import count_distinct, unique_ints
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.device import TunedParameters
 from repro.sycl.event import Event
-from repro.sycl.ndrange import Range
 
 # address-space regions (cost model): distinct buffers never alias
 REGION_ROW_PTR = 1
@@ -54,7 +53,7 @@ REGION_OFFSETS = 7
 REGION_L2 = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdvanceConfig:
     """Tuning knobs for one advance call (device-inspector overrides).
 
@@ -67,6 +66,10 @@ class AdvanceConfig:
     #: bytes of user data the functor reads per edge (BFS reads dist[dst]:
     #: 4 or 8 bytes). Used only for cost accounting.
     functor_read_bytes: int = 8
+
+
+#: the configuration of an advance called without one
+DEFAULT_CONFIG = AdvanceConfig()
 
 
 def vertices(graph, out_frontier, functor, config: Optional[AdvanceConfig] = None) -> Event:
@@ -126,7 +129,7 @@ def _advance_workload(
     :func:`_scan_frontier` — they are a separate launch either way.
     """
     queue = graph.queue
-    config = config or AdvanceConfig()
+    config = config or DEFAULT_CONFIG
     params = config.params or queue.inspect()
 
     # ---- stage 0: identify active vertices (+ frontier-scan accounting)
@@ -257,18 +260,21 @@ def _submit_offsets_kernels(
     so those kernels pay extra per-word instructions.
     """
     word_bytes = in_frontier.words.dtype.itemsize
-    layer_ops = 6.0 if queue.device.traits.spec_constants_native else 10.0
     for k in range(1, in_frontier.n_layers):
         name = f"{kernel}.offsets" if k == 1 else f"{kernel}.offsets.l{k}"
         if not queue.enable_profiling:
             queue.submit(null_workload(name))
             continue
         n_words = int(in_frontier.layers[k].size)
+        if k == 1:
+            instructions = 6.0
+        else:
+            instructions = 6.0 if queue.device.traits.spec_constants_native else 10.0
         pre = KernelWorkload(
             name=name,
-            geometry=Range(max(1, n_words)).resolve(params.workgroup_size, params.subgroup_size),
+            geometry=range_geometry(max(1, n_words), params.workgroup_size, params.subgroup_size),
             active_lanes=n_words,
-            instructions_per_lane=6.0 if k == 1 else layer_ops,
+            instructions_per_lane=instructions,
         )
         if k == 1:
             pre.add_stream(np.arange(n_words), word_bytes, REGION_L2, label="l2.words")
@@ -413,7 +419,7 @@ def _pull_workload(
     config: Optional[AdvanceConfig],
 ) -> KernelWorkload:
     queue = csc_graph.queue
-    config = config or AdvanceConfig()
+    config = config or DEFAULT_CONFIG
     params = config.params or queue.inspect()
     candidates = np.asarray(candidates, dtype=np.int64)
 

@@ -29,6 +29,7 @@ from repro.operators.advance import (
     REGION_FRONTIER_OUT,
     REGION_ROW_PTR,
     REGION_USERDATA,
+    DEFAULT_CONFIG,
     AdvanceConfig,
     charge_frontier_probe,
 )
@@ -60,7 +61,7 @@ def vertices_to_edges(
     mask of edges to activate in the output **edge** frontier.
     """
     queue = graph.queue
-    config = config or AdvanceConfig()
+    config = config or DEFAULT_CONFIG
     params = config.params or queue.inspect()
     _check_view(in_frontier, FrontierView.VERTEX, "V2E input")
     _check_view(out_frontier, FrontierView.EDGE, "V2E output")
@@ -124,7 +125,7 @@ def edges_to_vertices(
 ) -> Event:
     """E2V advance: destinations of the active edges, filtered by functor."""
     queue = graph.queue
-    config = config or AdvanceConfig()
+    config = config or DEFAULT_CONFIG
     _check_view(in_frontier, FrontierView.EDGE, "E2V input")
     _check_view(out_frontier, FrontierView.VERTEX, "E2V output")
 

@@ -22,11 +22,13 @@ is precisely the Figure 7 ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from repro.perfmodel.cache import SHORT_STREAM
 from repro.sycl.device import TunedParameters
-from repro.sycl.ndrange import WorkgroupGeometry
+from repro.sycl.ndrange import Range, WorkgroupGeometry
 
 #: model constants: per-lane dynamic instructions for the word-scan /
 #: subgroup-compaction stage, and per-edge instructions for stage 2.
@@ -38,6 +40,25 @@ EDGE_OPS = 24.0
 #: weight of cross-workgroup imbalance (idle lanes while the heaviest
 #: workgroup finishes); intra-workgroup balance is what §4.2 provides.
 IMBALANCE_WEIGHT = 0.15
+#: NumPy sums float64 arrays pairwise in blocks of this many terms; a
+#: shorter array it sums strictly left to right
+PAIRWISE_BLOCK = 8
+
+
+# Launch shapes are frozen, so kernels share them: each is built once per
+# distinct (global size, workgroup size, subgroup size), in a bounded memo.
+@lru_cache(maxsize=256)
+def nd_range_geometry(global_size: int, workgroup_size: int, subgroup_size: int) -> WorkgroupGeometry:
+    """The launch shape of an ``nd_range`` of ``global_size`` items in
+    workgroups of ``workgroup_size``."""
+    return WorkgroupGeometry(global_size, workgroup_size, subgroup_size)
+
+
+@lru_cache(maxsize=256)
+def range_geometry(global_size: int, workgroup_size: int, subgroup_size: int) -> WorkgroupGeometry:
+    """The launch shape of a ``range`` of ``global_size`` items under a
+    default workgroup size of ``workgroup_size``."""
+    return Range(global_size).resolve(workgroup_size, subgroup_size)
 
 
 @dataclass
@@ -103,7 +124,7 @@ def characterize_bitmap_advance(
     rounds = -(-max(1, words_scanned) // n_wg)  # words each WG visits
     wg_size = params.workgroup_size
     # an nd_range of n_wg whole workgroups
-    geometry = WorkgroupGeometry(n_wg * wg_size, wg_size, params.subgroup_size)
+    geometry = nd_range_geometry(n_wg * wg_size, wg_size, params.subgroup_size)
 
     edges = int(degrees.sum()) if degrees.size else 0
 
@@ -138,6 +159,25 @@ def characterize_bitmap_advance(
             edge_ops = float(edges) * (sgs_per_wg / engaged) * EDGE_OPS
             engaged_total = float(engaged)
             max_wg_edges = edges
+        elif n_wg < PAIRWISE_BLOCK and active_vertices.size <= SHORT_STREAM:
+            # the per-workgroup numbers below with Python ints: np.sum adds
+            # fewer than PAIRWISE_BLOCK float64 terms strictly left to
+            # right, as += does (sum() compensates on Python >= 3.12)
+            wg_bits = [0] * n_wg
+            wg_edges = [0] * n_wg
+            for position, degree in zip(scan_position.tolist(), degrees.tolist()):
+                wg = position % n_wg
+                wg_bits[wg] += 1
+                wg_edges[wg] += degree
+            edge_ops = 0.0
+            engaged_total = 0
+            for bits_in, edges_in in zip(wg_bits, wg_edges):
+                working = min(max_engaged, bits_in)
+                edge_ops += edges_in * (sgs_per_wg / max(1, working))
+                engaged_total += working
+            edge_ops *= EDGE_OPS
+            engaged_total = float(engaged_total)
+            max_wg_edges = int(max(wg_edges))
         else:
             wg_of_vertex = scan_position % n_wg
             wg_bits = np.bincount(wg_of_vertex, minlength=n_wg)

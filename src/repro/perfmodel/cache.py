@@ -91,6 +91,13 @@ def line_ids(byte_addresses: np.ndarray, line_bytes: int) -> np.ndarray:
     return np.asarray(byte_addresses, dtype=np.int64) // line_bytes
 
 
+#: inputs of at most this many values are handled with Python ints, sets
+#: and lists rather than NumPy: for them NumPy's per-call overhead is the
+#: whole cost.  The cutoff of the cost model's short streams, of
+#: :func:`count_distinct`, of small bitmap inserts and of small advance
+#: launch shapes (docs/architecture.md)
+SHORT_STREAM = 48
+
 #: :func:`count_distinct` marks lines in a bitmap over the stream's span
 #: while the span is at most ``MARK_SPAN_PER_ACCESS`` lines per access
 #: plus ``MARK_SPAN_BASE``; past that a sort is cheaper than clearing and
@@ -107,9 +114,12 @@ def count_distinct(lines: np.ndarray, lo: Optional[int] = None, hi: Optional[int
 
     Linear in ``len(lines) + hi - lo`` with a mark array over the span,
     indexed by the lines themselves when ``lo`` is 0; a span far wider
-    than the stream is counted by sorting instead.
+    than the stream is counted by sorting instead.  Without bounds, at
+    most :data:`SHORT_STREAM` values are counted as a set.
     """
     if lo is None:
+        if lines.size <= SHORT_STREAM:
+            return len(set(lines.tolist()))
         lo, hi = int(lines.min()), int(lines.max())
     span = hi - lo + 1
     if lines.dtype == np.int64 and span <= MARK_SPAN_PER_ACCESS * lines.size + MARK_SPAN_BASE:

@@ -23,6 +23,7 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter, eq
 from typing import Iterable, List, NamedTuple, Optional
 
@@ -31,6 +32,7 @@ import numpy as np
 from repro.perfmodel.cache import (
     MARK_SPAN_BASE,
     MARK_SPAN_PER_ACCESS,
+    SHORT_STREAM,
     CacheStats,
     count_adjacent,
     count_distinct,
@@ -117,10 +119,6 @@ class KernelWorkload:
 #: share of its cost then, its arrays stay cache-sized, and it needs no
 #: copy (the measurement is in docs/architecture.md)
 LARGE_STREAM = 4096
-#: streams of at most this many accesses are priced with Python ints, a
-#: set and a list when priced one kernel at a time: for them NumPy's
-#: per-call overhead is the whole cost (docs/architecture.md)
-SHORT_STREAM = 48
 #: a batch's memory hierarchy is priced one kernel at a time while its
 #: kernels plus its streams longer than SHORT_STREAM number fewer than
 #: this: the memory pass costs about as much as that many short kernels,
@@ -146,9 +144,10 @@ class KernelBatch:
     """Kernels waiting for one :meth:`CostModel.price` pass.
 
     :meth:`add` keeps what pricing reads of a kernel, not the workload: its
-    name, geometry and launch fields, and a copy of each of its address
-    streams.  So a kernel is priced on the addresses it had when it was
-    added even if its caller reuses the arrays (the 2LB frontier's
+    name, geometry and launch fields, and a copy of its address streams,
+    one after another in one int64 buffer, with each stream's size, item
+    bytes and region.  So a kernel is priced on the addresses it had when
+    it was added even if its caller reuses the arrays (the 2LB frontier's
     ``offsets`` buffer is one), and the caller's arrays are freed as soon
     as the caller drops them.  A kernel with a stream of more than
     :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
@@ -163,12 +162,14 @@ class KernelBatch:
         self.launches: List[tuple] = []
         #: per kernel, its memory-hierarchy counts if priced on adding
         self.memory: List[Optional[tuple]] = []
-        #: per kernel, its streams as ``(addresses, item_bytes, region)``
-        #: (none if priced on adding)
-        self.streams: List[list] = []
-        #: accesses held in the copies
+        #: per kernel, its streams as ``(buffer, streams)``: the buffer
+        #: holds their addresses one stream after another, the list one
+        #: ``(size, item_bytes, region)`` per stream (None if priced on
+        #: adding)
+        self.streams: List[Optional[tuple]] = []
+        #: accesses held in the buffers
         self.accesses = 0
-        #: copied streams longer than SHORT_STREAM
+        #: held streams longer than SHORT_STREAM
         self.long_streams = 0
         for wl in workloads:
             self.add(wl)
@@ -177,22 +178,28 @@ class KernelBatch:
         return len(self.launches)
 
     def add(self, wl: KernelWorkload) -> None:
-        copies, accesses, long_streams = [], 0, 0
+        arrays, streams = [], []
+        accesses = long_streams = 0
         for s in wl.streams:
             addresses = s.addresses
             size = addresses.size
-            if size > LARGE_STREAM:
-                # priced now, from the caller's arrays: the copies go unused
-                streams = [(s.addresses, s.item_bytes, s.region) for s in wl.streams]
-                self.memory.append(self.model._kernel_memory(streams))
-                self.streams.append([])
-                break
-            copies.append((addresses.copy(), s.item_bytes, s.region))
+            arrays.append(addresses)
+            streams.append((size, s.item_bytes, s.region))
             accesses += size
-            long_streams += size > SHORT_STREAM
+            if size > SHORT_STREAM:
+                long_streams += 1
+        if not streams:
+            self.memory.append(_NO_MEMORY)
+            self.streams.append(None)
+        elif accesses > LARGE_STREAM and max(size for size, _, _ in streams) > LARGE_STREAM:
+            # priced now, from the caller's arrays: nothing is copied
+            self.memory.append(
+                self.model._kernel_memory([(s.addresses, s.item_bytes, s.region) for s in wl.streams])
+            )
+            self.streams.append(None)
         else:
             self.memory.append(None)
-            self.streams.append(copies)
+            self.streams.append((np.concatenate(arrays, dtype=np.int64, casting="unsafe"), streams))
             self.accesses += accesses
             self.long_streams += long_streams
         geometry = wl.geometry
@@ -212,6 +219,20 @@ class KernelBatch:
             )
         )
 
+
+def _held_streams(held: tuple) -> list:
+    """A held kernel's streams as ``(addresses, item_bytes, region)``, the
+    addresses slices of its buffer."""
+    buffer, streams = held
+    sliced, start = [], 0
+    for size, item, region in streams:
+        sliced.append((buffer[start : start + size], item, region))
+        start += size
+    return sliced
+
+
+#: the memory-hierarchy counts of a kernel without streams
+_NO_MEMORY = (0, 0, 0, 0)
 
 #: shared placeholder geometry for never-costed workloads
 _NULL_GEOMETRY = WorkgroupGeometry(global_size=0, workgroup_size=1, subgroup_size=1)
@@ -364,8 +385,8 @@ class CostModel:
         else:
             memory = np.array(
                 [
-                    counts or self._kernel_memory(streams)
-                    for counts, streams in zip(batch.memory, batch.streams)
+                    counts or self._kernel_memory(_held_streams(held))
+                    for counts, held in zip(batch.memory, batch.streams)
                 ],
                 dtype=np.int64,
             ).reshape(-1, 4).T
@@ -568,22 +589,20 @@ class CostModel:
         for k, memory in enumerate(batch.memory):
             if memory is not None:
                 counts[:, k] = memory
-        streams = [s for kernel_streams in batch.streams for s in kernel_streams]
-        if not streams:
+        held = [k for k, streams in enumerate(batch.streams) if streams is not None]
+        if not held:
             return counts
-        addresses, items, regions = zip(*streams)
-        n = np.array([a.size for a in addresses], dtype=np.int64)
+        buffers, streams = zip(*map(batch.streams.__getitem__, held))
+        n, items, regions = np.array(list(chain.from_iterable(streams)), dtype=np.int64).T
         nonempty = n > 0
         if not nonempty.any():
             return counts
-        n = n[nonempty]
-        items = np.array(items, dtype=np.int64)[nonempty]
-        regions = np.array(regions, dtype=np.int64)[nonempty]
-        kernel = np.repeat(np.arange(kernels), [len(k) for k in batch.streams])[nonempty]
+        n, items, regions = n[nonempty], items[nonempty], regions[nonempty]
+        kernel = np.repeat(held, list(map(len, streams)))[nonempty]
         starts = np.cumsum(n) - n
         # line ids within each stream's region: a region starts on a line
         # boundary, so its offset changes no count within the region
-        lines = np.concatenate(addresses, dtype=np.int64, casting="unsafe")
+        lines = np.concatenate(buffers)
         lines *= np.repeat(items, n)
         lines >>= self._line_shift
         lo = np.minimum.reduceat(lines, starts)

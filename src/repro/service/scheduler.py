@@ -637,7 +637,9 @@ class QueryScheduler:
         untraced), which the trace exporter uses to bind flow arrows.
         All allocations the attempt made are freed once the result is
         copied out, so live bytes return to the graph-cache baseline
-        after every request (pinned by the stress suite).
+        after every request (pinned by the stress suite), and the memory
+        timeline is cleared: nothing reads a worker's, so a long-running
+        server would otherwise keep every memory event it ever served.
         """
         q = lead.queue
         t_prep = q.elapsed_ns
@@ -652,6 +654,7 @@ class QueryScheduler:
             raw_ns = q.elapsed_ns - t_prep
             if raw_ns == 0.0:
                 raw_ns = self.config.fault_service_ns
+            q.memory.reset_timeline()
             return None, raw_ns, 0.0, exc, -1.0
         before = {a.alloc_id for a in q.memory.live_allocations}
         t0 = q.elapsed_ns
@@ -680,6 +683,7 @@ class QueryScheduler:
             raw_ns = self.config.fault_service_ns
         for alloc in [a for a in q.memory.live_allocations if a.alloc_id not in before]:
             q.memory.free(alloc.array)
+        q.memory.reset_timeline()
         return result, raw_ns, solo_ns, error, span_ts
 
     # ------------------------------------------------------------------ #

@@ -69,8 +69,8 @@ class TestMeasure:
         assert all(r["kernels"] > 0 for r in traced.iteration_breakdown)
         # tracing is observational: identical modeled times per source
         assert traced.times_ns == plain.times_ns
-        # the baselines run on the plan executor too: one row per iteration
-        for framework in ("gunrock", "tigr", "sep"):
+        # every framework runs on the plan executor: one row per iteration
+        for framework in ("sygraph", "gunrock", "tigr", "sep"):
             for algorithm in ("bfs", "sssp", "cc"):
                 case = f"{framework}/{algorithm}"
                 plain = measure(framework, "kron", algorithm, n_sources=2, scale="tiny")

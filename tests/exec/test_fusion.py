@@ -10,7 +10,7 @@ from repro.exec import fuse_workloads
 from repro.exec.fusion import is_null
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.graph.generators import rmat
-from repro.obs.span import SpanTracer
+from repro.obs.span import SpanTracer, iteration_breakdown
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl import Queue
 from repro.sycl.ndrange import Range
@@ -91,6 +91,18 @@ class TestExecutorFusion:
         q.tracer = None
         names = _kernel_names(tr)
         assert any(n == "compute.execute_all+advance.frontier" for n in names)
+
+    def test_span_step_submits_its_kernel(self):
+        """A kernel held inside a SpanStep is submitted before the span
+        closes: fused CC's init advance is its iteration-0 row's kernel,
+        and every iteration has a row with kernels."""
+        q = Queue()
+        g = GraphBuilder(q).to_csr(rmat(8, 8, seed=11).symmetrized())
+        tr = q.enable_tracing()
+        result = cc(g, fuse=True)
+        rows = iteration_breakdown(tr)
+        assert len(rows) == result.iterations
+        assert all(row["kernels"] > 0 for row in rows)
 
     def test_modeled_time_reduction_bfs_cc_pagerank(self):
         coo = rmat(9, 8, seed=11)

@@ -6,7 +6,9 @@ layer's word indices into the next, duplicates and order as given.
 An insert must produce the same word arrays from unsorted ids with
 duplicates, into an empty or a non-empty frontier, at 32- and 64-bit
 words; its scan cache must stay coherent; and an out-of-range id must
-raise the same error as before.
+raise the same error as before.  All of it holds on both sides of
+``SHORT_STREAM``: at most that many ids are inserted with Python ints,
+more with NumPy.
 """
 
 import numpy as np
@@ -98,6 +100,74 @@ def test_out_of_range_insert_message(queue, layout, bad):
     lo, hi = min(bad), max(bad)
     with pytest.raises(FrontierError) as raised:
         frontier.insert(np.array(bad))
+    assert str(raised.value) == f"element id out of range [0, 100): [{lo}, {hi}]"
+    for got, want in zip(layers_of(frontier), before):
+        np.testing.assert_array_equal(got, want)
+
+
+#: one layer, two (the 2LB) and three (a tree), at both word widths
+DEPTHS = ["tree1", "tree2", "tree3"]
+
+
+def _ids_around_cutoff(size, n, seed):
+    """``size`` ids below ``n``, unsorted, a quarter of them repeats (an
+    insert of at most SHORT_STREAM ids takes the Python-int path, a
+    longer one NumPy)."""
+    rng = np.random.default_rng(seed)
+    distinct = rng.choice(n, size=size - size // 4, replace=False)
+    ids = np.concatenate([distinct, rng.choice(distinct, size // 4)])
+    return rng.permutation(ids).astype(np.int64)
+
+
+@pytest.mark.parametrize("bits", [32, 64])
+@pytest.mark.parametrize("layout", DEPTHS)
+@pytest.mark.parametrize("size", [1, 47, 48, 49, 200])
+@pytest.mark.parametrize("start", ["cleared", "non-empty"])
+def test_insert_on_both_sides_of_the_cutoff(layout, bits, size, start):
+    """47, 48 and 49 ids, unsorted with repeats, into a frontier known to
+    be empty (the insert primes its scans) or holding other ids.  The
+    words must equal the reference's, and a primed scan must equal a
+    fresh one (a nonzero_words primed from the wrong layer fails)."""
+    n = 5000
+    frontier = make_frontier(Queue(capacity_limit=0), n, bits=bits, **LAYOUTS[layout])
+    frontier.clear()
+    earlier = np.array([3, 4000, 4001], dtype=np.int64)
+    if start == "non-empty":
+        frontier.insert(earlier)
+    ids = _ids_around_cutoff(size, n, seed=size * bits)
+    assert ids.size == size
+    expected = reference_layers(layers_of(frontier), ids, bits)
+    frontier.insert(ids)
+    for got, want in zip(layers_of(frontier), expected):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    if start == "cleared":
+        primed = dict(frontier._scan_cache)
+        assert set(primed) == {"active", "nonzero_words"}
+        for key, value in primed.items():
+            fresh = frontier._scan_compute(key)
+            assert value.dtype == fresh.dtype == np.int64, key
+            np.testing.assert_array_equal(value, fresh, err_msg=key)
+    assert frontier.scan_cache_coherent() is None
+    inserted = np.unique(ids) if start == "cleared" else np.unique(np.concatenate([earlier, ids]))
+    np.testing.assert_array_equal(frontier.active_elements(), inserted)
+    assert frontier.check_invariant()
+
+
+@pytest.mark.parametrize("layout", DEPTHS)
+@pytest.mark.parametrize("size", [47, 48, 49, 60])
+@pytest.mark.parametrize("bad", [-3, 100])
+def test_out_of_range_insert_message_on_both_sides_of_the_cutoff(queue, layout, size, bad):
+    """A negative or past-the-end id among ``size`` ids raises the same
+    error on the Python-int path as on the NumPy one, and changes no
+    word."""
+    frontier = make_frontier(queue, 100, **LAYOUTS[layout])
+    frontier.insert([1, 2])
+    before = [layer.copy() for layer in layers_of(frontier)]
+    ids = np.random.default_rng(size).permutation(np.append(np.arange(size - 1) % 97, bad))
+    lo, hi = ids.min(), ids.max()
+    with pytest.raises(FrontierError) as raised:
+        frontier.insert(ids)
     assert str(raised.value) == f"element id out of range [0, 100): [{lo}, {hi}]"
     for got, want in zip(layers_of(frontier), before):
         np.testing.assert_array_equal(got, want)

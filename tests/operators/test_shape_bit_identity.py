@@ -6,7 +6,9 @@ quantity, NumPy reductions over the workgroups.  Every advance kernel's
 geometry, lane counts and serial ops derive from it, so the function
 must reproduce every :class:`AdvanceShape` field exactly, with its
 Python type.  NumPy's pairwise ``sum`` adds in a different order from
-8 elements up, so 1, 2-7 and at least 8 workgroups are all covered.
+8 elements up, so 1, 2-7 and at least 8 workgroups are all covered; 2-7
+workgroups holding at most ``SHORT_STREAM`` active vertices are summed
+with Python floats, so 48 and 49 vertices are too.
 """
 
 import numpy as np
@@ -183,3 +185,43 @@ def test_few_busy_workgroups_among_many(device):
     active = np.arange(position.size, dtype=np.int64)
     shape = assert_same_shape(params, 20, active, degrees.astype(np.int64), position.astype(np.int64), 2560)
     assert shape.n_workgroups == 20
+
+
+#: active bits and edges per workgroup whose terms ``edges * 4/3`` and
+#: ``edges * 4/4`` NumPy adds pairwise at 8 workgroups, to another last
+#: bit than left to right (workgroup 4's 6 bits saturate its engagement)
+BUSY_BITS = [3, 4, 4, 3, 6, 3, 4, 3]
+BUSY_EDGES = [44992, 98744, 18656, 63275, 42698, 67432, 75570, 32997]
+
+
+@pytest.mark.parametrize("device", sorted(DEVICES))
+@pytest.mark.parametrize("workgroups", [7, 8])
+@pytest.mark.parametrize("n_active", [48, 49])
+def test_both_sides_of_the_python_cutoff(device, workgroups, n_active):
+    """7 vs 8 workgroups of a persistent grid over more scanned words (20)
+    than workgroups, holding 48 vs 49 active vertices.  Fewer than 8
+    workgroups holding at most SHORT_STREAM vertices are summed with
+    Python floats, left to right; at 8 these terms sum to another last
+    bit that way than NumPy's, so summing 8 workgroups in Python fails
+    here."""
+    params = DEVICES[device]().inspect()
+    bits, edges = BUSY_BITS[:workgroups], BUSY_EDGES[:workgroups]
+    bits[4] += n_active - sum(bits)  # extra bits where engagement is saturated
+    sgs_per_wg = params.workgroup_size // params.subgroup_size
+    terms = np.array(edges, dtype=np.float64) * (sgs_per_wg / np.minimum(sgs_per_wg, bits))
+    left_to_right = 0.0
+    for term in terms.tolist():
+        left_to_right += term
+    assert (left_to_right != terms.sum()) == (workgroups == 8)
+    position, degrees = [], []
+    for wg, (n_bits, wg_edges) in enumerate(zip(bits, edges)):
+        # vertex j of workgroup wg scans word wg or wg + workgroups
+        position += [wg + workgroups * (j % 2) for j in range(n_bits)]
+        share = [wg_edges // n_bits] * n_bits
+        share[0] += wg_edges - sum(share)
+        degrees += share
+    active = np.arange(n_active, dtype=np.int64) * 3
+    shape = assert_same_shape(
+        params, 20, active, np.array(degrees, dtype=np.int64), np.array(position, dtype=np.int64), workgroups
+    )
+    assert shape.n_workgroups == workgroups and active.size == n_active

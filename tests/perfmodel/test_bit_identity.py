@@ -549,12 +549,25 @@ def test_large_sparse_streams_use_the_sort_fallback(model, dtype):
 
 
 def test_count_distinct_both_ways():
+    """Marked and sorted, and without bounds at most SHORT_STREAM values
+    counted as a set, on both sides of that cutoff: repeats count once,
+    and the count is an int."""
     rng = np.random.default_rng(5)
     dense = rng.integers(100, 400, 1000)
     sparse = rng.integers(0, 1 << 50, 1000)
     for lines in (dense, sparse):
         assert count_distinct(lines, int(lines.min()), int(lines.max())) == np.unique(lines).size
         assert count_distinct(lines) == np.unique(lines).size
+    for size in (1, SHORT_STREAM, SHORT_STREAM + 1):
+        for dtype in (np.int32, np.int64):
+            dense = rng.integers(100, 100 + max(1, size // 3), size).astype(dtype)
+            sparse = rng.integers(0, 1 << (50 if dtype is np.int64 else 30), size).astype(dtype)
+            sparse[size // 2 :] = sparse[: size - size // 2]  # repeats
+            for lines in (dense, sparse):
+                bounded = count_distinct(lines, int(lines.min()), int(lines.max()))
+                unbounded = count_distinct(lines)
+                assert bounded == unbounded == np.unique(lines).size, (size, dtype)
+                assert type(bounded) is type(unbounded) is int
 
 
 @settings(max_examples=100, deadline=None)

@@ -229,6 +229,19 @@ class TestMemoryHygiene:
         s.run(burst(10) + burst(5, graph="road", algorithm="sssp"))
         assert [w.queue.memory.bytes_in_use for w in s.workers] == baseline
 
+    def test_memory_timelines_do_not_grow_with_requests_served(self, tiny_catalog):
+        """Every attempt's memory events are dropped with its allocations:
+        serving a trace twice leaves the workers' timelines no longer than
+        serving it once."""
+        s = sched(pool=("v100s", "mi100"), catalog=tiny_catalog)
+        trace = burst(10) + burst(5, graph="road", algorithm="sssp") + burst(3, graph="web", algorithm="cc")
+        s.run(trace)
+        once = [len(w.queue.memory.timeline) for w in s.workers]
+        for req in trace:
+            req.attempts = 0  # reset scheduling state for the replay
+        s.run(trace)
+        assert all(len(w.queue.memory.timeline) <= n for w, n in zip(s.workers, once))
+
 
 class TestTracing:
     def test_request_spans_nest_dispatch_and_algorithm(self, tiny_catalog):
