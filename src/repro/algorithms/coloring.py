@@ -1,10 +1,9 @@
 """Greedy parallel graph coloring (Jones-Plassmann) and maximal
-independent set (Luby) — compute/filter-driven extension algorithms.
+independent set (Luby) — advance-driven extension algorithms.
 
-Both follow the same BSP skeleton the framework's primitives encourage:
-per superstep, vertices compare a random priority against their uncolored
-(or undecided) neighbors; local maxima act, everyone else waits.
-Expects undirected (symmetrized) CSR graphs.
+Both run one priority round as a plan: per superstep, vertices compare a
+random priority against their undecided neighbors; local maxima act,
+everyone else waits.  Expects undirected (symmetrized) CSR graphs.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.exec import AdvanceStep, ExecContext, HostStep, Plan, PlanExecutor
 from repro.frontier import FrontierView, make_frontier
-from repro.operators import advance
 from repro.operators.advance import AdvanceConfig
 
 
@@ -55,6 +54,59 @@ def _priorities(n: int, seed: int) -> np.ndarray:
     return rng.permutation(n).astype(np.int64)  # distinct priorities
 
 
+def _priority_rounds(graph, name, decided, edge, settle, layout, seed, config) -> int:
+    """Run priority rounds until every vertex is decided; returns the count.
+
+    An advance over the undecided frontier marks the vertices an undecided
+    neighbor outranks; the others win and join ``decided``.  An advance
+    from the winners frontier applies ``edge``, ``settle(winners)`` runs,
+    and every decided vertex leaves the undecided frontier.  Priorities are
+    distinct, so the top undecided vertex always wins.
+    """
+    queue = graph.queue
+    n = graph.get_vertex_count()
+    prio = _priorities(n, seed)
+    blocked = np.zeros(n, dtype=bool)
+    undecided = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+    undecided.insert(np.arange(n, dtype=np.int64))
+    winners = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+
+    def mark_blocked(src, dst, eid, w):
+        contested = ~decided[dst] & ~decided[src] & (prio[dst] > prio[src])
+        blocked[src[contested]] = True
+        return np.zeros(src.size, dtype=bool)
+
+    def pick_winners(ctx):
+        ids = undecided.active_elements()
+        won = ids[~blocked[ids]]
+        blocked[ids] = False
+        decided[won] = True
+        winners.clear()
+        winners.insert(won)
+
+    def retire(ctx):
+        settle(winners.active_elements())
+        ids = undecided.active_elements()
+        undecided.remove(ids[decided[ids]])
+
+    plan = Plan(
+        name=name,
+        iter_span=f"{name}.iter",
+        until_empty="undecided",
+        limit=n + 1,
+        steps=[
+            AdvanceStep(lambda ctx: mark_blocked, input="undecided", output=None),
+            HostStep(pick_winners),
+            AdvanceStep(lambda ctx: edge, input="winners", output=None),
+            HostStep(retire),
+        ],
+        tick=lambda ctx: f"{name}.round{ctx.iteration}",
+    )
+    frontiers = {"undecided": undecided, "winners": winners}
+    ctx = ExecContext(queue, {"csr": graph}, frontiers, config)
+    return PlanExecutor(queue).run(plan, ctx).iteration
+
+
 def jones_plassmann(
     graph,
     layout: str = "2lb",
@@ -65,50 +117,27 @@ def jones_plassmann(
     feasible color each round."""
     queue = graph.queue
     n = graph.get_vertex_count()
-    prio = _priorities(n, seed)
     colors = queue.malloc_shared((n,), np.int64, label="color.colors", fill=-1)
-
-    uncolored = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
-    uncolored.insert(np.arange(n, dtype=np.int64))
-    iterations = 0
     colors_np = np.asarray(colors)
+    forbidden = {}
 
-    while not uncolored.empty() and iterations <= n:
-        # a vertex is a local max if no *uncolored* neighbor outranks it
-        blocked = np.zeros(n, dtype=bool)
+    def collect(src, dst, eid, w):
+        used = colors_np[dst] >= 0
+        for s, c in zip(src[used], colors_np[dst[used]]):
+            forbidden.setdefault(int(s), set()).add(int(c))
+        return np.zeros(src.size, dtype=bool)
 
-        def mark_blocked(src, dst, eid, w):
-            contested = (colors_np[dst] == -1) & (colors_np[src] == -1) & (prio[dst] > prio[src])
-            blocked[src[contested]] = True
-            return np.zeros(src.size, dtype=bool)
-
-        advance.frontier(graph, uncolored, None, mark_blocked, config).wait()
-        winners = uncolored.active_elements()
-        winners = winners[~blocked[winners]]
-
+    def settle(winners):
         # each winner takes the smallest color absent from its neighborhood
-        if winners.size:
-            w_front = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
-            w_front.insert(winners)
-            forbidden = {}
+        for v in winners:
+            taken = forbidden.pop(int(v), set())
+            c = 0
+            while c in taken:
+                c += 1
+            colors_np[v] = c
 
-            def collect(src, dst, eid, w):
-                used = colors_np[dst] >= 0
-                for s, c in zip(src[used], colors_np[dst[used]]):
-                    forbidden.setdefault(int(s), set()).add(int(c))
-                return np.zeros(src.size, dtype=bool)
-
-            advance.frontier(graph, w_front, None, collect, config).wait()
-            for v in winners:
-                taken = forbidden.get(int(v), set())
-                c = 0
-                while c in taken:
-                    c += 1
-                colors_np[v] = c
-            uncolored.remove(winners)
-        iterations += 1
-        queue.memory.tick(f"color.round{iterations}")
-
+    decided = np.zeros(n, dtype=bool)
+    iterations = _priority_rounds(graph, "color", decided, collect, settle, layout, seed, config)
     result = colors_np.copy()
     queue.free(colors)
     return ColoringResult(colors=result, iterations=iterations)
@@ -122,49 +151,17 @@ def luby_mis(
 ) -> MISResult:
     """Luby's maximal independent set: priority local maxima join the set,
     their neighbors drop out, repeat."""
-    queue = graph.queue
     n = graph.get_vertex_count()
-    prio = _priorities(n, seed)
     in_set = np.zeros(n, dtype=bool)
-    undecided = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
-    undecided.insert(np.arange(n, dtype=np.int64))
     decided = np.zeros(n, dtype=bool)
-    iterations = 0
 
-    while not undecided.empty() and iterations <= n:
-        blocked = np.zeros(n, dtype=bool)
-
-        def mark_blocked(src, dst, eid, w):
-            contested = ~decided[dst] & ~decided[src] & (prio[dst] > prio[src])
-            blocked[src[contested]] = True
-            return np.zeros(src.size, dtype=bool)
-
-        advance.frontier(graph, undecided, None, mark_blocked, config).wait()
-        winners = undecided.active_elements()
-        winners = winners[~blocked[winners]]
-        if winners.size == 0:
-            break
-        in_set[winners] = True
-        decided[winners] = True
-        undecided.remove(winners)
-
+    def knock_out(src, dst, eid, w):
         # winners' neighbors leave the race
-        w_front = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
-        w_front.insert(winners)
-        losers = []
+        decided[dst] = True
+        return np.zeros(src.size, dtype=bool)
 
-        def knock_out(src, dst, eid, w):
-            fresh = ~decided[dst]
-            decided[dst[fresh]] = True
-            losers.append(dst[fresh])
-            return np.zeros(src.size, dtype=bool)
+    def settle(winners):
+        in_set[winners] = True
 
-        advance.frontier(graph, w_front, None, knock_out, config).wait()
-        if losers:
-            out = np.unique(np.concatenate(losers))
-            if out.size:
-                undecided.remove(out)
-        iterations += 1
-        queue.memory.tick(f"mis.round{iterations}")
-
+    iterations = _priority_rounds(graph, "mis", decided, knock_out, settle, layout, seed, config)
     return MISResult(in_set=in_set, iterations=iterations)

@@ -4,7 +4,9 @@ Computes the *core number* of every vertex (the largest k such that the
 vertex belongs to a subgraph where every vertex has degree >= k) by
 iterated peeling: vertices whose remaining degree falls below the current
 k are filtered out of the active set, their neighbors' degrees decrement,
-until the graph is exhausted.
+until the graph is exhausted.  As a plan, one iteration per k: a
+post-tested loop filters and, while it finds victims, runs a
+``kcore.iter`` peel round.
 
 Not part of the paper's evaluation, but a canonical frontier-framework
 primitive (Gunrock ships it) built almost entirely from ``filter`` and
@@ -19,8 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.exec import (
+    AdvanceStep, ExecContext, FilterStep, HostStep, IfStep, LoopStep, Plan, PlanExecutor, SpanStep,
+)
 from repro.frontier import FrontierView, make_frontier
-from repro.operators import advance, filter as filt
 from repro.operators.advance import AdvanceConfig
 
 
@@ -57,33 +61,37 @@ def k_core(
     alive.insert(np.arange(n, dtype=np.int64))
     peel = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
 
-    k = 0
-    iterations = 0
-    while not alive.empty():
-        k += 1
+    def retire(ctx):
+        victims = peel.active_elements()
+        core[victims] = ctx.iteration  # peeled at k = ctx.iteration + 1
+        alive.remove(victims)
+        ctx.state["rounds"] += 1
+
+    def decrement(src, dst, eid, w):
+        keep = alive.contains(dst)
+        np.subtract.at(degrees, dst[keep], 1)
+        return np.zeros(src.size, dtype=bool)
+
+    peel_round = SpanStep("kcore.iter", [
+        HostStep(retire),
+        AdvanceStep(lambda ctx: decrement, input="peel", output=None),
+        HostStep(lambda ctx: queue.memory.tick(f"kcore.k{ctx.iteration + 1}")),
+    ], arg=lambda ctx: ctx.state["rounds"])
+    below_k = lambda ctx: (lambda ids, k=ctx.iteration + 1: degrees[ids] < k)  # noqa: E731
+    plan = Plan(name="kcore", until_empty="alive", steps=[
         # peel to fixpoint at this k: repeatedly remove degree < k vertices
-        while True:
-            # find the victims among the alive set
-            filt.external(graph, alive, peel, lambda ids: degrees[ids] < k).wait()
-            victims = peel.active_elements()
-            if victims.size == 0:
-                break
-            core[victims] = k - 1
-            alive.remove(victims)
-            iterations += 1
-
-            def decrement(src, dst, eid, w):
-                keep = alive.contains(dst)
-                np.subtract.at(degrees, dst[keep], 1)
-                return np.zeros(src.size, dtype=bool)
-
-            advance.frontier(graph, peel, None, decrement, config).wait()
-            queue.memory.tick(f"kcore.k{k}")
+        LoopStep([
+            FilterStep(below_k, frontier="alive", output="peel"),
+            IfStep(lambda ctx: not peel.empty(), [peel_round]),
+        ], until=lambda ctx: peel.empty(), post=True),
         # all remaining alive vertices have degree >= k: they are in the k-core
-        survivors = alive.active_elements()
-        core[survivors] = k
+        HostStep(lambda ctx: core.__setitem__(alive.active_elements(), ctx.iteration + 1)),
+    ])
+    frontiers = {"alive": alive, "peel": peel}
+    ctx = ExecContext(queue, {"csr": graph}, frontiers, config, state={"rounds": 0})
+    PlanExecutor(queue).run(plan, ctx)
 
     result = np.asarray(core).copy()
     queue.free(degrees)
     queue.free(core)
-    return KCoreResult(core_numbers=result, iterations=iterations)
+    return KCoreResult(core_numbers=result, iterations=ctx.state["rounds"])

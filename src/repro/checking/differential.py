@@ -26,10 +26,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.algorithms.bfs import UNSEEN, level_steps
 from repro.algorithms.catalog import CATALOG, AlgorithmSpec, GraphBundle
 from repro.checking import graphgen
 from repro.checking.invariants import strict_mode
-from repro.frontier import BITMAP_LAYOUTS
+from repro.exec import ExecContext, HostStep, Plan, PlanExecutor, SwapClearStep
+from repro.frontier import BITMAP_LAYOUTS, FrontierView, layout_bits_kwargs, make_frontier
 from repro.sycl import Queue, get_device
 
 #: backend name -> simulated device short name (repro.sycl.device registry).
@@ -153,28 +155,22 @@ def bfs_frontier_trace(
     (the out-frontier *after* each advance) — the ground truth two layouts
     must agree on superstep by superstep.
     """
-    from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier, swap
-    from repro.operators import advance, compute
-
     queue = graph.queue
     n = graph.get_vertex_count()
     kwargs = layout_bits_kwargs(layout, bits)
     fin = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     fout = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    dist = queue.malloc_shared((n,), np.int64, label="trace.dist", fill=-1)
+    dist = queue.malloc_shared((n,), np.int64, label="trace.dist", fill=UNSEEN)
     dist[source] = 0
     fin.insert(source)
 
     trace: List[np.ndarray] = []
-    iteration = 0
-    while not fin.empty() and iteration <= n:
-        advance.frontier(graph, fin, fout, lambda s, d, e, w: dist[d] == -1).wait()
-        depth = iteration + 1
-        compute.execute(graph, fout, lambda ids: dist.__setitem__(ids, depth)).wait()
-        trace.append(np.asarray(fout.active_elements(), dtype=np.int64).copy())
-        swap(fin, fout)
-        fout.clear()
-        iteration += 1
+    record = HostStep(
+        lambda ctx: trace.append(np.asarray(fout.active_elements(), dtype=np.int64).copy())
+    )
+    plan = Plan(name=None, steps=level_steps(dist) + [record, SwapClearStep()], limit=n + 1)
+    ctx = ExecContext(queue, graphs={"csr": graph}, frontiers={"in": fin, "out": fout})
+    PlanExecutor(queue).run(plan, ctx)
     queue.free(dist)
     return trace
 

@@ -32,7 +32,7 @@ from repro.algorithms.bfs import level_steps
 from repro.algorithms.cc import propagate_steps
 from repro.algorithms.sssp import relax_steps
 from repro.dist.bsp import BSPAlgorithm, DistributedResult, run_bsp
-from repro.dist.partition import Partition, owner_of
+from repro.dist.partition import owner_of
 from repro.graph.coo import COOGraph
 from repro.sycl.device import Device
 
@@ -78,19 +78,47 @@ def _check_source(n: int, source: int) -> None:
 
 
 # --------------------------------------------------------------------- #
-# BFS                                                                   #
+# shared halves: source seeding (BFS, SSSP), min-merge (SSSP, CC)       #
 # --------------------------------------------------------------------- #
-class _BFSPlugin(BSPAlgorithm):
-    name = "bfs"
-
-    def make_state(self, n: int) -> np.ndarray:
-        return np.full(n, UNSEEN, dtype=np.int64)
+class _FromSource(BSPAlgorithm):
+    """A traversal from one source at value 0, activated on its owner."""
 
     def seed(self, parts, frontiers, states, source):
         for state in states:
             state[source] = 0
         owner = int(owner_of(parts, np.array([source]))[0])
         frontiers[owner].insert(source)
+
+    def superstep_limit(self, n: int) -> int:
+        # a BFS level or a negative-free Bellman-Ford round per hop:
+        # <= n-1 of them, plus the drain superstep that proves the
+        # frontier empty: n supersteps, never n+1
+        return max(1, n)
+
+
+class _MinMerge(BSPAlgorithm):
+    """Ghosts carry their value; the owner keeps the minimum."""
+
+    def message_values(self, state, vertices):
+        return state[vertices]
+
+    def apply(self, state, vertices, values, depth):
+        u, inv = np.unique(vertices, return_inverse=True)
+        best = state[u]  # a copy (fancy index), so the compare below sees the old state
+        np.minimum.at(best, inv, values)
+        mask = best < state[u]
+        state[u[mask]] = best[mask]
+        return u[mask]
+
+
+# --------------------------------------------------------------------- #
+# BFS                                                                   #
+# --------------------------------------------------------------------- #
+class _BFSPlugin(_FromSource):
+    name = "bfs"
+
+    def make_state(self, n: int) -> np.ndarray:
+        return np.full(n, UNSEEN, dtype=np.int64)
 
     def device_steps(self, state):
         # the single-device level kernel pair, verbatim: advance over
@@ -104,11 +132,6 @@ class _BFSPlugin(BSPAlgorithm):
         fresh = u[state[u] == UNSEEN]
         state[fresh] = depth
         return fresh
-
-    def superstep_limit(self, n: int) -> int:
-        # eccentricity <= n-1 levels, plus the drain superstep that
-        # proves the frontier empty: n supersteps, never n+1
-        return max(1, n)
 
 
 def distributed_bfs(
@@ -134,37 +157,16 @@ def distributed_bfs(
 # --------------------------------------------------------------------- #
 # SSSP (Bellman-Ford)                                                   #
 # --------------------------------------------------------------------- #
-class _SSSPPlugin(BSPAlgorithm):
+class _SSSPPlugin(_FromSource, _MinMerge):
     name = "sssp"
 
     def make_state(self, n: int) -> np.ndarray:
         return np.full(n, np.inf, dtype=np.float64)
 
-    def seed(self, parts, frontiers, states, source):
-        for state in states:
-            state[source] = 0.0
-        owner = int(owner_of(parts, np.array([source]))[0])
-        frontiers[owner].insert(source)
-
     def device_steps(self, state):
         # the single-device Bellman-Ford relaxation advance, verbatim
         # (stats=None: the engine's accounting replaces the counter)
         return relax_steps(state)
-
-    def message_values(self, state, vertices):
-        return state[vertices]
-
-    def apply(self, state, vertices, values, depth):
-        u, inv = np.unique(vertices, return_inverse=True)
-        best = np.full(u.size, np.inf, dtype=np.float64)
-        np.minimum.at(best, inv, values)
-        mask = best < state[u]
-        state[u[mask]] = best[mask]
-        return u[mask]
-
-    def superstep_limit(self, n: int) -> int:
-        # negative-free Bellman-Ford settles in <= n-1 rounds + drain
-        return max(1, n)
 
 
 def distributed_sssp(
@@ -190,7 +192,7 @@ def distributed_sssp(
 # --------------------------------------------------------------------- #
 # CC (min-label propagation)                                            #
 # --------------------------------------------------------------------- #
-class _CCPlugin(BSPAlgorithm):
+class _CCPlugin(_MinMerge):
     name = "cc"
 
     def make_state(self, n: int) -> np.ndarray:
@@ -206,17 +208,6 @@ class _CCPlugin(BSPAlgorithm):
     def device_steps(self, state):
         # the single-device min-label propagation advance, verbatim
         return propagate_steps(state)
-
-    def message_values(self, state, vertices):
-        return state[vertices]
-
-    def apply(self, state, vertices, values, depth):
-        u, inv = np.unique(vertices, return_inverse=True)
-        best = np.full(u.size, np.iinfo(np.int64).max, dtype=np.int64)
-        np.minimum.at(best, inv, values)
-        mask = best < state[u]
-        state[u[mask]] = best[mask]
-        return u[mask]
 
     def superstep_limit(self, n: int) -> int:
         # the min id travels one hop per superstep: <= n-1 hops + drain,

@@ -7,9 +7,9 @@ vertex range and the out-edges of its vertices, advances its local
 frontier each superstep, and ships discovered *ghost* vertices to their
 owners between supersteps in the 2LB-compressed wire format of
 :mod:`repro.dist.wire`.  An algorithm plugs in as a
-:class:`BSPAlgorithm`: its advance functor, its per-vertex state, its
-message payload, and the owner-side ``apply`` that merges incoming
-ghosts.
+:class:`BSPAlgorithm`: its per-device superstep steps, its per-vertex
+state, its message payload, and the owner-side ``apply`` that merges
+incoming ghosts.
 
 Accounting is per superstep, because that is what BSP makespan *is*:
 every superstep ends at a barrier, so its cost is the **maximum**
@@ -36,7 +36,7 @@ import numpy as np
 from repro.dist.partition import Partition, partition_bounds, partition_static
 from repro.errors import ExchangeFault
 from repro.dist.wire import GhostMessage, decode_ghost_message, encode_ghost_message
-from repro.exec import AdvanceStep, ExecContext, HostStep, PlanExecutor, Step
+from repro.exec import ExecContext, PlanExecutor, Step
 from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
@@ -68,32 +68,16 @@ class BSPAlgorithm:
     ) -> None:
         raise NotImplementedError
 
-    def functor(self, state: np.ndarray):
-        """Advance functor over this device's state copy."""
-        raise NotImplementedError
-
-    def post_advance(self, graph, out_frontier, state: np.ndarray, depth: int) -> None:
-        """Per-device hook after the advance (BFS stamps depths here)."""
-
     def device_steps(self, state: np.ndarray) -> List[Step]:
         """The per-device superstep body as execution-plan IR.
 
         The engine runs these steps through the shared
         :class:`~repro.exec.PlanExecutor` with ``ctx.iteration`` set to
-        the superstep index, so plugins can reuse the *same* step
-        builders as their single-device counterparts
-        (``bfs.level_steps`` / ``sssp.relax_steps`` /
-        ``cc.propagate_steps``).  Default: one advance built from
-        :meth:`functor`, then :meth:`post_advance` as a host step.
+        the superstep index, so plugins reuse the *same* step builders
+        as their single-device counterparts (``bfs.level_steps`` /
+        ``sssp.relax_steps`` / ``cc.propagate_steps``).
         """
-        return [
-            AdvanceStep(lambda ctx: self.functor(state)),
-            HostStep(
-                lambda ctx: self.post_advance(
-                    ctx.graph("csr"), ctx.frontier("out"), state, ctx.iteration + 1
-                )
-            ),
-        ]
+        raise NotImplementedError
 
     def message_values(self, state: np.ndarray, vertices: np.ndarray) -> Optional[np.ndarray]:
         """Payload shipped with ghost ``vertices`` (None = ids only)."""

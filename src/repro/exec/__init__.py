@@ -2,8 +2,8 @@
 
 Algorithms describe their iteration structure as a :class:`Plan` of
 :class:`Step` descriptors; the :class:`PlanExecutor` runs it to
-fixpoint.  One driver for all seven single-device algorithms *and* the
-per-device work of :mod:`repro.dist.bsp`, and the attachment point for
+fixpoint.  One driver for every iterating single-device algorithm *and*
+the per-device work of :mod:`repro.dist.bsp`, and the attachment point for
 spans, metrics, fault sites, strict-mode checks and the opt-in
 advance+compute/filter kernel fusion (see :doc:`docs/pipeline`).
 """

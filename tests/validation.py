@@ -99,3 +99,62 @@ def reference_triangles(n: int, src: np.ndarray, dst: np.ndarray) -> int:
     adj.setdiag(0)
     adj.eliminate_zeros()
     return int((adj @ adj).multiply(adj).sum() // 6)
+
+
+def _neighbor_sets(n: int, src: np.ndarray, dst: np.ndarray) -> list:
+    """Undirected adjacency sets, self-loops dropped."""
+    neighbors = [set() for _ in range(n)]
+    for a, b in zip(map(int, src), map(int, dst)):
+        if a != b:
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    return neighbors
+
+
+def reference_kcore(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Core numbers by sequential peeling: repeatedly remove a vertex of
+    least remaining degree; its core number is the largest such degree
+    seen so far."""
+    neighbors = _neighbor_sets(n, src, dst)
+    degree = np.array([len(s) for s in neighbors], dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    core = np.zeros(n, dtype=np.int64)
+    k = 0
+    for _ in range(n):
+        remaining = np.flatnonzero(alive)
+        v = int(remaining[np.argmin(degree[remaining])])
+        k = max(k, int(degree[v]))
+        core[v] = k
+        alive[v] = False
+        for u in neighbors[v]:
+            degree[u] -= 1
+    return core
+
+
+def reference_coloring(
+    n: int, src: np.ndarray, dst: np.ndarray, priorities: np.ndarray
+) -> np.ndarray:
+    """Greedy coloring in decreasing priority order: each vertex takes the
+    smallest color none of its already-colored neighbors has."""
+    neighbors = _neighbor_sets(n, src, dst)
+    colors = np.full(n, -1, dtype=np.int64)
+    for v in np.argsort(-np.asarray(priorities), kind="stable"):
+        taken = {int(colors[u]) for u in neighbors[v]}
+        c = 0
+        while c in taken:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def reference_mis(
+    n: int, src: np.ndarray, dst: np.ndarray, priorities: np.ndarray
+) -> np.ndarray:
+    """Greedy maximal independent set in decreasing priority order (the
+    lexicographically first MIS): a vertex joins unless a neighbor did."""
+    neighbors = _neighbor_sets(n, src, dst)
+    in_set = np.zeros(n, dtype=bool)
+    for v in np.argsort(-np.asarray(priorities), kind="stable"):
+        if not any(in_set[u] for u in neighbors[v]):
+            in_set[v] = True
+    return in_set
