@@ -14,7 +14,7 @@ flexibility Section 3.1 calls out for dynamic-graph use cases.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -116,6 +116,10 @@ class CSRGraph:
             self.weights[:] = weights
         else:
             self.weights = None
+        #: the all-vertex advance's sweep records of this graph, one per
+        #: launch configuration, built on first use by
+        #: :mod:`repro.operators.advance` and dropped by :meth:`free`
+        self.sweeps: Dict[tuple, object] = {}
 
     # -- interface: sizes ------------------------------------------------ #
     def get_vertex_count(self) -> int:
@@ -208,7 +212,10 @@ class CSRGraph:
         )
 
     def free(self) -> None:
-        """Release device buffers back to the memory manager."""
+        """Release device buffers back to the memory manager, and drop the
+        sweep records read from them: an advance on a freed graph reads
+        its (in strict mode, poisoned) buffers again."""
+        self.sweeps.clear()
         self.queue.free(self.row_ptr)
         self.queue.free(self.col_idx)
         if self.weights is not None:

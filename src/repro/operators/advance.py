@@ -25,7 +25,8 @@ adaptive baseline needs the pull path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional, Tuple
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
 from repro.frontier.vector import VectorFrontier
+from repro.graph.csr import CSRGraph
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance, range_geometry
 from repro.perfmodel.cache import count_distinct, unique_ints
@@ -76,9 +78,13 @@ def vertices(graph, out_frontier, functor, config: Optional[AdvanceConfig] = Non
     """Advance from **all** vertices (``advance::vertices`` with output).
 
     ``out_frontier`` may be None (the store-less overload in Table 2).
+    On a :class:`~repro.graph.csr.CSRGraph` the edges, launch shape and
+    read streams come from the graph's sweep record (:class:`_Sweep`),
+    and the functor gets read-only arrays.
     """
-    all_v = np.arange(graph.get_vertex_count(), dtype=np.int64)
-    return _advance_from(graph, all_v, None, out_frontier, functor, config, kernel="advance.vertices")
+    queue = graph.queue
+    with queue.span("advance.vertices"):
+        return queue.submit(_vertices_workload(graph, out_frontier, functor, config))
 
 
 def frontier(graph, in_frontier: Frontier, out_frontier, functor, config: Optional[AdvanceConfig] = None) -> Event:
@@ -86,29 +92,16 @@ def frontier(graph, in_frontier: Frontier, out_frontier, functor, config: Option
 
     ``out_frontier`` may be None for the store-less overload.
     """
-    return _advance_from(graph, None, in_frontier, out_frontier, functor, config, kernel="advance.frontier")
+    queue = graph.queue
+    with queue.span("advance.frontier"):
+        return queue.submit(
+            _advance_workload(graph, None, in_frontier, out_frontier, functor, config, "advance.frontier")
+        )
 
 
 # --------------------------------------------------------------------- #
 # core                                                                  #
 # --------------------------------------------------------------------- #
-def _advance_from(
-    graph,
-    explicit_vertices: Optional[np.ndarray],
-    in_frontier: Optional[Frontier],
-    out_frontier: Optional[Frontier],
-    functor,
-    config: Optional[AdvanceConfig],
-    kernel: str,
-) -> Event:
-    queue = graph.queue
-    with queue.span(kernel):
-        wl = _advance_workload(
-            graph, explicit_vertices, in_frontier, out_frontier, functor, config, kernel
-        )
-        return queue.submit(wl)
-
-
 def _advance_workload(
     graph,
     explicit_vertices: Optional[np.ndarray],
@@ -140,33 +133,55 @@ def _advance_workload(
     else:
         active, scan_words, scan_position = _scan_frontier(queue, in_frontier, params, kernel)
 
-    # ---- stages 1-2: neighbor expansion + functor
+    # ---- stages 1-3: neighbor expansion, functor, output insertion
     src, dst, eid, w = graph.gather_neighbors(active)
+    accepted = _apply(functor, src, dst, eid, w, out_frontier)
+
+    # ---- cost accounting (skipped when the queue never consumes it)
+    if not queue.enable_profiling:
+        return null_workload(kernel)
+    wl = _launch(graph, kernel, params, active, scan_words, scan_position, isinstance(in_frontier, VectorFrontier))
+    _charge_reads(wl, graph, active, dst, eid, params, config, scan_words)
+    _charge_writes(wl, accepted, out_frontier, params)
+    return wl
+
+
+def _apply(functor, src, dst, eid, w, out_frontier: Optional[Frontier]) -> np.ndarray:
+    """Run ``functor`` over expanded edges and insert the destinations it
+    accepts into ``out_frontier`` (bitmap OR / vector append); returns
+    them."""
     if src.size:
         mask = as_mask(functor(src, dst, eid, w), src.size, "advance")
         accepted = dst[mask]
     else:
         accepted = np.empty(0, dtype=np.int64)
-
-    # ---- stage 3: output frontier insertion (bitmap OR / vector append)
     if out_frontier is not None and accepted.size:
         out_frontier.insert(accepted)
+    return accepted
 
-    # ---- cost accounting (skipped when the queue never consumes it)
-    if not queue.enable_profiling:
-        return null_workload(kernel)
+
+def _launch(
+    graph,
+    kernel: str,
+    params: TunedParameters,
+    active: np.ndarray,
+    scan_words: int,
+    scan_position: np.ndarray,
+    vector_input: bool = False,
+) -> KernelWorkload:
+    """The advance kernel's workload with its launch shape and no streams."""
     degrees = graph.out_degrees(active) if active.size else np.empty(0, np.int64)
-    spec = queue.device.spec
+    spec = graph.queue.device.spec
     persistent_cap = spec.compute_units * spec.max_workgroups_per_cu
     shape = characterize_bitmap_advance(
         params, scan_words, active, degrees, scan_position, max_workgroups=persistent_cap
     )
     serial_ops = shape.serial_ops
-    if isinstance(in_frontier, VectorFrontier):
+    if vector_input:
         # vector frontiers need merge-path/prefix-sum partitioning to map
         # edges onto lanes (the bitmap gets this for free from word order)
         serial_ops *= 1.3
-    wl = KernelWorkload(
+    return KernelWorkload(
         name=kernel,
         geometry=shape.geometry,
         active_lanes=shape.active_lanes,
@@ -174,7 +189,65 @@ def _advance_workload(
         serial_ops=serial_ops,
         engaged_subgroups=shape.engaged_subgroups,
     )
-    _charge_memory(wl, graph, active, src, dst, eid, accepted, out_frontier, params, config, scan_words)
+
+
+class _Sweep:
+    """What an advance from every vertex of a
+    :class:`~repro.graph.csr.CSRGraph` takes from the graph alone, under
+    one launch configuration (the effective :class:`TunedParameters` and
+    ``functor_read_bytes``).
+
+    ``edges`` are its edges in CSR order as read-only ``(src, dst, eid,
+    w)`` arrays, shared by the graph's records; ``reads`` is the kernel's
+    workload with its launch shape and read streams (``frontier.scan``,
+    ``row_ptr``, ``row_ptr+1``, ``col_idx``, ``weights``,
+    ``functor.read``), also read-only; ``memory`` their memory-hierarchy
+    counts, once a profiled call that writes no frontier priced them.
+    The graph keeps its records in ``sweeps`` until it is freed.
+    """
+
+    def __init__(self, graph: CSRGraph, params: TunedParameters, config: AdvanceConfig):
+        n = graph.get_vertex_count()
+        active = np.arange(n, dtype=np.int64)
+        shared = next(iter(graph.sweeps.values()), None)
+        self.edges = shared.edges if shared is not None else graph.gather_neighbors(active)
+        _, dst, eid, _ = self.edges
+        scan_words = -(-max(1, n) // params.bitmap_bits)
+        self.reads = _launch(graph, "advance.vertices", params, active, scan_words, active // params.bitmap_bits)
+        _charge_reads(self.reads, graph, active, dst, eid, params, config, scan_words)
+        for array in chain(self.edges, (s.addresses for s in self.reads.streams)):
+            array.flags.writeable = False
+        self.memory: Optional[tuple] = None
+
+
+def _vertices_workload(graph, out_frontier, functor, config: Optional[AdvanceConfig]) -> KernelWorkload:
+    """:func:`vertices` minus the submit.  A :class:`CSRGraph` builds its
+    sweep record for this configuration on the first call; every call
+    runs the functor on the record's edges, and the workload carries the
+    record's memory counts unless the call writes a frontier.  Any other
+    graph (``DynamicGraph``, custom representations) expands its edges
+    on every call."""
+    if not isinstance(graph, CSRGraph):
+        all_v = np.arange(graph.get_vertex_count(), dtype=np.int64)
+        return _advance_workload(graph, all_v, None, out_frontier, functor, config, "advance.vertices")
+    queue = graph.queue
+    config = config or DEFAULT_CONFIG
+    params = config.params or queue.inspect()
+    key = (params, config.functor_read_bytes)
+    sweep = graph.sweeps.get(key)
+    if sweep is None:
+        sweep = graph.sweeps[key] = _Sweep(graph, params, config)
+    accepted = _apply(functor, *sweep.edges, out_frontier)
+    if not queue.enable_profiling:
+        return null_workload("advance.vertices")
+    wl = replace(sweep.reads, streams=list(sweep.reads.streams))
+    if out_frontier is not None and accepted.size:
+        # the writes join the L2 stream: priced in full
+        _charge_writes(wl, accepted, out_frontier, params)
+        return wl
+    if sweep.memory is None:
+        sweep.memory = queue.cost_model.memory_counts(wl.streams)
+    wl.memory = sweep.memory
     return wl
 
 
@@ -192,11 +265,8 @@ def vertices_workload(
     graph, out_frontier, functor, config: Optional[AdvanceConfig] = None
 ) -> KernelWorkload:
     """:func:`vertices` minus the submit: effect now, workload returned."""
-    all_v = np.arange(graph.get_vertex_count(), dtype=np.int64)
     with graph.queue.span("advance.vertices"):
-        return _advance_workload(
-            graph, all_v, None, out_frontier, functor, config, "advance.vertices"
-        )
+        return _vertices_workload(graph, out_frontier, functor, config)
 
 
 def _scan_frontier(
@@ -286,20 +356,17 @@ def _submit_offsets_kernels(
         queue.submit(pre)
 
 
-def _charge_memory(
+def _charge_reads(
     wl: KernelWorkload,
     graph,
     active: np.ndarray,
-    src: np.ndarray,
     dst: np.ndarray,
     eid: np.ndarray,
-    accepted: np.ndarray,
-    out_frontier: Optional[Frontier],
     params: TunedParameters,
     config: AdvanceConfig,
     scan_words: int = 0,
 ) -> None:
-    """Record the advance kernel's global-memory address streams."""
+    """Record the global-memory address streams the advance kernel reads."""
     # the frontier words the kernel scans (all words for a flat bitmap,
     # offsets-selected ones under summary layers, vector slots for a
     # vector frontier)
@@ -315,6 +382,12 @@ def _charge_memory(
             wl.add_stream(eid, 4, REGION_WEIGHTS, label="weights")
         # user-data reads inside the functor (e.g. dist[dst])
         wl.add_stream(dst, config.functor_read_bytes, REGION_USERDATA, label="functor.read")
+
+
+def _charge_writes(
+    wl: KernelWorkload, accepted: np.ndarray, out_frontier: Optional[Frontier], params: TunedParameters
+) -> None:
+    """Record the advance kernel's output-frontier writes and atomics."""
     if out_frontier is not None and accepted.size:
         if isinstance(out_frontier, BitmapFrontier):
             words = accepted // out_frontier.bits

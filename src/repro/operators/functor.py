@@ -11,6 +11,13 @@ vertex) and expect array results — the vectorized-functor substitution of
 DESIGN.md §2.  :func:`scalar_functor` wraps a per-element Python callable
 into that protocol so examples can be written exactly like Listing 1 when
 readability matters more than speed.
+
+Advance functors get their four arrays **read-only**, as a C++ lambda gets
+its edge by value: they write into their own state (``dist[dst] = ...``),
+never into ``src``, ``dst``, ``edge_id`` or ``weight``.  An advance from
+every vertex of a :class:`~repro.graph.csr.CSRGraph` passes the arrays
+the graph keeps for every such advance, which are read-only, so a write
+raises ``ValueError`` instead of corrupting later advances.
 """
 
 from __future__ import annotations

@@ -99,6 +99,13 @@ class KernelWorkload:
     #: Idle subgroups issue no loads, so a launch whose useful work is
     #: concentrated in few subgroups achieves a fraction of peak bandwidth.
     engaged_subgroups: Optional[float] = None
+    #: the memory-hierarchy counts of ``streams`` (L1 accesses and hits,
+    #: L2 accesses and hits) when the kernel carries them from an earlier
+    #: pricing of the same streams on the same device, as the all-vertex
+    #: advance does (:mod:`repro.operators.advance`); None = price the
+    #: streams.  A workload built from this one's streams and others
+    #: (:func:`repro.exec.fusion.fuse_workloads`) does not carry them.
+    memory: Optional[tuple] = None
 
     def add_stream(
         self,
@@ -151,7 +158,8 @@ class KernelBatch:
     ``offsets`` buffer is one), and the caller's arrays are freed as soon
     as the caller drops them.  A kernel with a stream of more than
     :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
-    away instead, which needs no copy.
+    away instead, which needs no copy, and a kernel that carries its
+    counts (:attr:`KernelWorkload.memory`) has them recorded as they are.
     """
 
     def __init__(self, model: "CostModel", workloads: Iterable[KernelWorkload] = ()):
@@ -178,30 +186,34 @@ class KernelBatch:
         return len(self.launches)
 
     def add(self, wl: KernelWorkload) -> None:
-        arrays, streams = [], []
-        accesses = long_streams = 0
-        for s in wl.streams:
-            addresses = s.addresses
-            size = addresses.size
-            arrays.append(addresses)
-            streams.append((size, s.item_bytes, s.region))
-            accesses += size
-            if size > SHORT_STREAM:
-                long_streams += 1
-        if not streams:
-            self.memory.append(_NO_MEMORY)
-            self.streams.append(None)
-        elif accesses > LARGE_STREAM and max(size for size, _, _ in streams) > LARGE_STREAM:
-            # priced now, from the caller's arrays: nothing is copied
-            self.memory.append(
-                self.model._kernel_memory([(s.addresses, s.item_bytes, s.region) for s in wl.streams])
-            )
+        if wl.memory is not None:
+            # counts carried from an earlier pricing: nothing is copied
+            # or priced
+            self.memory.append(wl.memory)
             self.streams.append(None)
         else:
-            self.memory.append(None)
-            self.streams.append((np.concatenate(arrays, dtype=np.int64, casting="unsafe"), streams))
-            self.accesses += accesses
-            self.long_streams += long_streams
+            arrays, streams = [], []
+            accesses = long_streams = 0
+            for s in wl.streams:
+                addresses = s.addresses
+                size = addresses.size
+                arrays.append(addresses)
+                streams.append((size, s.item_bytes, s.region))
+                accesses += size
+                if size > SHORT_STREAM:
+                    long_streams += 1
+            if not streams:
+                self.memory.append(_NO_MEMORY)
+                self.streams.append(None)
+            elif accesses > LARGE_STREAM and max(size for size, _, _ in streams) > LARGE_STREAM:
+                # priced now, from the caller's arrays: nothing is copied
+                self.memory.append(self.model.memory_counts(wl.streams))
+                self.streams.append(None)
+            else:
+                self.memory.append(None)
+                self.streams.append((np.concatenate(arrays, dtype=np.int64, casting="unsafe"), streams))
+                self.accesses += accesses
+                self.long_streams += long_streams
         geometry = wl.geometry
         self.names.append(wl.name)
         self.geometries.append(geometry)
@@ -446,6 +458,12 @@ class CostModel:
 
     # ------------------------------------------------------------------ #
     # one kernel at a time
+    def memory_counts(self, streams: Iterable[AccessStream]) -> tuple:
+        """L1 accesses and hits, L2 accesses and hits of a kernel with
+        these streams, priced now: the counts a :class:`KernelWorkload`
+        may carry in ``memory``."""
+        return self._kernel_memory([(s.addresses, s.item_bytes, s.region) for s in streams])
+
     def _kernel_memory(self, streams) -> tuple:
         """L1 accesses and hits, L2 accesses and hits of one kernel's
         ``(addresses, item_bytes, region)`` streams, one stream at a time.
@@ -467,13 +485,14 @@ class CostModel:
         :meth:`_long_stream`, once per array object and item size in this
         call: a stream that reads the same array again at another region
         (an advance reads ``col_idx`` and ``weights`` at the same edge ids)
-        takes the earlier stream's counts.
+        takes the earlier stream's counts, and the distinct lines of its
+        region when it is the only stream there.
         """
         line, l1_lines = self.spec.l1_line_bytes, self._l1_lines
         l1_acc = l1_hits = l2_acc = 0
         # per stream with misses: its region, the lines of its thinned
-        # misses, their adjacent repeats, and its line bounds (None for a
-        # short stream's list)
+        # misses, their adjacent repeats, and its _long_stream counts
+        # (None for a short stream's list)
         missed = []
         # the long streams priced so far, by array object and item size
         priced = {}
@@ -483,10 +502,11 @@ class CostModel:
                 continue
             if n > SHORT_STREAM:
                 key = (id(addresses), item)
-                if key not in priced:
-                    priced[key] = self._long_stream(addresses, item)
-                hits, lines, adjacent, bounds = priced[key]
-                missed.append((region, lines, adjacent, bounds))
+                counts = priced.get(key)
+                if counts is None:
+                    counts = priced[key] = self._long_stream(addresses, item)
+                hits, lines, adjacent = counts[:3]
+                missed.append((region, lines, adjacent, counts))
                 l1_acc += n
                 l1_hits += hits
                 l2_acc += n - hits
@@ -514,18 +534,23 @@ class CostModel:
             return l1_acc, l1_hits, 0, 0
         adjacent, last = 0, None
         by_region = {}
-        for region, lines, repeats, bounds in missed:
+        for region, lines, repeats, counts in missed:
             adjacent += repeats + (last == (region, lines[0]))
             last = region, lines[-1]
-            by_region.setdefault(region, []).append((lines, bounds))
+            by_region.setdefault(region, []).append((lines, counts))
         distinct = 0
         for parts in by_region.values():
-            if len(parts) == 1 and parts[0][1] is not None:
-                distinct += count_distinct(parts[0][0], *parts[0][1])
-            elif all(bounds is None for _, bounds in parts):
+            counts = parts[0][1]
+            if len(parts) == 1 and counts is not None:
+                # one long stream: its thinned lines' distinct count, once
+                # per array object and item size
+                if counts[4] is None:
+                    counts[4] = count_distinct(counts[1], *counts[3])
+                distinct += counts[4]
+            elif all(counts is None for _, counts in parts):
                 distinct += len(set().union(*(lines for lines, _ in parts)))
             else:
-                bounds = [bounds or (min(lines), max(lines)) for lines, bounds in parts]
+                bounds = [counts[3] if counts else (min(lines), max(lines)) for lines, counts in parts]
                 distinct += count_distinct(
                     np.concatenate([lines for lines, _ in parts]),
                     min(lo for lo, _ in bounds),
@@ -533,9 +558,10 @@ class CostModel:
                 )
         return l1_acc, l1_hits, l2_acc, lru_hits(l2_acc, distinct, adjacent, self._l2_lines)
 
-    def _long_stream(self, addresses: np.ndarray, item: int) -> tuple:
-        """L1 hits, the lines of the thinned misses, their adjacent repeats
-        and the line bounds of a stream of more than :data:`SHORT_STREAM`
+    def _long_stream(self, addresses: np.ndarray, item: int) -> list:
+        """L1 hits, the lines of the thinned misses, their adjacent
+        repeats, the line bounds and the thinned lines' distinct count
+        (None until counted) of a stream of more than :data:`SHORT_STREAM`
         accesses, its lines counted within its region.  A stream has at
         least one distinct line, so at least one miss."""
         # every device's line is a power of two (DeviceSpec), so is any
@@ -552,7 +578,8 @@ class CostModel:
         # lines that never decrease are distinct wherever they change; an
         # unsorted stream almost always shows it in its first few lines
         head = lines[:SHORT_STREAM]
-        if (head[1:] >= head[:-1]).all() and (lines[1:] >= lines[:-1]).all():
+        ordered = bool((head[1:] >= head[:-1]).all() and (lines[1:] >= lines[:-1]).all())
+        if ordered:
             bounds = int(lines[0]), int(lines[-1])
             distinct = n - adjacent
         else:
@@ -576,7 +603,8 @@ class CostModel:
             idx[-1] = n - 1
             lines = lines[idx]
             adjacent = count_adjacent(lines)
-        return hits, lines, adjacent, bounds
+        # thinning keeps sorted lines sorted: distinct where they change
+        return [hits, lines, adjacent, bounds, lines.size - adjacent if ordered else None]
 
     # ------------------------------------------------------------------ #
     # the whole batch at once

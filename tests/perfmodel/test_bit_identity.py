@@ -462,12 +462,16 @@ def test_all_misses_keep_the_whole_stream(model, n):
 
 
 @pytest.mark.parametrize("n", [3000, LARGE_STREAM + 1])
-@pytest.mark.parametrize("descent", [SHORT_STREAM, SHORT_STREAM + 1, 1000])
+@pytest.mark.parametrize("descent", [SHORT_STREAM, SHORT_STREAM + 1, 1000, None])
 def test_sorted_prefix_then_one_descent(model, n, descent):
     """A long stream whose lines rise through at least its first
     ``SHORT_STREAM`` accesses, then fall back once to lines it already
     read: the prefix looks sorted, so only the whole-stream test keeps its
-    distinct lines from being counted as accesses minus repeats."""
+    distinct lines from being counted as accesses minus repeats, in L1 and
+    in its region of L2.  Without the descent (None) the stream is sorted,
+    and so are its thinned misses: each region counts its distinct lines
+    from their repeats."""
+    descent = n if descent is None else descent
     addresses = np.concatenate([np.arange(descent), np.arange(n - descent)]) * 16
     assert_identical(model, _workload([(addresses, 8, 2), (addresses, 4, 3)]))
 
@@ -514,18 +518,40 @@ def _edge_ids(n, seed):
     return np.concatenate([np.arange(s, s + rng.integers(1, 40)) for s in starts])[:n]
 
 
-@pytest.mark.parametrize("item_bytes", [4, 8, 12])
-@pytest.mark.parametrize("n", [3000, LARGE_STREAM + 1])
-def test_shared_array_prices_as_its_copy(model, n, item_bytes):
+#: ``(n, item_bytes, edges, after)``: ``n`` edge ids, as runs of random
+#: rows or as the all-vertex sweep's ``arange``, read by ``col_idx`` at 4
+#: bytes and by ``weights`` at ``item_bytes``; then nothing, or a read of
+#: the ``col_idx`` region (2) or of the ``weights`` region (3)
+SHARED_CASES = [
+    (n, item_bytes, edges, after)
+    for edges, after in [("rows", None), ("sweep", None), ("rows", 2), ("rows", 3), ("sweep", 2), ("sweep", 3)]
+    for n in (3000, LARGE_STREAM + 1)
+    for item_bytes in (4, 8, 12)
+]
+
+
+@pytest.mark.parametrize(
+    "n, item_bytes, edges, after",
+    SHARED_CASES,
+    ids=[
+        "-".join(([] if edges == "rows" else [edges]) + ([f"then{after}"] if after else []) + [str(n), str(item)])
+        for n, item, edges, after in SHARED_CASES
+    ],
+)
+def test_shared_array_prices_as_its_copy(model, n, item_bytes, edges, after):
     """A kernel that reads ``col_idx`` and ``weights`` at one ``eid``
     array costs what it costs with an equal copy of the array in the
     second stream, at the second stream's own item size.  Its stream past
-    ``LARGE_STREAM`` has it priced on adding, from the caller's arrays."""
-    eid = _edge_ids(n, n)
+    ``LARGE_STREAM`` has it priced on adding, from the caller's arrays.
+    At one item size both regions hold the same thinned lines, so the
+    second takes the first's distinct count unless a later stream joins
+    either region."""
+    eid = _edge_ids(n, n) if edges == "rows" else np.arange(n)
     assert eid.size == n
     extra = (np.arange(LARGE_STREAM + 1), 4, 1)
-    shared = _workload([extra, (eid, 4, 2), (eid, item_bytes, 3)])
-    copied = _workload([extra, (eid, 4, 2), (eid.copy(), item_bytes, 3)])
+    tail = [(_edge_ids(700, 7), 4, after)] if after else []
+    shared = _workload([extra, (eid, 4, 2), (eid, item_bytes, 3)] + tail)
+    copied = _workload([extra, (eid, 4, 2), (eid.copy(), item_bytes, 3)] + tail)
     assert_same_cost(model.charge(shared), model.charge(copied))
     assert_identical(model, shared)
 
