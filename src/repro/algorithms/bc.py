@@ -61,7 +61,8 @@ def bc(
     """Brandes BC accumulated over ``sources`` (default: single source 0).
 
     ``normalize=True`` divides by ``(n-1)(n-2)`` (directed convention).
-    ``bits`` overrides the bitmap word width for bitmap-family layouts.
+    ``bits`` overrides the bitmap word width for bitmap-family layouts;
+    None defers to ``config.params`` or the device inspector.
     """
     n = graph.get_vertex_count()
     if sources is None:
@@ -97,7 +98,7 @@ def _brandes_single(
     dist[source] = 0
     sigma[source] = 1.0
 
-    kwargs = layout_bits_kwargs(layout, bits)
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     in_frontier.insert(source)

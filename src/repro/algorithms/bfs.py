@@ -37,7 +37,7 @@ from repro.exec import (
     Step,
     SwapClearStep,
 )
-from repro.frontier import BITMAP_LAYOUTS, FrontierView, layout_bits_kwargs, make_frontier
+from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
 
 
@@ -97,9 +97,7 @@ def bfs(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits)
-    if not kwargs and config is not None and config.params is not None and layout in BITMAP_LAYOUTS:
-        kwargs["bits"] = config.params.bitmap_bits
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     dist = queue.malloc_shared((n,), np.int64, label="bfs.dist", fill=UNSEEN)
@@ -156,9 +154,7 @@ def direction_optimizing_bfs(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits)
-    if not kwargs and config is not None and config.params is not None and layout in BITMAP_LAYOUTS:
-        kwargs["bits"] = config.params.bitmap_bits
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     dist = queue.malloc_shared((n,), np.int64, label="dobfs.dist", fill=UNSEEN)

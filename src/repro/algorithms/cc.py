@@ -81,14 +81,15 @@ def cc(
 ) -> CCResult:
     """Label-propagation connected components over an undirected CSR.
 
-    ``bits`` overrides the bitmap word width for bitmap-family layouts.
+    ``bits`` overrides the bitmap word width for bitmap-family layouts;
+    None defers to ``config.params`` or the device inspector.
     """
     queue = graph.queue
     n = graph.get_vertex_count()
     labels = queue.malloc_shared((n,), np.int64, label="cc.labels")
     labels[:] = np.arange(n, dtype=np.int64)
 
-    kwargs = layout_bits_kwargs(layout, bits)
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.exec import AdvanceStep, ExecContext, HostStep, Plan, PlanExecutor
-from repro.frontier import FrontierView, make_frontier
+from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
 
 
@@ -67,9 +67,10 @@ def _priority_rounds(graph, name, decided, edge, settle, layout, seed, config) -
     n = graph.get_vertex_count()
     prio = _priorities(n, seed)
     blocked = np.zeros(n, dtype=bool)
-    undecided = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+    kwargs = layout_bits_kwargs(layout, None, config and config.params)
+    undecided = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     undecided.insert(np.arange(n, dtype=np.int64))
-    winners = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+    winners = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 
     def mark_blocked(src, dst, eid, w):
         contested = ~decided[dst] & ~decided[src] & (prio[dst] > prio[src])

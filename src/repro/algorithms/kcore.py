@@ -24,7 +24,7 @@ import numpy as np
 from repro.exec import (
     AdvanceStep, ExecContext, FilterStep, HostStep, IfStep, LoopStep, Plan, PlanExecutor, SpanStep,
 )
-from repro.frontier import FrontierView, make_frontier
+from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
 
 
@@ -57,9 +57,10 @@ def k_core(
     degrees[:] = graph.out_degrees()
     core = queue.malloc_shared((n,), np.int64, label="kcore.core", fill=0)
 
-    alive = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+    kwargs = layout_bits_kwargs(layout, None, config and config.params)
+    alive = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     alive.insert(np.arange(n, dtype=np.int64))
-    peel = make_frontier(queue, n, FrontierView.VERTEX, layout=layout)
+    peel = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 
     def retire(ctx):
         victims = peel.active_elements()

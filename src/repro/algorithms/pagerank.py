@@ -73,9 +73,8 @@ def pagerank(
     dangling = out_deg == 0
     inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
 
-    all_frontier = make_frontier(
-        queue, n, FrontierView.VERTEX, layout=layout, **layout_bits_kwargs(layout, bits)
-    )
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+    all_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     all_frontier.insert(np.arange(n, dtype=np.int64))
 
     def zero_next(ctx):

@@ -97,14 +97,15 @@ def sssp(
 
     The graph's edge weights are used when present; unweighted graphs get
     unit weights (making this equivalent to BFS depths).  ``bits``
-    overrides the bitmap word width for bitmap-family layouts.
+    overrides the bitmap word width for bitmap-family layouts; None
+    defers to ``config.params`` or the device inspector.
     """
     queue = graph.queue
     n = graph.get_vertex_count()
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits)
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     dist = queue.malloc_shared((n,), np.float64, label="sssp.dist", fill=np.inf)
@@ -180,7 +181,7 @@ def delta_stepping(
 
     dist = queue.malloc_shared((n,), np.float64, label="dstep.dist", fill=np.inf)
     dist[source] = 0.0
-    kwargs = layout_bits_kwargs(layout, bits)
+    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
     frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     scratch = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.perfmodel.cost import KernelWorkload
-from repro.sycl.ndrange import Range
+from repro.sycl.ndrange import range_launch
 
 
 def triangle_count(graph) -> int:
@@ -40,13 +40,9 @@ def triangle_count(graph) -> int:
 
         # cost accounting: one lane per oriented edge, each merging two sorted
         # adjacency ranges (the Figure 3 segmented intersection)
-        spec = queue.device.spec
-        geom = Range(max(1, s.size)).resolve(
-            spec.max_workgroup_size // 4, spec.preferred_subgroup_size
-        )
         wl = KernelWorkload(
             name="triangles.intersect",
-            geometry=geom,
+            geometry=range_launch(queue.device.spec, s.size),
             active_lanes=int(s.size),
             instructions_per_lane=12.0,
             serial_ops=float(a.nnz) * 2.0,

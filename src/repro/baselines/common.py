@@ -40,7 +40,6 @@ from repro.exec import ExecContext, HostStep, Plan, PlanExecutor
 from repro.graph.coo import COOGraph
 from repro.operators import advance
 from repro.sycl.device import Device
-from repro.sycl.ndrange import Range
 from repro.sycl.queue import Queue
 
 
@@ -95,12 +94,6 @@ class FrameworkRunner(abc.ABC):
 
     def _translate(self, graph) -> None:
         """Post-pass after bfs, sssp and cc (only Tigr has one)."""
-
-    def _geometry(self, lanes: int):
-        """The launch of a framework kernel over ``lanes`` work-items (at
-        least one), in work-groups of a quarter of the device maximum."""
-        spec = self.queue.device.spec
-        return Range(max(1, lanes)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
 
     # ------------------------------------------------------------------ #
     # the drivers                                                         #

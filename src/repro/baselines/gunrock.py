@@ -27,6 +27,7 @@ from repro.graph.coo import COOGraph
 from repro.operators import advance
 from repro.operators.advance import REGION_FRONTIER_IN, REGION_FRONTIER_OUT
 from repro.perfmodel.cost import KernelWorkload
+from repro.sycl.ndrange import range_launch
 
 
 @register_runner
@@ -53,7 +54,7 @@ class GunrockRunner(FrameworkRunner):
         k = frontier.size_with_duplicates
         raw = frontier.raw_elements()
         removed = frontier.deduplicate()
-        geom = self._geometry(k)
+        geom = range_launch(self.queue.device.spec, k)
         idx = np.arange(max(0, k))
 
         # kernel 1: mark — probe/claim a |V|-sized visited-hash per element
@@ -126,7 +127,7 @@ class GunrockRunner(FrameworkRunner):
             parent = labels[labels]
             done = np.array_equal(parent, labels)
             labels[:] = parent
-            geom = self._geometry(n)
+            geom = range_launch(self.queue.device.spec, n)
             wl = KernelWorkload(
                 name="gunrock.cc.jump",
                 geometry=geom,

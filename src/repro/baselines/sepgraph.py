@@ -37,6 +37,7 @@ from repro.operators.advance import (
     REGION_USERDATA,
 )
 from repro.perfmodel.cost import KernelWorkload
+from repro.sycl.ndrange import range_launch
 
 #: edge-partitioning preprocessing throughput (edges per microsecond).
 #: SEP-Graph's loader is a light single pass; the paper observes "shorter
@@ -67,7 +68,7 @@ class SepGraphRunner(FrameworkRunner):
         """Path-selection pass: the runtime reduction over frontier stats
         that feeds SEP-Graph's push/pull decision (pure overhead)."""
         n = self.graph.get_vertex_count()
-        geom = self._geometry(n // 32)
+        geom = range_launch(self.queue.device.spec, n // 32)
         wl = KernelWorkload(
             name="sep.selector",
             geometry=geom,
@@ -81,7 +82,7 @@ class SepGraphRunner(FrameworkRunner):
     def _convert_kernels(self, k: int) -> None:
         """vector -> bitmap -> vector round trip to drop duplicates."""
         for name in ("sep.vec2bitmap", "sep.bitmap2vec"):
-            geom = self._geometry(k)
+            geom = range_launch(self.queue.device.spec, k)
             wl = KernelWorkload(
                 name=name,
                 geometry=geom,
@@ -112,7 +113,7 @@ class SepGraphRunner(FrameworkRunner):
             accepted = np.unique(dst[mask])
         else:
             accepted = np.empty(0, dtype=np.int64)
-        geom = self._geometry(unvisited.size)
+        geom = range_launch(self.queue.device.spec, unvisited.size)
         wl = KernelWorkload(
             name="sep.pull",
             geometry=geom,

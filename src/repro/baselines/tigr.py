@@ -29,6 +29,7 @@ from repro.operators.advance import (
     REGION_USERDATA,
 )
 from repro.perfmodel.cost import KernelWorkload
+from repro.sycl.ndrange import range_launch
 
 #: UDT degree bound (Tigr's default splits to warp-sized chunks)
 UDT_K = 32
@@ -107,7 +108,7 @@ class TigrRunner(FrameworkRunner):
         else:
             accepted = np.empty(0, dtype=np.int64)
 
-        geom = self._geometry(n_virtual)
+        geom = range_launch(self.queue.device.spec, n_virtual)
         # UDT keeps per-virtual work uniform (<= K edges), so intra-launch
         # imbalance is tiny — but every virtual node is scanned each step.
         wl = KernelWorkload(
@@ -136,7 +137,7 @@ class TigrRunner(FrameworkRunner):
         vertices (Table 1's Post-Processing "Yes" for Tigr)."""
         q = self.queue
         n_virtual = self._n_virtual[graph]
-        geom = self._geometry(n_virtual)
+        geom = range_launch(self.queue.device.spec, n_virtual)
         wl = KernelWorkload(
             name="tigr.post.translate",
             geometry=geom,

@@ -15,24 +15,29 @@ loop, the cross-cutting layers hook *here* instead of in seven places:
 * **checking** — the differential matrix toggles ``fuse`` per cell and
   compares results bit-for-bit.
 
-With ``fuse=False`` (the default) each step calls the operator exactly
-as the open-coded loops did — the kernel stream, spans, ticks and
-modeled timeline are bit-identical to the pre-IR code.  With
-``fuse=True`` the executor holds the most recent fusable workload in a
-one-deep pending buffer: an advance adopts a following compute/filter
-as its epilogue (BFS: advance + depth stamp), or a preceding compute as
-its prologue (CC: the shortcut's final pointer-jump + propagate), and
-the merged kernel is submitted when the pair closes.  Host steps and
-frontier bookkeeping (swap/clear/insert) are transparent to the buffer;
-set-ops and a second advance force a flush, and every iteration
-boundary and the end of every :class:`~repro.exec.plan.SpanStep`
-flush, so no workload outlives its span.
+Each step type has one handler (``_HANDLERS``).  The three
+kernel-bearing steps share one path: the handler opens the operator's
+span and calls its workload builder (``advance.frontier_workload``,
+``compute.execute_workload``, ...), which runs the functor and
+characterizes the kernel but opens no span.  With ``fuse=False`` (the
+default) the workload is submitted inside the span, as the operator's
+own Table-2 call does, so the kernel stream, spans and modeled timeline
+are those of the open-coded loops.  With ``fuse=True`` the submit is put
+off until the span has closed, into a one-deep pending buffer: an
+advance adopts a following compute/filter as its epilogue (BFS: advance
++ depth stamp), or a held compute as its prologue (CC: the shortcut's
+final pointer-jump + propagate), and the merged kernel is submitted when
+the pair closes.  Host steps and frontier bookkeeping (swap/clear) are
+transparent to the buffer; set-ops and a second advance force a flush,
+and every iteration boundary and the end of every
+:class:`~repro.exec.plan.SpanStep` flush, so no workload outlives the
+span that holds its step.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.errors import PlanError
 from repro.exec.fusion import PendingKernel, fuse_workloads
@@ -128,148 +133,128 @@ class PlanExecutor:
         return plan.limit is None or ctx.iteration < plan.limit
 
     # ----------------------------------------------------------------- #
-    # step dispatch                                                     #
+    # step handlers                                                     #
     # ----------------------------------------------------------------- #
     def _run_steps(self, steps: Sequence[Step], ctx: ExecContext) -> None:
         for step in steps:
-            # the two commonest steps by exact type, before the chain
-            kind = type(step)
-            if kind is AdvanceStep:
-                self._do_advance(step, ctx)
-            elif kind is HostStep:
-                step.fn(ctx)
-            else:
-                self._run_step(step, ctx)
+            handler = _HANDLERS.get(type(step))
+            if handler is None:
+                raise PlanError(f"unknown step type {type(step).__name__}")
+            handler(self, step, ctx)
 
-    def _run_step(self, step: Step, ctx: ExecContext) -> None:
-        if isinstance(step, AdvanceStep):
-            self._do_advance(step, ctx)
-        elif isinstance(step, ComputeStep):
-            self._do_compute(step, ctx)
-        elif isinstance(step, FilterStep):
-            self._do_filter(step, ctx)
-        elif isinstance(step, SetOpStep):
-            self._flush()  # set-ops submit their own kernels, in order
-            if step.op not in SET_OPS:
-                raise PlanError(f"unknown frontier set-op {step.op!r}")
-            _SET_OP_FNS[step.op](
-                ctx.frontier(step.a), ctx.frontier(step.b), ctx.frontier(step.out)
-            )
-        elif isinstance(step, SwapClearStep):
-            a, b = ctx.frontier(step.a), ctx.frontier(step.b)
-            swap(a, b)
-            b.clear()
-        elif isinstance(step, ClearStep):
-            ctx.frontier(step.frontier).clear()
-        elif isinstance(step, HostStep):
-            step.fn(ctx)
-        elif isinstance(step, IfStep):
-            self._run_steps(step.then if step.pred(ctx) else step.orelse, ctx)
-        elif isinstance(step, LoopStep):
-            if step.post:
-                while True:
-                    self._run_steps(step.body, ctx)
-                    if step.until(ctx):
-                        break
-            else:
-                while not step.until(ctx):
-                    self._run_steps(step.body, ctx)
-        elif isinstance(step, SpanStep):
-            arg = step.arg(ctx) if callable(step.arg) else step.arg
-            with self.queue.span(step.name, arg):
-                self._run_steps(step.body, ctx)
-                self._flush()
-        else:
-            raise PlanError(f"unknown step type {type(step).__name__}")
-
-    # ----------------------------------------------------------------- #
-    # kernel-bearing steps (fusion-aware)                               #
-    # ----------------------------------------------------------------- #
-    def _do_advance(self, step: AdvanceStep, ctx: ExecContext) -> None:
-        graph = ctx.graph(step.graph)
+    def _advance(self, step: AdvanceStep, ctx: ExecContext) -> None:
+        graph, config = ctx.graph(step.graph), ctx.config
         fin = ctx.frontier(step.input) if step.mode != "vertices" else None
         fout = ctx.frontier(step.output)
         functor = step.functor(ctx)
-        if not self.fuse:
-            if step.mode == "vertices":
-                advance.vertices(graph, fout, functor, ctx.config).wait()
-            elif step.mode == "pull":
-                advance.frontier_pull(
-                    graph, fin, fout, functor, step.candidates(ctx), ctx.config
-                ).wait()
-            elif step.mode == "frontier":
-                advance.frontier(graph, fin, fout, functor, ctx.config).wait()
-            else:
-                raise PlanError(f"unknown advance mode {step.mode!r}")
-            return
-        if step.mode == "vertices":
-            wl = advance.vertices_workload(graph, fout, functor, ctx.config)
+        if step.mode == "frontier":
+            self._kernel("advance.frontier", True, advance.frontier_workload, graph, fin, fout, functor, config)
+        elif step.mode == "vertices":
+            self._kernel("advance.vertices", True, advance.vertices_workload, graph, fout, functor, config)
         elif step.mode == "pull":
-            wl = advance.pull_workload(
-                graph, fin, fout, functor, step.candidates(ctx), ctx.config
-            )
-        elif step.mode == "frontier":
-            wl = advance.frontier_workload(graph, fin, fout, functor, ctx.config)
+            args = (graph, fin, fout, functor, step.candidates(ctx), config)
+            self._kernel("advance.frontier.pull", True, advance.pull_workload, *args)
         else:
             raise PlanError(f"unknown advance mode {step.mode!r}")
-        pending = self._pending
-        if pending is not None and pending.has_advance:
-            self._flush()  # two advances never fuse
-            pending = None
-        if pending is not None:
-            # a held compute/filter becomes this advance's prologue
-            # (CC: the shortcut's last pointer-jump rides the propagate)
-            wl = fuse_workloads(wl, pending.workload, prologue=True)
-            self._pending = None
-        self._pending = PendingKernel(wl, has_advance=True)
 
-    def _do_compute(self, step: ComputeStep, ctx: ExecContext) -> None:
+    def _compute(self, step: ComputeStep, ctx: ExecContext) -> None:
         graph = ctx.graph(step.graph)
-        functor = step.functor(ctx)
-        if not self.fuse:
-            if step.frontier is None:
-                compute.execute_all(graph, functor, step.write_bytes).wait()
-            else:
-                compute.execute(
-                    graph, ctx.frontier(step.frontier), functor, step.write_bytes
-                ).wait()
-            return
+        functor, size = step.functor(ctx), step.write_bytes
         if step.frontier is None:
-            wl = compute.execute_all_workload(graph, functor, step.write_bytes)
+            self._kernel("compute.execute_all", False, compute.execute_all_workload, graph, functor, size)
         else:
-            wl = compute.execute_workload(
-                graph, ctx.frontier(step.frontier), functor, step.write_bytes
-            )
-        self._hold_epilogue(wl)
+            fin = ctx.frontier(step.frontier)
+            self._kernel("compute.execute", False, compute.execute_workload, graph, fin, functor, size)
 
-    def _do_filter(self, step: FilterStep, ctx: ExecContext) -> None:
+    def _filter(self, step: FilterStep, ctx: ExecContext) -> None:
         graph = ctx.graph(step.graph)
         functor = step.functor(ctx)
         fin = ctx.frontier(step.frontier)
-        if not self.fuse:
-            if step.output is None:
-                filter_op.inplace(graph, fin, functor).wait()
-            else:
-                filter_op.external(graph, fin, ctx.frontier(step.output), functor).wait()
-            return
         if step.output is None:
-            wl = filter_op.inplace_workload(graph, fin, functor)
+            self._kernel("filter.inplace", False, filter_op.inplace_workload, graph, fin, functor)
         else:
-            wl = filter_op.external_workload(graph, fin, ctx.frontier(step.output), functor)
-        self._hold_epilogue(wl)
+            args = (graph, fin, ctx.frontier(step.output), functor)
+            self._kernel("filter.external", False, filter_op.external_workload, *args)
 
-    def _hold_epilogue(self, wl) -> None:
-        """Fold a compute/filter workload into a pending advance, or hold
-        it as a future prologue (flushing any unpaired predecessor)."""
-        pending = self._pending
-        if pending is not None and pending.has_advance:
-            pending.workload = fuse_workloads(pending.workload, wl, prologue=False)
-            return
-        if pending is not None:
+    def _set_op(self, step: SetOpStep, ctx: ExecContext) -> None:
+        self._flush()  # set-ops submit their own kernels, in order
+        if step.op not in SET_OPS:
+            raise PlanError(f"unknown frontier set-op {step.op!r}")
+        _SET_OP_FNS[step.op](ctx.frontier(step.a), ctx.frontier(step.b), ctx.frontier(step.out))
+
+    def _swap_clear(self, step: SwapClearStep, ctx: ExecContext) -> None:
+        a, b = ctx.frontier(step.a), ctx.frontier(step.b)
+        swap(a, b)
+        b.clear()
+
+    def _clear(self, step: ClearStep, ctx: ExecContext) -> None:
+        ctx.frontier(step.frontier).clear()
+
+    def _host(self, step: HostStep, ctx: ExecContext) -> None:
+        step.fn(ctx)
+
+    def _if(self, step: IfStep, ctx: ExecContext) -> None:
+        self._run_steps(step.then if step.pred(ctx) else step.orelse, ctx)
+
+    def _loop(self, step: LoopStep, ctx: ExecContext) -> None:
+        if step.post:
+            self._run_steps(step.body, ctx)
+        while not step.until(ctx):
+            self._run_steps(step.body, ctx)
+
+    def _span(self, step: SpanStep, ctx: ExecContext) -> None:
+        arg = step.arg(ctx) if callable(step.arg) else step.arg
+        with self.queue.span(step.name, arg):
+            self._run_steps(step.body, ctx)
             self._flush()
-        self._pending = PendingKernel(wl, has_advance=False)
+
+    # ----------------------------------------------------------------- #
+    # the kernel path                                                   #
+    # ----------------------------------------------------------------- #
+    def _kernel(self, span: str, is_advance: bool, build: Callable, *args) -> None:
+        """Run ``build(*args)`` inside the operator's span and submit its
+        workload there, or, under ``fuse``, hand it to the pending buffer
+        once the span has closed."""
+        queue = self.queue
+        with queue.span(span):
+            wl = build(*args)
+            if not self.fuse:
+                queue.submit(wl)
+                return
+        self._defer(wl, is_advance)
+
+    def _defer(self, wl, is_advance: bool) -> None:
+        """Hold ``wl`` in the pending buffer: a compute/filter folds into
+        a held advance as its epilogue, an advance takes a held
+        compute/filter as its prologue, and any other pair flushes the
+        held kernel first (two advances never fuse)."""
+        pending = self._pending
+        if pending is not None:
+            if pending.has_advance and not is_advance:
+                pending.workload = fuse_workloads(pending.workload, wl)
+                return
+            if is_advance and not pending.has_advance:
+                wl = fuse_workloads(wl, pending.workload, prologue=True)
+            else:
+                self._flush()
+        self._pending = PendingKernel(wl, has_advance=is_advance)
 
     def _flush(self) -> None:
         pending, self._pending = self._pending, None
         if pending is not None:
-            self.queue.submit(pending.workload).wait()
+            self.queue.submit(pending.workload)
+
+
+#: step type -> its handler
+_HANDLERS: Dict[type, Callable] = {
+    AdvanceStep: PlanExecutor._advance,
+    ComputeStep: PlanExecutor._compute,
+    FilterStep: PlanExecutor._filter,
+    SetOpStep: PlanExecutor._set_op,
+    SwapClearStep: PlanExecutor._swap_clear,
+    ClearStep: PlanExecutor._clear,
+    HostStep: PlanExecutor._host,
+    IfStep: PlanExecutor._if,
+    LoopStep: PlanExecutor._loop,
+    SpanStep: PlanExecutor._span,
+}

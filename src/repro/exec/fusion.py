@@ -21,10 +21,11 @@ The mechanics here mirror that: :func:`fuse_workloads` folds a plain
 * atomics and contention targets add up — fusion does not hide them.
 
 The NumPy *effect* of the fused pair is executed exactly as in the
-unfused sequence (the executor applies each functor at its original
-program point); only the modeled kernel stream changes.  That is what
-the differential matrix's ``--fused`` axis and the hypothesis property
-test pin down: bit-identical results, different (cheaper) timeline.
+unfused sequence: the executor calls the same workload builders at the
+same program points, inside the same spans, and only puts the submit
+off, so only the modeled kernel stream changes.  That is what the
+differential matrix's ``--fused`` axis and the hypothesis property test
+pin down: bit-identical results, different (cheaper) timeline.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.perfmodel.cost import KernelWorkload, null_workload
-
-#: step kinds that may fold into an advance (executor-side gate)
-FUSABLE_EPILOGUES = ("compute", "filter")
 
 
 @dataclass

@@ -7,9 +7,10 @@ open-coded ``while`` loop per algorithm.  "Essentials of Parallel Graph
 Analytics" frames frameworks exactly this way: a handful of composable
 operators plus a thin loop driver.  The driver (executor) is then the
 single place where spans, frontier gauges, memory ticks, fault sites
-and strict-mode hooks attach, and the place where an optimization pass
-(operator fusion, :mod:`repro.exec.fusion`) can rewrite the kernel
-stream without touching any algorithm.
+and strict-mode hooks attach, and the place where operator fusion
+(:mod:`repro.exec.fusion`) rewrites the kernel stream without touching
+any algorithm: a fused step runs the same operator call as an unfused
+one, and only its submit is put off.
 
 Steps hold *factories*, not values: an :class:`AdvanceStep`'s
 ``functor`` is called with the :class:`ExecContext` at every execution,
@@ -55,7 +56,8 @@ class ExecContext:
 
 
 class Step:
-    """Base class for IR nodes (isinstance dispatch in the executor)."""
+    """Base class for IR nodes; the executor keeps one handler per
+    concrete step type."""
 
     __slots__ = ()
 

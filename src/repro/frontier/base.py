@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import enum
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -212,6 +212,13 @@ class Frontier(abc.ABC):
         """True when no element is active (Listing 1 line 8)."""
         return self.count() == 0
 
+    @abc.abstractmethod
+    def storage(self, ids: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Where a kernel touches this layout for the elements ``ids``:
+        the item addresses in its backing storage and the item size in
+        bytes.  Cost accounting streams these for every probe of and
+        write into the frontier."""
+
     def check_invariant(self) -> bool:
         """True iff the internal representation is self-consistent.
 
@@ -295,13 +302,19 @@ BITMAP_LAYOUTS = ("2lb", "bitmap", "tree")
 _BITMAP_DEPTHS = {"bitmap": 1, "2lb": 2}
 
 
-def layout_bits_kwargs(layout: str, bits) -> dict:
-    """``make_frontier`` kwargs carrying an explicit bitmap word width.
+def layout_bits_kwargs(layout: str, bits=None, params=None) -> dict:
+    """``make_frontier`` kwargs carrying a bitmap word width.
 
-    Returns ``{"bits": bits}`` for bitmap-family layouts and ``{}`` for
-    layouts without a word width (vector, boolmap) or when ``bits`` is
-    None — so algorithms can pass a width through uniformly.
+    The width is ``bits`` when given, else the ``bitmap_bits`` of
+    ``params`` (an advance configuration's tuned parameters), so an
+    algorithm's frontiers have the width its advances model.  Returns
+    ``{"bits": width}`` for bitmap-family layouts and ``{}`` for layouts
+    without a word width (vector, boolmap) or when neither is given (the
+    device inspector's width) — so algorithms can pass a width through
+    uniformly.
     """
+    if bits is None and params is not None:
+        bits = params.bitmap_bits
     if bits is not None and layout in BITMAP_LAYOUTS:
         return {"bits": int(bits)}
     return {}

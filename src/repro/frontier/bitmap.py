@@ -211,6 +211,10 @@ class BitmapFrontier(Frontier):
         ids = self._validated(elements)
         return _bitops.test_bits(self.words, ids, self.bits)
 
+    def storage(self, ids: np.ndarray):
+        """The layer-0 word holding each element, at the word width."""
+        return ids // self.bits, self.words.dtype.itemsize
+
     def nonzero_words(self) -> np.ndarray:
         """Indices of layer-0 words with at least one set bit.
 

@@ -65,6 +65,10 @@ class BoolmapFrontier(Frontier):
             return np.nonzero(self.flags)[0].astype(np.int64)
         return super()._scan_compute(key)
 
+    def storage(self, ids: np.ndarray):
+        """One byte flag per element."""
+        return ids, self.flags.dtype.itemsize
+
     def contains(self, elements) -> np.ndarray:
         ids = self._as_ids(elements)
         return self.flags[ids] != 0

@@ -32,10 +32,8 @@ from repro.errors import FrontierError
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
-from repro.frontier.boolmap import BoolmapFrontier
 from repro.perfmodel.cost import KernelWorkload, null_workload
-from repro.sycl.ndrange import Range
-from repro.types import vertex_t
+from repro.sycl.ndrange import range_launch
 
 #: address-space regions for the cost model (distinct buffers never alias)
 _REGION_A = 10
@@ -94,12 +92,9 @@ def _bitwise_op(
         queue.submit(null_workload(f"frontier.{name}"))
         return
     n_words = a.words.size
-    geom = Range(n_words).resolve(
-        queue.device.spec.max_workgroup_size // 4, queue.device.spec.preferred_subgroup_size
-    )
     wl = KernelWorkload(
         name=f"frontier.{name}",
-        geometry=geom,
+        geometry=range_launch(queue.device.spec, n_words),
         active_lanes=n_words,
         instructions_per_lane=4.0,
     )
@@ -111,26 +106,6 @@ def _bitwise_op(
     for k, nz in enumerate(summaries, start=1):
         wl.add_stream(nz // out.bits, word_bytes, _REGION_OUT + k, is_write=True, label=f"out.layer{k}")
     queue.submit(wl)
-
-
-def _elem_stream(wl, f: Frontier, ids: np.ndarray, region: int, label: str, is_write: bool = False) -> None:
-    """Charge one operand of the generic set-op with its layout's real
-    storage width (PR 8 fixed the same bug class for ghost wire bytes).
-
-    Bitmap-family operands are touched word-wise (active elements come
-    out of / go into the word scan), boolmap layouts move 1-byte flags,
-    and vector layouts move contiguous ``vertex_t``-wide slots.
-    """
-    bits = getattr(f, "bits", None)
-    if bits is not None:
-        wl.add_stream(ids // bits, f.words.dtype.itemsize, region, is_write=is_write, label=label)
-    elif isinstance(f, BoolmapFrontier):
-        wl.add_stream(ids, 1, region, is_write=is_write, label=label)
-    else:
-        wl.add_stream(
-            np.arange(ids.size), np.dtype(vertex_t).itemsize, region,
-            is_write=is_write, label=label,
-        )
 
 
 def _set_fallback(a: Frontier, b: Frontier, out: Frontier, setop: Callable, name: str) -> None:
@@ -145,19 +120,19 @@ def _set_fallback(a: Frontier, b: Frontier, out: Frontier, setop: Callable, name
         queue.submit(null_workload(f"frontier.{name}.generic"))
         return
     total = ea.size + eb.size
-    geom = Range(max(1, total)).resolve(
-        queue.device.spec.max_workgroup_size // 4, queue.device.spec.preferred_subgroup_size
-    )
     wl = KernelWorkload(
         name=f"frontier.{name}.generic",
-        geometry=geom,
+        geometry=range_launch(queue.device.spec, total),
         active_lanes=total,
         instructions_per_lane=16.0,  # sort/merge path, not word-parallel
         serial_ops=total,
     )
-    _elem_stream(wl, a, ea, _REGION_A, "lhs.elems")
-    _elem_stream(wl, b, eb, _REGION_B, "rhs.elems")
-    _elem_stream(wl, out, result, _REGION_OUT, "out.elems", is_write=True)
+    # each operand at its layout's storage: the words of a bitmap (its
+    # elements come out of / go into the word scan), a boolmap's byte
+    # flags, a vector's slots
+    wl.add_stream(*a.storage(ea), _REGION_A, label="lhs.elems")
+    wl.add_stream(*b.storage(eb), _REGION_B, label="rhs.elems")
+    wl.add_stream(*out.storage(result), _REGION_OUT, is_write=True, label="out.elems")
     queue.submit(wl)
 
 

@@ -134,6 +134,10 @@ class VectorFrontier(Frontier):
         """The vector contents *with* duplicates, in insertion order."""
         return self._data[: self._size].astype(np.int64)
 
+    def storage(self, ids: np.ndarray):
+        """Contiguous ``vertex_t`` slots, in storage order."""
+        return np.arange(ids.size), self._data.dtype.itemsize
+
     def contains(self, elements) -> np.ndarray:
         ids = self._as_ids(elements)
         return np.isin(ids.astype(vertex_t), self._data[: self._size])

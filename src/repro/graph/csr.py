@@ -117,9 +117,10 @@ class CSRGraph:
         else:
             self.weights = None
         #: the all-vertex advance's sweep records of this graph, one per
-        #: launch configuration, built on first use by
-        #: :mod:`repro.operators.advance` and dropped by :meth:`free`
-        self.sweeps: Dict[tuple, object] = {}
+        #: launch configuration (keyed by the effective TunedParameters),
+        #: built on first use by :mod:`repro.operators.advance` and
+        #: dropped by :meth:`free`
+        self.sweeps: Dict[object, object] = {}
 
     # -- interface: sizes ------------------------------------------------ #
     def get_vertex_count(self) -> int:

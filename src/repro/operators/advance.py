@@ -55,6 +55,12 @@ REGION_OFFSETS = 7
 REGION_L2 = 8
 
 
+#: bytes of user data an advance functor reads per edge (BFS reads
+#: ``dist[dst]``): every algorithm's per-vertex arrays hold 8-byte items.
+#: Used only for cost accounting.
+FUNCTOR_READ_BYTES = 8
+
+
 @dataclass(frozen=True)
 class AdvanceConfig:
     """Tuning knobs for one advance call (device-inspector overrides).
@@ -65,9 +71,6 @@ class AdvanceConfig:
     """
 
     params: Optional[TunedParameters] = None
-    #: bytes of user data the functor reads per edge (BFS reads dist[dst]:
-    #: 4 or 8 bytes). Used only for cost accounting.
-    functor_read_bytes: int = 8
 
 
 #: the configuration of an advance called without one
@@ -84,7 +87,7 @@ def vertices(graph, out_frontier, functor, config: Optional[AdvanceConfig] = Non
     """
     queue = graph.queue
     with queue.span("advance.vertices"):
-        return queue.submit(_vertices_workload(graph, out_frontier, functor, config))
+        return queue.submit(vertices_workload(graph, out_frontier, functor, config))
 
 
 def frontier(graph, in_frontier: Frontier, out_frontier, functor, config: Optional[AdvanceConfig] = None) -> Event:
@@ -94,9 +97,15 @@ def frontier(graph, in_frontier: Frontier, out_frontier, functor, config: Option
     """
     queue = graph.queue
     with queue.span("advance.frontier"):
-        return queue.submit(
-            _advance_workload(graph, None, in_frontier, out_frontier, functor, config, "advance.frontier")
-        )
+        return queue.submit(frontier_workload(graph, in_frontier, out_frontier, functor, config))
+
+
+def frontier_workload(
+    graph, in_frontier: Frontier, out_frontier, functor, config: Optional[AdvanceConfig] = None
+) -> KernelWorkload:
+    """:func:`frontier` minus its span and its submit: the effect now,
+    the workload returned."""
+    return _advance_workload(graph, None, in_frontier, out_frontier, functor, config, "advance.frontier")
 
 
 # --------------------------------------------------------------------- #
@@ -113,13 +122,11 @@ def _advance_workload(
 ) -> KernelWorkload:
     """The advance's NumPy effect + characterized workload, **no submit**.
 
-    This is the seam the execution layer's fusion pass uses
-    (:mod:`repro.exec.fusion`): the effect and the workload description
-    happen here, identically to the submitting path; whether the
-    workload is submitted standalone (:func:`frontier` / :func:`vertices`)
-    or merged into a fused kernel is the caller's choice.  The offsets
-    pre-pass kernels of a bitmap with summary layers are still submitted from
-    :func:`_scan_frontier` — they are a separate launch either way.
+    Whether the workload is submitted alone (:func:`frontier`, the plan
+    executor's unfused steps) or folded into a fused kernel
+    (:mod:`repro.exec.fusion`) is the caller's choice.  The offsets
+    pre-pass kernels of a bitmap with summary layers are submitted from
+    :func:`_scan_frontier`: they are a separate launch either way.
     """
     queue = graph.queue
     config = config or DEFAULT_CONFIG
@@ -141,7 +148,7 @@ def _advance_workload(
     if not queue.enable_profiling:
         return null_workload(kernel)
     wl = _launch(graph, kernel, params, active, scan_words, scan_position, isinstance(in_frontier, VectorFrontier))
-    _charge_reads(wl, graph, active, dst, eid, params, config, scan_words)
+    _charge_reads(wl, graph, active, dst, eid, params, scan_words)
     _charge_writes(wl, accepted, out_frontier, params)
     return wl
 
@@ -194,8 +201,7 @@ def _launch(
 class _Sweep:
     """What an advance from every vertex of a
     :class:`~repro.graph.csr.CSRGraph` takes from the graph alone, under
-    one launch configuration (the effective :class:`TunedParameters` and
-    ``functor_read_bytes``).
+    one launch configuration (the effective :class:`TunedParameters`).
 
     ``edges`` are its edges in CSR order as read-only ``(src, dst, eid,
     w)`` arrays, shared by the graph's records; ``reads`` is the kernel's
@@ -206,7 +212,7 @@ class _Sweep:
     The graph keeps its records in ``sweeps`` until it is freed.
     """
 
-    def __init__(self, graph: CSRGraph, params: TunedParameters, config: AdvanceConfig):
+    def __init__(self, graph: CSRGraph, params: TunedParameters):
         n = graph.get_vertex_count()
         active = np.arange(n, dtype=np.int64)
         shared = next(iter(graph.sweeps.values()), None)
@@ -214,29 +220,30 @@ class _Sweep:
         _, dst, eid, _ = self.edges
         scan_words = -(-max(1, n) // params.bitmap_bits)
         self.reads = _launch(graph, "advance.vertices", params, active, scan_words, active // params.bitmap_bits)
-        _charge_reads(self.reads, graph, active, dst, eid, params, config, scan_words)
+        _charge_reads(self.reads, graph, active, dst, eid, params, scan_words)
         for array in chain(self.edges, (s.addresses for s in self.reads.streams)):
             array.flags.writeable = False
         self.memory: Optional[tuple] = None
 
 
-def _vertices_workload(graph, out_frontier, functor, config: Optional[AdvanceConfig]) -> KernelWorkload:
-    """:func:`vertices` minus the submit.  A :class:`CSRGraph` builds its
-    sweep record for this configuration on the first call; every call
-    runs the functor on the record's edges, and the workload carries the
-    record's memory counts unless the call writes a frontier.  Any other
-    graph (``DynamicGraph``, custom representations) expands its edges
-    on every call."""
+def vertices_workload(
+    graph, out_frontier, functor, config: Optional[AdvanceConfig] = None
+) -> KernelWorkload:
+    """:func:`vertices` minus its span and its submit.  A
+    :class:`CSRGraph` builds its sweep record for this configuration on
+    the first call; every call runs the functor on the record's edges,
+    and the workload carries the record's memory counts unless the call
+    writes a frontier.  Any other graph (``DynamicGraph``, custom
+    representations) expands its edges on every call."""
     if not isinstance(graph, CSRGraph):
         all_v = np.arange(graph.get_vertex_count(), dtype=np.int64)
         return _advance_workload(graph, all_v, None, out_frontier, functor, config, "advance.vertices")
     queue = graph.queue
     config = config or DEFAULT_CONFIG
     params = config.params or queue.inspect()
-    key = (params, config.functor_read_bytes)
-    sweep = graph.sweeps.get(key)
+    sweep = graph.sweeps.get(params)
     if sweep is None:
-        sweep = graph.sweeps[key] = _Sweep(graph, params, config)
+        sweep = graph.sweeps[params] = _Sweep(graph, params)
     accepted = _apply(functor, *sweep.edges, out_frontier)
     if not queue.enable_profiling:
         return null_workload("advance.vertices")
@@ -249,24 +256,6 @@ def _vertices_workload(graph, out_frontier, functor, config: Optional[AdvanceCon
         sweep.memory = queue.cost_model.memory_counts(wl.streams)
     wl.memory = sweep.memory
     return wl
-
-
-def frontier_workload(
-    graph, in_frontier: Frontier, out_frontier, functor, config: Optional[AdvanceConfig] = None
-) -> KernelWorkload:
-    """:func:`frontier` minus the submit: effect now, workload returned."""
-    with graph.queue.span("advance.frontier"):
-        return _advance_workload(
-            graph, None, in_frontier, out_frontier, functor, config, "advance.frontier"
-        )
-
-
-def vertices_workload(
-    graph, out_frontier, functor, config: Optional[AdvanceConfig] = None
-) -> KernelWorkload:
-    """:func:`vertices` minus the submit: effect now, workload returned."""
-    with graph.queue.span("advance.vertices"):
-        return _vertices_workload(graph, out_frontier, functor, config)
 
 
 def _scan_frontier(
@@ -283,9 +272,10 @@ def _scan_frontier(
 
     if isinstance(in_frontier, BitmapFrontier):
         if in_frontier.n_layers == 1:
-            # no summary layer: the advance scans the whole bitmap
+            # no summary layer: the advance scans the whole bitmap, in
+            # word order
             active = in_frontier.active_elements()
-            return active, max(1, in_frontier.n_words), active // in_frontier.bits
+            return active, max(1, in_frontier.n_words), in_frontier.storage(active)[0]
         # pre-pass kernels fill the offsets buffer.  The summary walk is
         # memoized against the frontier's mutation epoch, so
         # compute_offsets() and active_elements() share ONE walk — and
@@ -296,8 +286,7 @@ def _scan_frontier(
         active = in_frontier.active_elements()
         _submit_offsets_kernels(queue, in_frontier, offsets, params, kernel)
         # scan position = index within the compacted offsets buffer
-        word_of_v = active // in_frontier.bits
-        position = np.searchsorted(offsets, word_of_v)
+        position = np.searchsorted(offsets, in_frontier.storage(active)[0])
         return active, max(1, offsets.size), position
 
     if isinstance(in_frontier, VectorFrontier):
@@ -363,7 +352,6 @@ def _charge_reads(
     dst: np.ndarray,
     eid: np.ndarray,
     params: TunedParameters,
-    config: AdvanceConfig,
     scan_words: int = 0,
 ) -> None:
     """Record the global-memory address streams the advance kernel reads."""
@@ -381,67 +369,65 @@ def _charge_reads(
         if graph.weights is not None:
             wl.add_stream(eid, 4, REGION_WEIGHTS, label="weights")
         # user-data reads inside the functor (e.g. dist[dst])
-        wl.add_stream(dst, config.functor_read_bytes, REGION_USERDATA, label="functor.read")
+        wl.add_stream(dst, FUNCTOR_READ_BYTES, REGION_USERDATA, label="functor.read")
 
 
 def _charge_writes(
     wl: KernelWorkload, accepted: np.ndarray, out_frontier: Optional[Frontier], params: TunedParameters
 ) -> None:
     """Record the advance kernel's output-frontier writes and atomics."""
-    if out_frontier is not None and accepted.size:
-        if isinstance(out_frontier, BitmapFrontier):
-            words = accepted // out_frontier.bits
+    if out_frontier is None or not accepted.size:
+        return
+    if isinstance(out_frontier, BitmapFrontier):
+        words = charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
+        if out_frontier.n_layers > 1:
+            # the 2LB's summary write: each accepted word's layer-1
+            # word, as a plain store
             word_bytes = out_frontier.words.dtype.itemsize
-            wl.add_stream(words, word_bytes, REGION_FRONTIER_OUT, is_write=True, label="out.bitmap")
-            # subgroup compaction pre-merges same-word bits in registers
-            # (warp-aggregated atomicOr): one atomic per touched word
-            n_words_touched = count_distinct(words)
-            wl.atomics += n_words_touched
-            wl.atomic_targets += n_words_touched
-            if out_frontier.n_layers > 1:
-                # the 2LB's summary write: each accepted word's layer-1
-                # word, as a plain store
-                summary = words // out_frontier.bits
-                wl.add_stream(summary, word_bytes, REGION_L2, is_write=True, label="out.l2")
-                # every tree layer above it is one atomic write per
-                # distinct word it touches
-                for k in range(2, out_frontier.n_layers):
-                    summary = unique_ints(summary // out_frontier.bits)
-                    wl.add_stream(summary, word_bytes, REGION_L2 + k, is_write=True, label=f"out.layer{k}")
-                    wl.atomics += int(summary.size)
-                    wl.atomic_targets += int(summary.size)
-        elif isinstance(out_frontier, VectorFrontier):
-            # appended entries: coalesced tail writes + one global atomic
-            # tail bump per (simulated) workgroup flush
-            wl.add_stream(np.arange(accepted.size), 4, REGION_FRONTIER_OUT, is_write=True, label="out.vector")
-            wl.atomics += max(1, accepted.size // params.workgroup_size)
-            wl.atomic_targets += 1
-        elif isinstance(out_frontier, BoolmapFrontier):
-            wl.add_stream(accepted, 1, REGION_FRONTIER_OUT, is_write=True, label="out.boolmap")
+            summary = words // out_frontier.bits
+            wl.add_stream(summary, word_bytes, REGION_L2, is_write=True, label="out.l2")
+            # every tree layer above it is one atomic write per
+            # distinct word it touches
+            for k in range(2, out_frontier.n_layers):
+                summary = unique_ints(summary // out_frontier.bits)
+                wl.add_stream(summary, word_bytes, REGION_L2 + k, is_write=True, label=f"out.layer{k}")
+                wl.atomics += int(summary.size)
+                wl.atomic_targets += int(summary.size)
+        return
+    vector = isinstance(out_frontier, VectorFrontier)
+    addresses, item_bytes = out_frontier.storage(accepted)
+    label = "out.vector" if vector else "out.boolmap"
+    wl.add_stream(addresses, item_bytes, REGION_FRONTIER_OUT, is_write=True, label=label)
+    if vector:
+        # appended entries: coalesced tail writes + one global atomic
+        # tail bump per (simulated) workgroup flush
+        wl.atomics += max(1, accepted.size // params.workgroup_size)
+        wl.atomic_targets += 1
+
+
+def charge_bitmap_insert(
+    wl: KernelWorkload, frontier: BitmapFrontier, ids: np.ndarray, label: str
+) -> np.ndarray:
+    """Charge an advance's OR of ``ids`` into the bitmap ``frontier``:
+    the layer-0 words it writes, and one atomic per touched word
+    (subgroup compaction pre-merges same-word bits in registers, a
+    warp-aggregated atomicOr).  Returns the words."""
+    words, word_bytes = frontier.storage(ids)
+    wl.add_stream(words, word_bytes, REGION_FRONTIER_OUT, is_write=True, label=label)
+    n_words = count_distinct(words)
+    wl.atomics += n_words
+    wl.atomic_targets += n_words
+    return words
 
 
 def charge_frontier_probe(
     wl: KernelWorkload, frontier: Frontier, ids: np.ndarray, region: int, label: str
 ) -> None:
-    """Charge reads of a frontier's membership structure for ``ids``.
-
-    Uses the layout's *actual* storage: ``bits``-wide words for the
-    bitmap family (PR 1 made the width configurable — a hardcoded
-    ``// 64`` mischarges 32-bit bitmaps), one byte per element for the
-    boolmap, and contiguous slots for the vector — the latter two have
-    no bitmap words to stream.
-    """
-    if ids.size == 0:
-        return
-    bits = getattr(frontier, "bits", None)
-    if bits is not None:
-        wl.add_stream(
-            ids // bits, frontier.words.dtype.itemsize, region, label=label
-        )
-    elif isinstance(frontier, BoolmapFrontier):
-        wl.add_stream(ids, 1, region, label=label)
-    else:  # vector: the scan reads the slots in storage order
-        wl.add_stream(np.arange(ids.size), 4, region, label=label)
+    """Charge reads of a frontier's membership structure for ``ids``, at
+    the layout's actual storage (:meth:`~repro.frontier.base.Frontier.storage`)."""
+    if ids.size:
+        addresses, item_bytes = frontier.storage(ids)
+        wl.add_stream(addresses, item_bytes, region, label=label)
 
 
 # --------------------------------------------------------------------- #
@@ -466,8 +452,7 @@ def frontier_pull(
     """
     queue = csc_graph.queue
     with queue.span("advance.frontier.pull"):
-        wl = _pull_workload(csc_graph, in_frontier, out_frontier, functor, candidates, config)
-        return queue.submit(wl)
+        return queue.submit(pull_workload(csc_graph, in_frontier, out_frontier, functor, candidates, config))
 
 
 def pull_workload(
@@ -478,19 +463,7 @@ def pull_workload(
     candidates: np.ndarray,
     config: Optional[AdvanceConfig] = None,
 ) -> KernelWorkload:
-    """:func:`frontier_pull` minus the submit (fusion seam)."""
-    with csc_graph.queue.span("advance.frontier.pull"):
-        return _pull_workload(csc_graph, in_frontier, out_frontier, functor, candidates, config)
-
-
-def _pull_workload(
-    csc_graph,
-    in_frontier: Frontier,
-    out_frontier: Optional[Frontier],
-    functor,
-    candidates: np.ndarray,
-    config: Optional[AdvanceConfig],
-) -> KernelWorkload:
+    """:func:`frontier_pull` minus its span and its submit."""
     queue = csc_graph.queue
     config = config or DEFAULT_CONFIG
     params = config.params or queue.inspect()
@@ -531,15 +504,11 @@ def _pull_workload(
         wl.add_stream(eid[half], 4, REGION_COL_IDX, label="row_idx")
         # membership probes against the input frontier's actual layout
         charge_frontier_probe(wl, in_frontier, src[half], REGION_FRONTIER_IN, "in.probe")
-    if out_frontier is not None and accepted.size and hasattr(out_frontier, "bits"):
-        words = accepted // out_frontier.bits
-        wl.add_stream(
-            words,
-            out_frontier.words.dtype.itemsize,
-            REGION_FRONTIER_OUT,
-            is_write=True,
-            label="out.bitmap",
-        )
+    if accepted.size and isinstance(out_frontier, BitmapFrontier):
+        # one atomicOr per accepted vertex: the pull has no subgroup
+        # compaction to merge same-word bits
+        words, word_bytes = out_frontier.storage(accepted)
+        wl.add_stream(words, word_bytes, REGION_FRONTIER_OUT, is_write=True, label="out.bitmap")
         wl.atomics += int(accepted.size)
         wl.atomic_targets += count_distinct(words)
     return wl

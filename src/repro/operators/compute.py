@@ -15,7 +15,7 @@ from repro.frontier.base import Frontier
 from repro.operators.advance import REGION_USERDATA
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.event import Event
-from repro.sycl.ndrange import Range
+from repro.sycl.ndrange import range_launch
 
 
 def _apply_and_characterize(
@@ -26,13 +26,9 @@ def _apply_and_characterize(
         functor(ids)
     if not queue.enable_profiling:
         return null_workload(name)
-    spec = queue.device.spec
-    geom = Range(max(1, ids.size)).resolve(
-        spec.max_workgroup_size // 4, spec.preferred_subgroup_size
-    )
     wl = KernelWorkload(
         name=name,
-        geometry=geom,
+        geometry=range_launch(queue.device.spec, ids.size),
         active_lanes=int(ids.size),
         instructions_per_lane=ipl,
     )
@@ -50,37 +46,25 @@ def execute(graph, frontier: Frontier, functor, write_bytes: int = 8) -> Event:
     """
     queue = graph.queue
     with queue.span("compute.execute"):
-        ids = frontier.active_elements()
-        return queue.submit(
-            _apply_and_characterize(queue, "compute.execute", ids, functor, write_bytes, 6.0)
-        )
+        return queue.submit(execute_workload(graph, frontier, functor, write_bytes))
 
 
 def execute_workload(graph, frontier: Frontier, functor, write_bytes: int = 8) -> KernelWorkload:
-    """:func:`execute` minus the submit (the fusion seam): the functor
-    runs now, the characterized workload is returned for the caller to
-    submit or merge into a fused kernel."""
-    queue = graph.queue
-    with queue.span("compute.execute"):
-        ids = frontier.active_elements()
-        return _apply_and_characterize(queue, "compute.execute", ids, functor, write_bytes, 6.0)
+    """:func:`execute` minus its span and its submit: the functor runs
+    now, the characterized workload is returned for the caller to submit
+    or fold into a fused kernel."""
+    ids = frontier.active_elements()
+    return _apply_and_characterize(graph.queue, "compute.execute", ids, functor, write_bytes, 6.0)
 
 
 def execute_all(graph, functor, write_bytes: int = 8) -> Event:
     """Apply ``functor`` to **every** vertex (initialization sweeps)."""
     queue = graph.queue
     with queue.span("compute.execute_all"):
-        ids = np.arange(graph.get_vertex_count(), dtype=np.int64)
-        return queue.submit(
-            _apply_and_characterize(queue, "compute.execute_all", ids, functor, write_bytes, 4.0)
-        )
+        return queue.submit(execute_all_workload(graph, functor, write_bytes))
 
 
 def execute_all_workload(graph, functor, write_bytes: int = 8) -> KernelWorkload:
-    """:func:`execute_all` minus the submit (fusion seam)."""
-    queue = graph.queue
-    with queue.span("compute.execute_all"):
-        ids = np.arange(graph.get_vertex_count(), dtype=np.int64)
-        return _apply_and_characterize(
-            queue, "compute.execute_all", ids, functor, write_bytes, 4.0
-        )
+    """:func:`execute_all` minus its span and its submit."""
+    ids = np.arange(graph.get_vertex_count(), dtype=np.int64)
+    return _apply_and_characterize(graph.queue, "compute.execute_all", ids, functor, write_bytes, 4.0)

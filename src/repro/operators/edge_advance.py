@@ -22,29 +22,29 @@ from typing import Optional
 
 import numpy as np
 
+from repro.errors import FrontierError
 from repro.frontier.base import Frontier, FrontierView
+from repro.frontier.bitmap import BitmapFrontier
 from repro.operators.advance import (
     REGION_COL_IDX,
     REGION_FRONTIER_IN,
-    REGION_FRONTIER_OUT,
     REGION_ROW_PTR,
     REGION_USERDATA,
     DEFAULT_CONFIG,
+    FUNCTOR_READ_BYTES,
     AdvanceConfig,
+    _launch,
+    charge_bitmap_insert,
     charge_frontier_probe,
 )
 from repro.operators.functor import as_mask
-from repro.operators.load_balance import characterize_bitmap_advance
-from repro.perfmodel.cache import count_distinct
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.event import Event
-from repro.sycl.ndrange import Range
+from repro.sycl.ndrange import range_launch
 
 
 def _check_view(frontier: Frontier, view: FrontierView, what: str) -> None:
     if frontier.view is not view:
-        from repro.errors import FrontierError
-
         raise FrontierError(f"{what} must be a {view.value} frontier, got {frontier.view.value}")
 
 
@@ -79,40 +79,14 @@ def vertices_to_edges(
 
         if not queue.enable_profiling:
             return queue.submit(null_workload("advance.v2e"))
-        degrees = graph.out_degrees(active) if active.size else np.empty(0, np.int64)
-        spec = queue.device.spec
-        cap = spec.compute_units * spec.max_workgroups_per_cu
-        shape = characterize_bitmap_advance(
-            params,
-            max(1, -(-max(1, graph.get_vertex_count()) // params.bitmap_bits)),
-            active,
-            degrees,
-            active // params.bitmap_bits,
-            max_workgroups=cap,
-        )
-        wl = KernelWorkload(
-            name="advance.v2e",
-            geometry=shape.geometry,
-            active_lanes=shape.active_lanes,
-            instructions_per_lane=shape.instructions_per_lane,
-            serial_ops=shape.serial_ops,
-            engaged_subgroups=shape.engaged_subgroups,
-        )
+        # the advance's launch, scanning every word of a vertex bitmap
+        scan_words = -(-max(1, graph.get_vertex_count()) // params.bitmap_bits)
+        wl = _launch(graph, "advance.v2e", params, active, scan_words, active // params.bitmap_bits)
         if eid.size:
             wl.add_stream(eid, 4, REGION_COL_IDX, label="col_idx")
-            wl.add_stream(dst, config.functor_read_bytes, REGION_USERDATA, label="functor.read")
-        if accepted.size and hasattr(out_frontier, "bits"):
-            words = accepted // out_frontier.bits
-            wl.add_stream(
-                words,
-                out_frontier.words.dtype.itemsize,
-                REGION_FRONTIER_OUT,
-                is_write=True,
-                label="out.edges",
-            )
-            n_words = count_distinct(words)
-            wl.atomics += n_words
-            wl.atomic_targets += n_words
+            wl.add_stream(dst, FUNCTOR_READ_BYTES, REGION_USERDATA, label="functor.read")
+        if accepted.size and isinstance(out_frontier, BitmapFrontier):
+            charge_bitmap_insert(wl, out_frontier, accepted, "out.edges")
         return queue.submit(wl)
 
 
@@ -125,7 +99,6 @@ def edges_to_vertices(
 ) -> Event:
     """E2V advance: destinations of the active edges, filtered by functor."""
     queue = graph.queue
-    config = config or DEFAULT_CONFIG
     _check_view(in_frontier, FrontierView.EDGE, "E2V input")
     _check_view(out_frontier, FrontierView.VERTEX, "E2V output")
 
@@ -147,13 +120,9 @@ def edges_to_vertices(
 
         if not queue.enable_profiling:
             return queue.submit(null_workload("advance.e2v"))
-        spec = queue.device.spec
-        geom = Range(max(1, eids.size)).resolve(
-            spec.max_workgroup_size // 4, spec.preferred_subgroup_size
-        )
         wl = KernelWorkload(
             name="advance.e2v",
-            geometry=geom,
+            geometry=range_launch(queue.device.spec, eids.size),
             active_lanes=int(eids.size),
             instructions_per_lane=10.0,  # row_ptr binary search per edge
             serial_ops=float(eids.size) * np.log2(max(2, graph.get_vertex_count())),
@@ -163,16 +132,6 @@ def edges_to_vertices(
             # the edge frontier's own storage, at its actual word width
             charge_frontier_probe(wl, in_frontier, eids, REGION_FRONTIER_IN, "in.edges")
             wl.add_stream(src, 4, REGION_ROW_PTR, label="row_ptr.search")
-        if accepted.size and hasattr(out_frontier, "bits"):
-            words = accepted // out_frontier.bits
-            wl.add_stream(
-                words,
-                out_frontier.words.dtype.itemsize,
-                REGION_FRONTIER_OUT,
-                is_write=True,
-                label="out.bitmap",
-            )
-            n_words = count_distinct(words)
-            wl.atomics += n_words
-            wl.atomic_targets += n_words
+        if accepted.size and isinstance(out_frontier, BitmapFrontier):
+            charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
         return queue.submit(wl)

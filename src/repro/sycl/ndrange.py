@@ -40,6 +40,15 @@ class Range:
         )
 
 
+def range_launch(spec, items: int) -> "WorkgroupGeometry":
+    """The launch of a plain ``range`` kernel over ``items`` work-items
+    (at least one) on a device of ``spec``: work-groups of a quarter of
+    the device maximum, split by the compiler at subgroup granularity.
+    Compute, filter, E2V, the frontier set-ops, the baselines' kernels
+    and triangle counting all launch this way (§3.3)."""
+    return Range(max(1, items)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+
+
 @dataclass(frozen=True)
 class NDRange:
     """A 1-D ``sycl::nd_range`` — explicit global and local sizes."""

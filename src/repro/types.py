@@ -1,4 +1,4 @@
-"""Fundamental scalar types and constants shared across the framework.
+"""Fundamental scalar types shared across the framework.
 
 The C++ SYgraph uses ``vertex_t``, ``edge_t`` and ``weight_t`` template
 parameters; we pin concrete NumPy dtypes that match the framework's defaults
@@ -18,18 +18,6 @@ edge_t = np.uint32
 
 #: Edge weight type (paper: ``weight_t``).
 weight_t = np.float32
-
-#: Sentinel used for "not yet discovered" distances in traversal algorithms.
-INVALID_VERTEX = np.uint32(0xFFFFFFFF)
-
-#: Infinity marker for 32-bit integer distance arrays (BFS depth).
-INF_DIST = np.uint32(0xFFFFFFFF)
-
-#: Infinity marker for floating-point distance arrays (SSSP).
-INF_WEIGHT = np.float32(np.inf)
-
-#: Number of bits in the default bitmap word (paper uses 32- or 64-bit words).
-DEFAULT_BITMAP_BITS = 64
 
 
 def bitmap_dtype(bits: int) -> np.dtype:

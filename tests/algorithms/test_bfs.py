@@ -9,6 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import bfs, direction_optimizing_bfs
+from repro.algorithms.bc import bc
+from repro.algorithms.cc import cc
+from repro.algorithms.coloring import jones_plassmann, luby_mis
+from repro.algorithms.kcore import k_core
+from repro.algorithms.pagerank import pagerank
+from repro.algorithms.sssp import delta_stepping, sssp
 from repro.frontier import BITMAP_LAYOUTS, make_frontier
 from repro.operators.advance import AdvanceConfig
 from tests.validation import reference_bfs
@@ -75,30 +81,68 @@ class TestDeviceIndependence:
         assert np.array_equal(r.distances, ref)
 
 
+#: entry -> (module whose ``make_frontier`` builds its frontiers,
+#: run(builder, coo, layout, config) -> the entry's per-vertex output)
+CONFIGURED_ENTRIES = {
+    "bfs": ("bfs", lambda b, coo, layout, config: bfs(b.to_csr(coo), 0, layout=layout, config=config).distances),
+    "direction_optimizing_bfs": (
+        "bfs",
+        lambda b, coo, layout, config: direction_optimizing_bfs(
+            b.to_csr(coo), b.to_csc(coo), 0, layout=layout, config=config
+        ).distances,
+    ),
+    "sssp": ("sssp", lambda b, coo, layout, config: sssp(b.to_csr(coo), 0, layout=layout, config=config).distances),
+    "delta_stepping": (
+        "sssp",
+        lambda b, coo, layout, config: delta_stepping(b.to_csr(coo), 0, layout=layout, config=config).distances,
+    ),
+    "cc": ("cc", lambda b, coo, layout, config: cc(b.to_csr(coo.symmetrized()), layout=layout, config=config).labels),
+    "bc": ("bc", lambda b, coo, layout, config: bc(b.to_csr(coo), sources=[0], layout=layout, config=config).scores),
+    "pagerank": (
+        "pagerank",
+        lambda b, coo, layout, config: pagerank(b.to_csr(coo), max_iterations=3, layout=layout, config=config).ranks,
+    ),
+    "k_core": (
+        "kcore",
+        lambda b, coo, layout, config: k_core(b.to_csr(_undirected(coo)), layout=layout, config=config).core_numbers,
+    ),
+    "jones_plassmann": (
+        "coloring",
+        lambda b, coo, layout, config: jones_plassmann(b.to_csr(_undirected(coo)), layout=layout, config=config).colors,
+    ),
+    "luby_mis": (
+        "coloring",
+        lambda b, coo, layout, config: luby_mis(b.to_csr(_undirected(coo)), layout=layout, config=config).in_set,
+    ),
+}
+
+
+def _undirected(coo):
+    return coo.symmetrized().without_self_loops()
+
+
 class TestConfiguredWordWidth:
     @pytest.mark.parametrize("layout", BITMAP_LAYOUTS)
-    @pytest.mark.parametrize("entry", ["bfs", "direction_optimizing_bfs"])
+    @pytest.mark.parametrize("entry", list(CONFIGURED_ENTRIES))
     def test_config_width_reaches_every_bitmap_layout(self, queue, builder, monkeypatch, layout, entry):
-        """Without ``bits``, a ``config.params`` word width builds both
-        frontiers of every bitmap-family layout, the tree's included, at
-        that width rather than the device's default."""
+        """Without ``bits``, a ``config.params`` word width builds every
+        frontier of every algorithm entry, in every bitmap-family layout
+        (the tree's included), at that width rather than the device's
+        default, and the output is the default width's."""
+        module, run = CONFIGURED_ENTRIES[entry]
+        coo = gen.erdos_renyi(200, 4.0, seed=8, weighted=True)
+        want = run(builder, coo, layout, None)
         made = []
 
         def recording_make_frontier(*args, **kwargs):
             made.append(make_frontier(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(importlib.import_module("repro.algorithms.bfs"), "make_frontier", recording_make_frontier)
-        coo = gen.erdos_renyi(200, 4.0, seed=8)
-        g = builder.to_csr(coo)
+        monkeypatch.setattr(importlib.import_module(f"repro.algorithms.{module}"), "make_frontier", recording_make_frontier)
         assert queue.inspect().bitmap_bits == 32
         config = AdvanceConfig(params=replace(queue.inspect(), bitmap_bits=64))
-        if entry == "bfs":
-            r = bfs(g, 0, layout=layout, config=config)
-        else:
-            r = direction_optimizing_bfs(g, builder.to_csc(coo), 0, layout=layout, config=config)
-        assert np.array_equal(r.distances, reference_bfs(coo.n_vertices, coo.src, coo.dst, 0))
-        assert [f.bits for f in made] == [64, 64]
+        assert np.array_equal(run(builder, coo, layout, config), want)
+        assert made and [f.bits for f in made] == [64] * len(made)
 
 
 class TestDirectionOptimizing:

@@ -119,18 +119,14 @@ def test_record_is_built_once_per_graph_and_configuration(queue):
     assert expansions == [graph.n_vertices]
     assert record.memory is not None
 
-    # other configurations: a record each, over the same edges
+    # another configuration: a record of its own, over the same edges
     wide_words = replace(queue.inspect(), bitmap_bits=64)
-    for config in (AdvanceConfig(functor_read_bytes=4), AdvanceConfig(params=wide_words)):
-        advance.vertices(graph, None, lambda s, d, e, w: False, config)
-    assert len(graph.sweeps) == 3
-    reads4, words64 = [r for r in graph.sweeps.values() if r is not record]
-    item_bytes = {
-        (i, s.label): s.item_bytes for i, r in enumerate((record, reads4, words64)) for s in r.reads.streams
-    }
-    assert [item_bytes[i, "functor.read"] for i in range(3)] == [8, 4, 8]
-    assert [item_bytes[i, "frontier.scan"] for i in range(3)] == [4, 4, 8]
-    assert reads4.edges is words64.edges is record.edges
+    advance.vertices(graph, None, lambda s, d, e, w: False, AdvanceConfig(params=wide_words))
+    assert len(graph.sweeps) == 2
+    (words64,) = [r for r in graph.sweeps.values() if r is not record]
+    item_bytes = {(i, s.label): s.item_bytes for i, r in enumerate((record, words64)) for s in r.reads.streams}
+    assert [item_bytes[i, "frontier.scan"] for i in range(2)] == [4, 8]
+    assert words64.edges is record.edges
     assert expansions == [graph.n_vertices]
     arrays = list(record.edges) + [s.addresses for s in record.reads.streams]
     assert not any(a.flags.writeable for a in arrays)
