@@ -379,7 +379,7 @@ def _charge_writes(
     if out_frontier is None or not accepted.size:
         return
     if isinstance(out_frontier, BitmapFrontier):
-        words = charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
+        words = _charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
         if out_frontier.n_layers > 1:
             # the 2LB's summary write: each accepted word's layer-1
             # word, as a plain store
@@ -405,7 +405,7 @@ def _charge_writes(
         wl.atomic_targets += 1
 
 
-def charge_bitmap_insert(
+def _charge_bitmap_insert(
     wl: KernelWorkload, frontier: BitmapFrontier, ids: np.ndarray, label: str
 ) -> np.ndarray:
     """Charge an advance's OR of ``ids`` into the bitmap ``frontier``:

@@ -34,7 +34,7 @@ from repro.operators.advance import (
     FUNCTOR_READ_BYTES,
     AdvanceConfig,
     _launch,
-    charge_bitmap_insert,
+    _charge_bitmap_insert,
     charge_frontier_probe,
 )
 from repro.operators.functor import as_mask
@@ -86,17 +86,11 @@ def vertices_to_edges(
             wl.add_stream(eid, 4, REGION_COL_IDX, label="col_idx")
             wl.add_stream(dst, FUNCTOR_READ_BYTES, REGION_USERDATA, label="functor.read")
         if accepted.size and isinstance(out_frontier, BitmapFrontier):
-            charge_bitmap_insert(wl, out_frontier, accepted, "out.edges")
+            _charge_bitmap_insert(wl, out_frontier, accepted, "out.edges")
         return queue.submit(wl)
 
 
-def edges_to_vertices(
-    graph,
-    in_frontier: Frontier,
-    out_frontier: Frontier,
-    functor,
-    config: Optional[AdvanceConfig] = None,
-) -> Event:
+def edges_to_vertices(graph, in_frontier: Frontier, out_frontier: Frontier, functor) -> Event:
     """E2V advance: destinations of the active edges, filtered by functor."""
     queue = graph.queue
     _check_view(in_frontier, FrontierView.EDGE, "E2V input")
@@ -133,5 +127,5 @@ def edges_to_vertices(
             charge_frontier_probe(wl, in_frontier, eids, REGION_FRONTIER_IN, "in.edges")
             wl.add_stream(src, 4, REGION_ROW_PTR, label="row_ptr.search")
         if accepted.size and isinstance(out_frontier, BitmapFrontier):
-            charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
+            _charge_bitmap_insert(wl, out_frontier, accepted, "out.bitmap")
         return queue.submit(wl)

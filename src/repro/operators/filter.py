@@ -28,7 +28,7 @@ from repro.operators.functor import as_mask
 from repro.perfmodel.cache import count_distinct
 from repro.perfmodel.cost import KernelWorkload, null_workload
 from repro.sycl.event import Event
-from repro.sycl.ndrange import range_launch
+from repro.sycl.ndrange import range_launch, range_workgroup_size
 
 
 def _charge_frontier_write(
@@ -68,7 +68,7 @@ def _filter_workload(
     if ids.size:
         wl.add_stream(ids, 8, REGION_USERDATA, label="filter.read")
         charge_frontier_probe(wl, in_frontier, ids, REGION_FRONTIER_IN, "frontier.words")
-    _charge_frontier_write(wl, out_frontier, written, spec.max_workgroup_size // 4)
+    _charge_frontier_write(wl, out_frontier, written, range_workgroup_size(spec))
     return wl
 
 

@@ -40,13 +40,19 @@ class Range:
         )
 
 
+def range_workgroup_size(spec) -> int:
+    """The work-group size a plain ``range`` kernel is resolved against
+    on a device of ``spec``: a quarter of the device maximum."""
+    return spec.max_workgroup_size // 4
+
+
 def range_launch(spec, items: int) -> "WorkgroupGeometry":
     """The launch of a plain ``range`` kernel over ``items`` work-items
-    (at least one) on a device of ``spec``: work-groups of a quarter of
-    the device maximum, split by the compiler at subgroup granularity.
-    Compute, filter, E2V, the frontier set-ops, the baselines' kernels
-    and triangle counting all launch this way (§3.3)."""
-    return Range(max(1, items)).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+    (at least one) on a device of ``spec``: work-groups of
+    :func:`range_workgroup_size`, split by the compiler at subgroup
+    granularity.  Compute, filter, E2V, the frontier set-ops, the
+    baselines' kernels and triangle counting all launch this way (§3.3)."""
+    return Range(max(1, items)).resolve(range_workgroup_size(spec), spec.preferred_subgroup_size)
 
 
 @dataclass(frozen=True)

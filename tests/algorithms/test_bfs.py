@@ -81,40 +81,58 @@ class TestDeviceIndependence:
         assert np.array_equal(r.distances, ref)
 
 
-#: entry -> (module whose ``make_frontier`` builds its frontiers,
-#: run(builder, coo, layout, config) -> the entry's per-vertex output)
+#: entry -> (module whose ``make_frontier`` builds its frontiers, the
+#: number of frontiers it builds, run(builder, coo, layout, config) -> the
+#: entry's per-vertex output)
 CONFIGURED_ENTRIES = {
-    "bfs": ("bfs", lambda b, coo, layout, config: bfs(b.to_csr(coo), 0, layout=layout, config=config).distances),
+    "bfs": (
+        "bfs", 2, lambda b, coo, layout, config: bfs(b.to_csr(coo), 0, layout=layout, config=config).distances
+    ),
     "direction_optimizing_bfs": (
         "bfs",
+        2,
         lambda b, coo, layout, config: direction_optimizing_bfs(
             b.to_csr(coo), b.to_csc(coo), 0, layout=layout, config=config
         ).distances,
     ),
-    "sssp": ("sssp", lambda b, coo, layout, config: sssp(b.to_csr(coo), 0, layout=layout, config=config).distances),
+    "sssp": (
+        "sssp", 2, lambda b, coo, layout, config: sssp(b.to_csr(coo), 0, layout=layout, config=config).distances
+    ),
     "delta_stepping": (
         "sssp",
+        2,
         lambda b, coo, layout, config: delta_stepping(b.to_csr(coo), 0, layout=layout, config=config).distances,
     ),
-    "cc": ("cc", lambda b, coo, layout, config: cc(b.to_csr(coo.symmetrized()), layout=layout, config=config).labels),
-    "bc": ("bc", lambda b, coo, layout, config: bc(b.to_csr(coo), sources=[0], layout=layout, config=config).scores),
+    "cc": (
+        "cc", 2, lambda b, coo, layout, config: cc(b.to_csr(coo.symmetrized()), layout=layout, config=config).labels
+    ),
+    "bc": (
+        "bc", 3, lambda b, coo, layout, config: bc(b.to_csr(coo), sources=[0], layout=layout, config=config).scores
+    ),
     "pagerank": (
         "pagerank",
+        1,
         lambda b, coo, layout, config: pagerank(b.to_csr(coo), max_iterations=3, layout=layout, config=config).ranks,
     ),
     "k_core": (
         "kcore",
+        2,
         lambda b, coo, layout, config: k_core(b.to_csr(_undirected(coo)), layout=layout, config=config).core_numbers,
     ),
     "jones_plassmann": (
         "coloring",
+        2,
         lambda b, coo, layout, config: jones_plassmann(b.to_csr(_undirected(coo)), layout=layout, config=config).colors,
     ),
     "luby_mis": (
         "coloring",
+        2,
         lambda b, coo, layout, config: luby_mis(b.to_csr(_undirected(coo)), layout=layout, config=config).in_set,
     ),
 }
+
+#: the BFS entries, whose output the queue-free BFS oracle checks
+BFS_ENTRIES = ("bfs", "direction_optimizing_bfs")
 
 
 def _undirected(coo):
@@ -128,8 +146,9 @@ class TestConfiguredWordWidth:
         """Without ``bits``, a ``config.params`` word width builds every
         frontier of every algorithm entry, in every bitmap-family layout
         (the tree's included), at that width rather than the device's
-        default, and the output is the default width's."""
-        module, run = CONFIGURED_ENTRIES[entry]
+        default; the output is the default width's, and the BFS entries'
+        is the oracle's."""
+        module, n_frontiers, run = CONFIGURED_ENTRIES[entry]
         coo = gen.erdos_renyi(200, 4.0, seed=8, weighted=True)
         want = run(builder, coo, layout, None)
         made = []
@@ -138,11 +157,15 @@ class TestConfiguredWordWidth:
             made.append(make_frontier(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(importlib.import_module(f"repro.algorithms.{module}"), "make_frontier", recording_make_frontier)
+        algorithm = importlib.import_module(f"repro.algorithms.{module}")
+        monkeypatch.setattr(algorithm, "make_frontier", recording_make_frontier)
         assert queue.inspect().bitmap_bits == 32
         config = AdvanceConfig(params=replace(queue.inspect(), bitmap_bits=64))
-        assert np.array_equal(run(builder, coo, layout, config), want)
-        assert made and [f.bits for f in made] == [64] * len(made)
+        got = run(builder, coo, layout, config)
+        assert np.array_equal(got, want)
+        if entry in BFS_ENTRIES:
+            assert np.array_equal(got, reference_bfs(coo.n_vertices, coo.src, coo.dst, 0))
+        assert [f.bits for f in made] == [64] * n_frontiers
 
 
 class TestDirectionOptimizing:

@@ -262,7 +262,10 @@ def run_trace_case(case: str) -> str:
         GraphBundle("rmat", coo, queue), 0,
         layout=layout, fuse=fused == "fused", **TRACE_KEYWORDS.get(algorithm, {}),
     )
-    return _digest(json.dumps(trace_events(tracer), sort_keys=True))
+    digest = _digest(json.dumps(trace_events(tracer), sort_keys=True))
+    # every profiled kernel, fused or not, belongs to the span tree
+    assert tracer.root.kernel_count() == len(queue.profile.costs)
+    return digest
 
 
 def run_case(case: str) -> str:
