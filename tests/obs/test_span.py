@@ -8,12 +8,11 @@ from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
 from repro.obs import SpanTracer, iteration_breakdown
 from repro.perfmodel.cost import KernelWorkload
-from repro.sycl.ndrange import Range
+from repro.sycl.ndrange import range_launch
 
 
 def _submit_one(queue, name="k"):
-    spec = queue.device.spec
-    geom = Range(128).resolve(spec.max_workgroup_size // 4, spec.preferred_subgroup_size)
+    geom = range_launch(queue.device.spec, 128)
     return queue.submit(
         KernelWorkload(name=name, geometry=geom, active_lanes=128, instructions_per_lane=4.0)
     )
