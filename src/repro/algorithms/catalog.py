@@ -35,6 +35,7 @@ from repro.algorithms.bfs import bfs, direction_optimizing_bfs
 from repro.algorithms.cc import cc
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import delta_stepping, sssp
+from repro.errors import SYgraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 
@@ -63,16 +64,32 @@ class GraphBundle:
     _graphs: Dict[str, object] = field(default_factory=dict, repr=False)
 
     def get(self, representation: str):
-        """``csr``, ``csr_undirected`` or ``csc``, built once then cached."""
+        """``csr``, ``csr_undirected`` or ``csc``, built once then cached.
+
+        A build interrupted by an error (an injected fault, an
+        out-of-memory) frees its own allocations before re-raising: they
+        would otherwise stay live as if cached, since the scheduler frees
+        only what a request allocates after its snapshot.  Cached
+        representations are untouched, so a retry builds only what
+        failed.  A cached representation costs one lookup.
+        """
         graph = self._graphs.get(representation)
         if graph is None:
-            # the span is a no-op on untraced queues; on traced workers
-            # it attributes the one-time build cost to the graph, not to
-            # whichever request happened to arrive first
-            with self.queue.span(
-                "service.graph_build", self.name, attrs={"repr": representation}
-            ):
-                graph = _BUILDS[representation](GraphBuilder(self.queue), self.coo)
+            memory = self.queue.memory
+            before = {a.alloc_id for a in memory.live_allocations}
+            try:
+                # the span is a no-op on untraced queues; on traced workers
+                # it attributes the one-time build cost to the graph, not
+                # to whichever request happened to arrive first
+                with self.queue.span(
+                    "service.graph_build", self.name, attrs={"repr": representation}
+                ):
+                    graph = _BUILDS[representation](GraphBuilder(self.queue), self.coo)
+            except SYgraphError:
+                for alloc in memory.live_allocations:
+                    if alloc.alloc_id not in before:
+                        memory.free(alloc.array)
+                raise
             self._graphs[representation] = graph
         return graph
 

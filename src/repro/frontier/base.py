@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import FrontierError
-from repro.obs.metrics import SCAN_STATS
 from repro.perfmodel.cache import unique_ints
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -92,17 +91,18 @@ class Frontier(abc.ABC):
         (:meth:`_swap_scan_state`).  Cached arrays are shared with
         callers — treat them as read-only.
         """
+        stats = self.queue.scan_stats
         if not Frontier._memo_enabled:
-            SCAN_STATS.misses += 1
+            stats.misses += 1
             return self._scan_compute(key)
         if self._scan_cache_epoch != self._epoch:
             self._scan_cache.clear()
             self._scan_cache_epoch = self._epoch
         if key not in self._scan_cache:
-            SCAN_STATS.misses += 1
+            stats.misses += 1
             self._scan_cache[key] = self._scan_compute(key)
         else:
-            SCAN_STATS.hits += 1
+            stats.hits += 1
         return self._scan_cache[key]
 
     def _scan_compute(self, key: str):

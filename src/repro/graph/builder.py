@@ -1,9 +1,13 @@
 """Graph construction: COO → CSR / CSC on a queue's device.
 
-The builder performs the sort-by-row (or column) bucketing with pure
-vectorized NumPy — ``np.argsort`` + ``np.bincount`` — matching the paper's
-claim that SYgraph needs *no preprocessing* beyond the CSR build every
-framework performs at load time (Table 1's "Pre-Processing: No").
+The builder buckets edges by row (or column) with one sort and one
+``np.bincount``, matching the paper's claim that SYgraph needs *no
+preprocessing* beyond the CSR build every framework performs at load
+time (Table 1's "Pre-Processing: No").  The sort is a plain in-place
+``np.sort`` of packed int64 words, each edge's bucket key above its
+index (:func:`repro.graph.coo._stable_argsort`); only a graph whose key
+and index need more than 63 bits together takes NumPy's stable argsort
+instead.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.coo import COOGraph
+from repro.graph.coo import COOGraph, _stable_argsort
 from repro.graph.csc import CSCGraph
 from repro.graph.csr import CSRGraph
 
@@ -51,12 +55,13 @@ def _compress(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Return (ptr, permutation) compressing edges by the ``major`` axis."""
     major = np.asarray(major, dtype=np.int64)
-    minor = np.asarray(minor, dtype=np.int64)
     if sort_minor:
-        # lexicographic (major, minor) order in one stable pass
-        perm = np.lexsort((minor, major))
+        # lexicographic (major, minor) order: the stable order of the key
+        # major·n + minor, below n², packed above each edge's index for
+        # one plain sort (n² and the index fit 63 bits on every dataset)
+        perm = _stable_argsort(major * n + np.asarray(minor, dtype=np.int64), n * n)
     else:
-        perm = np.argsort(major, kind="stable")
+        perm = _stable_argsort(major, n)
     counts = np.bincount(major, minlength=n)
     ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     return ptr, perm

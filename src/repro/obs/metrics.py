@@ -226,9 +226,9 @@ class MetricsRegistry:
     def observe_total(self, name: str, total: float, ts_ns: float = 0.0) -> None:
         """Record the running total of an externally maintained counter.
 
-        Used for process-wide counters the registry does not own (the
-        frontier scan-cache hit/miss totals): the tracer samples the
-        absolute value, and monotonicity is still enforced.
+        Used for counters the registry does not own (a queue's frontier
+        scan-cache hit/miss totals): the tracer samples the absolute
+        value, and monotonicity is still enforced.
         """
         metric = self._metric(name, "counter")
         if total < metric.value:
@@ -277,15 +277,17 @@ class MetricsRegistry:
 
 
 class ScanStats:
-    """Process-wide hit/miss totals for the epoch-memoized frontier scans.
+    """Hit/miss totals for one queue's epoch-memoized frontier scans.
 
     Incremented on every scan-shaped query (``count`` /
     ``active_elements`` / ``nonzero_words`` / ``compute_offsets``, see
-    :mod:`repro.frontier.base`): a *hit* served a memoized value, a
-    *miss* rescanned the backing storage (including every query while
-    memoization is disabled).  The span tracer samples the running
-    totals per span; the strict-mode coherence replay bypasses
-    ``_memoized`` and therefore never perturbs them.
+    :mod:`repro.frontier.base`) of a frontier on the owning queue: a
+    *hit* served a memoized value, a *miss* rescanned the backing storage
+    (including every query while memoization is disabled).  A traced
+    queue counts on its tracer's instance, which the tracer samples per
+    span, so an exported trace depends on its own run alone; the
+    strict-mode coherence replay bypasses ``_memoized`` and therefore
+    never perturbs them.
     """
 
     __slots__ = ("hits", "misses")
@@ -296,11 +298,3 @@ class ScanStats:
 
     def snapshot(self) -> tuple:
         return (self.hits, self.misses)
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-#: the single process-wide scan-cache statistics instance
-SCAN_STATS = ScanStats()

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
-from repro.obs.metrics import SCAN_STATS, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, ScanStats
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.perfmodel.cost import KernelCost
@@ -112,14 +112,15 @@ class _SpanContext:
         self._scan0 = (0, 0)
 
     def __enter__(self) -> Span:
-        self._scan0 = SCAN_STATS.snapshot()
+        self._scan0 = self._tracer.scan_stats.snapshot()
         self._tracer._push(self._span)
         return self._span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         hits0, misses0 = self._scan0
-        self._span.scan_hits = SCAN_STATS.hits - hits0
-        self._span.scan_misses = SCAN_STATS.misses - misses0
+        stats = self._tracer.scan_stats
+        self._span.scan_hits = stats.hits - hits0
+        self._span.scan_misses = stats.misses - misses0
         self._tracer._pop(self._span)
         return False
 
@@ -155,6 +156,9 @@ class SpanTracer:
         self.memory_samples: List[tuple] = []
         #: high-water mark of bytes_in_use observed while tracing
         self.memory_peak_bytes: int = 0
+        #: frontier scan-cache totals: every queue this tracer is attached
+        #: to counts its scans here (Queue.enable_tracing)
+        self.scan_stats = ScanStats()
 
     # -- span stack ----------------------------------------------------- #
     @property
@@ -184,8 +188,8 @@ class SpanTracer:
         assert popped is span, f"span stack corrupted: closed {popped.label}, expected {span.label}"
         span.end_ns = self.cursor_ns
         if span.scan_hits or span.scan_misses:
-            self.metrics.observe_total("frontier.scan_hits", SCAN_STATS.hits, self.cursor_ns)
-            self.metrics.observe_total("frontier.scan_misses", SCAN_STATS.misses, self.cursor_ns)
+            self.metrics.observe_total("frontier.scan_hits", self.scan_stats.hits, self.cursor_ns)
+            self.metrics.observe_total("frontier.scan_misses", self.scan_stats.misses, self.cursor_ns)
 
     # -- runtime hooks --------------------------------------------------- #
     def on_kernel(self, name: str, seq: int, cost: Optional["KernelCost"]) -> None:

@@ -109,27 +109,14 @@ class DispatchRegistry:
         strict mode, poisoned — on completion).  Gangs build nothing on
         their workers, and an unknown algorithm builds nothing before
         :meth:`run` rejects it; a registered runner without a catalog
-        row reads the CSR.
-
-        A build interrupted by an injected fault frees its own scraps
-        before re-raising: the half-built representation's allocations
-        would otherwise masquerade as bundle cache forever (the scheduler
-        only reclaims what is allocated *after* its snapshot).  Already
-        cached representations are untouched, so a retry rebuilds only
-        what actually failed.
+        row reads the CSR.  A build that fails frees its own allocations
+        (:meth:`GraphBundle.get`), so a retry rebuilds only what failed.
         """
         if request.devices > 1 or request.algorithm not in self._runners:
             return
         spec = CATALOG.get(request.algorithm)
-        mm = bundle.queue.memory
         for representation in spec.graphs if spec else ("csr",):
-            before = {a.alloc_id for a in mm.live_allocations}
-            try:
-                bundle.get(representation)
-            except SYgraphError:
-                for alloc in [a for a in mm.live_allocations if a.alloc_id not in before]:
-                    mm.free(alloc.array)
-                raise
+            bundle.get(representation)
 
     def run(self, bundle: GraphBundle, request: "Request") -> np.ndarray:
         if request.devices > 1:

@@ -649,8 +649,8 @@ class QueryScheduler:
             self.registry.prepare(bundle, req)
         except (OutOfMemoryError, FaultInjected) as exc:
             # an injected launch/alloc fault interrupted the graph build;
-            # prepare() already freed its scraps, so only the partial
-            # build's kernel time is charged to the attempt
+            # the build already freed what it allocated, so only the
+            # partial build's kernel time is charged to the attempt
             raw_ns = q.elapsed_ns - t_prep
             if raw_ns == 0.0:
                 raw_ns = self.config.fault_service_ns

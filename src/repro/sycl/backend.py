@@ -33,8 +33,10 @@ class Backend(enum.Enum):
 #: Our datasets are ~1/100 of the paper's (DESIGN.md substitution #3), so
 #: per-iteration kernel *work* shrinks ~100x while a real launch overhead
 #: would stay constant — which would make every traversal launch-bound and
-#: invert the paper's results.  Scaling the simulated overhead by the same
-#: factor keeps the work:overhead ratio representative of the real runs.
+#: invert the paper's results.  Scaling the simulated overhead down keeps
+#: the work:overhead ratio representative of the real runs.  The factor is
+#: a fixed calibration, not the datasets' size ratio
+#: (:mod:`repro.perfmodel.scaling`).
 LAUNCH_OVERHEAD_SCALE = 0.05
 
 

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.obs.span import SpanTracer
     from repro.perfmodel.cost import KernelWorkload
 from repro.errors import KernelLaunchError
+from repro.obs.metrics import ScanStats
 from repro.obs.span import NULL_SPAN as _NULL_SPAN
 from repro.sycl.event import Event
 from repro.sycl.memory import MemoryEvent, MemoryManager
@@ -88,6 +89,9 @@ class Queue:
         #: so tracing-off submission pays a single is-None check and the
         #: modeled timeline is bit-identical either way
         self.tracer = None
+        #: hit/miss totals of the memoized scans of this queue's frontiers
+        #: (the tracer's own instance once tracing is enabled)
+        self.scan_stats = ScanStats()
         #: fault-injection hook (repro.faults.FaultInjector); None by
         #: default — injection-off submission pays one is-None check and
         #: the modeled timeline is bit-identical either way
@@ -147,14 +151,18 @@ class Queue:
         """Attach a hierarchical span tracer (:mod:`repro.obs`) to this queue.
 
         Subsequent ``submit()`` calls attribute their kernel cost to the
-        innermost span opened via :meth:`span`, and the memory manager
-        reports its timeline to the tracer's bytes-in-use counter track.
+        innermost span opened via :meth:`span`, the memory manager
+        reports its timeline to the tracer's bytes-in-use counter track,
+        and this queue's frontiers count their scans on the tracer's
+        :class:`~repro.obs.metrics.ScanStats`, so the trace's scan
+        counters start from zero whatever the queue ran before.
         Returns the tracer (a fresh one unless provided).
         """
         from repro.obs.span import SpanTracer
 
         self.tracer = tracer or SpanTracer()
         self.memory.observer = self.tracer
+        self.scan_stats = self.tracer.scan_stats
         # seed the memory counter track with the current resident total
         self.tracer.on_memory(
             MemoryEvent(step=-1, total_bytes=self.memory.bytes_in_use, delta=0, label="tracing.enabled")

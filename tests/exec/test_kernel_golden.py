@@ -48,7 +48,6 @@ from repro.frontier.ops import frontier_intersection, frontier_subtraction, fron
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import rmat
 from repro.obs.export import trace_events
-from repro.obs.metrics import SCAN_STATS
 from repro.operators import advance, compute, edge_advance
 from repro.operators import filter as filter_op
 from repro.operators.intersection import segmented_intersection
@@ -253,8 +252,6 @@ def run_operator_case(case: str) -> str:
 
 def run_trace_case(case: str) -> str:
     _, algorithm, layout, fused, device = case.split("/")
-    # the trace samples the process-wide scan totals: count from zero
-    SCAN_STATS.reset()
     queue = Queue(get_device(device), capacity_limit=0)
     tracer = queue.enable_tracing()
     coo = rmat(7, 8, seed=0, weighted=True)

@@ -4,9 +4,12 @@ point: queue submission, the allocator, scheduler dispatch, BSP exchange."""
 import numpy as np
 import pytest
 
+from repro.algorithms.catalog import GraphBundle
 from repro.errors import AllocationFault, KernelLaunchError
 from repro.faults import FaultInjector, FaultRule
 from repro.perfmodel.cost import KernelWorkload, WorkgroupGeometry
+from repro.service.dispatch import default_registry
+from repro.service.request import Request
 from repro.sycl import Queue, get_device
 
 
@@ -89,6 +92,44 @@ class TestAllocSite:
         )
         arr = q.memory.malloc_host((32,), np.float64, label="host")
         assert arr.shape == (32,)
+
+
+    def test_failed_graph_build_frees_only_its_own_allocations(self, tiny_catalog):
+        """An alloc fault halfway through dobfs's second representation
+        (the CSC) frees what that build allocated, leaves the cached CSR
+        alone, and a retry builds the CSC alone."""
+        spec = tiny_catalog[0]  # weighted: the CSC allocates three arrays
+        q = make_queue()
+        bundle = GraphBundle(spec.name, spec.coo, q)
+        registry = default_registry()
+        req = Request(req_id=0, algorithm="dobfs", graph=spec.name, source=0)
+        csr = bundle.get("csr")
+        cached = [(a.alloc_id, a.label) for a in q.memory.live_allocations]
+        cached_bytes = q.memory.bytes_in_use
+        # one draw per device allocation: a seed whose first draw misses
+        # and whose second fires, so the CSC's col_ptr is allocated and
+        # its row_idx fails
+        def misses_then_fires(seed):
+            first, second = np.random.default_rng(seed).random(2)
+            return first >= 0.5 > second
+
+        seed = next(filter(misses_then_fires, range(100)))
+        injector = FaultInjector([FaultRule("alloc", probability=0.5)], seed=seed)
+        q.enable_fault_injection(injector)
+        with pytest.raises(AllocationFault):
+            registry.prepare(bundle, req)
+        assert [e.context["label"] for e in injector.fired] == ["graph.row_idx"]
+        assert [(a.alloc_id, a.label) for a in q.memory.live_allocations] == cached
+        assert q.memory.bytes_in_use == cached_bytes
+        assert bundle.get("csr") is csr
+        # the retry (budget spent) builds the CSC and nothing else
+        registry.prepare(bundle, req)
+        live = [(a.alloc_id, a.label) for a in q.memory.live_allocations]
+        assert live[: len(cached)] == cached
+        assert [label for _, label in live[len(cached):]] == [
+            "graph.col_ptr", "graph.row_idx", "graph.weights",
+        ]
+        assert bundle.get("csr") is csr
 
 
 class TestDeviceLossSite:

@@ -6,6 +6,7 @@ from repro.algorithms.bfs import bfs
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
 from repro.obs import export_trace, trace_events
+from repro.sycl import Queue
 
 
 def _traced_bfs(queue, layout="2lb"):
@@ -61,6 +62,22 @@ def test_counter_tracks_present(queue):
     # counter events carry their value in args keyed by metric name
     sample = next(e for e in events if e["ph"] == "C" and e["name"] == "frontier.size")
     assert sample["args"]["frontier.size"] >= 1.0
+
+
+def test_scan_counter_tracks_depend_on_their_run_alone():
+    """A traced run's frontier scan counters count that run's scans: two
+    identical runs in one process export identical tracks, also when the
+    second traces a queue that has run before."""
+
+    def scan_tracks(queue):
+        tracer, _ = _traced_bfs(queue)
+        return [e for e in trace_events(tracer) if e["ph"] == "C" and e["name"].startswith("frontier.scan_")]
+
+    queue = Queue(capacity_limit=0)
+    first = scan_tracks(queue)
+    assert {e["name"] for e in first} == {"frontier.scan_hits", "frontier.scan_misses"}
+    assert scan_tracks(Queue(capacity_limit=0)) == first
+    assert scan_tracks(queue) == first
 
 
 def test_counter_timestamps_monotone(queue):

@@ -242,6 +242,21 @@ class TestMemoryHygiene:
         s.run(trace)
         assert all(len(w.queue.memory.timeline) <= n for w, n in zip(s.workers, once))
 
+    def test_preparing_a_cached_graph_is_a_lookup(self, tiny_catalog, monkeypatch):
+        """Once a worker holds a request's graphs, preparing the next
+        request on them reads no allocation list."""
+        s = sched(pool=("v100s",), catalog=tiny_catalog)
+        worker = s.workers[0]
+        bundle = worker.bundle_for(s.catalog["rmat"])
+        req = burst(1, algorithm="dobfs")[0]
+        s.registry.prepare(bundle, req)
+        reads = []
+        monkeypatch.setattr(
+            type(worker.queue.memory), "live_allocations", property(lambda mm: reads.append(mm) or [])
+        )
+        s.registry.prepare(bundle, req)
+        assert reads == []
+
 
 class TestTracing:
     def test_request_spans_nest_dispatch_and_algorithm(self, tiny_catalog):
