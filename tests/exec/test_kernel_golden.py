@@ -24,6 +24,9 @@ reach.
   fused and unfused, over four layouts on the V100S and the MI100, and
   digest the event list of :func:`repro.obs.export.trace_events`: every
   span, every kernel's place and cost in it, and every counter sample.
+  Each trace case also pins the row's result (its ``result_digest``,
+  under the case's ``result/...`` key), so a change to what an
+  algorithm computes fails even when its spans and kernels stay put.
 
 A change to how the operators characterize kernels, or to how the plan
 executor opens spans and submits kernels, must leave every digest
@@ -41,7 +44,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.algorithms.catalog import CATALOG, GraphBundle
+from repro.algorithms.catalog import CATALOG, GraphBundle, result_digest
 from repro.algorithms.triangles import triangle_count
 from repro.frontier import FrontierView, make_frontier
 from repro.frontier.ops import frontier_intersection, frontier_subtraction, frontier_union
@@ -250,23 +253,34 @@ def run_operator_case(case: str) -> str:
     return _digest(repr(record))
 
 
-def run_trace_case(case: str) -> str:
+def result_case(case: str) -> str:
+    """The golden key of a trace case's result digest."""
+    return "result/" + case.split("/", 1)[1]
+
+
+def run_trace_case(case: str):
+    """The digests of a trace case's exported events and of its result."""
     _, algorithm, layout, fused, device = case.split("/")
     queue = Queue(get_device(device), capacity_limit=0)
     tracer = queue.enable_tracing()
     coo = rmat(7, 8, seed=0, weighted=True)
-    CATALOG[algorithm].run(
+    spec = CATALOG[algorithm]
+    result = spec.run(
         GraphBundle("rmat", coo, queue), 0,
         layout=layout, fuse=fused == "fused", **TRACE_KEYWORDS.get(algorithm, {}),
     )
     digest = _digest(json.dumps(trace_events(tracer), sort_keys=True))
     # every profiled kernel, fused or not, belongs to the span tree
     assert tracer.root.kernel_count() == len(queue.profile.costs)
-    return digest
+    return digest, result_digest(spec.values(result))
 
 
-def run_case(case: str) -> str:
-    return run_trace_case(case) if case.startswith("trace/") else run_operator_case(case)
+def run_case(case: str) -> dict:
+    """Golden key -> digest, for one case."""
+    if case.startswith("trace/"):
+        events, result = run_trace_case(case)
+        return {case: events, result_case(case): result}
+    return {case: run_operator_case(case)}
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +289,7 @@ def golden():
 
 
 def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(OPERATOR_CASES + TRACE_CASES)
+    assert sorted(golden) == sorted(OPERATOR_CASES + TRACE_CASES + list(map(result_case, TRACE_CASES)))
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
@@ -285,11 +299,13 @@ def test_operator_kernels_match_golden(case, golden):
 
 @pytest.mark.parametrize("case", TRACE_CASES)
 def test_trace_matches_golden(case, golden):
-    assert run_trace_case(case) == golden[case]
+    events, result = run_trace_case(case)
+    assert events == golden[case]
+    assert result == golden[result_case(case)]
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({case: run_case(case) for case in OPERATOR_CASES + TRACE_CASES}, indent=2, sort_keys=True)
-        + "\n"
-    )
+    cases = {}
+    for case in OPERATOR_CASES + TRACE_CASES:
+        cases.update(run_case(case))
+    GOLDEN.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n")
