@@ -37,7 +37,6 @@ from repro.exec import (
 )
 from repro.frontier import FrontierView, layout_bits_kwargs, make_frontier
 from repro.operators.advance import AdvanceConfig
-from repro.perfmodel.cache import unique_ints
 
 
 @dataclass
@@ -107,27 +106,15 @@ def _brandes_single(
     levels: List[np.ndarray] = [np.array([source], dtype=np.int64)]
 
     def fwd_factory(ctx):
-        depth = ctx.iteration + 1
-
-        def fwd(src, dst, eid, w):
-            unseen = dist[dst] == -1
-            on_level = dist[dst] == depth
-            tree = unseen | on_level
-            np.add.at(sigma, dst[tree], sigma[src][tree])
-            # mark depth immediately so same-level duplicates accumulate
-            # sigma but are admitted to the frontier only once (bitmap)
-            dist[dst[tree]] = depth
-            return tree
-
-        return fwd
+        return _forward_functor(dist, sigma, ctx.iteration + 1)
 
     def rebuild_level(ctx):
         # Sigma/delta accumulation is not idempotent, so BC (unlike
         # BFS) cannot tolerate duplicate frontier entries: the vector
         # layout admits one copy per tree edge, and re-expanding a
         # vertex would double-count its paths.  Rebuild each level
-        # from unique ids.
-        level = unique_ints(out_frontier.active_elements())
+        # from the active elements, sorted and distinct on every layout.
+        level = out_frontier.active_elements()
         if level.size:
             levels.append(level)
         in_frontier.clear()
@@ -135,14 +122,9 @@ def _brandes_single(
         out_frontier.clear()
 
     # ---- backward: dependency accumulation, deepest level first ----
-    # Edges (u -> v) with dist[v] == dist[u] + 1 contribute to u's
-    # dependency, so each pass advances from the level *above* the one
-    # being settled (its predecessors) with a store-less advance.
-    def back(src, dst, eid, w):
-        tree = dist[dst] == dist[src] + 1
-        contrib = sigma[src][tree] / np.maximum(sigma[dst][tree], 1e-300) * (1.0 + delta[dst][tree])
-        np.add.at(delta, src[tree], contrib)
-        return np.zeros(src.size, dtype=bool)
+    # Each pass advances from the level *above* the one being settled
+    # (its predecessors) with a store-less advance.
+    back = _backward_functor(dist, sigma, delta)
 
     def back_init(ctx):
         ctx.state["li"] = len(levels) - 1
@@ -200,3 +182,38 @@ def _brandes_single(
     queue.free(sigma)
     queue.free(delta)
     return dependency, ctx.iteration
+
+
+def _forward_functor(dist, sigma, depth: int):
+    """Forward advance functor at ``depth``: an edge into an unseen vertex
+    or into one already on this level is a tree edge.  It adds its
+    source's path count to its destination's and sets the destination's
+    depth; the destinations of tree edges form the next level."""
+
+    def fwd(src, dst, eid, w):
+        reached_at = dist[dst]
+        tree = (reached_at == -1) | (reached_at == depth)
+        reached = dst[tree]
+        np.add.at(sigma, reached, sigma[src[tree]])
+        # mark depth immediately so same-level duplicates accumulate
+        # sigma but are admitted to the frontier only once (bitmap)
+        dist[reached] = depth
+        return tree
+
+    return fwd
+
+
+def _backward_functor(dist, sigma, delta):
+    """Backward advance functor: each edge (u -> v) with dist[v] ==
+    dist[u] + 1 adds ``sigma[u] / sigma[v] * (1 + delta[v])`` to u's
+    dependency.  It accepts no edge (a store-less advance); the edges are
+    compressed to the tree before any per-vertex array is gathered."""
+
+    def back(src, dst, eid, w):
+        tree = dist[dst] == dist[src] + 1
+        parents, children = src[tree], dst[tree]
+        contrib = sigma[parents] / np.maximum(sigma[children], 1e-300) * (1.0 + delta[children])
+        np.add.at(delta, parents, contrib)
+        return np.zeros(src.size, dtype=bool)
+
+    return back

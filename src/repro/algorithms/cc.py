@@ -134,8 +134,9 @@ def _propagate_functor(labels):
     destination re-enters the frontier iff its label shrank."""
 
     def functor(src, dst, eid, w):
-        improved = labels[src] < labels[dst]
-        np.minimum.at(labels, dst[improved], labels[src][improved])
+        pushed = labels[src]
+        improved = pushed < labels[dst]
+        np.minimum.at(labels, dst[improved], pushed[improved])
         return improved
 
     return functor

@@ -77,12 +77,10 @@ def pagerank(
     all_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
     all_frontier.insert(np.arange(n, dtype=np.int64))
 
+    scatter = _scatter_functor(ranks, inv_deg, nxt)
+
     def zero_next(ctx):
         nxt[:] = 0.0
-
-    def scatter(src, dst, eid, w):
-        np.add.at(nxt, dst, ranks[src] * inv_deg[src])
-        return np.zeros(src.size, dtype=bool)
 
     def dangling_base(ctx):
         dangling_mass = float(ranks[dangling].sum())
@@ -135,3 +133,15 @@ def pagerank(
     return PageRankResult(
         ranks=result, iterations=ctx.iteration, residual=float(ctx.state["residual"])
     )
+
+
+def _scatter_functor(ranks, inv_deg, nxt):
+    """Store-less all-vertex advance functor: each edge adds its source's
+    rank share, ``ranks[src] * inv_deg[src]``, to ``nxt[dst]``.  The
+    shares are multiplied per vertex and gathered once per edge."""
+
+    def scatter(src, dst, eid, w):
+        np.add.at(nxt, dst, (ranks * inv_deg)[src])
+        return np.zeros(src.size, dtype=bool)
+
+    return scatter

@@ -67,7 +67,8 @@ def _relax_functor(dist, stats=None):
     """
 
     def functor(src, dst, eid, w):
-        candidate = dist[src] + w.astype(np.float64)
+        # float32 weights widen exactly inside the float64 add
+        candidate = dist[src] + w
         improved = candidate < dist[dst]
         if stats is not None:
             stats["relaxations"] += int(np.count_nonzero(improved))

@@ -32,9 +32,9 @@ from typing import Dict, List, Optional, Sequence, Type
 
 import numpy as np
 
-from repro.algorithms.bc import BCResult
+from repro.algorithms.bc import BCResult, _backward_functor
 from repro.algorithms.bfs import UNSEEN, BFSResult
-from repro.algorithms.cc import CCResult
+from repro.algorithms.cc import CCResult, _propagate_functor
 from repro.algorithms.sssp import SSSPResult, _relax_functor
 from repro.exec import ExecContext, HostStep, Plan, PlanExecutor
 from repro.graph.coo import COOGraph
@@ -139,14 +139,8 @@ class FrameworkRunner(abc.ABC):
         n = self.graph_sym.get_vertex_count()
         labels = self.queue.malloc_shared((n,), np.int64, label=f"{self.name}.cc.labels")
         labels[:] = seeds = np.arange(n, dtype=np.int64)
-
-        def propagate(s, d, e, w):
-            improved = labels[s] < labels[d]
-            np.minimum.at(labels, d[improved], labels[s][improved])
-            return improved
-
         ctx = self._context("cc", self.graph_sym, self._frontiers(n, seeds), seeds)
-        self._traverse(ctx, propagate, n + 1, lambda ctx, accepted: self._jump(labels))
+        self._traverse(ctx, _propagate_functor(labels), n + 1, lambda ctx, accepted: self._jump(labels))
         out = np.asarray(labels).copy()
         self.queue.free(labels)
         return CCResult(labels=out, iterations=ctx.iteration)
@@ -176,15 +170,12 @@ class FrameworkRunner(abc.ABC):
 
         def fwd(s, d, e, w):
             tree = dist[d] == UNSEEN
-            np.add.at(sigma, d[tree], sigma[s][tree])
-            dist[d[tree]] = dist[s][tree] + 1
+            parents, reached = s[tree], d[tree]
+            np.add.at(sigma, reached, sigma[parents])
+            dist[reached] = dist[parents] + 1
             return tree
 
-        def back(s, d, e, w):
-            tree = dist[d] == dist[s] + 1
-            contrib = sigma[s][tree] / np.maximum(sigma[d][tree], 1e-300) * (1.0 + delta[d][tree])
-            np.add.at(delta, s[tree], contrib)
-            return np.zeros(s.size, dtype=bool)
+        back = _backward_functor(dist, sigma, delta)
 
         def step(ctx):
             if ctx.state["active"].size:

@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import FrontierError
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier, FrontierView, _out_of_range, distinct_ids
-from repro.perfmodel.cache import SHORT_STREAM, unique_sorted
+from repro.perfmodel.cache import MARK_SPAN_BASE, MARK_SPAN_PER_ACCESS, SHORT_STREAM, unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -127,27 +127,42 @@ class BitmapFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
+        """Set the bits of ``elements`` in every layer.  At most
+        :data:`SHORT_STREAM` ids are set with Python ints.  More ids that
+        ``count_distinct``'s mark rule lets mark the whole frontier are
+        marked in one bool array and packed into layer 0's words; sparser
+        ones are sorted and set word by word."""
         ids = self._as_ids(elements)
-        few = ids.size <= SHORT_STREAM
-        if few:
-            ids = sorted(set(ids.tolist()))
-            if ids and (ids[0] < 0 or ids[-1] >= self.n_elements):
-                raise _out_of_range(self.n_elements, ids[0], ids[-1])
-        else:
-            ids = distinct_ids(ids, self.n_elements)
-        if len(ids) == 0:
+        if ids.size == 0:
             return
+        n = self.n_elements
         was_empty = self._cached_was_empty()
         # "When adding a vertex, the corresponding bit in the second layer
         # is calculated and set to 1 if it's not already" (§4.3), and so on
         # up the tree
-        if few:
+        if ids.size <= SHORT_STREAM:
+            ids = sorted(set(ids.tolist()))
+            if ids[0] < 0 or ids[-1] >= n:
+                raise _out_of_range(n, ids[0], ids[-1])
             words = _set_few_bits(self.layers, ids, self.bits)
         else:
-            _bitops.set_bits(self.words, ids, self.bits)
-            if self.n_layers > 1 or was_empty:
-                # sorted ids have sorted words: one pass drops the repeats
-                words = unique_sorted(ids // self.bits)
+            if n <= MARK_SPAN_PER_ACCESS * ids.size + MARK_SPAN_BASE:
+                lo, hi = int(ids.min()), int(ids.max())
+                if lo < 0 or hi >= n:
+                    raise _out_of_range(n, lo, hi)
+                mark = np.zeros(self.n_words * self.bits, dtype=np.bool_)
+                mark[ids] = True
+                packed = np.packbits(mark, bitorder="little").view(self.words.dtype)
+                self.words |= packed
+                words = np.flatnonzero(packed)
+                if was_empty:
+                    ids = np.flatnonzero(mark)
+            else:
+                ids = distinct_ids(ids, n)
+                _bitops.set_bits(self.words, ids, self.bits)
+                if self.n_layers > 1 or was_empty:
+                    # sorted ids have sorted words: one pass drops the repeats
+                    words = unique_sorted(ids // self.bits)
             if self.n_layers > 1:
                 touched = words
                 _bitops.set_bits(self.layers[1], touched, self.bits)

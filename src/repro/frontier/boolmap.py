@@ -30,7 +30,7 @@ class BoolmapFrontier(Frontier):
         )
 
     def insert(self, elements) -> None:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
@@ -42,7 +42,7 @@ class BoolmapFrontier(Frontier):
             self._prime_scan_cache(active=unique_ints(ids))
 
     def remove(self, elements) -> None:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         self.flags[ids] = 0
         self._bump_epoch()
 
@@ -70,7 +70,7 @@ class BoolmapFrontier(Frontier):
         return ids, self.flags.dtype.itemsize
 
     def contains(self, elements) -> np.ndarray:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         return self.flags[ids] != 0
 
     @property

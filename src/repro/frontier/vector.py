@@ -65,7 +65,7 @@ class VectorFrontier(Frontier):
 
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         if ids.size == 0:
             return
         was_empty = self._cached_was_empty()
@@ -79,7 +79,7 @@ class VectorFrontier(Frontier):
             self._prime_scan_cache(active=unique_ints(ids))
 
     def remove(self, elements) -> None:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         if ids.size == 0 or self._size == 0:
             return
         keep = ~np.isin(self._data[: self._size], ids.astype(vertex_t))
@@ -139,7 +139,7 @@ class VectorFrontier(Frontier):
         return np.arange(ids.size), self._data.dtype.itemsize
 
     def contains(self, elements) -> np.ndarray:
-        ids = self._as_ids(elements)
+        ids = self._validated(elements)
         return np.isin(ids.astype(vertex_t), self._data[: self._size])
 
     # -- memory --------------------------------------------------------- #

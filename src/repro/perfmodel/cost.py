@@ -576,9 +576,16 @@ class CostModel:
         n = lines.size
         adjacent = count_adjacent(lines)
         # lines that never decrease are distinct wherever they change; an
-        # unsorted stream almost always shows it in its first few lines
-        head = lines[:SHORT_STREAM]
-        ordered = bool((head[1:] >= head[:-1]).all() and (lines[1:] >= lines[:-1]).all())
+        # unsorted stream almost always shows it in its first few lines or
+        # in every SHORT_STREAM-th line (an advance's dst reads start with
+        # one vertex's sorted neighbours), and a sorted stream's sample is
+        # sorted too
+        head, sample = lines[:SHORT_STREAM], lines[::SHORT_STREAM]
+        ordered = bool(
+            (head[1:] >= head[:-1]).all()
+            and (sample[1:] >= sample[:-1]).all()
+            and (lines[1:] >= lines[:-1]).all()
+        )
         if ordered:
             bounds = int(lines[0]), int(lines[-1])
             distinct = n - adjacent

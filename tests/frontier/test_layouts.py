@@ -120,12 +120,36 @@ class TestSwap:
         b.insert([2])
 
 
+#: every layout make_frontier builds
+ALL_LAYOUTS = ["bitmap", "2lb", "vector", "boolmap", "tree"]
+
+
 class TestValidation:
-    @pytest.mark.parametrize("layout", ["bitmap", "2lb"])
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS)
     def test_out_of_range_insert_rejected(self, queue, layout):
         f = make_frontier(queue, 100, layout=layout)
         with pytest.raises(FrontierError):
             f.insert([100])
+
+    @pytest.mark.parametrize("layout", ALL_LAYOUTS)
+    @pytest.mark.parametrize("op", ["insert", "remove", "contains"])
+    @pytest.mark.parametrize("bad", [[-1, 3], [10], [3, 12, -2]])
+    def test_out_of_range_ids_rejected_with_their_bounds(self, queue, layout, op, bad):
+        """Every layout's insert, remove and contains name the range and
+        the offending ids' bounds, and change nothing: a negative id is
+        no alias of the last element, and a bad insert into an empty
+        frontier leaves it empty with a coherent scan cache."""
+        f = make_frontier(queue, 10, layout=layout)
+        f.clear()
+        if op != "insert":
+            f.insert([3, 9])
+        before = f.active_elements().copy()
+        with pytest.raises(FrontierError) as raised:
+            getattr(f, op)(bad)
+        assert str(raised.value) == f"element id out of range [0, 10): [{min(bad)}, {max(bad)}]"
+        np.testing.assert_array_equal(f.active_elements(), before)
+        assert f.scan_cache_coherent() is None
+        assert f.check_invariant()
 
     def test_unknown_layout(self, queue):
         with pytest.raises(FrontierError):

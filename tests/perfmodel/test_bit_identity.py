@@ -476,6 +476,28 @@ def test_sorted_prefix_then_one_descent(model, n, descent):
     assert_identical(model, _workload([(addresses, 8, 2), (addresses, 4, 3)]))
 
 
+@pytest.mark.parametrize("n", [3000, LARGE_STREAM + 1])
+@pytest.mark.parametrize("seen_by", ["whole stream", "sample"])
+def test_one_descent_after_the_head(model, n, seen_by):
+    """A long stream with one new line per access that rises through its
+    first ``SHORT_STREAM`` lines and falls once later, to a line it
+    already read.  Between two sampled accesses (every
+    ``SHORT_STREAM``-th) the samples rise too, and only the whole-stream
+    test sees the descent; on a sampled access, the sample sees it.
+    Either way the stream is unsorted and counts its distinct lines."""
+    lines = np.arange(n)
+    if seen_by == "sample":
+        at = 10 * SHORT_STREAM
+        lines[at] = lines[at - SHORT_STREAM] - 1
+    else:
+        at = 10 * SHORT_STREAM + SHORT_STREAM // 2
+        lines[at] -= 5
+    sample = lines[::SHORT_STREAM]
+    assert bool((sample[1:] >= sample[:-1]).all()) == (seen_by != "sample")
+    addresses = lines * (model.spec.l1_line_bytes // 8)
+    assert_identical(model, _workload([(addresses, 8, 2), (addresses, 4, 3)]))
+
+
 #: ``(n, start, top)``: an ``n``-access stream from address ``start``;
 #: ``top``, if not None, puts its last line but one ``top`` lines above
 #: the largest line an unsorted stream of ``n`` accesses marks from line 0
