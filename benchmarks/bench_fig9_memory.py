@@ -6,10 +6,11 @@ Gunrock grows with the frontier; Tigr's resident UDT structures dwarf
 everyone; SEP-Graph spikes mid-run when it switches to pull.
 """
 
-import numpy as np
-
+from repro.baselines import make_runner
 from repro.bench.experiments import fig9_memory
+from repro.bench.harness import env_scale
 from repro.bench.reporting import bar_series
+from repro.graph.datasets import load_dataset
 
 
 def test_fig9_memory(benchmark):
@@ -26,9 +27,21 @@ def test_fig9_memory(benchmark):
 
 def test_fig9_sep_pull_spike():
     """SEP-Graph's trace shows a transient allocation (the pull staging
-    buffer) that is later released — the paper's mid-run CA spike."""
-    out = fig9_memory(datasets=["hollywood"])
-    series = out["traces"]["hollywood"]["sep"]
-    peak = series.max()
-    final = series[-1]
-    assert peak > final  # spike released before the run ends
+    buffer) that each pull releases: the paper's mid-run CA spike.  The
+    ``sep.pull.spike`` tick reads the total with the stage live; the
+    ``sep.pull.release`` tick after it must read less: the total from
+    before the stage was allocated."""
+    runner = make_runner("sep", load_dataset("hollywood", env_scale()))
+    memory = runner.queue.memory
+    memory.reset_timeline()
+    runner.bfs(1)
+    pulls = []
+    for event in memory.timeline:
+        if event.label == "alloc:sep.pull.stage":
+            pulls.append({"before": event.total_bytes - event.delta})
+        elif event.label in ("sep.pull.spike", "sep.pull.release"):
+            pulls[-1][event.label.rsplit(".", 1)[1]] = event.total_bytes
+    assert pulls, "the BFS never pulled"
+    for pull in pulls:
+        assert pull["release"] < pull["spike"]
+        assert pull["release"] == pull["before"]

@@ -91,96 +91,94 @@ def _brandes_single(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    dist = queue.malloc_shared((n,), np.int64, label="bc.dist", fill=-1)
-    sigma = queue.malloc_shared((n,), np.float64, label="bc.sigma", fill=0)
-    delta = queue.malloc_shared((n,), np.float64, label="bc.delta", fill=0)
-    dist[source] = 0
-    sigma[source] = 1.0
+    with queue.scope():
+        dist = queue.malloc_shared((n,), np.int64, label="bc.dist", fill=-1)
+        sigma = queue.malloc_shared((n,), np.float64, label="bc.sigma", fill=0)
+        delta = queue.malloc_shared((n,), np.float64, label="bc.delta", fill=0)
+        dist[source] = 0
+        sigma[source] = 1.0
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    in_frontier.insert(source)
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        in_frontier.insert(source)
 
-    # ---- forward: level-synchronous BFS with sigma accumulation ----
-    levels: List[np.ndarray] = [np.array([source], dtype=np.int64)]
+        # ---- forward: level-synchronous BFS with sigma accumulation ----
+        levels: List[np.ndarray] = [np.array([source], dtype=np.int64)]
 
-    def fwd_factory(ctx):
-        return _forward_functor(dist, sigma, ctx.iteration + 1)
+        def fwd_factory(ctx):
+            return _forward_functor(dist, sigma, ctx.iteration + 1)
 
-    def rebuild_level(ctx):
-        # Sigma/delta accumulation is not idempotent, so BC (unlike
-        # BFS) cannot tolerate duplicate frontier entries: the vector
-        # layout admits one copy per tree edge, and re-expanding a
-        # vertex would double-count its paths.  Rebuild each level
-        # from the active elements, sorted and distinct on every layout.
-        level = out_frontier.active_elements()
-        if level.size:
-            levels.append(level)
-        in_frontier.clear()
-        in_frontier.insert(level)
-        out_frontier.clear()
+        def rebuild_level(ctx):
+            # Sigma/delta accumulation is not idempotent, so BC (unlike
+            # BFS) cannot tolerate duplicate frontier entries: the vector
+            # layout admits one copy per tree edge, and re-expanding a
+            # vertex would double-count its paths.  Rebuild each level
+            # from the active elements, sorted and distinct on every layout.
+            level = out_frontier.active_elements()
+            if level.size:
+                levels.append(level)
+            in_frontier.clear()
+            in_frontier.insert(level)
+            out_frontier.clear()
 
-    # ---- backward: dependency accumulation, deepest level first ----
-    # Each pass advances from the level *above* the one being settled
-    # (its predecessors) with a store-less advance.
-    back = _backward_functor(dist, sigma, delta)
+        # ---- backward: dependency accumulation, deepest level first ----
+        # Each pass advances from the level *above* the one being settled
+        # (its predecessors) with a store-less advance.
+        back = _backward_functor(dist, sigma, delta)
 
-    def back_init(ctx):
-        ctx.state["li"] = len(levels) - 1
-        ctx.frontiers["prev"] = make_frontier(
-            queue, n, FrontierView.VERTEX, layout=layout, **kwargs
+        def back_init(ctx):
+            ctx.state["li"] = len(levels) - 1
+            ctx.frontiers["prev"] = make_frontier(
+                queue, n, FrontierView.VERTEX, layout=layout, **kwargs
+            )
+
+        def back_prologue(ctx):
+            prev = ctx.frontier("prev")
+            prev.clear()
+            prev.insert(levels[ctx.state["li"] - 1])
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.sample_frontier(prev)
+
+        def back_epilogue(ctx):
+            ctx.iteration += 1
+            ctx.queue.memory.tick("bc.back")
+            ctx.state["li"] -= 1
+
+        plan = Plan(
+            name="bc",
+            span_arg=source,
+            iter_span="bc.iter",
+            steps=[AdvanceStep(fwd_factory), HostStep(rebuild_level)],
+            teardown=[
+                HostStep(back_init),
+                LoopStep(
+                    body=[
+                        SpanStep(
+                            "bc.back",
+                            arg=lambda ctx: ctx.state["li"],
+                            body=[
+                                HostStep(back_prologue),
+                                AdvanceStep(lambda ctx: back, input="prev", output=None),
+                                HostStep(back_epilogue),
+                            ],
+                        )
+                    ],
+                    until=lambda ctx: ctx.state["li"] < 1,
+                ),
+            ],
         )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"in": in_frontier, "out": out_frontier},
+            config=config,
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    def back_prologue(ctx):
-        prev = ctx.frontier("prev")
-        prev.clear()
-        prev.insert(levels[ctx.state["li"] - 1])
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.sample_frontier(prev)
-
-    def back_epilogue(ctx):
-        ctx.iteration += 1
-        ctx.queue.memory.tick("bc.back")
-        ctx.state["li"] -= 1
-
-    plan = Plan(
-        name="bc",
-        span_arg=source,
-        iter_span="bc.iter",
-        steps=[AdvanceStep(fwd_factory), HostStep(rebuild_level)],
-        teardown=[
-            HostStep(back_init),
-            LoopStep(
-                body=[
-                    SpanStep(
-                        "bc.back",
-                        arg=lambda ctx: ctx.state["li"],
-                        body=[
-                            HostStep(back_prologue),
-                            AdvanceStep(lambda ctx: back, input="prev", output=None),
-                            HostStep(back_epilogue),
-                        ],
-                    )
-                ],
-                until=lambda ctx: ctx.state["li"] < 1,
-            ),
-        ],
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"in": in_frontier, "out": out_frontier},
-        config=config,
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
-
-    dependency = np.asarray(delta).copy()
-    dependency[source] = 0.0
-    queue.free(dist)
-    queue.free(sigma)
-    queue.free(delta)
+        dependency = np.asarray(delta).copy()
+        dependency[source] = 0.0
     return dependency, ctx.iteration
 
 

@@ -97,31 +97,31 @@ def bfs(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    dist = queue.malloc_shared((n,), np.int64, label="bfs.dist", fill=UNSEEN)
-    dist[source] = 0
-    in_frontier.insert(source)
+    with queue.scope():
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        dist = queue.malloc_shared((n,), np.int64, label="bfs.dist", fill=UNSEEN)
+        dist[source] = 0
+        in_frontier.insert(source)
 
-    plan = Plan(
-        name="bfs",
-        span_arg=source,
-        iter_span="bfs.iter",
-        steps=level_steps(dist) + [SwapClearStep()],
-        limit=max_iterations if max_iterations is not None else n + 1,
-        tick=lambda ctx: f"bfs.iter{ctx.iteration}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"in": in_frontier, "out": out_frontier},
-        config=config,
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+        plan = Plan(
+            name="bfs",
+            span_arg=source,
+            iter_span="bfs.iter",
+            steps=level_steps(dist) + [SwapClearStep()],
+            limit=max_iterations if max_iterations is not None else n + 1,
+            tick=lambda ctx: f"bfs.iter{ctx.iteration}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"in": in_frontier, "out": out_frontier},
+            config=config,
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    distances = np.asarray(dist).copy()
-    queue.free(dist)
+        distances = np.asarray(dist).copy()
     return BFSResult(
         distances=distances,
         iterations=ctx.iteration,
@@ -154,91 +154,91 @@ def direction_optimizing_bfs(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    dist = queue.malloc_shared((n,), np.int64, label="dobfs.dist", fill=UNSEEN)
-    dist[source] = 0
-    in_frontier.insert(source)
+    with queue.scope():
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        dist = queue.malloc_shared((n,), np.int64, label="dobfs.dist", fill=UNSEEN)
+        dist[source] = 0
+        in_frontier.insert(source)
 
-    out_degs = graph.out_degrees()
-    total_edges = graph.get_edge_count()
+        out_degs = graph.out_degrees()
+        total_edges = graph.get_edge_count()
 
-    def heuristic(ctx):
-        """Beamer's direction choice + the tracer samples, before the
-        advance — host work, so it lives in a HostStep (the plan keeps
-        ``auto_sample`` off to preserve the original sampling point)."""
-        st = ctx.state
-        active = in_frontier.active_elements()
-        frontier_edges = int(out_degs[active].sum())
-        unexplored = max(0, total_edges - st["explored_edges"])
-        growing = active.size >= st["prev_frontier_size"]
-        # Beamer's heuristics: pull while the frontier is heavy AND still
-        # growing; return to push once it shrinks below n/beta.
-        if not st["pulling"] and growing and frontier_edges > unexplored / alpha:
-            st["pulling"] = True
-        elif st["pulling"] and (active.size < n / beta or not growing):
-            st["pulling"] = False
-        st["prev_frontier_size"] = active.size
+        def heuristic(ctx):
+            """Beamer's direction choice + the tracer samples, before the
+            advance — host work, so it lives in a HostStep (the plan keeps
+            ``auto_sample`` off to preserve the original sampling point)."""
+            st = ctx.state
+            active = in_frontier.active_elements()
+            frontier_edges = int(out_degs[active].sum())
+            unexplored = max(0, total_edges - st["explored_edges"])
+            growing = active.size >= st["prev_frontier_size"]
+            # Beamer's heuristics: pull while the frontier is heavy AND still
+            # growing; return to push once it shrinks below n/beta.
+            if not st["pulling"] and growing and frontier_edges > unexplored / alpha:
+                st["pulling"] = True
+            elif st["pulling"] and (active.size < n / beta or not growing):
+                st["pulling"] = False
+            st["prev_frontier_size"] = active.size
 
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.sample_frontier(in_frontier)
-            tr.gauge("dobfs.direction", 1.0 if st["pulling"] else 0.0)
-            tr.inc("dobfs.pull_steps" if st["pulling"] else "dobfs.push_steps")
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.sample_frontier(in_frontier)
+                tr.gauge("dobfs.direction", 1.0 if st["pulling"] else 0.0)
+                tr.inc("dobfs.pull_steps" if st["pulling"] else "dobfs.push_steps")
 
-    visited_check = lambda ctx: (lambda src, dst, eid, w: dist[dst] == UNSEEN)  # noqa: E731
+        visited_check = lambda ctx: (lambda src, dst, eid, w: dist[dst] == UNSEEN)  # noqa: E731
 
-    plan = Plan(
-        name="dobfs",
-        span_arg=source,
-        iter_span="dobfs.iter",
-        auto_sample=False,  # the heuristic step samples at the original point
-        steps=[
-            HostStep(heuristic),
-            IfStep(
-                lambda ctx: ctx.state["pulling"],
-                then=[
-                    AdvanceStep(
-                        visited_check,
-                        mode="pull",
-                        graph="csc",
-                        candidates=lambda ctx: np.nonzero(np.asarray(dist) == UNSEEN)[0],
+        plan = Plan(
+            name="dobfs",
+            span_arg=source,
+            iter_span="dobfs.iter",
+            auto_sample=False,  # the heuristic step samples at the original point
+            steps=[
+                HostStep(heuristic),
+                IfStep(
+                    lambda ctx: ctx.state["pulling"],
+                    then=[
+                        AdvanceStep(
+                            visited_check,
+                            mode="pull",
+                            graph="csc",
+                            candidates=lambda ctx: np.nonzero(np.asarray(dist) == UNSEEN)[0],
+                        )
+                    ],
+                    orelse=[AdvanceStep(visited_check)],
+                ),
+                ComputeStep(
+                    lambda ctx: (lambda ids, d=ctx.iteration + 1: dist.__setitem__(ids, d)),
+                    frontier="out",
+                ),
+                HostStep(
+                    lambda ctx: ctx.state.__setitem__(
+                        "explored_edges",
+                        ctx.state["explored_edges"]
+                        + int(out_degs[out_frontier.active_elements()].sum()),
                     )
-                ],
-                orelse=[AdvanceStep(visited_check)],
-            ),
-            ComputeStep(
-                lambda ctx: (lambda ids, d=ctx.iteration + 1: dist.__setitem__(ids, d)),
-                frontier="out",
-            ),
-            HostStep(
-                lambda ctx: ctx.state.__setitem__(
-                    "explored_edges",
-                    ctx.state["explored_edges"]
-                    + int(out_degs[out_frontier.active_elements()].sum()),
-                )
-            ),
-            SwapClearStep(),
-        ],
-        limit=n + 1,  # the original guard: iteration <= n
-        tick=lambda ctx: f"dobfs.iter{ctx.iteration}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph, "csc": csc_graph},
-        frontiers={"in": in_frontier, "out": out_frontier},
-        config=config,
-        state={
-            "explored_edges": int(out_degs[source]),
-            "pulling": False,
-            "prev_frontier_size": 1,
-        },
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+                ),
+                SwapClearStep(),
+            ],
+            limit=n + 1,  # the original guard: iteration <= n
+            tick=lambda ctx: f"dobfs.iter{ctx.iteration}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph, "csc": csc_graph},
+            frontiers={"in": in_frontier, "out": out_frontier},
+            config=config,
+            state={
+                "explored_edges": int(out_degs[source]),
+                "pulling": False,
+                "prev_frontier_size": 1,
+            },
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    distances = np.asarray(dist).copy()
-    queue.free(dist)
+        distances = np.asarray(dist).copy()
     return BFSResult(
         distances=distances,
         iterations=ctx.iteration,

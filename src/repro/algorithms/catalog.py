@@ -66,17 +66,18 @@ class GraphBundle:
     def get(self, representation: str):
         """``csr``, ``csr_undirected`` or ``csc``, built once then cached.
 
-        A build interrupted by an error (an injected fault, an
-        out-of-memory) frees its own allocations before re-raising: they
-        would otherwise stay live as if cached, since the scheduler frees
-        only what a request allocates after its snapshot.  Cached
+        A built representation outlives every run that reads it, so the
+        build runs in no :meth:`~repro.sycl.queue.Queue.scope`.  A build
+        interrupted by an error (an injected fault, an out-of-memory)
+        frees back to the allocation id it started at before re-raising,
+        so its partial buffers do not stay live as if cached.  Cached
         representations are untouched, so a retry builds only what
         failed.  A cached representation costs one lookup.
         """
         graph = self._graphs.get(representation)
         if graph is None:
             memory = self.queue.memory
-            before = {a.alloc_id for a in memory.live_allocations}
+            first_id = memory.next_id
             try:
                 # the span is a no-op on untraced queues; on traced workers
                 # it attributes the one-time build cost to the graph, not
@@ -86,9 +87,7 @@ class GraphBundle:
                 ):
                     graph = _BUILDS[representation](GraphBuilder(self.queue), self.coo)
             except SYgraphError:
-                for alloc in memory.live_allocations:
-                    if alloc.alloc_id not in before:
-                        memory.free(alloc.array)
+                memory.free_since(first_id)
                 raise
             self._graphs[representation] = graph
         return graph

@@ -86,46 +86,46 @@ def cc(
     """
     queue = graph.queue
     n = graph.get_vertex_count()
-    labels = queue.malloc_shared((n,), np.int64, label="cc.labels")
-    labels[:] = np.arange(n, dtype=np.int64)
+    with queue.scope():
+        labels = queue.malloc_shared((n,), np.int64, label="cc.labels")
+        labels[:] = np.arange(n, dtype=np.int64)
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 
-    steps: List[Step] = []
-    if shortcutting:
-        steps.extend(_shortcut_steps(labels, reinsert="in"))
-    steps.extend(propagate_steps(labels))
-    steps.append(SwapClearStep())
+        steps: List[Step] = []
+        if shortcutting:
+            steps.extend(_shortcut_steps(labels, reinsert="in"))
+        steps.extend(propagate_steps(labels))
+        steps.append(SwapClearStep())
 
-    plan = Plan(
-        name="cc",
-        iter_span="cc.iter",
-        setup=[
-            # initialization advance: all vertices distribute their labels
-            SpanStep(
-                "cc.iter",
-                [AdvanceStep(lambda ctx: _propagate_functor(labels), mode="vertices"), SwapClearStep()],
-                arg=0,
-            ),
-        ],
-        steps=steps,
-        teardown=_shortcut_steps(labels, reinsert=None) if shortcutting else [],
-        limit=max_iterations if max_iterations is not None else n + 1,
-        start_iteration=1,  # iteration 0 is the init advance
-        tick=lambda ctx: f"cc.iter{ctx.iteration}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"in": in_frontier, "out": out_frontier},
-        config=config,
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+        plan = Plan(
+            name="cc",
+            iter_span="cc.iter",
+            setup=[
+                # initialization advance: all vertices distribute their labels
+                SpanStep(
+                    "cc.iter",
+                    [AdvanceStep(lambda ctx: _propagate_functor(labels), mode="vertices"), SwapClearStep()],
+                    arg=0,
+                ),
+            ],
+            steps=steps,
+            teardown=_shortcut_steps(labels, reinsert=None) if shortcutting else [],
+            limit=max_iterations if max_iterations is not None else n + 1,
+            start_iteration=1,  # iteration 0 is the init advance
+            tick=lambda ctx: f"cc.iter{ctx.iteration}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"in": in_frontier, "out": out_frontier},
+            config=config,
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    result = np.asarray(labels).copy()
-    queue.free(labels)
+        result = np.asarray(labels).copy()
     return CCResult(labels=result, iterations=ctx.iteration)
 
 

@@ -118,29 +118,29 @@ def jones_plassmann(
     feasible color each round."""
     queue = graph.queue
     n = graph.get_vertex_count()
-    colors = queue.malloc_shared((n,), np.int64, label="color.colors", fill=-1)
-    colors_np = np.asarray(colors)
-    forbidden = {}
+    with queue.scope():
+        colors = queue.malloc_shared((n,), np.int64, label="color.colors", fill=-1)
+        colors_np = np.asarray(colors)
+        forbidden = {}
 
-    def collect(src, dst, eid, w):
-        used = colors_np[dst] >= 0
-        for s, c in zip(src[used], colors_np[dst[used]]):
-            forbidden.setdefault(int(s), set()).add(int(c))
-        return np.zeros(src.size, dtype=bool)
+        def collect(src, dst, eid, w):
+            used = colors_np[dst] >= 0
+            for s, c in zip(src[used], colors_np[dst[used]]):
+                forbidden.setdefault(int(s), set()).add(int(c))
+            return np.zeros(src.size, dtype=bool)
 
-    def settle(winners):
-        # each winner takes the smallest color absent from its neighborhood
-        for v in winners:
-            taken = forbidden.pop(int(v), set())
-            c = 0
-            while c in taken:
-                c += 1
-            colors_np[v] = c
+        def settle(winners):
+            # each winner takes the smallest color absent from its neighborhood
+            for v in winners:
+                taken = forbidden.pop(int(v), set())
+                c = 0
+                while c in taken:
+                    c += 1
+                colors_np[v] = c
 
-    decided = np.zeros(n, dtype=bool)
-    iterations = _priority_rounds(graph, "color", decided, collect, settle, layout, seed, config)
-    result = colors_np.copy()
-    queue.free(colors)
+        decided = np.zeros(n, dtype=bool)
+        iterations = _priority_rounds(graph, "color", decided, collect, settle, layout, seed, config)
+        result = colors_np.copy()
     return ColoringResult(colors=result, iterations=iterations)
 
 
@@ -164,5 +164,6 @@ def luby_mis(
     def settle(winners):
         in_set[winners] = True
 
-    iterations = _priority_rounds(graph, "mis", decided, knock_out, settle, layout, seed, config)
+    with graph.queue.scope():
+        iterations = _priority_rounds(graph, "mis", decided, knock_out, settle, layout, seed, config)
     return MISResult(in_set=in_set, iterations=iterations)

@@ -53,46 +53,45 @@ def k_core(
     """Peeling k-core decomposition over an undirected CSR graph."""
     queue = graph.queue
     n = graph.get_vertex_count()
-    degrees = queue.malloc_shared((n,), np.int64, label="kcore.degrees")
-    degrees[:] = graph.out_degrees()
-    core = queue.malloc_shared((n,), np.int64, label="kcore.core", fill=0)
+    with queue.scope():
+        degrees = queue.malloc_shared((n,), np.int64, label="kcore.degrees")
+        degrees[:] = graph.out_degrees()
+        core = queue.malloc_shared((n,), np.int64, label="kcore.core", fill=0)
 
-    kwargs = layout_bits_kwargs(layout, None, config and config.params)
-    alive = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    alive.insert(np.arange(n, dtype=np.int64))
-    peel = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        kwargs = layout_bits_kwargs(layout, None, config and config.params)
+        alive = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        alive.insert(np.arange(n, dtype=np.int64))
+        peel = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 
-    def retire(ctx):
-        victims = peel.active_elements()
-        core[victims] = ctx.iteration  # peeled at k = ctx.iteration + 1
-        alive.remove(victims)
-        ctx.state["rounds"] += 1
+        def retire(ctx):
+            victims = peel.active_elements()
+            core[victims] = ctx.iteration  # peeled at k = ctx.iteration + 1
+            alive.remove(victims)
+            ctx.state["rounds"] += 1
 
-    def decrement(src, dst, eid, w):
-        keep = alive.contains(dst)
-        np.subtract.at(degrees, dst[keep], 1)
-        return np.zeros(src.size, dtype=bool)
+        def decrement(src, dst, eid, w):
+            keep = alive.contains(dst)
+            np.subtract.at(degrees, dst[keep], 1)
+            return np.zeros(src.size, dtype=bool)
 
-    peel_round = SpanStep("kcore.iter", [
-        HostStep(retire),
-        AdvanceStep(lambda ctx: decrement, input="peel", output=None),
-        HostStep(lambda ctx: queue.memory.tick(f"kcore.k{ctx.iteration + 1}")),
-    ], arg=lambda ctx: ctx.state["rounds"])
-    below_k = lambda ctx: (lambda ids, k=ctx.iteration + 1: degrees[ids] < k)  # noqa: E731
-    plan = Plan(name="kcore", until_empty="alive", steps=[
-        # peel to fixpoint at this k: repeatedly remove degree < k vertices
-        LoopStep([
-            FilterStep(below_k, frontier="alive", output="peel"),
-            IfStep(lambda ctx: not peel.empty(), [peel_round]),
-        ], until=lambda ctx: peel.empty(), post=True),
-        # all remaining alive vertices have degree >= k: they are in the k-core
-        HostStep(lambda ctx: core.__setitem__(alive.active_elements(), ctx.iteration + 1)),
-    ])
-    frontiers = {"alive": alive, "peel": peel}
-    ctx = ExecContext(queue, {"csr": graph}, frontiers, config, state={"rounds": 0})
-    PlanExecutor(queue).run(plan, ctx)
+        peel_round = SpanStep("kcore.iter", [
+            HostStep(retire),
+            AdvanceStep(lambda ctx: decrement, input="peel", output=None),
+            HostStep(lambda ctx: queue.memory.tick(f"kcore.k{ctx.iteration + 1}")),
+        ], arg=lambda ctx: ctx.state["rounds"])
+        below_k = lambda ctx: (lambda ids, k=ctx.iteration + 1: degrees[ids] < k)  # noqa: E731
+        plan = Plan(name="kcore", until_empty="alive", steps=[
+            # peel to fixpoint at this k: repeatedly remove degree < k vertices
+            LoopStep([
+                FilterStep(below_k, frontier="alive", output="peel"),
+                IfStep(lambda ctx: not peel.empty(), [peel_round]),
+            ], until=lambda ctx: peel.empty(), post=True),
+            # all remaining alive vertices have degree >= k: they are in the k-core
+            HostStep(lambda ctx: core.__setitem__(alive.active_elements(), ctx.iteration + 1)),
+        ])
+        frontiers = {"alive": alive, "peel": peel}
+        ctx = ExecContext(queue, {"csr": graph}, frontiers, config, state={"rounds": 0})
+        PlanExecutor(queue).run(plan, ctx)
 
-    result = np.asarray(core).copy()
-    queue.free(degrees)
-    queue.free(core)
+        result = np.asarray(core).copy()
     return KCoreResult(core_numbers=result, iterations=ctx.state["rounds"])

@@ -67,69 +67,68 @@ def pagerank(
     if n == 0:
         return PageRankResult(np.empty(0), 0, 0.0)
 
-    ranks = queue.malloc_shared((n,), np.float64, label="pr.ranks", fill=1.0 / n)
-    nxt = queue.malloc_shared((n,), np.float64, label="pr.next", fill=0.0)
-    out_deg = graph.out_degrees().astype(np.float64)
-    dangling = out_deg == 0
-    inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
+    with queue.scope():
+        ranks = queue.malloc_shared((n,), np.float64, label="pr.ranks", fill=1.0 / n)
+        nxt = queue.malloc_shared((n,), np.float64, label="pr.next", fill=0.0)
+        out_deg = graph.out_degrees().astype(np.float64)
+        dangling = out_deg == 0
+        inv_deg = np.where(dangling, 0.0, 1.0 / np.maximum(out_deg, 1.0))
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    all_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    all_frontier.insert(np.arange(n, dtype=np.int64))
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        all_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        all_frontier.insert(np.arange(n, dtype=np.int64))
 
-    scatter = _scatter_functor(ranks, inv_deg, nxt)
+        scatter = _scatter_functor(ranks, inv_deg, nxt)
 
-    def zero_next(ctx):
-        nxt[:] = 0.0
+        def zero_next(ctx):
+            nxt[:] = 0.0
 
-    def dangling_base(ctx):
-        dangling_mass = float(ranks[dangling].sum())
-        ctx.state["base"] = (1.0 - damping) / n + damping * dangling_mass / n
+        def dangling_base(ctx):
+            dangling_mass = float(ranks[dangling].sum())
+            ctx.state["base"] = (1.0 - damping) / n + damping * dangling_mass / n
 
-    def apply_factory(ctx):
-        base = ctx.state["base"]
+        def apply_factory(ctx):
+            base = ctx.state["base"]
 
-        def apply(ids):
-            nxt[ids] = base + damping * nxt[ids]
+            def apply(ids):
+                nxt[ids] = base + damping * nxt[ids]
 
-        return apply
+            return apply
 
-    def converge(ctx):
-        residual = float(np.abs(np.asarray(nxt) - np.asarray(ranks)).sum())
-        ctx.state["residual"] = residual
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.sample_frontier(all_frontier)
-            tr.gauge("pagerank.residual", residual)
-        ranks[:] = nxt
+        def converge(ctx):
+            residual = float(np.abs(np.asarray(nxt) - np.asarray(ranks)).sum())
+            ctx.state["residual"] = residual
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.sample_frontier(all_frontier)
+                tr.gauge("pagerank.residual", residual)
+            ranks[:] = nxt
 
-    plan = Plan(
-        name="pagerank",
-        iter_span="pagerank.iter",
-        auto_sample=False,  # sampled in converge, at the original point
-        should_run=lambda ctx: ctx.iteration < max_iterations
-        and ctx.state["residual"] > tol,
-        steps=[
-            HostStep(zero_next),
-            AdvanceStep(lambda ctx: scatter, mode="vertices", output=None),
-            HostStep(dangling_base),
-            ComputeStep(apply_factory, frontier="all"),
-            HostStep(converge),
-        ],
-        tick=lambda ctx: f"pr.iter{ctx.iteration}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"all": all_frontier},
-        config=config,
-        state={"residual": np.inf},
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+        plan = Plan(
+            name="pagerank",
+            iter_span="pagerank.iter",
+            auto_sample=False,  # sampled in converge, at the original point
+            should_run=lambda ctx: ctx.iteration < max_iterations
+            and ctx.state["residual"] > tol,
+            steps=[
+                HostStep(zero_next),
+                AdvanceStep(lambda ctx: scatter, mode="vertices", output=None),
+                HostStep(dangling_base),
+                ComputeStep(apply_factory, frontier="all"),
+                HostStep(converge),
+            ],
+            tick=lambda ctx: f"pr.iter{ctx.iteration}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"all": all_frontier},
+            config=config,
+            state={"residual": np.inf},
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    result = np.asarray(ranks).copy()
-    queue.free(ranks)
-    queue.free(nxt)
+        result = np.asarray(ranks).copy()
     return PageRankResult(
         ranks=result, iterations=ctx.iteration, residual=float(ctx.state["residual"])
     )

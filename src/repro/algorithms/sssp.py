@@ -106,43 +106,43 @@ def sssp(
     if not (0 <= source < n):
         raise ValueError(f"source {source} out of range [0, {n})")
 
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    dist = queue.malloc_shared((n,), np.float64, label="sssp.dist", fill=np.inf)
-    dist[source] = 0.0
-    in_frontier.insert(source)
+    with queue.scope():
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        in_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        out_frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        dist = queue.malloc_shared((n,), np.float64, label="sssp.dist", fill=np.inf)
+        dist[source] = 0.0
+        in_frontier.insert(source)
 
-    stats = {"relaxations": 0}
+        stats = {"relaxations": 0}
 
-    def capture(ctx):
-        ctx.state["relaxed_before"] = stats["relaxations"]
+        def capture(ctx):
+            ctx.state["relaxed_before"] = stats["relaxations"]
 
-    def report(ctx):
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.inc("sssp.relaxations", stats["relaxations"] - ctx.state["relaxed_before"])
+        def report(ctx):
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.inc("sssp.relaxations", stats["relaxations"] - ctx.state["relaxed_before"])
 
-    plan = Plan(
-        name="sssp",
-        span_arg=source,
-        iter_span="sssp.iter",
-        steps=[HostStep(capture)] + relax_steps(dist, stats) + [HostStep(report), SwapClearStep()],
-        # Bellman-Ford terminates after at most |V| rounds on negative-free
-        # weights; the frontier usually empties far sooner.
-        limit=max_iterations if max_iterations is not None else n + 1,
-        tick=lambda ctx: f"sssp.iter{ctx.iteration}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"in": in_frontier, "out": out_frontier},
-        config=config,
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+        plan = Plan(
+            name="sssp",
+            span_arg=source,
+            iter_span="sssp.iter",
+            steps=[HostStep(capture)] + relax_steps(dist, stats) + [HostStep(report), SwapClearStep()],
+            # Bellman-Ford terminates after at most |V| rounds on negative-free
+            # weights; the frontier usually empties far sooner.
+            limit=max_iterations if max_iterations is not None else n + 1,
+            tick=lambda ctx: f"sssp.iter{ctx.iteration}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"in": in_frontier, "out": out_frontier},
+            config=config,
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    distances = np.asarray(dist).copy()
-    queue.free(dist)
+        distances = np.asarray(dist).copy()
     return SSSPResult(
         distances=distances, iterations=ctx.iteration, relaxations=stats["relaxations"]
     )
@@ -180,105 +180,105 @@ def delta_stepping(
         delta = (float(weights.max()) / avg_deg) if weights.size else 1.0
         delta = max(delta, 1e-9)
 
-    dist = queue.malloc_shared((n,), np.float64, label="dstep.dist", fill=np.inf)
-    dist[source] = 0.0
-    kwargs = layout_bits_kwargs(layout, bits, config and config.params)
-    frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    scratch = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+    with queue.scope():
+        dist = queue.malloc_shared((n,), np.float64, label="dstep.dist", fill=np.inf)
+        dist[source] = 0.0
+        kwargs = layout_bits_kwargs(layout, bits, config and config.params)
+        frontier = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        scratch = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
 
-    stats = {"relaxations": 0}
-    settled = np.zeros(n, dtype=bool)
-    light = _edge_class_functor(dist, delta, stats, light=True)
-    heavy = _edge_class_functor(dist, delta, stats, light=False)
+        stats = {"relaxations": 0}
+        settled = np.zeros(n, dtype=bool)
+        light = _edge_class_functor(dist, delta, stats, light=True)
+        heavy = _edge_class_functor(dist, delta, stats, light=False)
 
-    def select_bucket(ctx):
-        """The plan guard doubles as bucket selection: skip to the next
-        non-empty bucket, settle its members, stop when none remain."""
-        st = ctx.state
-        while True:
-            lo, hi = st["bucket_idx"] * delta, (st["bucket_idx"] + 1) * delta
-            in_bucket = (~settled) & (np.asarray(dist) >= lo) & (np.asarray(dist) < hi)
-            if not in_bucket.any():
-                remaining = (~settled) & np.isfinite(np.asarray(dist))
-                if not remaining.any():
-                    return False
-                st["bucket_idx"] = int(np.asarray(dist)[remaining].min() // delta)
-                continue
-            members = np.nonzero(in_bucket)[0]
-            settled[members] = True
-            st["members"], st["hi"] = members, hi
-            return True
+        def select_bucket(ctx):
+            """The plan guard doubles as bucket selection: skip to the next
+            non-empty bucket, settle its members, stop when none remain."""
+            st = ctx.state
+            while True:
+                lo, hi = st["bucket_idx"] * delta, (st["bucket_idx"] + 1) * delta
+                in_bucket = (~settled) & (np.asarray(dist) >= lo) & (np.asarray(dist) < hi)
+                if not in_bucket.any():
+                    remaining = (~settled) & np.isfinite(np.asarray(dist))
+                    if not remaining.any():
+                        return False
+                    st["bucket_idx"] = int(np.asarray(dist)[remaining].min() // delta)
+                    continue
+                members = np.nonzero(in_bucket)[0]
+                settled[members] = True
+                st["members"], st["hi"] = members, hi
+                return True
 
-    def bucket_prologue(ctx):
-        st = ctx.state
-        st["relaxed_before"] = stats["relaxations"]
-        # light-edge fixpoint inside the bucket: improved destinations that
-        # remain inside the bucket window are reprocessed until quiescence
-        frontier.clear()
-        frontier.insert(st["members"])
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.sample_frontier(frontier)
-        st["processed"] = [st["members"]]
+        def bucket_prologue(ctx):
+            st = ctx.state
+            st["relaxed_before"] = stats["relaxations"]
+            # light-edge fixpoint inside the bucket: improved destinations that
+            # remain inside the bucket window are reprocessed until quiescence
+            frontier.clear()
+            frontier.insert(st["members"])
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.sample_frontier(frontier)
+            st["processed"] = [st["members"]]
 
-    def light_epilogue(ctx):
-        st = ctx.state
-        st["advances"] += 1
-        inside = scratch.active_elements()
-        inside = inside[np.asarray(dist)[inside] < st["hi"]]
-        settled[inside] = True
-        st["processed"].append(inside)
-        frontier.clear()
-        frontier.insert(inside)
+        def light_epilogue(ctx):
+            st = ctx.state
+            st["advances"] += 1
+            inside = scratch.active_elements()
+            inside = inside[np.asarray(dist)[inside] < st["hi"]]
+            settled[inside] = True
+            st["processed"].append(inside)
+            frontier.clear()
+            frontier.insert(inside)
 
-    def heavy_setup(ctx):
-        # heavy edges of every vertex removed from this bucket, once
-        frontier.clear()
-        frontier.insert(unique_ints(np.concatenate(ctx.state["processed"])))
-        scratch.clear()
+        def heavy_setup(ctx):
+            # heavy edges of every vertex removed from this bucket, once
+            frontier.clear()
+            frontier.insert(unique_ints(np.concatenate(ctx.state["processed"])))
+            scratch.clear()
 
-    def heavy_epilogue(ctx):
-        st = ctx.state
-        st["advances"] += 1
-        tr = ctx.queue.tracer
-        if tr is not None:
-            tr.inc("sssp.relaxations", stats["relaxations"] - st["relaxed_before"])
-        st["bucket_idx"] += 1
+        def heavy_epilogue(ctx):
+            st = ctx.state
+            st["advances"] += 1
+            tr = ctx.queue.tracer
+            if tr is not None:
+                tr.inc("sssp.relaxations", stats["relaxations"] - st["relaxed_before"])
+            st["bucket_idx"] += 1
 
-    plan = Plan(
-        name="delta_stepping",
-        span_arg=source,
-        iter_span="delta_stepping.bucket",
-        iter_arg=lambda ctx: ctx.state["bucket_idx"],
-        auto_sample=False,  # sampled from bucket_prologue, post-insert
-        should_run=select_bucket,
-        steps=[
-            HostStep(bucket_prologue),
-            LoopStep(
-                body=[
-                    ClearStep("scratch"),
-                    AdvanceStep(lambda ctx: light, output="scratch"),
-                    HostStep(light_epilogue),
-                ],
-                until=lambda ctx: frontier.empty(),
-            ),
-            HostStep(heavy_setup),
-            AdvanceStep(lambda ctx: heavy, output="scratch"),
-            HostStep(heavy_epilogue),
-        ],
-        tick=lambda ctx: f"dstep.bucket{ctx.state['bucket_idx']}",
-    )
-    ctx = ExecContext(
-        queue,
-        graphs={"csr": graph},
-        frontiers={"in": frontier, "scratch": scratch},
-        config=config,
-        state={"bucket_idx": 0, "advances": 0},
-    )
-    PlanExecutor(queue, fuse=fuse).run(plan, ctx)
+        plan = Plan(
+            name="delta_stepping",
+            span_arg=source,
+            iter_span="delta_stepping.bucket",
+            iter_arg=lambda ctx: ctx.state["bucket_idx"],
+            auto_sample=False,  # sampled from bucket_prologue, post-insert
+            should_run=select_bucket,
+            steps=[
+                HostStep(bucket_prologue),
+                LoopStep(
+                    body=[
+                        ClearStep("scratch"),
+                        AdvanceStep(lambda ctx: light, output="scratch"),
+                        HostStep(light_epilogue),
+                    ],
+                    until=lambda ctx: frontier.empty(),
+                ),
+                HostStep(heavy_setup),
+                AdvanceStep(lambda ctx: heavy, output="scratch"),
+                HostStep(heavy_epilogue),
+            ],
+            tick=lambda ctx: f"dstep.bucket{ctx.state['bucket_idx']}",
+        )
+        ctx = ExecContext(
+            queue,
+            graphs={"csr": graph},
+            frontiers={"in": frontier, "scratch": scratch},
+            config=config,
+            state={"bucket_idx": 0, "advances": 0},
+        )
+        PlanExecutor(queue, fuse=fuse).run(plan, ctx)
 
-    distances = np.asarray(dist).copy()
-    queue.free(dist)
+        distances = np.asarray(dist).copy()
     return SSSPResult(
         distances=distances, iterations=ctx.state["advances"], relaxations=stats["relaxations"]
     )

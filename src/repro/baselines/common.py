@@ -101,33 +101,33 @@ class FrameworkRunner(abc.ABC):
     def bfs(self, source: int) -> BFSResult:
         n = self.graph.get_vertex_count()
         seeds = np.array([source], dtype=np.int64)
-        frontiers = self._frontiers(n, seeds)
-        dist = self.queue.malloc_shared((n,), np.int64, label=f"{self.name}.bfs.dist", fill=UNSEEN)
-        dist[source] = 0
+        with self.queue.scope():
+            frontiers = self._frontiers(n, seeds)
+            dist = self.queue.malloc_shared((n,), np.int64, label=f"{self.name}.bfs.dist", fill=UNSEEN)
+            dist[source] = 0
 
-        def stamp(ctx, accepted):
-            dist[accepted] = ctx.iteration + 1
+            def stamp(ctx, accepted):
+                dist[accepted] = ctx.iteration + 1
 
-        def unvisited():  # the vertices a pull level scans
-            return np.nonzero(dist == UNSEEN)[0]
+            def unvisited():  # the vertices a pull level scans
+                return np.nonzero(dist == UNSEEN)[0]
 
-        ctx = self._context("bfs", self.graph, frontiers, seeds, unvisited=unvisited)
-        self._traverse(ctx, lambda s, d, e, w: dist[d] == UNSEEN, n + 1, stamp, span_arg=source)
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
+            ctx = self._context("bfs", self.graph, frontiers, seeds, unvisited=unvisited)
+            self._traverse(ctx, lambda s, d, e, w: dist[d] == UNSEEN, n + 1, stamp, span_arg=source)
+            out = np.asarray(dist).copy()
         return BFSResult(distances=out, iterations=ctx.iteration, visited=int((out != UNSEEN).sum()))
 
     def sssp(self, source: int) -> SSSPResult:
         n = self.graph.get_vertex_count()
         seeds = np.array([source], dtype=np.int64)
-        frontiers = self._frontiers(n, seeds)
-        dist = self.queue.malloc_shared((n,), np.float64, label=f"{self.name}.sssp.dist", fill=np.inf)
-        dist[source] = 0.0
-        stats = {"relaxations": 0}
-        ctx = self._context("sssp", self.graph, frontiers, seeds)
-        self._traverse(ctx, _relax_functor(dist, stats), 4 * n + 1, span_arg=source)
-        out = np.asarray(dist).copy()
-        self.queue.free(dist)
+        with self.queue.scope():
+            frontiers = self._frontiers(n, seeds)
+            dist = self.queue.malloc_shared((n,), np.float64, label=f"{self.name}.sssp.dist", fill=np.inf)
+            dist[source] = 0.0
+            stats = {"relaxations": 0}
+            ctx = self._context("sssp", self.graph, frontiers, seeds)
+            self._traverse(ctx, _relax_functor(dist, stats), 4 * n + 1, span_arg=source)
+            out = np.asarray(dist).copy()
         return SSSPResult(distances=out, iterations=ctx.iteration, relaxations=stats["relaxations"])
 
     def cc(self) -> CCResult:
@@ -137,12 +137,12 @@ class FrameworkRunner(abc.ABC):
                 "Table 6 leaves these cells empty"
             )
         n = self.graph_sym.get_vertex_count()
-        labels = self.queue.malloc_shared((n,), np.int64, label=f"{self.name}.cc.labels")
-        labels[:] = seeds = np.arange(n, dtype=np.int64)
-        ctx = self._context("cc", self.graph_sym, self._frontiers(n, seeds), seeds)
-        self._traverse(ctx, _propagate_functor(labels), n + 1, lambda ctx, accepted: self._jump(labels))
-        out = np.asarray(labels).copy()
-        self.queue.free(labels)
+        with self.queue.scope():
+            labels = self.queue.malloc_shared((n,), np.int64, label=f"{self.name}.cc.labels")
+            labels[:] = seeds = np.arange(n, dtype=np.int64)
+            ctx = self._context("cc", self.graph_sym, self._frontiers(n, seeds), seeds)
+            self._traverse(ctx, _propagate_functor(labels), n + 1, lambda ctx, accepted: self._jump(labels))
+            out = np.asarray(labels).copy()
         return CCResult(labels=out, iterations=ctx.iteration)
 
     def bc(self, sources: Sequence[int]) -> BCResult:
@@ -160,36 +160,36 @@ class FrameworkRunner(abc.ABC):
         all iterations of one plan.  Returns (dependency, iterations)."""
         n = self.graph.get_vertex_count()
         q = self.queue
-        dist = q.malloc_shared((n,), np.int64, label=f"{self.name}.bc.dist", fill=UNSEEN)
-        sigma = q.malloc_shared((n,), np.float64, label=f"{self.name}.bc.sigma", fill=0)
-        delta = q.malloc_shared((n,), np.float64, label=f"{self.name}.bc.delta", fill=0)
-        dist[source] = 0
-        sigma[source] = 1.0
-        levels = [np.array([source], dtype=np.int64)]
-        ctx = self._context("bc", self.graph, self._frontiers(n, levels[0]), levels[0])
+        with q.scope():
+            dist = q.malloc_shared((n,), np.int64, label=f"{self.name}.bc.dist", fill=UNSEEN)
+            sigma = q.malloc_shared((n,), np.float64, label=f"{self.name}.bc.sigma", fill=0)
+            delta = q.malloc_shared((n,), np.float64, label=f"{self.name}.bc.delta", fill=0)
+            dist[source] = 0
+            sigma[source] = 1.0
+            levels = [np.array([source], dtype=np.int64)]
+            ctx = self._context("bc", self.graph, self._frontiers(n, levels[0]), levels[0])
 
-        def fwd(s, d, e, w):
-            tree = dist[d] == UNSEEN
-            parents, reached = s[tree], d[tree]
-            np.add.at(sigma, reached, sigma[parents])
-            dist[reached] = dist[parents] + 1
-            return tree
+            def fwd(s, d, e, w):
+                tree = dist[d] == UNSEEN
+                parents, reached = s[tree], d[tree]
+                np.add.at(sigma, reached, sigma[parents])
+                dist[reached] = dist[parents] + 1
+                return tree
 
-        back = _backward_functor(dist, sigma, delta)
+            back = _backward_functor(dist, sigma, delta)
 
-        def step(ctx):
-            if ctx.state["active"].size:
-                accepted = ctx.state["active"] = self._level(ctx, fwd)
-                if accepted.size:
-                    levels.append(accepted)
-            else:
-                self._sweep(ctx, levels[-2], back)
-                levels.pop()
+            def step(ctx):
+                if ctx.state["active"].size:
+                    accepted = ctx.state["active"] = self._level(ctx, fwd)
+                    if accepted.size:
+                        levels.append(accepted)
+                else:
+                    self._sweep(ctx, levels[-2], back)
+                    levels.pop()
 
-        self._run(ctx, step, lambda ctx: ctx.state["active"].size > 0 or len(levels) > 1, source)
-        dep = np.asarray(delta).copy()
-        dep[source] = 0.0
-        q.free(dist), q.free(sigma), q.free(delta)
+            self._run(ctx, step, lambda ctx: ctx.state["active"].size > 0 or len(levels) > 1, source)
+            dep = np.asarray(delta).copy()
+            dep[source] = 0.0
         return dep, ctx.iteration
 
     def _context(self, algorithm: str, graph, frontiers, seeds: np.ndarray, **state) -> ExecContext:
@@ -242,10 +242,6 @@ class FrameworkRunner(abc.ABC):
 
     def reset_timers(self) -> None:
         self.queue.reset_profile()
-
-    @property
-    def device_bytes(self) -> int:
-        return self.queue.memory.bytes_in_use
 
     @property
     def peak_bytes(self) -> int:

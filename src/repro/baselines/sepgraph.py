@@ -99,35 +99,35 @@ class SepGraphRunner(FrameworkRunner):
         q = self.queue
         # staging buffer: the Figure 9 mid-run spike ("more work-items
         # fetching their next edge")
-        stage = q.malloc_shared(
-            (max(1, self.csc.get_edge_count() // 4),), np.int64, label="sep.pull.stage", fill=0
-        )
-        q.memory.tick("sep.pull.spike")
-        in_bitmap = BitmapFrontier(q, self.graph.get_vertex_count(), FrontierView.VERTEX, bits=32)
-        if in_frontier_ids.size:
-            in_bitmap.insert(in_frontier_ids)
-        src, dst, eid, w = self.csc.gather_in_neighbors(unvisited)
-        if src.size:
-            parent_ok = in_bitmap.contains(src)
-            mask = parent_ok & functor(src, dst, eid, w)
-            accepted = np.unique(dst[mask])
-        else:
-            accepted = np.empty(0, dtype=np.int64)
-        geom = range_launch(self.queue.device.spec, unvisited.size)
-        wl = KernelWorkload(
-            name="sep.pull",
-            geometry=geom,
-            active_lanes=int(unvisited.size),
-            instructions_per_lane=8.0,
-            serial_ops=float(src.size) * 12.0,  # early-exit halves edge work
-        )
-        if eid.size:
-            half = slice(None, None, 2)
-            wl.add_stream(eid[half], 4, REGION_COL_IDX, label="row_idx")
-            wl.add_stream(src[half] // 32, 4, REGION_FRONTIER_IN, label="bitmap.probe")
-            wl.add_stream(dst[half], 8, REGION_USERDATA, label="values")
-        q.submit(wl)
-        q.free(stage)
+        with q.scope():
+            stage = q.malloc_shared(
+                (max(1, self.csc.get_edge_count() // 4),), np.int64, label="sep.pull.stage", fill=0
+            )
+            q.memory.tick("sep.pull.spike")
+            in_bitmap = BitmapFrontier(q, self.graph.get_vertex_count(), FrontierView.VERTEX, bits=32)
+            if in_frontier_ids.size:
+                in_bitmap.insert(in_frontier_ids)
+            src, dst, eid, w = self.csc.gather_in_neighbors(unvisited)
+            if src.size:
+                parent_ok = in_bitmap.contains(src)
+                mask = parent_ok & functor(src, dst, eid, w)
+                accepted = np.unique(dst[mask])
+            else:
+                accepted = np.empty(0, dtype=np.int64)
+            geom = range_launch(self.queue.device.spec, unvisited.size)
+            wl = KernelWorkload(
+                name="sep.pull",
+                geometry=geom,
+                active_lanes=int(unvisited.size),
+                instructions_per_lane=8.0,
+                serial_ops=float(src.size) * 12.0,  # early-exit halves edge work
+            )
+            if eid.size:
+                half = slice(None, None, 2)
+                wl.add_stream(eid[half], 4, REGION_COL_IDX, label="row_idx")
+                wl.add_stream(src[half] // 32, 4, REGION_FRONTIER_IN, label="bitmap.probe")
+                wl.add_stream(dst[half], 8, REGION_USERDATA, label="values")
+            q.submit(wl)
         q.memory.tick("sep.pull.release")
         return accepted
 

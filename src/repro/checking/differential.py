@@ -157,21 +157,21 @@ def bfs_frontier_trace(
     """
     queue = graph.queue
     n = graph.get_vertex_count()
-    kwargs = layout_bits_kwargs(layout, bits)
-    fin = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    fout = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
-    dist = queue.malloc_shared((n,), np.int64, label="trace.dist", fill=UNSEEN)
-    dist[source] = 0
-    fin.insert(source)
+    with queue.scope():
+        kwargs = layout_bits_kwargs(layout, bits)
+        fin = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        fout = make_frontier(queue, n, FrontierView.VERTEX, layout=layout, **kwargs)
+        dist = queue.malloc_shared((n,), np.int64, label="trace.dist", fill=UNSEEN)
+        dist[source] = 0
+        fin.insert(source)
 
-    trace: List[np.ndarray] = []
-    record = HostStep(
-        lambda ctx: trace.append(np.asarray(fout.active_elements(), dtype=np.int64).copy())
-    )
-    plan = Plan(name=None, steps=level_steps(dist) + [record, SwapClearStep()], limit=n + 1)
-    ctx = ExecContext(queue, graphs={"csr": graph}, frontiers={"in": fin, "out": fout})
-    PlanExecutor(queue).run(plan, ctx)
-    queue.free(dist)
+        trace: List[np.ndarray] = []
+        record = HostStep(
+            lambda ctx: trace.append(np.asarray(fout.active_elements(), dtype=np.int64).copy())
+        )
+        plan = Plan(name=None, steps=level_steps(dist) + [record, SwapClearStep()], limit=n + 1)
+        ctx = ExecContext(queue, graphs={"csr": graph}, frontiers={"in": fin, "out": fout})
+        PlanExecutor(queue).run(plan, ctx)
     return trace
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
 
@@ -80,22 +80,34 @@ class InvariantChecker:
         self.check_canaries = check_canaries
         self.every = max(1, int(every))
         self.stats = CheckStats()
-        self._frontiers: List[weakref.ref] = []
+        #: (allocation id at registration, weak reference) per frontier
+        self._frontiers: List[Tuple[int, weakref.ref]] = []
 
     # -- registration ---------------------------------------------------- #
     def register(self, frontier: "Frontier") -> None:
-        """Track a frontier (weakly) for per-kernel validation."""
-        self._frontiers.append(weakref.ref(frontier))
+        """Track a frontier (weakly) for per-kernel validation.
+
+        A frontier registers before it allocates, so the id its queue
+        hands out next is its first buffer's: :meth:`forget_since` drops
+        it with the scope that owns that buffer.
+        """
+        self._frontiers.append((frontier.queue.memory.next_id, weakref.ref(frontier)))
         self.stats.frontiers_registered += 1
+
+    def forget_since(self, first_id: int) -> None:
+        """Stop sweeping the frontiers registered once allocation
+        ``first_id`` was next: a closing :meth:`Queue.scope` frees (and,
+        in strict mode, poisons) their buffers."""
+        self._frontiers = [entry for entry in self._frontiers if entry[0] < first_id]
 
     def live_frontiers(self) -> List["Frontier"]:
         alive: List["Frontier"] = []
-        live_refs: List[weakref.ref] = []
-        for ref in self._frontiers:
-            f = ref()
+        live_refs: List[Tuple[int, weakref.ref]] = []
+        for entry in self._frontiers:
+            f = entry[1]()
             if f is not None:
                 alive.append(f)
-                live_refs.append(ref)
+                live_refs.append(entry)
         self._frontiers = live_refs
         return alive
 

@@ -103,14 +103,15 @@ class DispatchRegistry:
     def prepare(self, bundle: GraphBundle, request: "Request") -> None:
         """Build (and cache) the graph representations the request reads.
 
-        Called by the scheduler before it snapshots live allocations, so
-        lazily built graphs land in the worker's persistent cache rather
-        than the request's scratch window (which is freed — and, in
-        strict mode, poisoned — on completion).  Gangs build nothing on
-        their workers, and an unknown algorithm builds nothing before
-        :meth:`run` rejects it; a registered runner without a catalog
-        row reads the CSR.  A build that fails frees its own allocations
-        (:meth:`GraphBundle.get`), so a retry rebuilds only what failed.
+        Called by the scheduler before it runs the request, so lazily
+        built graphs land in the worker's persistent cache, outside the
+        entry point's :meth:`~repro.sycl.queue.Queue.scope` (which frees
+        — and, in strict mode, poisons — what the run allocated).  Gangs
+        build nothing on their workers, and an unknown algorithm builds
+        nothing before :meth:`run` rejects it; a registered runner
+        without a catalog row reads the CSR.  A build that fails frees
+        its own allocations (:meth:`GraphBundle.get`), so a retry
+        rebuilds only what failed.
         """
         if request.devices > 1 or request.algorithm not in self._runners:
             return

@@ -635,17 +635,20 @@ class QueryScheduler:
         stay empty.  The span start is where the attempt's
         ``service.request`` span landed on the worker's tracer (-1.0
         untraced), which the trace exporter uses to bind flow arrows.
-        All allocations the attempt made are freed once the result is
-        copied out, so live bytes return to the graph-cache baseline
-        after every request (pinned by the stress suite), and the memory
-        timeline is cleared: nothing reads a worker's, so a long-running
-        server would otherwise keep every memory event it ever served.
+        Every algorithm entry point frees what it allocated, exceptions
+        included (:meth:`~repro.sycl.queue.Queue.scope`), and a failed
+        graph build frees its partial buffers, so live bytes are back at
+        the graph-cache baseline after every attempt (pinned by the
+        stress suite).  The memory timeline is cleared: nothing reads a
+        worker's, so a long-running server would otherwise keep every
+        memory event it ever served.
         """
         q = lead.queue
         t_prep = q.elapsed_ns
         try:
-            # graph builds go to the persistent bundle cache, not the
-            # request's scratch window (freed + poisoned on completion)
+            # graph builds go to the persistent bundle cache, outside the
+            # entry point's scope (which frees, and in strict mode
+            # poisons, what the run allocated)
             self.registry.prepare(bundle, req)
         except (OutOfMemoryError, FaultInjected) as exc:
             # an injected launch/alloc fault interrupted the graph build;
@@ -656,7 +659,6 @@ class QueryScheduler:
                 raw_ns = self.config.fault_service_ns
             q.memory.reset_timeline()
             return None, raw_ns, 0.0, exc, -1.0
-        before = {a.alloc_id for a in q.memory.live_allocations}
         t0 = q.elapsed_ns
         result = error = None
         span_ts = -1.0
@@ -681,8 +683,6 @@ class QueryScheduler:
             raw_ns, solo_ns = bundle.makespan_ns, bundle.solo_ns
         if error is not None and raw_ns == 0.0:
             raw_ns = self.config.fault_service_ns
-        for alloc in [a for a in q.memory.live_allocations if a.alloc_id not in before]:
-            q.memory.free(alloc.array)
         q.memory.reset_timeline()
         return result, raw_ns, solo_ns, error, span_ts
 

@@ -233,10 +233,21 @@ class MemoryManager:
         arr_id = self._array_ids.pop(id(array), None)
         if arr_id is None:
             raise KeyError("array was not allocated by this MemoryManager, or was already freed")
-        alloc = self._allocs[arr_id]
+        self._release(self._allocs[arr_id])
+
+    def free_since(self, first_id: int) -> None:
+        """Release every live allocation whose id is at least ``first_id``,
+        oldest first.  Ids only grow, so ``first_id = next_id`` read
+        before a block names exactly what the block allocated and still
+        holds (:meth:`repro.sycl.queue.Queue.scope`)."""
+        for alloc in [a for i, a in self._allocs.items() if i >= first_id]:
+            del self._array_ids[id(alloc.array)]
+            self._release(alloc)
+
+    def _release(self, alloc: Allocation) -> None:
         if alloc.guard_base is not None:
             self._check_one_canary(alloc)
-        del self._allocs[arr_id]
+        del self._allocs[alloc.alloc_id]
         if self.poison_on_free and alloc.array is not None:
             alloc.array[...] = _poison_value(alloc.array.dtype)
         alloc.live = False
@@ -278,6 +289,11 @@ class MemoryManager:
     @property
     def peak_bytes(self) -> int:
         return self._peak
+
+    @property
+    def next_id(self) -> int:
+        """The id the next allocation gets; ids only grow."""
+        return self._next_id
 
     @property
     def live_allocations(self) -> List[Allocation]:

@@ -22,6 +22,7 @@ until the host waits on it.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional
 
 from repro.sycl.device import Device, TunedParameters, nvidia_v100s
@@ -213,6 +214,26 @@ class Queue:
 
     def free(self, array) -> None:
         self.memory.free(array)
+
+    @contextmanager
+    def scope(self):
+        """Own every buffer allocated inside the block.
+
+        On exit, exceptions included, the block's allocations that are
+        still live are freed in allocation order, and the frontiers made
+        inside it leave the strict-mode sweep (a caller that keeps the
+        exception keeps them alive, freed).  Each algorithm entry point
+        runs its body, result copy included, in one scope, so a run
+        leaves the device as it found it.  A buffer that an object made
+        outside the block allocates inside it is freed too.
+        """
+        first_id = self.memory.next_id
+        try:
+            yield
+        finally:
+            if self.invariant_checker is not None:
+                self.invariant_checker.forget_since(first_id)
+            self.memory.free_since(first_id)
 
     def inspect(self, **kwargs) -> TunedParameters:
         """Run the device inspector for this queue's device.  Its default

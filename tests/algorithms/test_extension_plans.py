@@ -1,5 +1,7 @@
 """k-core, Jones-Plassmann and Luby MIS as plans: exact oracles on every
-layout and device, one traced row per iteration, no per-round leak."""
+layout and device, one traced row per iteration.  That a run leaves no
+allocation behind is pinned with every other entry point's, in
+``tests/integration/test_lifetime.py``."""
 
 import numpy as np
 import pytest
@@ -59,19 +61,6 @@ RUNS = {
     "color": lambda g, layout="2lb": jones_plassmann(g, layout=layout, seed=1),
     "mis": lambda g, layout="2lb": luby_mis(g, layout=layout, seed=1),
 }
-
-
-@pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("name", ("color", "mis"))
-def test_rounds_leave_no_allocation_behind(name, layout):
-    """The winners frontier is built once per run, so JP and MIS leave
-    exactly the allocations k-core leaves: their frontier pair."""
-    live = {}
-    for run in ("kcore", name):
-        graph, queue = _graph("kron")
-        RUNS[run](graph, layout)
-        live[run] = len(queue.memory.live_allocations)
-    assert live[name] == live["kcore"]
 
 
 @pytest.mark.parametrize("name", RUNS)

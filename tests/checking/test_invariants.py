@@ -6,7 +6,8 @@ import pytest
 
 from repro.algorithms import bfs
 from repro.checking.invariants import InvariantChecker, strict_mode
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, KernelLaunchError
+from repro.faults import FaultInjector, parse_fault_rule
 from repro.frontier.bitmap import BitmapFrontier
 from repro.graph.builder import from_edges
 from repro.sycl import Queue
@@ -128,6 +129,26 @@ class TestPerKernelChecks:
         assert len(checker.live_frontiers()) == 1
         del f
         assert len(checker.live_frontiers()) == 0
+
+
+class TestScopeLeavesTheSweep:
+    def test_rerun_after_a_kept_launch_fault(self):
+        """A strict queue runs bfs under ``kernel_launch:1.0:0`` and the
+        caller keeps the error: its traceback keeps the first run's
+        frontiers alive after their scope freed (and poisoned) their
+        words.  A second run on the queue must not sweep them."""
+        q = Queue(capacity_limit=0)
+        n = 200
+        g = from_edges(q, np.arange(n - 1), np.arange(1, n))
+        with strict_mode(q) as checker:
+            q.enable_fault_injection(FaultInjector([parse_fault_rule("kernel_launch:1.0:0")]))
+            with pytest.raises(KernelLaunchError) as kept:
+                bfs(g, 0)
+            q.disable_fault_injection()
+            assert bfs(g, 0).distances.tolist() == list(range(n))
+        assert kept.value.__traceback__ is not None
+        assert checker.stats.frontiers_registered == 4
+        assert checker.live_frontiers() == []
 
 
 class TestZeroOverheadOff:

@@ -244,16 +244,21 @@ class TestMemoryHygiene:
 
     def test_preparing_a_cached_graph_is_a_lookup(self, tiny_catalog, monkeypatch):
         """Once a worker holds a request's graphs, preparing the next
-        request on them reads no allocation list."""
+        request on them reads no allocation state: only a build marks
+        the allocation id it would free back to."""
         s = sched(pool=("v100s",), catalog=tiny_catalog)
         worker = s.workers[0]
         bundle = worker.bundle_for(s.catalog["rmat"])
         req = burst(1, algorithm="dobfs")[0]
-        s.registry.prepare(bundle, req)
+        memory_type = type(worker.queue.memory)
         reads = []
+        next_id = memory_type.next_id
         monkeypatch.setattr(
-            type(worker.queue.memory), "live_allocations", property(lambda mm: reads.append(mm) or [])
+            memory_type, "next_id", property(lambda mm: reads.append(mm) or next_id.fget(mm))
         )
+        s.registry.prepare(bundle, req)
+        assert len(reads) == 2  # the CSR and the CSC builds
+        reads.clear()
         s.registry.prepare(bundle, req)
         assert reads == []
 

@@ -80,6 +80,47 @@ class TestDeviceCoupling:
         assert queue.memory.bytes_in_use == 0
 
 
+class TestScope:
+    """``Queue.scope()`` frees what the block allocated, exceptions
+    included, and nothing else."""
+
+    def _labels(self, queue):
+        return [a.label for a in queue.memory.live_allocations]
+
+    def test_frees_block_allocations_in_allocation_order(self, queue):
+        keep = queue.malloc_shared((4,), np.int64, "keep")
+        with queue.scope():
+            queue.malloc_shared((8,), np.int64, "a")
+            queue.malloc_shared((2,), np.float64, "b")
+        assert self._labels(queue) == ["keep"]
+        assert queue.memory.bytes_in_use == keep.nbytes
+        frees = [e.label for e in queue.memory.timeline if e.delta < 0]
+        assert frees == ["free:a", "free:b"]
+
+    def test_frees_on_exception(self, queue):
+        with pytest.raises(RuntimeError):
+            with queue.scope():
+                queue.malloc_shared((8,), np.int64, "doomed")
+                raise RuntimeError("cut short")
+        assert queue.memory.bytes_in_use == 0
+        assert self._labels(queue) == []
+
+    def test_explicit_free_inside_is_not_repeated(self, queue):
+        with queue.scope():
+            queue.free(queue.malloc_shared((8,), np.int64, "early"))
+            queue.malloc_shared((8,), np.int64, "late")
+        frees = [e.label for e in queue.memory.timeline if e.delta < 0]
+        assert frees == ["free:early", "free:late"]
+
+    def test_nested_scope_frees_only_its_own(self, queue):
+        with queue.scope():
+            queue.malloc_shared((8,), np.int64, "outer")
+            with queue.scope():
+                queue.malloc_shared((8,), np.int64, "inner")
+            assert self._labels(queue) == ["outer"]
+        assert self._labels(queue) == []
+
+
 class TestBackendTraits:
     def test_opencl_slower_launch_than_level_zero(self):
         assert (
