@@ -43,14 +43,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: shared read-only empty id array for primed empty scans
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
+#: touched words per layer up to which a small insert ORs each word in
+#: place: a scalar OR costs ~0.3 us a word, one fancy ``|=`` ~4 us
+SCALAR_WORDS = 8
 
 
 def _set_few_bits(layers: List[np.ndarray], ids: List[int], bits: int) -> List[int]:
     """Set the bits of sorted distinct ``ids`` in every layer with Python
     ints (NumPy's per-call overhead is the whole cost of a few ids): per
-    layer, one OR mask per touched word, applied in place to a single
-    word and by one fancy ``|=`` to several.  Returns the touched layer-0
-    words, sorted."""
+    layer, one OR mask per touched word, applied in place word by word
+    to up to :data:`SCALAR_WORDS` words and by one fancy ``|=`` to more.
+    Returns the touched layer-0 words, sorted."""
     shift, low = bits.bit_length() - 1, bits - 1
     touched = ids
     words = None
@@ -61,9 +64,9 @@ def _set_few_bits(layers: List[np.ndarray], ids: List[int], bits: int) -> List[i
             masks[word] = masks.get(word, 0) | 1 << (i & low)
         # sorted ids have sorted words, each once as a key
         touched = list(masks)
-        if len(touched) == 1:
-            word = touched[0]
-            layer[word] = layer.item(word) | masks[word]
+        if len(touched) <= SCALAR_WORDS:
+            for word, mask in masks.items():
+                layer[word] = layer.item(word) | mask
         else:
             layer[np.array(touched)] |= np.array(list(masks.values()), dtype=layer.dtype)
         if words is None:

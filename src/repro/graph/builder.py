@@ -53,15 +53,25 @@ class GraphBuilder:
 def _compress(
     major: np.ndarray, minor: np.ndarray, n: int, sort_minor: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Return (ptr, permutation) compressing edges by the ``major`` axis."""
+    """Return (ptr, permutation) compressing edges by the ``major`` axis.
+
+    Edges already in order (a key that never decreases) keep it: the
+    stable permutation is the identity, and no sort runs.  A symmetrized
+    or deduplicated edge list comes out in ``(src, dst)`` order, as do
+    the generators' graphs, so their CSR builds take this path.
+    """
     major = np.asarray(major, dtype=np.int64)
     if sort_minor:
         # lexicographic (major, minor) order: the stable order of the key
         # major·n + minor, below n², packed above each edge's index for
         # one plain sort (n² and the index fit 63 bits on every dataset)
-        perm = _stable_argsort(major * n + np.asarray(minor, dtype=np.int64), n * n)
+        key, bound = major * n + np.asarray(minor, dtype=np.int64), n * n
     else:
-        perm = _stable_argsort(major, n)
+        key, bound = major, n
+    if (key[1:] >= key[:-1]).all():
+        perm = np.arange(key.size, dtype=np.int64)
+    else:
+        perm = _stable_argsort(key, bound)
     counts = np.bincount(major, minlength=n)
     ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     return ptr, perm

@@ -86,12 +86,17 @@ class CSCGraph:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Expand all in-edges of ``vertices``; returns (src, dst, eid, w)
         where ``dst`` repeats the queried vertices."""
+        return self.expand_in(vertices)[:4]
+
+    def expand_in(self, vertices: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:meth:`gather_in_neighbors`' four arrays and the in-degree of
+        each of ``vertices``, from one gather of ``col_ptr``."""
         v = np.asarray(vertices, dtype=np.int64)
         edge_ids, degs = expand_ranges(self.col_ptr, v)
         total = edge_ids.size
         if total == 0:
             z = np.empty(0, dtype=np.int64)
-            return z, z, z, np.empty(0, dtype=weight_t)
+            return z, z, z, np.empty(0, dtype=weight_t), degs
         dst = np.repeat(v, degs)
         src = self.row_idx[edge_ids].astype(np.int64)
         w = (
@@ -99,7 +104,7 @@ class CSCGraph:
             if self.weights is not None
             else np.ones(total, dtype=weight_t)
         )
-        return src, dst, edge_ids, w
+        return src, dst, edge_ids, w, degs
 
     @property
     def nbytes(self) -> int:

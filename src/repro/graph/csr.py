@@ -165,12 +165,17 @@ class CSRGraph:
         Returns ``(src, dst, edge_id, weight)`` arrays — the four arguments
         of the paper's Advance functor — with one entry per traversed edge.
         """
+        return self.expand(vertices)[:4]
+
+    def expand(self, vertices: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """:meth:`gather_neighbors`' four arrays and the out-degree of
+        each of ``vertices``, from one gather of ``row_ptr``."""
         v = np.asarray(vertices, dtype=np.int64)
         edge_ids, degs = expand_ranges(self.row_ptr, v)
         total = edge_ids.size
         if total == 0:
             z = np.empty(0, dtype=np.int64)
-            return z, z, z, np.empty(0, dtype=weight_t)
+            return z, z, z, np.empty(0, dtype=weight_t), degs
         src = np.repeat(v, degs)
         dst = self.col_idx[edge_ids].astype(np.int64)
         w = (
@@ -178,7 +183,7 @@ class CSRGraph:
             if self.weights is not None
             else np.ones(total, dtype=weight_t)
         )
-        return src, dst, edge_ids, w
+        return src, dst, edge_ids, w, degs
 
     def edge_endpoints(self, edge_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(src, dst) endpoints for the given edge ids.
@@ -221,3 +226,14 @@ class CSRGraph:
         self.queue.free(self.col_idx)
         if self.weights is not None:
             self.queue.free(self.weights)
+
+
+def expand(graph, vertices: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The advance's expansion of ``vertices`` on any graph
+    representation: ``gather_neighbors``' four arrays and each vertex's
+    out-degree.  A :class:`CSRGraph` takes the degrees from its one
+    expansion; any other representation (:data:`GRAPH_INTERFACE_METHODS`:
+    ``DynamicGraph``, custom formats) answers ``out_degrees`` too."""
+    if isinstance(graph, CSRGraph):
+        return graph.expand(vertices)
+    return (*graph.gather_neighbors(vertices), graph.out_degrees(vertices))

@@ -36,7 +36,7 @@ from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
 from repro.frontier.vector import VectorFrontier
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, expand
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance, range_geometry
 from repro.perfmodel.cache import count_distinct, unique_ints
@@ -53,6 +53,22 @@ REGION_FRONTIER_IN = 5
 REGION_FRONTIER_OUT = 6
 REGION_OFFSETS = 7
 REGION_L2 = 8
+
+
+#: 0, 1, 2, ... as a shared read-only array: the index streams of the
+#: scans (``frontier.scan``, the offsets kernels' word reads and writes)
+#: are views of it, so a tiny advance allocates no ``np.arange`` for them
+_IOTA = np.arange(0, dtype=np.int64)
+_IOTA.flags.writeable = False
+
+
+def _iota(n: int) -> np.ndarray:
+    """A read-only view of ``np.arange(n)``'s values (int64)."""
+    global _IOTA
+    if n > _IOTA.size:
+        _IOTA = np.arange(max(n, 2 * _IOTA.size), dtype=np.int64)
+        _IOTA.flags.writeable = False
+    return _IOTA[:n]
 
 
 #: bytes of user data an advance functor reads per edge (BFS reads
@@ -141,13 +157,15 @@ def _advance_workload(
         active, scan_words, scan_position = _scan_frontier(queue, in_frontier, params, kernel)
 
     # ---- stages 1-3: neighbor expansion, functor, output insertion
-    src, dst, eid, w = graph.gather_neighbors(active)
+    src, dst, eid, w, degrees = expand(graph, active)
     accepted = _apply(functor, src, dst, eid, w, out_frontier)
 
     # ---- cost accounting (skipped when the queue never consumes it)
     if not queue.enable_profiling:
         return null_workload(kernel)
-    wl = _launch(graph, kernel, params, active, scan_words, scan_position, isinstance(in_frontier, VectorFrontier))
+    wl = _launch(
+        graph, kernel, params, active, degrees, scan_words, scan_position, isinstance(in_frontier, VectorFrontier)
+    )
     _charge_reads(wl, graph, active, dst, eid, params, scan_words)
     _charge_writes(wl, accepted, out_frontier, params)
     return wl
@@ -172,12 +190,13 @@ def _launch(
     kernel: str,
     params: TunedParameters,
     active: np.ndarray,
+    degrees: np.ndarray,
     scan_words: int,
     scan_position: np.ndarray,
     vector_input: bool = False,
 ) -> KernelWorkload:
-    """The advance kernel's workload with its launch shape and no streams."""
-    degrees = graph.out_degrees(active) if active.size else np.empty(0, np.int64)
+    """The advance kernel's workload with its launch shape and no streams,
+    from the active vertices and their out-degrees."""
     spec = graph.queue.device.spec
     persistent_cap = spec.compute_units * spec.max_workgroups_per_cu
     shape = characterize_bitmap_advance(
@@ -219,7 +238,8 @@ class _Sweep:
         self.edges = shared.edges if shared is not None else graph.gather_neighbors(active)
         _, dst, eid, _ = self.edges
         scan_words = -(-max(1, n) // params.bitmap_bits)
-        self.reads = _launch(graph, "advance.vertices", params, active, scan_words, active // params.bitmap_bits)
+        position = active // params.bitmap_bits
+        self.reads = _launch(graph, "advance.vertices", params, active, graph.out_degrees(), scan_words, position)
         _charge_reads(self.reads, graph, active, dst, eid, params, scan_words)
         for array in chain(self.edges, (s.addresses for s in self.reads.streams)):
             array.flags.writeable = False
@@ -336,12 +356,12 @@ def _submit_offsets_kernels(
             instructions_per_lane=instructions,
         )
         if k == 1:
-            pre.add_stream(np.arange(n_words), word_bytes, REGION_L2, label="l2.words")
+            pre.add_stream(_iota(n_words), word_bytes, REGION_L2, label="l2.words")
             pre.add_stream(offsets, word_bytes, REGION_FRONTIER_IN, label="l1.probe")
-            pre.add_stream(np.arange(offsets.size), 8, REGION_OFFSETS, is_write=True, label="offsets.out")
+            pre.add_stream(_iota(offsets.size), 8, REGION_OFFSETS, is_write=True, label="offsets.out")
         else:
-            pre.add_stream(np.arange(n_words), word_bytes, REGION_L2 + k, label=f"layer{k}.words")
-            pre.add_stream(np.arange(max(1, offsets.size)), 8, REGION_OFFSETS, is_write=True, label="offsets")
+            pre.add_stream(_iota(n_words), word_bytes, REGION_L2 + k, label=f"layer{k}.words")
+            pre.add_stream(_iota(max(1, offsets.size)), 8, REGION_OFFSETS, is_write=True, label="offsets")
         queue.submit(pre)
 
 
@@ -360,7 +380,7 @@ def _charge_reads(
     # vector frontier)
     if scan_words:
         word_bytes = params.bitmap_bits // 8
-        wl.add_stream(np.arange(scan_words), word_bytes, REGION_FRONTIER_IN, label="frontier.scan")
+        wl.add_stream(_iota(scan_words), word_bytes, REGION_FRONTIER_IN, label="frontier.scan")
     if active.size:
         wl.add_stream(active, 4, REGION_ROW_PTR, label="row_ptr")
         wl.add_stream(active + 1, 4, REGION_ROW_PTR, label="row_ptr+1")
@@ -469,7 +489,7 @@ def pull_workload(
     params = config.params or queue.inspect()
     candidates = np.asarray(candidates, dtype=np.int64)
 
-    src, dst, eid, w = csc_graph.gather_in_neighbors(candidates)
+    src, dst, eid, w, degrees = csc_graph.expand_in(candidates)
     if src.size:
         parent_ok = in_frontier.contains(src)
         mask = parent_ok & as_mask(functor(src, dst, eid, w), src.size, "advance")
@@ -481,7 +501,6 @@ def pull_workload(
 
     if not queue.enable_profiling:
         return null_workload("advance.frontier.pull")
-    degrees = csc_graph.in_degrees(candidates) if candidates.size else np.empty(0, np.int64)
     shape = characterize_bitmap_advance(
         params,
         -(-max(1, candidates.size) // params.bitmap_bits),

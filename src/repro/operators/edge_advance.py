@@ -25,6 +25,7 @@ import numpy as np
 from repro.errors import FrontierError
 from repro.frontier.base import Frontier, FrontierView
 from repro.frontier.bitmap import BitmapFrontier
+from repro.graph.csr import expand
 from repro.operators.advance import (
     REGION_COL_IDX,
     REGION_FRONTIER_IN,
@@ -68,7 +69,7 @@ def vertices_to_edges(
 
     with queue.span("advance.v2e"):
         active = in_frontier.active_elements()
-        src, dst, eid, w = graph.gather_neighbors(active)
+        src, dst, eid, w, degrees = expand(graph, active)
         if src.size:
             mask = as_mask(functor(src, dst, eid, w), src.size, "advance")
             accepted = eid[mask]
@@ -81,7 +82,7 @@ def vertices_to_edges(
             return queue.submit(null_workload("advance.v2e"))
         # the advance's launch, scanning every word of a vertex bitmap
         scan_words = -(-max(1, graph.get_vertex_count()) // params.bitmap_bits)
-        wl = _launch(graph, "advance.v2e", params, active, scan_words, active // params.bitmap_bits)
+        wl = _launch(graph, "advance.v2e", params, active, degrees, scan_words, active // params.bitmap_bits)
         if eid.size:
             wl.add_stream(eid, 4, REGION_COL_IDX, label="col_idx")
             wl.add_stream(dst, FUNCTOR_READ_BYTES, REGION_USERDATA, label="functor.read")

@@ -126,8 +126,6 @@ def characterize_bitmap_advance(
     # an nd_range of n_wg whole workgroups
     geometry = nd_range_geometry(n_wg * wg_size, wg_size, params.subgroup_size)
 
-    edges = int(degrees.sum()) if degrees.size else 0
-
     # Stage 1: every scheduled lane participates in the word scan (once per
     # round of the persistent grid); lanes beyond the subgroup width
     # re-scan when the word is wider than the subgroup (the MSI mismatch
@@ -153,8 +151,10 @@ def characterize_bitmap_advance(
         max_engaged = min(sgs_per_wg, slice_limit)
     if active_vertices.size:
         if n_wg == 1:
-            # one workgroup holds every active vertex: its numbers are the
-            # totals, and the sums below have one term
+            # one workgroup holds every active vertex (an advance's, at
+            # most one word's): its numbers are the totals, and the sums
+            # below have one term
+            edges = sum(degrees.tolist())
             engaged = min(max_engaged, active_vertices.size)
             edge_ops = float(edges) * (sgs_per_wg / engaged) * EDGE_OPS
             engaged_total = float(engaged)
@@ -169,6 +169,8 @@ def characterize_bitmap_advance(
                 wg = position % n_wg
                 wg_bits[wg] += 1
                 wg_edges[wg] += degree
+            # the degrees are ints: their sum is exact in any order
+            edges = sum(wg_edges)
             edge_ops = 0.0
             engaged_total = 0
             for bits_in, edges_in in zip(wg_bits, wg_edges):
@@ -179,6 +181,7 @@ def characterize_bitmap_advance(
             engaged_total = float(engaged_total)
             max_wg_edges = int(max(wg_edges))
         else:
+            edges = int(degrees.sum())
             wg_of_vertex = scan_position % n_wg
             wg_bits = np.bincount(wg_of_vertex, minlength=n_wg)
             # float64 sums of the degrees, in vertex order
@@ -194,6 +197,7 @@ def characterize_bitmap_advance(
         mean_wg_edges = edges / n_wg
         imbalance_excess = (max_wg_edges - mean_wg_edges) * n_wg
     else:
+        edges = 0
         edge_ops = 0.0
         max_wg_edges = 0
         imbalance_excess = 0.0

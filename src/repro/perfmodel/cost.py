@@ -23,9 +23,8 @@ frontier kernel) fills in a :class:`KernelWorkload` describing what it did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import attrgetter, eq
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -45,9 +44,10 @@ from repro.sycl.backend import backend_traits
 from repro.sycl.ndrange import WorkgroupGeometry
 
 
-@dataclass
-class AccessStream:
-    """One batch of global-memory accesses performed by a kernel.
+class AccessStream(NamedTuple):
+    """One batch of global-memory accesses performed by a kernel, as an
+    immutable record: :meth:`KernelWorkload.add_stream` builds one per
+    stream without a Python-level constructor call.
 
     ``addresses`` are element indices *within the buffer's own address
     space*; callers offset distinct buffers into disjoint regions via
@@ -74,6 +74,11 @@ class AccessStream:
     @property
     def total_bytes(self) -> int:
         return self.count * self.item_bytes
+
+
+#: builds an :class:`AccessStream` from its five fields, skipping the
+#: record's Python-level ``__new__``
+_new_record = tuple.__new__
 
 
 @dataclass
@@ -117,7 +122,7 @@ class KernelWorkload:
     ) -> None:
         if not isinstance(addresses, np.ndarray):
             addresses = np.asarray(addresses)
-        self.streams.append(AccessStream(addresses, item_bytes, region, is_write, label))
+        self.streams.append(_new_record(AccessStream, (addresses, item_bytes, region, is_write, label)))
 
 
 #: a kernel with a stream of more accesses than this has its memory
@@ -133,7 +138,7 @@ LARGE_STREAM = 4096
 #: and the fault injector price batches of one; docs/architecture.md)
 SMALL_BATCH = 16
 #: what :meth:`KernelBatch.add` records of a kernel's launch for pricing,
-#: one column each, in this order
+#: in this order
 LAUNCH_COLUMNS = (
     "num_workgroups",
     "total_lanes",
@@ -160,21 +165,30 @@ class KernelBatch:
     :data:`LARGE_STREAM` accesses has its memory hierarchy priced right
     away instead, which needs no copy, and a kernel that carries its
     counts (:attr:`KernelWorkload.memory`) has them recorded as they are.
+
+    Everything per stream or per launch field is kept in flat columns, one
+    kernel's entries after another's, so pricing turns each column into
+    one array and no per-stream object is built.
     """
 
     def __init__(self, model: "CostModel", workloads: Iterable[KernelWorkload] = ()):
         self.model = model
         self.names: List[str] = []
         self.geometries: List[WorkgroupGeometry] = []
-        #: per kernel, its :data:`LAUNCH_COLUMNS`
-        self.launches: List[tuple] = []
+        #: the kernels' :data:`LAUNCH_COLUMNS`, one kernel after another
+        self.launches: list = []
         #: per kernel, its memory-hierarchy counts if priced on adding
         self.memory: List[Optional[tuple]] = []
-        #: per kernel, its streams as ``(buffer, streams)``: the buffer
-        #: holds their addresses one stream after another, the list one
-        #: ``(size, item_bytes, region)`` per stream (None if priced on
-        #: adding)
-        self.streams: List[Optional[tuple]] = []
+        #: per kernel, its streams as ``(buffer, first, count)`` (None if
+        #: priced on adding): the buffer holds their addresses one stream
+        #: after another, and they are the ``count`` entries from ``first``
+        #: on of the stream columns
+        self.held: List[Optional[tuple]] = []
+        #: the stream columns: each held stream's size, item bytes and
+        #: region
+        self.sizes: List[int] = []
+        self.items: List[int] = []
+        self.regions: List[int] = []
         #: accesses held in the buffers
         self.accesses = 0
         #: held streams longer than SHORT_STREAM
@@ -183,65 +197,63 @@ class KernelBatch:
             self.add(wl)
 
     def __len__(self) -> int:
-        return len(self.launches)
+        return len(self.names)
 
     def add(self, wl: KernelWorkload) -> None:
-        if wl.memory is not None:
-            # counts carried from an earlier pricing: nothing is copied
-            # or priced
-            self.memory.append(wl.memory)
-            self.streams.append(None)
-        else:
-            arrays, streams = [], []
-            accesses = long_streams = 0
-            for s in wl.streams:
-                addresses = s.addresses
-                size = addresses.size
-                arrays.append(addresses)
-                streams.append((size, s.item_bytes, s.region))
-                accesses += size
-                if size > SHORT_STREAM:
-                    long_streams += 1
-            if not streams:
-                self.memory.append(_NO_MEMORY)
-                self.streams.append(None)
-            elif accesses > LARGE_STREAM and max(size for size, _, _ in streams) > LARGE_STREAM:
+        # counts carried from an earlier pricing are recorded as they are:
+        # nothing is copied or priced
+        memory, held = wl.memory, None
+        if memory is None and not wl.streams:
+            memory = _NO_MEMORY
+        elif memory is None:
+            arrays, items, regions, _, _ = zip(*wl.streams)
+            sizes = list(map(_SIZE, arrays))
+            accesses = sum(sizes)
+            if accesses > LARGE_STREAM and max(sizes) > LARGE_STREAM:
                 # priced now, from the caller's arrays: nothing is copied
-                self.memory.append(self.model.memory_counts(wl.streams))
-                self.streams.append(None)
+                memory = self.model._kernel_memory(arrays, items, regions)
             else:
-                self.memory.append(None)
-                self.streams.append((np.concatenate(arrays, dtype=np.int64, casting="unsafe"), streams))
+                held = np.concatenate(arrays, dtype=np.int64, casting="unsafe"), len(self.sizes), len(sizes)
+                self.sizes += sizes
+                self.items += items
+                self.regions += regions
                 self.accesses += accesses
-                self.long_streams += long_streams
+                if accesses > SHORT_STREAM:
+                    self.long_streams += sum(map(_IS_LONG, sizes))
+        self.memory.append(memory)
+        self.held.append(held)
         geometry = wl.geometry
         self.names.append(wl.name)
         self.geometries.append(geometry)
-        self.launches.append(
-            (
-                geometry.num_workgroups,
-                geometry.total_lanes,
-                geometry.subgroup_size,
-                wl.active_lanes,
-                wl.instructions_per_lane,
-                wl.serial_ops,
-                wl.atomics,
-                wl.atomic_targets,
-                wl.engaged_subgroups,
-            )
+        self.launches += (
+            geometry.num_workgroups,
+            geometry.total_lanes,
+            geometry.subgroup_size,
+            wl.active_lanes,
+            wl.instructions_per_lane,
+            wl.serial_ops,
+            wl.atomics,
+            wl.atomic_targets,
+            wl.engaged_subgroups,
         )
 
+    def held_memory(self, k: int) -> tuple:
+        """The memory-hierarchy counts of held kernel ``k``, priced alone
+        from slices of its buffer."""
+        buffer, first, count = self.held[k]
+        last = first + count
+        sizes = self.sizes[first:last]
+        arrays, start = [], 0
+        for size in sizes:
+            arrays.append(buffer[start : start + size])
+            start += size
+        return self.model._kernel_memory(arrays, self.items[first:last], self.regions[first:last])
 
-def _held_streams(held: tuple) -> list:
-    """A held kernel's streams as ``(addresses, item_bytes, region)``, the
-    addresses slices of its buffer."""
-    buffer, streams = held
-    sliced, start = [], 0
-    for size, item, region in streams:
-        sliced.append((buffer[start : start + size], item, region))
-        start += size
-    return sliced
 
+#: an array's size; whether a stream of this size is longer than
+#: SHORT_STREAM
+_SIZE = attrgetter("size")
+_IS_LONG = SHORT_STREAM.__lt__
 
 #: the memory-hierarchy counts of a kernel without streams
 _NO_MEMORY = (0, 0, 0, 0)
@@ -395,13 +407,10 @@ class CostModel:
         if len(batch) + batch.long_streams >= SMALL_BATCH:
             memory = self._batch_memory(batch)
         else:
-            memory = np.array(
-                [
-                    counts or self._kernel_memory(_held_streams(held))
-                    for counts, held in zip(batch.memory, batch.streams)
-                ],
-                dtype=np.int64,
-            ).reshape(-1, 4).T
+            flat: list = []
+            for k, counts in enumerate(batch.memory):
+                flat += counts or batch.held_memory(k)
+            memory = np.array(flat, dtype=np.int64).reshape(-1, 4).T
         return self._price_launches(batch, memory)
 
     def _price_launches(self, batch: KernelBatch, memory: np.ndarray) -> PricedBatch:
@@ -458,15 +467,19 @@ class CostModel:
 
     # ------------------------------------------------------------------ #
     # one kernel at a time
-    def memory_counts(self, streams: Iterable[AccessStream]) -> tuple:
+    def memory_counts(self, streams: Sequence[AccessStream]) -> tuple:
         """L1 accesses and hits, L2 accesses and hits of a kernel with
         these streams, priced now: the counts a :class:`KernelWorkload`
         may carry in ``memory``."""
-        return self._kernel_memory([(s.addresses, s.item_bytes, s.region) for s in streams])
+        if not streams:
+            return _NO_MEMORY
+        arrays, items, regions, _, _ = zip(*streams)
+        return self._kernel_memory(arrays, items, regions)
 
-    def _kernel_memory(self, streams) -> tuple:
+    def _kernel_memory(self, arrays, items, regions) -> tuple:
         """L1 accesses and hits, L2 accesses and hits of one kernel's
-        ``(addresses, item_bytes, region)`` streams, one stream at a time.
+        streams, given as columns of their addresses, item bytes and
+        regions, one stream at a time.
 
         Each stream goes through L1 on its own: real L1s keep concurrently
         streamed regions in distinct sets, and the ordering information
@@ -496,7 +509,7 @@ class CostModel:
         missed = []
         # the long streams priced so far, by array object and item size
         priced = {}
-        for addresses, item, region in streams:
+        for addresses, item, region in zip(arrays, items, regions):
             n = addresses.size
             if n == 0:
                 continue
@@ -621,19 +634,21 @@ class CostModel:
         kernel.  Repeats and distinct lines never count across kernels."""
         kernels = len(batch)
         counts = np.zeros((4, kernels), dtype=np.int64)
-        for k, memory in enumerate(batch.memory):
-            if memory is not None:
-                counts[:, k] = memory
-        held = [k for k, streams in enumerate(batch.streams) if streams is not None]
+        carried = [k for k, memory in enumerate(batch.memory) if memory is not None]
+        if carried:
+            counts[:, carried] = np.array(list(map(batch.memory.__getitem__, carried)), dtype=np.int64).T
+        held = [k for k, streams in enumerate(batch.held) if streams is not None]
         if not held:
             return counts
-        buffers, streams = zip(*map(batch.streams.__getitem__, held))
-        n, items, regions = np.array(list(chain.from_iterable(streams)), dtype=np.int64).T
+        buffers, _, streams = zip(*map(batch.held.__getitem__, held))
+        n = np.array(batch.sizes, dtype=np.int64)
+        items = np.array(batch.items, dtype=np.int64)
+        regions = np.array(batch.regions, dtype=np.int64)
         nonempty = n > 0
         if not nonempty.any():
             return counts
         n, items, regions = n[nonempty], items[nonempty], regions[nonempty]
-        kernel = np.repeat(held, list(map(len, streams)))[nonempty]
+        kernel = np.repeat(held, streams)[nonempty]
         starts = np.cumsum(n) - n
         # line ids within each stream's region: a region starts on a line
         # boundary, so its offset changes no count within the region

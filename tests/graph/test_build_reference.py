@@ -166,6 +166,42 @@ def test_edge_cases_match_reference(coo):
 
 
 # --------------------------------------------------------------------- #
+# edge lists already in order, which skip the sort, and their neighbours #
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "coo",
+    [
+        COOGraph(5, [0, 0, 1, 2, 3, 3, 4], [1, 3, 2, 0, 1, 4, 0], np.arange(7.0)),
+        COOGraph(4, [0, 0, 0, 1, 1, 3, 3], [2, 2, 3, 0, 0, 1, 1], np.arange(7.0)),
+        COOGraph(5, [4, 3, 3, 2, 1, 0, 0], [0, 4, 1, 0, 2, 3, 1], np.arange(7.0)),
+        COOGraph(3, [1], [2], [5.0]),
+        COOGraph(3, [], [], []),
+    ],
+    ids=["csr-order", "in-order-repeated-keys", "reverse-order", "one-edge", "empty"],
+)
+def test_ordered_edge_lists_match_reference(coo):
+    check_construction(coo)
+
+
+def test_sorted_keys_skip_the_sort(monkeypatch):
+    """A key that never decreases takes the identity permutation without
+    sorting; one that decreases once sorts."""
+    sorts = []
+
+    def counted(key, bound):
+        sorts.append(key.size)
+        return _stable_argsort(key, bound)
+
+    monkeypatch.setattr("repro.graph.builder._stable_argsort", counted)
+    src, dst = np.array([0, 0, 1, 1, 2]), np.array([1, 1, 0, 2, 2])
+    assert _compress(src, dst, 3, True)[1].tolist() == [0, 1, 2, 3, 4]
+    assert _compress(src, dst, 3, False)[1].tolist() == [0, 1, 2, 3, 4]
+    assert sorts == []
+    assert _compress(src[::-1], dst[::-1], 3, True)[1].tolist() == [3, 4, 2, 1, 0]
+    assert sorts == [5]
+
+
+# --------------------------------------------------------------------- #
 # the graphs the tree ships                                             #
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])

@@ -46,7 +46,7 @@ class RecordingQueue(Queue):
         for s in workload.streams:
             if id(s.addresses) not in copies:
                 copies[id(s.addresses)] = s.addresses.copy()
-            streams.append(replace(s, addresses=copies[id(s.addresses)]))
+            streams.append(s._replace(addresses=copies[id(s.addresses)]))
         self.kernels.append(replace(workload, streams=streams))
         return super().submit(workload)
 
