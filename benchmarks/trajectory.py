@@ -1,22 +1,25 @@
 #!/usr/bin/env python
-"""Write the BENCH ledger: every modeled result, one record per case.
+"""Write the BENCH ledger: every pinned whole-run result, one record per case.
 
-Runs every case of :mod:`repro.bench.ledger` — algorithm × layout ×
-graph × {unfused, fused} on one device, plus the BSP gangs at 2 and 4
-devices — and writes ``BENCH_ledger.json`` at the repo root (override
-with ``--output``)::
+Runs every case of :mod:`repro.bench.ledger`, family by family, and
+writes ``BENCH_ledger.json`` at the repo root (override with
+``--output``)::
 
     python benchmarks/trajectory.py [--seed 7] [--output PATH]
 
-Every value is deterministic, so a rerun reproduces the file byte for
-byte and ``python -m repro slo`` can recompute all of it.  The file is
-written either way; the run exits non-zero when a ledger contract
+Before writing, it compares the new records with the checked-in
+``BENCH_ledger.json`` and prints, per family and field, how many records
+moved, of how many, and the first moved keys.  Every value is
+deterministic, so a rerun reproduces the file byte for byte and
+``python -m repro slo`` can recompute all of it.  The file is written
+either way; the run exits non-zero when a ledger contract
 (:func:`repro.bench.ledger.check_contracts`) fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -37,7 +40,12 @@ def main(argv=None) -> int:
 
     records, naive_ns = ledger.measure(ledger.case_keys(), args.seed)
     for key, rec in records.items():
-        print(f"{key:36s} modeled={rec['modeled_ns']:>14}ns iters={rec['iterations']}")
+        print(f"{key:54s} modeled={rec['modeled_ns']:>14}ns iters={rec['iterations']}")
+    checked_in = ROOT / "BENCH_ledger.json"
+    if checked_in.exists():
+        print(f"moved against {checked_in.name} (family, field, moved/total, first moved keys):")
+        for line in ledger.moved_table(json.loads(checked_in.read_text())["cases"], records):
+            print(f"  {line}")
     ledger.write(args.output, args.seed, records)
     print(f"wrote {args.output} ({len(records)} cases)")
 

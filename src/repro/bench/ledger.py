@@ -1,26 +1,30 @@
-"""The BENCH ledger: every modeled result, one record per case.
+"""The BENCH ledger: every pinned whole-run result, one record per case.
 
-SYgraph's evaluation (Fig. 7, Tables 5–6) is one matrix of results over
-algorithm × frontier layout × graph.  The ledger stores that matrix,
-plus the fusion and multi-GPU axes, as one record per case keyed
-``<algorithm>/<layout>/<graph>/<n>dev/<fused|unfused>``:
+SYgraph's evaluation compares whole runs: frontier layouts against each
+other (Fig. 7, Table 5) and frameworks against each other (Fig. 8,
+Table 6).  The ledger stores such runs, plus the fusion and multi-GPU
+axes, as one record per case.  Keys fall into families; the core
+family's keys read ``<algorithm>/<layout>/<graph>/<n>dev/<fused|unfused>``:
 
 * 96 single-device cases — bfs/sssp/cc/pagerank × the four layouts ×
   three graphs × {unfused, fused}, on the V100S profile;
 * 18 gang cases — bfs/sssp/cc on 2lb × three graphs × {2, 4} devices
   through the BSP engine (:mod:`repro.dist`), unfused.
 
-A record holds only deterministic values: ``modeled_ns`` (the profiled
-queue's elapsed ns, truncated to whole ns; a gang's BSP makespan,
-rounded to 3 decimals),
-``iterations`` and ``digest`` (a blake2b over the result array); gang
-records add ``wire_bytes`` and ``idlist_bytes``.  So regenerating the
-file is byte-identical, ``benchmarks/trajectory.py`` writes it as
-``BENCH_ledger.json``, and ``python -m repro slo`` recomputes every case
-against it with a 0% default budget.  :func:`check_contracts` holds the
+:func:`run_record` turns every finished single-device run into a record
+of deterministic values: ``modeled_ns`` (the queue's elapsed ns,
+truncated to whole ns), ``iterations``, ``digest`` (a blake2b over the
+result array), ``kernels``, ``kernel_sequence`` (a digest of the kernel
+names in order), ``dram_bytes`` and ``peak_bytes``.  A gang record holds
+its BSP makespan (rounded to 3 decimals), ``iterations``, ``digest``,
+``wire_bytes`` and ``idlist_bytes``.  So regenerating the file is
+byte-identical, ``benchmarks/trajectory.py`` writes it as
+``BENCH_ledger.json``, :func:`moved` compares two record sets field by
+field, and ``python -m repro slo`` recomputes every case against the
+file with a 0% default budget.  :func:`check_contracts` holds the
 invariants the writer and the tier-1 tests enforce.
 
-Each case runs its algorithm's row of the catalog
+Each core case runs its algorithm's row of the catalog
 (:data:`repro.algorithms.catalog.CATALOG`): its entry point on the
 representations the row reads (CC on the symmetrized graph), or its
 :mod:`repro.dist` entry point for a gang.
@@ -28,10 +32,13 @@ representations the row reads (CC on the symmetrized graph), or its
 
 from __future__ import annotations
 
+import hashlib
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.algorithms.catalog import CATALOG, GraphBundle, result_digest
 from repro.checking import graphgen
@@ -49,10 +56,16 @@ GANG_DEVICES = (2, 4)
 #: (algorithm, graph) pairs whose fused 2lb run must save modeled ns
 FUSION_WINS = (("bfs", "chain"), ("cc", "power_law"))
 
+#: each family's key parts; a core key has no family prefix
+KEY_PARTS = {
+    "core": ("algorithm", "layout", "graph", "devices", "fusion"),
+}
+#: the key parts that change cost, never results
+COST_PARTS = frozenset({"layout", "fusion", "devices"})
 
 
 def graphs(seed: int) -> Dict[str, COOGraph]:
-    """The three ledger graphs: a deep chain (one frontier vertex per
+    """The three core graphs: a deep chain (one frontier vertex per
     iteration for 2,000 iterations), a power-law graph and eight
     disconnected components."""
     return {
@@ -67,7 +80,7 @@ def case_key(algorithm: str, layout: str, graph: str, devices: int = 1, fused: b
 
 
 def case_keys() -> List[str]:
-    """Every case the ledger records: 96 single-device, 18 gang."""
+    """Every case the ledger records, family by family."""
     single = [
         case_key(a, layout, g, 1, fused)
         for g in GRAPHS for a in ALGORITHMS for layout in LAYOUTS for fused in (False, True)
@@ -76,15 +89,48 @@ def case_keys() -> List[str]:
     return single + gang
 
 
-def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:
-    """Run one case on fresh queues.
+def family(key: str) -> str:
+    head = key.split("/", 1)[0]
+    return head if head in KEY_PARTS else "core"
 
-    Returns its record and, for a gang, the naive makespan bound
-    (max per-device total plus total exchange, rounded like the
-    makespan), which :func:`check_contracts` checks but the file does
-    not store.
-    """
-    algorithm, layout, graph, devices, fusion = key.split("/")
+
+def key_parts(key: str) -> Dict[str, str]:
+    """A case key's parts by name (its family prefix under ``family``)."""
+    return dict(zip(KEY_PARTS[family(key)], key.split("/")))
+
+
+def result_group(key: str) -> str:
+    """The key without the parts that change only cost: every case of
+    one group computes one result."""
+    return "/".join(v for name, v in key_parts(key).items() if name not in COST_PARTS)
+
+
+def _sha16(*parts) -> str:
+    """The first 16 hex digits of a sha256 over strings and arrays, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()[:16]
+
+
+def run_record(queue: Queue, values, iterations: int, **extra) -> dict:
+    """The record of a finished single-device run on ``queue`` whose
+    result array is ``values``, plus a family's ``extra`` fields."""
+    profile = queue.profile
+    names = [cost.name for cost in profile.costs]
+    return {
+        "modeled_ns": int(queue.elapsed_ns),
+        "iterations": int(iterations),
+        "digest": result_digest(values),
+        "kernels": len(names),
+        "kernel_sequence": _sha16("\n".join(names)),
+        "dram_bytes": int(profile.total_dram_bytes),
+        "peak_bytes": int(queue.memory.peak_bytes),
+        **extra,
+    }
+
+
+def _core_case(coos, algorithm, layout, graph, devices, fusion) -> Tuple[dict, Optional[float]]:
     spec = CATALOG[algorithm]
     n_devices = int(devices[: -len("dev")])
     if n_devices > 1:
@@ -102,12 +148,18 @@ def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[flo
     spec.inputs(bundle)
     q.reset_profile()
     res = spec.run(bundle, 0, layout=layout, fuse=fusion == "fused")
-    record = {
-        "modeled_ns": int(q.elapsed_ns),
-        "iterations": int(res.iterations),
-        "digest": result_digest(spec.values(res)),
-    }
-    return record, None
+    return run_record(q, spec.values(res), res.iterations), None
+
+
+def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:
+    """Run one case on fresh queues.
+
+    Returns its record and, for a gang, the naive makespan bound
+    (max per-device total plus total exchange, rounded like the
+    makespan), which :func:`check_contracts` checks but the file does
+    not store.  ``coos`` are the core graphs (:func:`graphs`).
+    """
+    return _core_case(coos, **key_parts(key))
 
 
 def measure(keys: Iterable[str], seed: int) -> Tuple[Dict[str, dict], Dict[str, float]]:
@@ -123,12 +175,45 @@ def measure(keys: Iterable[str], seed: int) -> Tuple[Dict[str, dict], Dict[str, 
     return records, bounds
 
 
+def moved(
+    old: Mapping[str, dict], new: Mapping[str, dict]
+) -> List[Tuple[str, str, Optional[float]]]:
+    """Every ``(key, field, drift)`` of ``old`` whose value ``new`` does
+    not repeat, in key order.  ``drift`` is a numeric field's movement
+    in percent of its old value (of 1 where that is 0), or None for a
+    string field (a digest, which no drift budget covers) and for a
+    field ``new`` lacks."""
+    out = []
+    for key, record in sorted(old.items()):
+        now = new.get(key, {})
+        for name, value in sorted(record.items()):
+            got = now.get(name)
+            if got != value:
+                numeric = not isinstance(value, str) and isinstance(got, (int, float))
+                out.append((key, name, 100.0 * (got - value) / (value or 1) if numeric else None))
+    return out
+
+
+def moved_table(old: Mapping[str, dict], new: Mapping[str, dict]) -> List[str]:
+    """One line per family and field of ``old``: how many of its records
+    ``new`` moved, of how many, and the first three moved keys."""
+    totals = Counter((family(key), name) for key, record in old.items() for name in record)
+    keys = defaultdict(list)
+    for key, name, _ in moved(old, new):
+        keys[family(key), name].append(key)
+    lines = []
+    for (fam, name), total in sorted(totals.items()):
+        first = " ".join(keys[fam, name][:3])
+        lines.append(f"{fam:10s} {name:18s} {len(keys[fam, name]):4d}/{total:<4d} {first}".rstrip())
+    return lines
+
+
 def check_contracts(
     records: Mapping[str, dict], naive_ns: Optional[Mapping[str, float]] = None
 ) -> List[str]:
     """The ledger's invariants over a record set → violation strings.
 
-    * every record of one (algorithm, graph) pair has one digest: layout,
+    * every record of one :func:`result_group` has one digest: layout,
       fusion and device count change cost, never results;
     * a fused case takes as many iterations as its unfused twin;
     * a gang's ghost exchange never ships more than the id list would;
@@ -138,13 +223,12 @@ def check_contracts(
     """
     naive_ns = naive_ns or {}
     problems: List[str] = []
-    pair_digests = defaultdict(set)
+    group_digests = defaultdict(set)
     for key, rec in records.items():
-        algorithm, _, graph, _, _ = key.split("/")
-        pair_digests[algorithm, graph].add(rec["digest"])
-    for (algorithm, graph), digests in sorted(pair_digests.items()):
+        group_digests[result_group(key)].add(rec["digest"])
+    for group, digests in sorted(group_digests.items()):
         if len(digests) > 1:
-            problems.append(f"{algorithm}/{graph}: {len(digests)} different result digests")
+            problems.append(f"{group}: {len(digests)} different result digests")
     for key, rec in sorted(records.items()):
         twin = records.get(key[: -len("fused")] + "unfused") if key.endswith("/fused") else None
         if twin is not None and rec["iterations"] != twin["iterations"]:

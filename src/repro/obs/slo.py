@@ -14,12 +14,14 @@ it also writes its result JSON (CI uploads it as an artifact):
 * **modeled drift** — every case of the ``--baseline`` ledger
   (``BENCH_ledger.json``, written by ``benchmarks/trajectory.py``) is
   recomputed in-process with the file's seed, and the worst relative
-  movement of any numeric field (modeled ns, iterations, wire and
-  id-list bytes) is gated.  The ledger is deterministic, so the default
-  allowed drift is **exactly 0%**: any movement means the cost model,
-  an algorithm, fusion or the BSP engine changed and the ledger needs
-  regenerating on purpose.  A changed result digest is a violation with
-  no budget.  A missing baseline skips the check;
+  movement of any numeric field (modeled ns, iterations, kernels, DRAM,
+  peak, wire and id-list bytes, ...) is gated.  The ledger is
+  deterministic, so the default allowed drift is **exactly 0%**: any
+  movement means the cost model, an algorithm, fusion, a runner or the
+  BSP engine changed and the ledger needs regenerating on purpose.  A
+  changed string field (a result, kernel-sequence or memory-timeline
+  digest) is a violation with no budget.  A missing baseline skips the
+  check;
 * **chaos corruption** — with ``--chaos-report``, the digest
   divergences and spot-check failures of a ``chaos --report`` JSON.
 
@@ -101,7 +103,7 @@ def evaluate_slo(summary: dict, thresholds: SLOThresholds) -> List[str]:
         )
     if summary.get("digest_changes"):
         v.append(
-            f"{len(summary['digest_changes'])} ledger case(s) changed result digest: "
+            f"{len(summary['digest_changes'])} ledger digest(s) changed: "
             + ", ".join(summary["digest_changes"])
         )
     if (
@@ -245,34 +247,27 @@ def _report_summary(path: str) -> dict:
 
 
 def _ledger_summary(baseline_path: str) -> dict:
-    """Recompute every case of a BENCH ledger and diff it field by field.
+    """Recompute every case of a BENCH ledger and compare it field by
+    field (:func:`repro.bench.ledger.moved`).
 
-    Drift is relative to the baseline value (to 1 where the baseline is
-    0, e.g. a gang with no ghost traffic); the worst over every numeric
-    field of every case is reported as ``modeled_drift_pct``.  Cases
-    whose result digest changed are listed in ``digest_changes``.
+    The worst drift of any numeric field of any case is reported as
+    ``modeled_drift_pct``; every changed string field (a digest) is
+    listed in ``digest_changes`` as ``"<key> <field>"``.
     """
     from repro.bench import ledger
 
     base = json.loads(Path(baseline_path).read_text())
     now, _ = ledger.measure(base["cases"], base["seed"])
-    worst, worst_at, changed = 0.0, "", []
-    for key, old in sorted(base["cases"].items()):
-        new = now[key]
-        if new["digest"] != old["digest"]:
-            changed.append(key)
-        for name, value in sorted(old.items()):
-            if name == "digest":
-                continue
-            drift = 100.0 * (new[name] - value) / (value or 1)
-            if abs(drift) > abs(worst):
-                worst, worst_at = drift, f"{key} {name}"
+    moves = ledger.moved(base["cases"], now)
+    worst = max(
+        (move for move in moves if move[2] is not None), key=lambda move: abs(move[2]), default=None
+    )
     return {
         "baseline": baseline_path,
         "ledger_cases": len(base["cases"]),
-        "modeled_drift_pct": worst,
-        "drift_field": worst_at,
-        "digest_changes": changed,
+        "modeled_drift_pct": worst[2] if worst else 0.0,
+        "drift_field": f"{worst[0]} {worst[1]}" if worst else "",
+        "digest_changes": [f"{key} {name}" for key, name, drift in moves if drift is None],
     }
 
 

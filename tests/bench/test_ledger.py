@@ -1,12 +1,15 @@
 """The checked-in BENCH ledger: its case set, its contracts, its numbers.
 
 The chain cases take most of a full recomputation, so they are left to
-the SLO gate (``python -m repro slo``); every other case is recomputed
-here and must match the file exactly.
+the SLO gate (``python -m repro slo``) and to CI, which rewrites the
+whole file and compares it byte for byte; every other case is
+recomputed here, one test per case, and must match the file field for
+field.
 """
 
 import copy
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,13 @@ from repro.bench import ledger
 LEDGER_PATH = Path(__file__).resolve().parents[2] / "BENCH_ledger.json"
 LEDGER = json.loads(LEDGER_PATH.read_text())
 CASES = LEDGER["cases"]
+RECOMPUTED = [key for key in sorted(CASES) if "/chain/" not in key]
 
 
 def test_file_lists_every_case():
     assert sorted(CASES) == sorted(ledger.case_keys())
-    assert len(CASES) == 114
+    assert Counter(map(ledger.family, CASES)) == {"core": 114}
+    assert Counter(map(ledger.family, RECOMPUTED)) == {"core": 76}
     assert (LEDGER["seed"], LEDGER["device"]) == (ledger.SEED, ledger.DEVICE)
 
 
@@ -34,11 +39,38 @@ def test_checked_in_ledger_meets_contracts():
     assert ledger.check_contracts(CASES) == []
 
 
-def test_small_graph_cases_recompute_exactly():
-    keys = [key for key in CASES if "/chain/" not in key]
-    assert len(keys) == 76
-    records, _ = ledger.measure(keys, LEDGER["seed"])
-    assert records == {key: CASES[key] for key in keys}
+@pytest.fixture(scope="module")
+def coos():
+    return ledger.graphs(LEDGER["seed"])
+
+
+@pytest.mark.parametrize("key", RECOMPUTED)
+def test_case_recomputes_exactly(key, coos):
+    record, _ = ledger.run_case(key, coos)
+    assert ledger.moved({key: CASES[key]}, {key: record}) == []
+    assert sorted(record) == sorted(CASES[key])
+
+
+def test_comparator_reports_exactly_the_changed_fields():
+    int_key, float_key, str_key = (
+        "bfs/bitmap/power_law/1dev/unfused",
+        "cc/2lb/disconnected/4dev/unfused",
+        "sssp/vector/disconnected/1dev/fused",
+    )
+    new = copy.deepcopy(CASES)
+    new[int_key]["dram_bytes"] *= 2
+    new[float_key]["modeled_ns"] += 0.5
+    new[str_key]["kernel_sequence"] = "0" * 16
+    moves = ledger.moved(CASES, new)
+    assert [(key, name) for key, name, _ in moves] == sorted(
+        [(int_key, "dram_bytes"), (float_key, "modeled_ns"), (str_key, "kernel_sequence")]
+    )
+    drifts = {name: drift for _, name, drift in moves}
+    assert drifts["dram_bytes"] == 100.0
+    assert drifts["modeled_ns"] > 0 and drifts["kernel_sequence"] is None
+    table = ledger.moved_table(CASES, new)
+    assert any(line.split()[:3] == ["core", "dram_bytes", "1/96"] for line in table)
+    assert all(line.split()[2].startswith("0/") for line in ledger.moved_table(CASES, CASES))
 
 
 # --------------------------------------------------------------------- #

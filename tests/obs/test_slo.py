@@ -139,8 +139,18 @@ def test_run_slo_drift_check_against_stale_baseline(tmp_path):
     assert rc == 1
     result = json.loads(out.read_text())
     assert result["summary"]["modeled_drift_pct"] == 0.0
-    assert result["summary"]["digest_changes"] == [key]
-    assert result["violations"] == [f"1 ledger case(s) changed result digest: {key}"]
+    assert result["summary"]["digest_changes"] == [f"{key} digest"]
+    assert result["violations"] == [f"1 ledger digest(s) changed: {key} digest"]
+
+
+def test_run_slo_fails_on_any_string_field_whatever_the_drift_budget(tmp_path):
+    key = "bfs/2lb/power_law/1dev/unfused"
+    records, _ = ledger.measure([key], 7)
+    bpath = tmp_path / "ledger.json"
+    ledger.write(bpath, 7, {key: dict(records[key], kernel_sequence="0" * 16)})
+    assert run_slo(_args(baseline=str(bpath), skip_drift=False, max_drift_pct=1e9)) == 1
+    ledger.write(bpath, 7, records)
+    assert run_slo(_args(baseline=str(bpath), skip_drift=False)) == 0
 
 
 def test_run_slo_evaluates_existing_report(tmp_path):
