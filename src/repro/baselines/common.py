@@ -231,7 +231,8 @@ class FrameworkRunner(abc.ABC):
         PlanExecutor(self.queue).run(plan, ctx)
 
     # ------------------------------------------------------------------ #
-    def supports(self, algorithm: str) -> bool:
+    @classmethod
+    def supports(cls, algorithm: str) -> bool:
         """Whether this framework ships the algorithm (SEP-Graph has no
         CC implementation — Table 6 leaves those cells empty)."""
         return True
@@ -273,10 +274,14 @@ def runner_names() -> List[str]:
     return sorted(_REGISTRY)
 
 
-def make_runner(name: str, coo: COOGraph, device: Optional[Device] = None) -> FrameworkRunner:
-    """Instantiate a registered framework runner by name."""
+def runner_class(name: str) -> Type[FrameworkRunner]:
+    """A registered framework runner's class, by name."""
     try:
-        cls = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise KeyError(f"unknown framework {name!r}; known: {runner_names()}") from None
-    return cls(coo, device)
+
+
+def make_runner(name: str, coo: COOGraph, device: Optional[Device] = None) -> FrameworkRunner:
+    """Instantiate a registered framework runner by name."""
+    return runner_class(name)(coo, device)

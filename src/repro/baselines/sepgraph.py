@@ -60,7 +60,8 @@ class SepGraphRunner(FrameworkRunner):
         self.out_degs = self.graph.out_degrees()
         self.preprocessing_ns = coo.n_edges / PARTITION_EDGES_PER_US * 1_000.0
 
-    def supports(self, algorithm: str) -> bool:
+    @classmethod
+    def supports(cls, algorithm: str) -> bool:
         return algorithm != "cc"
 
     # ------------------------------------------------------------------ #

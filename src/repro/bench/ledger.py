@@ -41,8 +41,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.algorithms.catalog import CATALOG, GraphBundle, result_digest
+from repro.baselines.common import FrameworkRunner, make_runner, runner_class, runner_names
+from repro.bench.harness import _ADVANCE_PREFIX
 from repro.checking import graphgen
 from repro.graph.coo import COOGraph
+from repro.graph.datasets import load_dataset
 from repro.sycl.device import get_device
 from repro.sycl.queue import Queue
 
@@ -56,12 +59,25 @@ GANG_DEVICES = (2, 4)
 #: (algorithm, graph) pairs whose fused 2lb run must save modeled ns
 FUSION_WINS = (("bfs", "chain"), ("cc", "power_law"))
 
+#: the graphs, scale and devices of every family but core
+DATASETS = ("kron", "ca")
+SCALE = "tiny"
+DEVICES = ("v100s", "mi100")
+#: how the runner family calls each algorithm
+RUNNER_CALLS = {
+    "bfs": lambda runner: runner.bfs(1),
+    "sssp": lambda runner: runner.sssp(1),
+    "cc": lambda runner: runner.cc(),
+    "bc": lambda runner: runner.bc([1, 2]),
+}
+
 #: each family's key parts; a core key has no family prefix
 KEY_PARTS = {
     "core": ("algorithm", "layout", "graph", "devices", "fusion"),
+    "runner": ("family", "framework", "algorithm", "graph", "scale", "device"),
 }
 #: the key parts that change cost, never results
-COST_PARTS = frozenset({"layout", "fusion", "devices"})
+COST_PARTS = frozenset({"layout", "fusion", "devices", "framework", "device"})
 
 
 def graphs(seed: int) -> Dict[str, COOGraph]:
@@ -86,7 +102,12 @@ def case_keys() -> List[str]:
         for g in GRAPHS for a in ALGORITHMS for layout in LAYOUTS for fused in (False, True)
     ]
     gang = [case_key(a, "2lb", g, d) for g in GRAPHS for a in GANG_ALGORITHMS for d in GANG_DEVICES]
-    return single + gang
+    runner = [
+        f"runner/{framework}/{a}/{g}/{SCALE}/{device}"
+        for framework in runner_names() for a in RUNNER_CALLS if runner_class(framework).supports(a)
+        for g in DATASETS for device in DEVICES
+    ]
+    return single + gang + runner
 
 
 def family(key: str) -> str:
@@ -151,6 +172,39 @@ def _core_case(coos, algorithm, layout, graph, devices, fusion) -> Tuple[dict, O
     return run_record(q, spec.values(res), res.iterations), None
 
 
+def runner_record(runner: FrameworkRunner, algorithm: str) -> dict:
+    """Run ``algorithm`` on a framework runner; its record adds the
+    memory timeline's digest (taken the way ``fig9_memory`` takes it),
+    the preprocessing ns, and Table 5's peak L1 hit rate and occupancy
+    at the framework's advance prefix."""
+    runner.reset_timers()
+    memory = runner.queue.memory
+    memory.reset_timeline()
+    memory.tick("start")
+    result = RUNNER_CALLS[algorithm](runner)
+    steps, totals = memory.usage_trace()
+    profile = runner.queue.profile
+    prefix = _ADVANCE_PREFIX[runner.name]
+    return run_record(
+        runner.queue,
+        CATALOG[algorithm].values(result),
+        result.total_iterations if algorithm == "bc" else result.iterations,
+        memory_trace=_sha16(steps, totals),
+        preprocessing_ns=float(runner.preprocessing_ns),
+        peak_l1_hit_rate=float(profile.peak_l1_hit_rate(prefix)),
+        peak_occupancy=float(profile.peak_occupancy(prefix)),
+    )
+
+
+def _runner_case(framework, algorithm, graph, scale, device) -> dict:
+    coo = load_dataset(graph, scale, weighted=True)
+    return runner_record(make_runner(framework, coo, get_device(device)), algorithm)
+
+
+#: family -> run(**key parts) -> record, for every family but core
+_FAMILY_CASES = {"runner": _runner_case}
+
+
 def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:
     """Run one case on fresh queues.
 
@@ -159,7 +213,9 @@ def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[flo
     makespan), which :func:`check_contracts` checks but the file does
     not store.  ``coos`` are the core graphs (:func:`graphs`).
     """
-    return _core_case(coos, **key_parts(key))
+    parts = key_parts(key)
+    run = _FAMILY_CASES.get(parts.pop("family", None))
+    return (run(**parts), None) if run else _core_case(coos, **parts)
 
 
 def measure(keys: Iterable[str], seed: int) -> Tuple[Dict[str, dict], Dict[str, float]]:

@@ -1,15 +1,25 @@
-"""Framework runners: correctness parity and mechanism checks."""
+"""Framework runners: correctness parity and mechanism checks.
+
+The BENCH ledger's runner family (``runner/...`` in ``BENCH_ledger.json``)
+pins every runner's modeled outputs; :class:`TestCoveredPaths` checks
+that those cases exercise every mechanism the runners charge for.
+"""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from tests.validation import reference_bfs, reference_cc, reference_sssp
 from repro.baselines import make_runner, runner_names
+from repro.bench import ledger
 from repro.graph import generators as gen
 from repro.graph.datasets import load_dataset
 from repro.sycl.device import get_device
 
 RUNNERS = ["sygraph", "gunrock", "tigr", "sep"]
+DATASETS = ledger.DATASETS
+DEVICES = ledger.DEVICES
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +166,43 @@ class TestShapes:
         r.reset_timers()
         r.bfs(1)
         assert r.preprocessing_ns > 10 * r.elapsed_ns
+
+
+@lru_cache(maxsize=None)
+def _execute(framework: str, algorithm: str, dataset: str, device: str):
+    """Run one runner-family case; returns (record, kernel names)."""
+    runner = make_runner(framework, load_dataset(dataset, "tiny", weighted=True), get_device(device))
+    if not runner.supports(algorithm):
+        return {"supported": False}, ()
+    record = ledger.runner_record(runner, algorithm)
+    return record, tuple(cost.name for cost in runner.queue.profile.costs)
+
+
+def run_case(framework: str, algorithm: str, dataset: str, device: str) -> dict:
+    return _execute(framework, algorithm, dataset, device)[0]
+
+
+@pytest.mark.parametrize("device", DEVICES)
+class TestCoveredPaths:
+    """The cases exercise every mechanism the runners charge for."""
+
+    def test_sep_bfs_pulls_and_pushes_on_kron(self, device):
+        _, names = _execute("sep", "bfs", "kron", device)
+        assert names.count("sep.pull") == 2
+        assert names.count("advance.frontier") == 3  # the push levels
+        assert names.count("sep.selector") == 5
+
+    def test_sep_has_no_cc(self, device):
+        assert run_case("sep", "cc", "kron", device) == {"supported": False}
+
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_gunrock_cc_pointer_jumps(self, device, dataset):
+        _, names = _execute("gunrock", "cc", dataset, device)
+        assert "gunrock.cc.jump" in names
+        assert "gunrock.filter.compact" in names
+
+    @pytest.mark.parametrize("algorithm", ("bfs", "sssp", "cc"))
+    def test_tigr_translates(self, device, algorithm):
+        _, names = _execute("tigr", algorithm, "ca", device)
+        assert names[-1] == "tigr.post.translate"
+        assert "tigr.step" in names

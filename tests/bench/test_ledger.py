@@ -24,8 +24,8 @@ RECOMPUTED = [key for key in sorted(CASES) if "/chain/" not in key]
 
 def test_file_lists_every_case():
     assert sorted(CASES) == sorted(ledger.case_keys())
-    assert Counter(map(ledger.family, CASES)) == {"core": 114}
-    assert Counter(map(ledger.family, RECOMPUTED)) == {"core": 76}
+    assert Counter(map(ledger.family, CASES)) == {"core": 114, "runner": 60}
+    assert Counter(map(ledger.family, RECOMPUTED)) == {"core": 76, "runner": 60}
     assert (LEDGER["seed"], LEDGER["device"]) == (ledger.SEED, ledger.DEVICE)
 
 
@@ -82,9 +82,16 @@ def _mutated(key, **fields):
     return records
 
 
-def test_contract_one_digest_per_algorithm_and_graph():
-    records = _mutated("sssp/vector/power_law/1dev/fused", digest="float64:(1500,):0")
-    assert ledger.check_contracts(records) == ["sssp/power_law: 2 different result digests"]
+@pytest.mark.parametrize(
+    "key, group",
+    [
+        ("sssp/vector/power_law/1dev/fused", "sssp/power_law"),
+        ("runner/sygraph/bc/ca/tiny/mi100", "runner/bc/ca/tiny"),
+    ],
+)
+def test_contract_one_digest_per_algorithm_and_graph(key, group):
+    records = _mutated(key, digest="float64:(1500,):0")
+    assert ledger.check_contracts(records) == [f"{group}: 2 different result digests"]
 
 
 def test_contract_fused_iterations_match_unfused():
