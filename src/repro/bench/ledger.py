@@ -35,15 +35,19 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter, defaultdict
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.algorithms.catalog import CATALOG, GraphBundle, result_digest
+from repro.algorithms.coloring import jones_plassmann, luby_mis
+from repro.algorithms.kcore import k_core
 from repro.baselines.common import FrameworkRunner, make_runner, runner_class, runner_names
 from repro.bench.harness import _ADVANCE_PREFIX
 from repro.checking import graphgen
+from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 from repro.graph.datasets import load_dataset
 from repro.sycl.device import get_device
@@ -70,11 +74,21 @@ RUNNER_CALLS = {
     "cc": lambda runner: runner.cc(),
     "bc": lambda runner: runner.bc([1, 2]),
 }
+#: the extension family's runs: name -> (entry(graph, layout=), result field)
+EXTENSIONS = {
+    "k_core": (k_core, "core_numbers"),
+    **{
+        f"{entry.__name__}({seed})": (partial(entry, seed=seed), field)
+        for entry, field in ((jones_plassmann, "colors"), (luby_mis, "in_set"))
+        for seed in (0, 1)
+    },
+}
 
 #: each family's key parts; a core key has no family prefix
 KEY_PARTS = {
     "core": ("algorithm", "layout", "graph", "devices", "fusion"),
     "runner": ("family", "framework", "algorithm", "graph", "scale", "device"),
+    "extension": ("family", "algorithm", "graph", "layout", "scale", "device"),
 }
 #: the key parts that change cost, never results
 COST_PARTS = frozenset({"layout", "fusion", "devices", "framework", "device"})
@@ -107,7 +121,11 @@ def case_keys() -> List[str]:
         for framework in runner_names() for a in RUNNER_CALLS if runner_class(framework).supports(a)
         for g in DATASETS for device in DEVICES
     ]
-    return single + gang + runner
+    extension = [
+        f"extension/{a}/{g}/{layout}/{SCALE}/{device}"
+        for a in EXTENSIONS for g in DATASETS for layout in LAYOUTS for device in DEVICES
+    ]
+    return single + gang + runner + extension
 
 
 def family(key: str) -> str:
@@ -201,8 +219,17 @@ def _runner_case(framework, algorithm, graph, scale, device) -> dict:
     return runner_record(make_runner(framework, coo, get_device(device)), algorithm)
 
 
+def _extension_case(algorithm, graph, layout, scale, device) -> dict:
+    entry, field = EXTENSIONS[algorithm]
+    queue = Queue(get_device(device))
+    csr = GraphBuilder(queue).to_csr(load_dataset(graph, scale).symmetrized().without_self_loops())
+    queue.reset_profile()
+    result = entry(csr, layout=layout)
+    return run_record(queue, getattr(result, field), result.iterations)
+
+
 #: family -> run(**key parts) -> record, for every family but core
-_FAMILY_CASES = {"runner": _runner_case}
+_FAMILY_CASES = {"runner": _runner_case, "extension": _extension_case}
 
 
 def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:
