@@ -3,22 +3,37 @@
 SYgraph's evaluation compares whole runs: frontier layouts against each
 other (Fig. 7, Table 5) and frameworks against each other (Fig. 8,
 Table 6).  The ledger stores such runs, plus the fusion and multi-GPU
-axes, as one record per case.  Keys fall into families; the core
-family's keys read ``<algorithm>/<layout>/<graph>/<n>dev/<fused|unfused>``:
+axes, as one record per case, in four families (:data:`KEY_PARTS`):
 
-* 96 single-device cases — bfs/sssp/cc/pagerank × the four layouts ×
-  three graphs × {unfused, fused}, on the V100S profile;
-* 18 gang cases — bfs/sssp/cc on 2lb × three graphs × {2, 4} devices
-  through the BSP engine (:mod:`repro.dist`), unfused.
+* core, ``<algorithm>/<layout>/<graph>/<n>dev/<fused|unfused>``: 96
+  single-device cases (bfs/sssp/cc/pagerank × the four layouts × three
+  seeded graphs × {unfused, fused}, on the V100S) and 18 gang cases
+  (bfs/sssp/cc on 2lb × the three graphs × {2, 4} devices through the
+  BSP engine, :mod:`repro.dist`);
+* ``runner/<framework>/<algorithm>/<dataset>/<scale>/<device>``: every
+  registered framework runner × the bfs, sssp, cc and bc it ships;
+* ``extension/<algorithm>/<dataset>/<layout>/<scale>/<device>``:
+  k-core, and Jones-Plassmann and Luby MIS at seeds 0 and 1 (written
+  ``jones_plassmann(0)``), on the symmetrized graph without self-loops
+  × the four layouts;
+* ``bitmap/<layout>/<bits>bit/<dataset>/<scale>/<device>``: the flat
+  bitmap and the 2LB at 32- and 64-bit words on the V100S, MI100 and
+  MAX 1100.
+
+The last three run kron and ca (bitmap: kron) at ``tiny`` scale, on the
+V100S and the MI100 unless stated; their graphs do not read the ledger's
+seed.
 
 :func:`run_record` turns every finished single-device run into a record
 of deterministic values: ``modeled_ns`` (the queue's elapsed ns,
-truncated to whole ns), ``iterations``, ``digest`` (a blake2b over the
-result array), ``kernels``, ``kernel_sequence`` (a digest of the kernel
-names in order), ``dram_bytes`` and ``peak_bytes``.  A gang record holds
-its BSP makespan (rounded to 3 decimals), ``iterations``, ``digest``,
-``wire_bytes`` and ``idlist_bytes``.  So regenerating the file is
-byte-identical, ``benchmarks/trajectory.py`` writes it as
+truncated to whole ns), ``iterations``, ``digest``
+(:func:`~repro.algorithms.catalog.result_digest` of the result array),
+``kernels``, ``kernel_sequence`` (a digest of the kernel names in
+order), ``dram_bytes`` and ``peak_bytes``, plus a family's own fields
+(:func:`runner_record`; a bitmap case's ``allocations``).  A gang record
+holds its BSP makespan (rounded to 3 decimals), ``iterations``,
+``digest``, ``wire_bytes`` and ``idlist_bytes``.  So regenerating the
+file is byte-identical, ``benchmarks/trajectory.py`` writes it as
 ``BENCH_ledger.json``, :func:`moved` compares two record sets field by
 field, and ``python -m repro slo`` recomputes every case against the
 file with a 0% default budget.  :func:`check_contracts` holds the
@@ -47,6 +62,7 @@ from repro.algorithms.kcore import k_core
 from repro.baselines.common import FrameworkRunner, make_runner, runner_class, runner_names
 from repro.bench.harness import _ADVANCE_PREFIX
 from repro.checking import graphgen
+from repro.frontier import frontier_union, make_frontier
 from repro.graph.builder import GraphBuilder
 from repro.graph.coo import COOGraph
 from repro.graph.datasets import load_dataset
@@ -83,15 +99,19 @@ EXTENSIONS = {
         for seed in (0, 1)
     },
 }
+#: the bitmap family's catalog rows, run one after another on one queue
+BITMAP_RUNS = ("bfs", "cc", "dobfs")
+BITMAP_DEVICES = ("v100s", "mi100", "max1100")
 
 #: each family's key parts; a core key has no family prefix
 KEY_PARTS = {
     "core": ("algorithm", "layout", "graph", "devices", "fusion"),
     "runner": ("family", "framework", "algorithm", "graph", "scale", "device"),
     "extension": ("family", "algorithm", "graph", "layout", "scale", "device"),
+    "bitmap": ("family", "layout", "bits", "graph", "scale", "device"),
 }
 #: the key parts that change cost, never results
-COST_PARTS = frozenset({"layout", "fusion", "devices", "framework", "device"})
+COST_PARTS = frozenset({"layout", "fusion", "devices", "framework", "device", "bits"})
 
 
 def graphs(seed: int) -> Dict[str, COOGraph]:
@@ -125,7 +145,11 @@ def case_keys() -> List[str]:
         f"extension/{a}/{g}/{layout}/{SCALE}/{device}"
         for a in EXTENSIONS for g in DATASETS for layout in LAYOUTS for device in DEVICES
     ]
-    return single + gang + runner + extension
+    bitmap = [
+        f"bitmap/{layout}/{bits}bit/kron/{SCALE}/{device}"
+        for layout in ("bitmap", "2lb") for bits in (32, 64) for device in BITMAP_DEVICES
+    ]
+    return single + gang + runner + extension + bitmap
 
 
 def family(key: str) -> str:
@@ -228,8 +252,32 @@ def _extension_case(algorithm, graph, layout, scale, device) -> dict:
     return run_record(queue, getattr(result, field), result.iterations)
 
 
+def _bitmap_case(layout, bits, graph, scale, device) -> dict:
+    """BFS (the push advance, the 2LB offsets kernel and the summary
+    writes), CC, direction-optimizing BFS (the pull probe) and one
+    ``frontier_union`` into the layout, all on one queue.  The digest
+    covers the three results and the union's elements; the iterations
+    are the three runs' sum; the record adds the number of allocations."""
+    width = int(bits[: -len("bit")])
+    queue = Queue(get_device(device), capacity_limit=0)
+    bundle = GraphBundle(graph, load_dataset(graph, scale), queue)
+    runs = {name: CATALOG[name].run(bundle, 0, layout=layout, bits=width) for name in BITMAP_RUNS}
+    n = bundle.get("csr").get_vertex_count()
+    a, b, out = (make_frontier(queue, n, layout=layout, bits=width) for _ in range(3))
+    a.insert(np.arange(0, n, 3))
+    b.insert(np.arange(0, n, 7))
+    frontier_union(a, b, out)
+    values = [CATALOG[name].values(result) for name, result in runs.items()]
+    return run_record(
+        queue,
+        np.concatenate(values + [out.active_elements()]),
+        sum(result.iterations for result in runs.values()),
+        allocations=sum(1 for e in queue.memory.timeline if e.label.startswith("alloc:")),
+    )
+
+
 #: family -> run(**key parts) -> record, for every family but core
-_FAMILY_CASES = {"runner": _runner_case, "extension": _extension_case}
+_FAMILY_CASES = {"runner": _runner_case, "extension": _extension_case, "bitmap": _bitmap_case}
 
 
 def run_case(key: str, coos: Mapping[str, COOGraph]) -> Tuple[dict, Optional[float]]:

@@ -24,8 +24,9 @@ RECOMPUTED = [key for key in sorted(CASES) if "/chain/" not in key]
 
 def test_file_lists_every_case():
     assert sorted(CASES) == sorted(ledger.case_keys())
-    assert Counter(map(ledger.family, CASES)) == {"core": 114, "runner": 60, "extension": 80}
-    assert Counter(map(ledger.family, RECOMPUTED)) == {"core": 76, "runner": 60, "extension": 80}
+    families = {"runner": 60, "extension": 80, "bitmap": 12}
+    assert Counter(map(ledger.family, CASES)) == {"core": 114, **families}
+    assert Counter(map(ledger.family, RECOMPUTED)) == {"core": 76, **families}
     assert (LEDGER["seed"], LEDGER["device"]) == (ledger.SEED, ledger.DEVICE)
 
 
@@ -88,6 +89,7 @@ def _mutated(key, **fields):
         ("sssp/vector/power_law/1dev/fused", "sssp/power_law"),
         ("runner/sygraph/bc/ca/tiny/mi100", "runner/bc/ca/tiny"),
         ("extension/luby_mis(1)/kron/vector/tiny/v100s", "extension/luby_mis(1)/kron/tiny"),
+        ("bitmap/2lb/64bit/kron/tiny/max1100", "bitmap/kron/tiny"),
     ],
 )
 def test_contract_one_digest_per_algorithm_and_graph(key, group):
