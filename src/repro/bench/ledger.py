@@ -2,47 +2,34 @@
 
 SYgraph's evaluation compares whole runs: frontier layouts against each
 other (Fig. 7, Table 5) and frameworks against each other (Fig. 8,
-Table 6).  The ledger stores such runs, plus the fusion and multi-GPU
-axes, as one record per case, in four families (:data:`KEY_PARTS`):
+Table 6).  The ledger holds such runs in four families of case keys
+(:data:`KEY_PARTS`):
 
 * core, ``<algorithm>/<layout>/<graph>/<n>dev/<fused|unfused>``: 96
-  single-device cases (bfs/sssp/cc/pagerank × the four layouts × three
-  seeded graphs × {unfused, fused}, on the V100S) and 18 gang cases
-  (bfs/sssp/cc on 2lb × the three graphs × {2, 4} devices through the
-  BSP engine, :mod:`repro.dist`);
+  single-device cases (bfs/sssp/cc/pagerank × four layouts × three
+  seeded graphs × {unfused, fused}, V100S) and 18 BSP gang cases
+  (bfs/sssp/cc on 2lb × three graphs × {2, 4} devices);
 * ``runner/<framework>/<algorithm>/<dataset>/<scale>/<device>``: every
   registered framework runner × the bfs, sssp, cc and bc it ships;
 * ``extension/<algorithm>/<dataset>/<layout>/<scale>/<device>``:
-  k-core, and Jones-Plassmann and Luby MIS at seeds 0 and 1 (written
-  ``jones_plassmann(0)``), on the symmetrized graph without self-loops
-  × the four layouts;
+  k-core, Jones-Plassmann and Luby MIS (seeds 0 and 1, written
+  ``jones_plassmann(0)``) × four layouts;
 * ``bitmap/<layout>/<bits>bit/<dataset>/<scale>/<device>``: the flat
-  bitmap and the 2LB at 32- and 64-bit words on the V100S, MI100 and
-  MAX 1100.
+  bitmap and the 2LB at 32- and 64-bit words on three devices.
 
-The last three run kron and ca (bitmap: kron) at ``tiny`` scale, on the
-V100S and the MI100 unless stated; their graphs do not read the ledger's
-seed.
-
-:func:`run_record` turns every finished single-device run into a record
-of deterministic values: ``modeled_ns`` (the queue's elapsed ns,
-truncated to whole ns), ``iterations``, ``digest``
-(:func:`~repro.algorithms.catalog.result_digest` of the result array),
-``kernels``, ``kernel_sequence`` (a digest of the kernel names in
-order), ``dram_bytes`` and ``peak_bytes``, plus a family's own fields
-(:func:`runner_record`; a bitmap case's ``allocations``).  A gang record
-holds its BSP makespan (rounded to 3 decimals), ``iterations``,
-``digest``, ``wire_bytes`` and ``idlist_bytes``.  So regenerating the
-file is byte-identical, ``benchmarks/trajectory.py`` writes it as
-``BENCH_ledger.json``, :func:`moved` compares two record sets field by
-field, and ``python -m repro slo`` recomputes every case against the
-file with a 0% default budget.  :func:`check_contracts` holds the
-invariants the writer and the tier-1 tests enforce.
-
-Each core case runs its algorithm's row of the catalog
-(:data:`repro.algorithms.catalog.CATALOG`): its entry point on the
-representations the row reads (CC on the symmetrized graph), or its
-:mod:`repro.dist` entry point for a gang.
+The last three run the ``tiny`` kron and ca datasets, which do not read
+the ledger's seed.  :func:`run_record` turns every single-device run
+into a record: ``modeled_ns`` (whole ns), ``iterations``, ``digest``
+(:func:`~repro.algorithms.catalog.result_digest`), ``kernels``,
+``kernel_sequence`` (a digest of the kernel names in order),
+``dram_bytes``, ``peak_bytes`` and a family's own fields.  A gang
+record holds its BSP makespan (to 3 decimals), ``iterations``,
+``digest``, ``wire_bytes`` and ``idlist_bytes``.  Every value is
+deterministic: ``benchmarks/trajectory.py`` rewrites
+``BENCH_ledger.json`` byte for byte, :func:`moved` compares two record
+sets field by field, and ``python -m repro slo`` recomputes every case
+against the file.  :func:`check_contracts` holds the invariants the
+writer and the tier-1 tests enforce.
 """
 
 from __future__ import annotations
@@ -52,7 +39,7 @@ import json
 from collections import Counter, defaultdict
 from functools import partial
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -99,8 +86,6 @@ EXTENSIONS = {
         for seed in (0, 1)
     },
 }
-#: the bitmap family's catalog rows, run one after another on one queue
-BITMAP_RUNS = ("bfs", "cc", "dobfs")
 BITMAP_DEVICES = ("v100s", "mi100", "max1100")
 
 #: each family's key parts; a core key has no family prefix
@@ -168,14 +153,6 @@ def result_group(key: str) -> str:
     return "/".join(v for name, v in key_parts(key).items() if name not in COST_PARTS)
 
 
-def _sha16(*parts) -> str:
-    """The first 16 hex digits of a sha256 over strings and arrays, in order."""
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part.encode() if isinstance(part, str) else np.ascontiguousarray(part).tobytes())
-    return h.hexdigest()[:16]
-
-
 def run_record(queue: Queue, values, iterations: int, **extra) -> dict:
     """The record of a finished single-device run on ``queue`` whose
     result array is ``values``, plus a family's ``extra`` fields."""
@@ -186,7 +163,7 @@ def run_record(queue: Queue, values, iterations: int, **extra) -> dict:
         "iterations": int(iterations),
         "digest": result_digest(values),
         "kernels": len(names),
-        "kernel_sequence": _sha16("\n".join(names)),
+        "kernel_sequence": hashlib.sha256("\n".join(names).encode()).hexdigest()[:16],
         "dram_bytes": int(profile.total_dram_bytes),
         "peak_bytes": int(queue.memory.peak_bytes),
         **extra,
@@ -231,7 +208,7 @@ def runner_record(runner: FrameworkRunner, algorithm: str) -> dict:
         runner.queue,
         CATALOG[algorithm].values(result),
         result.total_iterations if algorithm == "bc" else result.iterations,
-        memory_trace=_sha16(steps, totals),
+        memory_trace=hashlib.sha256(steps.tobytes() + totals.tobytes()).hexdigest()[:16],
         preprocessing_ns=float(runner.preprocessing_ns),
         peak_l1_hit_rate=float(profile.peak_l1_hit_rate(prefix)),
         peak_occupancy=float(profile.peak_occupancy(prefix)),
@@ -261,7 +238,9 @@ def _bitmap_case(layout, bits, graph, scale, device) -> dict:
     width = int(bits[: -len("bit")])
     queue = Queue(get_device(device), capacity_limit=0)
     bundle = GraphBundle(graph, load_dataset(graph, scale), queue)
-    runs = {name: CATALOG[name].run(bundle, 0, layout=layout, bits=width) for name in BITMAP_RUNS}
+    runs = {
+        name: CATALOG[name].run(bundle, 0, layout=layout, bits=width) for name in ("bfs", "cc", "dobfs")
+    }
     n = bundle.get("csr").get_vertex_count()
     a, b, out = (make_frontier(queue, n, layout=layout, bits=width) for _ in range(3))
     a.insert(np.arange(0, n, 3))
@@ -325,17 +304,22 @@ def moved(
     return out
 
 
-def moved_table(old: Mapping[str, dict], new: Mapping[str, dict]) -> List[str]:
-    """One line per family and field of ``old``: how many of its records
-    ``new`` moved, of how many, and the first three moved keys."""
-    totals = Counter((family(key), name) for key, record in old.items() for name in record)
+def moved_table(
+    old: Mapping[str, dict], new: Mapping[str, dict], family_of: Callable[[str], str] = family
+) -> List[str]:
+    """One line per family (``family_of`` a key) and field of ``old``: how
+    many of its records ``new`` moved, of how many, and the first three
+    moved keys."""
+    totals = Counter((family_of(key), name) for key, record in old.items() for name in record)
     keys = defaultdict(list)
     for key, name, _ in moved(old, new):
-        keys[family(key), name].append(key)
+        keys[family_of(key), name].append(key)
+    width = max((len(fam) for fam, _ in totals), default=0)
     lines = []
     for (fam, name), total in sorted(totals.items()):
         first = " ".join(keys[fam, name][:3])
-        lines.append(f"{fam:10s} {name:18s} {len(keys[fam, name]):4d}/{total:<4d} {first}".rstrip())
+        count = f"{len(keys[fam, name]):4d}/{total:<4d}"
+        lines.append(f"{fam:{width}s} {name:18s} {count} {first}".rstrip())
     return lines
 
 

@@ -1,7 +1,7 @@
 """Golden kernel costs of every operator path, and span trees of every
 catalog row.
 
-Two kinds of case pin what the BENCH ledger and the other goldens do not
+Two kinds of case pin what the BENCH ledger's whole-run records do not
 reach.
 
 * Operator cases run one operator on a fresh queue over a weighted R-MAT
@@ -30,10 +30,8 @@ reach.
 
 A change to how the operators characterize kernels, or to how the plan
 executor opens spans and submits kernels, must leave every digest
-unchanged.  Regenerate ``golden_kernels.json`` (only when a modeled
-change is intended) with::
-
-    PYTHONPATH=src python -m tests.exec.test_kernel_golden
+unchanged.  ``python -m tests.golden`` rewrites ``golden_kernels.json``
+(only when a modeled change is intended).
 """
 
 import dataclasses
@@ -55,8 +53,7 @@ from repro.operators import advance, compute, edge_advance
 from repro.operators import filter as filter_op
 from repro.operators.intersection import segmented_intersection
 from repro.sycl import Queue, get_device
-
-GOLDEN = Path(__file__).with_name("golden_kernels.json")
+from tests.golden import Golden
 
 LAYOUTS = ("2lb", "bitmap", "vector", "boolmap", "tree")
 DENSITIES = ("sparse", "dense")
@@ -283,29 +280,27 @@ def run_case(case: str) -> dict:
     return {case: run_operator_case(case)}
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
+GOLDEN = Golden(
+    Path(__file__).with_name("golden_kernels.json"),
+    keys=OPERATOR_CASES + TRACE_CASES + [result_case(case) for case in TRACE_CASES],
+    cases=OPERATOR_CASES + TRACE_CASES,
+    run=run_case,
+    indent=2,
+)
 
 
-def test_golden_covers_every_case(golden):
-    assert sorted(golden) == sorted(OPERATOR_CASES + TRACE_CASES + list(map(result_case, TRACE_CASES)))
+def test_golden_covers_every_case():
+    GOLDEN.assert_covers()
 
 
 @pytest.mark.parametrize("case", OPERATOR_CASES)
-def test_operator_kernels_match_golden(case, golden):
-    assert run_operator_case(case) == golden[case]
+def test_operator_kernels_match_golden(case):
+    assert run_operator_case(case) == GOLDEN.digests[case]
 
 
 @pytest.mark.parametrize("case", TRACE_CASES)
-def test_trace_matches_golden(case, golden):
+def test_trace_matches_golden(case):
     events, result = run_trace_case(case)
-    assert events == golden[case]
-    assert result == golden[result_case(case)]
+    assert events == GOLDEN.digests[case]
+    assert result == GOLDEN.digests[result_case(case)]
 
-
-if __name__ == "__main__":
-    cases = {}
-    for case in OPERATOR_CASES + TRACE_CASES:
-        cases.update(run_case(case))
-    GOLDEN.write_text(json.dumps(cases, indent=2, sort_keys=True) + "\n")

@@ -16,10 +16,8 @@ Scenarios:
   bounded queue and tracing on, under device-loss and exchange faults,
   at fault seeds 0-3.
 
-Regenerate ``golden_timelines.json`` (only when a modeled change is
-intended) with::
-
-    PYTHONPATH=src python -m tests.service.test_timeline_golden
+``python -m tests.golden`` rewrites ``golden_timelines.json`` (only
+when a modeled change is intended).
 """
 
 import copy
@@ -35,8 +33,7 @@ from repro.faults.chaos import DEFAULT_MATRIX, _build_requests
 from repro.service.request import Request, RequestStatus
 from repro.service.scheduler import QueryScheduler, SchedulerConfig
 from repro.service.workload import WorkloadConfig, default_catalog, generate_workload
-
-GOLDEN = Path(__file__).with_name("golden_timelines.json")
+from tests.golden import Golden
 
 FAULT_SEEDS = (0, 1, 2, 3)
 CHAOS_POOL = ("v100s", "v100s", "mi100")
@@ -155,21 +152,23 @@ def scenarios():
 
 
 SCENARIOS = scenarios()
+GOLDEN = Golden(
+    Path(__file__).with_name("golden_timelines.json"),
+    keys=list(SCENARIOS),
+    cases=list(SCENARIOS),
+    run=lambda name: {name: timeline_digest(SCENARIOS[name]())},
+    indent=1,
+)
 
 
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text())
-
-
-def test_golden_covers_every_scenario(golden):
-    assert sorted(golden) == sorted(SCENARIOS)
+def test_golden_covers_every_scenario():
+    GOLDEN.assert_covers()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_timeline_matches_golden(name, golden):
+def test_timeline_matches_golden(name):
     report = SCENARIOS[name]()
-    assert timeline_digest(report) == golden[name]
+    assert timeline_digest(report) == GOLDEN.digests[name]
     if name.startswith("mixed/"):
         # the pagerank gang has no multi-device runner: a permanent
         # dispatch failure on its first and only attempt
@@ -181,10 +180,3 @@ def test_timeline_matches_golden(name, golden):
         assert pagerank.attempts == 1
         assert "no gang (multi-device) implementation" in pagerank.reason
 
-
-if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({name: timeline_digest(run()) for name, run in SCENARIOS.items()},
-                   indent=1, sort_keys=True) + "\n"
-    )
-    print(f"wrote {len(SCENARIOS)} digests to {GOLDEN}")
