@@ -1,9 +1,5 @@
-"""Framework runners: correctness parity and mechanism checks.
-
-The BENCH ledger's runner family (``runner/...`` in ``BENCH_ledger.json``)
-pins every runner's modeled outputs; :class:`TestCoveredPaths` checks
-that those cases exercise every mechanism the runners charge for.
-"""
+"""Framework runners: correctness parity and mechanism checks.  The BENCH
+ledger's ``runner/...`` family pins their modeled outputs."""
 
 from functools import lru_cache
 
@@ -170,12 +166,11 @@ class TestShapes:
 
 @lru_cache(maxsize=None)
 def _execute(framework: str, algorithm: str, dataset: str, device: str):
-    """Run one runner-family case; returns (record, kernel names)."""
+    """Run one ``runner/...`` ledger case; returns (record, kernel names)."""
     runner = make_runner(framework, load_dataset(dataset, "tiny", weighted=True), get_device(device))
     if not runner.supports(algorithm):
         return {"supported": False}, ()
-    record = ledger.runner_record(runner, algorithm)
-    return record, tuple(cost.name for cost in runner.queue.profile.costs)
+    return ledger.runner_record(runner, algorithm), tuple(c.name for c in runner.queue.profile.costs)
 
 
 def run_case(framework: str, algorithm: str, dataset: str, device: str) -> dict:
