@@ -86,7 +86,6 @@ EXTENSIONS = {
         for seed in (0, 1)
     },
 }
-BITMAP_DEVICES = ("v100s", "mi100", "max1100")
 
 #: each family's key parts; a core key has no family prefix
 KEY_PARTS = {
@@ -132,12 +131,13 @@ def case_keys() -> List[str]:
     ]
     bitmap = [
         f"bitmap/{layout}/{bits}bit/kron/{SCALE}/{device}"
-        for layout in ("bitmap", "2lb") for bits in (32, 64) for device in BITMAP_DEVICES
+        for layout in ("bitmap", "2lb") for bits in (32, 64) for device in ("v100s", "mi100", "max1100")
     ]
     return single + gang + runner + extension + bitmap
 
 
 def family(key: str) -> str:
+    """A case key's family: its prefix, or ``core`` for a key without one."""
     head = key.split("/", 1)[0]
     return head if head in KEY_PARTS else "core"
 
@@ -329,7 +329,8 @@ def check_contracts(
     """The ledger's invariants over a record set → violation strings.
 
     * every record of one :func:`result_group` has one digest: layout,
-      fusion and device count change cost, never results;
+      fusion, device count, device, word width and framework change
+      cost, never results;
     * a fused case takes as many iterations as its unfused twin;
     * a gang's ghost exchange never ships more than the id list would;
     * a gang's makespan is at least its naive bound (``naive_ns``, which
