@@ -303,4 +303,3 @@ def test_trace_matches_golden(case):
     events, result = run_trace_case(case)
     assert events == GOLDEN.digests[case]
     assert result == GOLDEN.digests[result_case(case)]
-

@@ -179,4 +179,3 @@ def test_timeline_matches_golden(name):
         assert pagerank.status is RequestStatus.FAILED
         assert pagerank.attempts == 1
         assert "no gang (multi-device) implementation" in pagerank.reason
-
