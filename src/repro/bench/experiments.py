@@ -75,7 +75,7 @@ def table3_datasets(scale: Optional[str] = None) -> Dict:
     rows = []
     for name in dataset_names():
         coo = load_dataset(name, scale)
-        q = Queue(enable_profiling=False)
+        q = Queue()
         g = GraphBuilder(q).to_csr(coo)
         props = compute_properties(g)
         paper = PAPER_TABLE3[name]

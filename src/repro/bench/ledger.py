@@ -183,7 +183,7 @@ def _core_case(coos, algorithm, layout, graph, devices, fusion) -> Tuple[dict, O
             "idlist_bytes": int(res.idlist_bytes),
         }
         return record, round(res.makespan_naive_ns, 3)
-    q = Queue(get_device(DEVICE), enable_profiling=True, capacity_limit=0)
+    q = Queue(get_device(DEVICE), capacity_limit=0)
     bundle = GraphBundle(graph, coos[graph], q)
     spec.inputs(bundle)
     q.reset_profile()

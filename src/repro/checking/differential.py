@@ -262,11 +262,7 @@ def run_differential(
         #: algorithm -> (config, result) of the case's first run
         baselines: Dict[str, Tuple[RunConfig, np.ndarray]] = {}
         for backend in backends:
-            queue = Queue(
-                get_device(BACKEND_DEVICES[backend]),
-                enable_profiling=False,
-                capacity_limit=0,
-            )
+            queue = Queue(get_device(BACKEND_DEVICES[backend]), capacity_limit=0)
             bundle = GraphBundle(case.name, case.coo, queue)
             # build before the first run, so strict mode guards only the
             # runs' own allocations
@@ -285,6 +281,9 @@ def run_differential(
                                 res = spec.run(
                                     bundle, case.source, layout=layout, bits=bits, fuse=fuse_flag
                                 )
+                            # price the run's batch, as serving does: a
+                            # pricing error is this run's error
+                            queue.elapsed_ns
                         except Exception as exc:  # noqa: BLE001 — report, don't abort the sweep
                             report.errors.append(
                                 RunError(case.name, cfg, f"{type(exc).__name__}: {exc}")

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 
 
 @dataclass
@@ -46,11 +46,6 @@ class PendingKernel:
 
     workload: KernelWorkload
     has_advance: bool
-
-
-def is_null(wl: KernelWorkload) -> bool:
-    """True for the stream-less placeholder of non-profiling queues."""
-    return wl.geometry.total_lanes == 0 and not wl.streams
 
 
 def fuse_workloads(
@@ -69,8 +64,6 @@ def fuse_workloads(
         if prologue
         else f"{advance_wl.name}+{other_wl.name}"
     )
-    if is_null(advance_wl) or is_null(other_wl):
-        return null_workload(name)
     streams = (
         list(other_wl.streams) + list(advance_wl.streams)
         if prologue

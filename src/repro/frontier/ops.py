@@ -32,7 +32,7 @@ from repro.errors import FrontierError
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl.ndrange import range_launch
 
 #: address-space regions for the cost model (distinct buffers never alias)
@@ -74,7 +74,7 @@ def _bitwise_op(
     out.clear()
     out.words[:] = result
     # each summary layer gets the bits of the nonzero words below it; the
-    # set words are remembered so the profiling workload below streams
+    # set words are remembered so the workload below streams
     # them too — layer 0 alone undercounts exactly when the 2LB and the
     # tree pay for their summary update
     summaries = []
@@ -88,9 +88,6 @@ def _bitwise_op(
     out._bump_epoch()
 
     queue = a.queue
-    if not queue.enable_profiling:
-        queue.submit(null_workload(f"frontier.{name}"))
-        return
     n_words = a.words.size
     wl = KernelWorkload(
         name=f"frontier.{name}",
@@ -116,9 +113,6 @@ def _set_fallback(a: Frontier, b: Frontier, out: Frontier, setop: Callable, name
     out.insert(result)
 
     queue = a.queue
-    if not queue.enable_profiling:
-        queue.submit(null_workload(f"frontier.{name}.generic"))
-        return
     total = ea.size + eb.size
     wl = KernelWorkload(
         name=f"frontier.{name}.generic",

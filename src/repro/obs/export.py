@@ -33,8 +33,6 @@ def _ns_to_us(ns: float) -> float:
 
 def _kernel_args(event) -> dict:
     cost = event.cost
-    if cost is None:
-        return {"seq": event.seq}
     return {
         "seq": event.seq,
         "compute_ns": round(cost.compute_ns, 1),

@@ -37,9 +37,8 @@ class KernelEvent:
     seq: int
     ts_ns: float
     dur_ns: float
-    #: full cost-model output; None on non-profiling queues (the span
-    #: structure is still recorded, with zero-duration kernels).
-    cost: Optional["KernelCost"] = None
+    #: full cost-model output
+    cost: "KernelCost"
 
 
 @dataclass
@@ -192,9 +191,9 @@ class SpanTracer:
             self.metrics.observe_total("frontier.scan_misses", self.scan_stats.misses, self.cursor_ns)
 
     # -- runtime hooks --------------------------------------------------- #
-    def on_kernel(self, name: str, seq: int, cost: Optional["KernelCost"]) -> None:
+    def on_kernel(self, name: str, seq: int, cost: "KernelCost") -> None:
         """Queue.submit hook: attribute one kernel to the open span."""
-        dur = cost.time_ns if cost is not None else 0.0
+        dur = cost.time_ns
         self.current.kernels.append(KernelEvent(name, seq, self.cursor_ns, dur, cost))
         self.cursor_ns += dur
 

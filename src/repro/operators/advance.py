@@ -40,7 +40,7 @@ from repro.graph.csr import CSRGraph, expand
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance, range_geometry
 from repro.perfmodel.cache import count_distinct, unique_ints
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl.device import TunedParameters
 from repro.sycl.event import Event
 
@@ -160,9 +160,7 @@ def _advance_workload(
     src, dst, eid, w, degrees = expand(graph, active)
     accepted = _apply(functor, src, dst, eid, w, out_frontier)
 
-    # ---- cost accounting (skipped when the queue never consumes it)
-    if not queue.enable_profiling:
-        return null_workload(kernel)
+    # ---- cost accounting
     wl = _launch(
         graph, kernel, params, active, degrees, scan_words, scan_position, isinstance(in_frontier, VectorFrontier)
     )
@@ -265,8 +263,6 @@ def vertices_workload(
     if sweep is None:
         sweep = graph.sweeps[params] = _Sweep(graph, params)
     accepted = _apply(functor, *sweep.edges, out_frontier)
-    if not queue.enable_profiling:
-        return null_workload("advance.vertices")
     wl = replace(sweep.reads, streams=list(sweep.reads.streams))
     if out_frontier is not None and accepted.size:
         # the writes join the L2 stream: priced in full
@@ -341,9 +337,6 @@ def _submit_offsets_kernels(
     word_bytes = in_frontier.words.dtype.itemsize
     for k in range(1, in_frontier.n_layers):
         name = f"{kernel}.offsets" if k == 1 else f"{kernel}.offsets.l{k}"
-        if not queue.enable_profiling:
-            queue.submit(null_workload(name))
-            continue
         n_words = int(in_frontier.layers[k].size)
         if k == 1:
             instructions = 6.0
@@ -499,8 +492,6 @@ def pull_workload(
     if out_frontier is not None and accepted.size:
         out_frontier.insert(accepted)
 
-    if not queue.enable_profiling:
-        return null_workload("advance.frontier.pull")
     shape = characterize_bitmap_advance(
         params,
         -(-max(1, candidates.size) // params.bitmap_bits),

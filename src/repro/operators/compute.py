@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.frontier.base import Frontier
 from repro.operators.advance import REGION_USERDATA
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl.event import Event
 from repro.sycl.ndrange import range_launch
 
@@ -24,8 +24,6 @@ def _apply_and_characterize(
     """Apply ``functor(ids)`` and characterize the range launch (no submit)."""
     if ids.size:
         functor(ids)
-    if not queue.enable_profiling:
-        return null_workload(name)
     wl = KernelWorkload(
         name=name,
         geometry=range_launch(queue.device.spec, ids.size),

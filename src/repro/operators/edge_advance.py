@@ -39,7 +39,7 @@ from repro.operators.advance import (
     charge_frontier_probe,
 )
 from repro.operators.functor import as_mask
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl.event import Event
 from repro.sycl.ndrange import range_launch
 
@@ -78,8 +78,6 @@ def vertices_to_edges(
         if accepted.size:
             out_frontier.insert(accepted)
 
-        if not queue.enable_profiling:
-            return queue.submit(null_workload("advance.v2e"))
         # the advance's launch, scanning every word of a vertex bitmap
         scan_words = -(-max(1, graph.get_vertex_count()) // params.bitmap_bits)
         wl = _launch(graph, "advance.v2e", params, active, degrees, scan_words, active // params.bitmap_bits)
@@ -113,8 +111,6 @@ def edges_to_vertices(graph, in_frontier: Frontier, out_frontier: Frontier, func
         if accepted.size:
             out_frontier.insert(accepted)
 
-        if not queue.enable_profiling:
-            return queue.submit(null_workload("advance.e2v"))
         wl = KernelWorkload(
             name="advance.e2v",
             geometry=range_launch(queue.device.spec, eids.size),

@@ -26,7 +26,7 @@ from repro.operators.advance import (
 )
 from repro.operators.functor import as_mask
 from repro.perfmodel.cache import count_distinct
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl.event import Event
 from repro.sycl.ndrange import range_launch, range_workgroup_size
 
@@ -56,8 +56,6 @@ def _filter_workload(
     out_frontier: Frontier, written: np.ndarray,
 ) -> KernelWorkload:
     """Characterize the filter's range launch (no submit)."""
-    if not queue.enable_profiling:
-        return null_workload(name)
     spec = queue.device.spec
     wl = KernelWorkload(
         name=name,

@@ -258,24 +258,6 @@ _IS_LONG = SHORT_STREAM.__lt__
 #: the memory-hierarchy counts of a kernel without streams
 _NO_MEMORY = (0, 0, 0, 0)
 
-#: shared placeholder geometry for never-costed workloads
-_NULL_GEOMETRY = WorkgroupGeometry(global_size=0, workgroup_size=1, subgroup_size=1)
-
-
-def null_workload(name: str) -> KernelWorkload:
-    """A stream-less :class:`KernelWorkload` for non-profiling queues.
-
-    When ``Queue.enable_profiling`` is False the cost model never runs,
-    so launch geometry and address streams are dead weight — but the
-    kernel must still be *submitted* (event ordering, strict-mode
-    invariant sweeps, kernel counts).  Operators use this on the host's
-    hot path to skip the charging work entirely; a profiling queue gets
-    the fully characterized workload instead, so modeled times are
-    unaffected.
-    """
-    return KernelWorkload(name=name, geometry=_NULL_GEOMETRY, active_lanes=0)
-
-
 @dataclass
 class KernelCost:
     """Model output for one kernel launch."""

@@ -19,26 +19,26 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
 class Event:
     """Handle to one completed simulated kernel submission.
 
-    A profiling queue prices its kernels in batches, so the event holds
-    the kernel's place in the queue's :class:`~repro.sycl.profiling.ProfileLog`;
+    The queue prices its kernels in batches, so the event holds the
+    kernel's place in the queue's :class:`~repro.sycl.profiling.ProfileLog`;
     reading :attr:`cost` (or :meth:`profiling_ns`) prices the pending batch
     if the kernel is in it, and returns the object ``log.costs`` holds.
     """
 
     __slots__ = ("kernel_name", "seq", "_cost", "_log", "_index", "_complete")
 
-    def __init__(self, kernel_name: str, seq: int, log: Optional["ProfileLog"] = None, index: int = -1):
+    def __init__(self, kernel_name: str, seq: int, log: "ProfileLog", index: int):
         self.kernel_name = kernel_name
         self.seq = seq
-        #: the kernel's place in ``log``; no log on a queue without profiling
-        self._log = log
+        #: the kernel's place in ``log``; dropped once the cost is read
+        self._log: Optional["ProfileLog"] = log
         self._index = index
         self._cost: Optional["KernelCost"] = None
         self._complete = True
 
     @property
-    def cost(self) -> Optional["KernelCost"]:
-        """The kernel's cost (None on a queue without profiling)."""
+    def cost(self) -> "KernelCost":
+        """The kernel's cost."""
         if self._log is not None:
             self._cost = self._log.cost(self._index)
             self._log = None
@@ -54,6 +54,5 @@ class Event:
         return self._complete
 
     def profiling_ns(self) -> float:
-        """Simulated kernel duration in nanoseconds (0 if no cost model)."""
-        cost = self.cost
-        return 0.0 if cost is None else cost.time_ns
+        """Simulated kernel duration in nanoseconds."""
+        return self.cost.time_ns

@@ -45,9 +45,6 @@ class Queue:
     ----------
     device:
         Target device; defaults to the V100S profile (machine A).
-    enable_profiling:
-        When False, kernels are executed but not costed (unit tests that
-        only care about results run faster).
     capacity_limit:
         Override the simulated VRAM limit (None = use device spec;
         ``0`` disables OOM checking entirely).
@@ -62,7 +59,6 @@ class Queue:
     def __init__(
         self,
         device: Optional[Device] = None,
-        enable_profiling: bool = True,
         capacity_limit: Optional[int] = None,
         memory_mode: str = "shared",
     ):
@@ -79,7 +75,6 @@ class Queue:
             raise ValueError(f"memory_mode must be 'shared' or 'device', got {memory_mode!r}")
         self.memory_mode = memory_mode
         self.memory = MemoryManager(cap)
-        self.enable_profiling = enable_profiling
         self.cost_model = CostModel(self.device, usm=(memory_mode == "shared"))
         self.profile = ProfileLog(self.cost_model)
         self._seq = 0
@@ -104,7 +99,7 @@ class Queue:
     def submit(self, workload: "KernelWorkload") -> Event:
         """Launch one kernel and return its completion event.
 
-        Submitting does not price the kernel: a profiling queue copies its
+        Submitting does not price the kernel: the queue copies its
         address streams into the pending batch of :attr:`profile`, which
         prices the batch at the next sync point (a read of
         :attr:`elapsed_ns`, of the log, or of a pending event's cost; see
@@ -130,11 +125,8 @@ class Queue:
                     f"injected kernel-launch failure for {workload.name!r} "
                     f"(fault #{fault.seq})"
                 )
-        if self.enable_profiling:
-            profile = self.profile
-            ev = Event(workload.name, self._seq, log=profile, index=profile.enqueue(workload))
-        else:
-            ev = Event(workload.name, self._seq)
+        profile = self.profile
+        ev = Event(workload.name, self._seq, profile, profile.enqueue(workload))
         self._seq += 1
         if self.tracer is not None:
             # the tracer places the kernel on its timeline now: reading the

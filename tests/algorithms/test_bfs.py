@@ -210,7 +210,7 @@ class TestDirectionOptimizing:
 )
 def test_bfs_matches_reference_property(edges, source):
     """BFS equals the reference on arbitrary digraphs from any source."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     src = np.array([e[0] for e in edges])
     dst = np.array([e[1] for e in edges])
     g = from_edges(queue, src, dst, n_vertices=40)

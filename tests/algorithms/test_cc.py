@@ -62,8 +62,8 @@ class TestShortcutting:
     def test_shortcutting_reduces_iterations_on_paths(self, queue):
         """Stergiou's optimization collapses long chains (paper §3.4)."""
         coo = gen.path_graph(200).symmetrized()
-        q1 = Queue(capacity_limit=0, enable_profiling=False)
-        q2 = Queue(capacity_limit=0, enable_profiling=False)
+        q1 = Queue(capacity_limit=0)
+        q2 = Queue(capacity_limit=0)
         g1 = GraphBuilder(q1).to_csr(coo)
         g2 = GraphBuilder(q2).to_csr(coo)
         with_sc = cc(g1, shortcutting=True)
@@ -80,7 +80,7 @@ class TestShortcutRegression:
 
     @pytest.mark.parametrize("layout", ["2lb", "bitmap", "vector", "boolmap"])
     def test_shortcut_reinserts_changed_labels(self, layout):
-        queue = Queue(capacity_limit=0, enable_profiling=False)
+        queue = Queue(capacity_limit=0)
         src = [e[0] for e in self.EDGES]
         dst = [e[1] for e in self.EDGES]
         g = from_edges(queue, src, dst, n_vertices=7, directed=False)
@@ -100,7 +100,7 @@ class TestUnionFindHelper:
     edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=80),
 )
 def test_cc_matches_reference_property(edges):
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     g = from_edges(queue, src, dst, n_vertices=30, directed=False)

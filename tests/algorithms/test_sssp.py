@@ -96,7 +96,7 @@ class TestDeltaStepping:
     source=st.integers(0, 24),
 )
 def test_sssp_and_delta_stepping_agree_with_dijkstra(edges, source):
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     src = np.array([e[0] for e in edges])
     dst = np.array([e[1] for e in edges])
     w = np.array([e[2] for e in edges], dtype=np.float32)

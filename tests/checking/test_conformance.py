@@ -53,7 +53,7 @@ ids_lists = st.lists(st.integers(0, N - 1), max_size=120)
 @settings(max_examples=40, deadline=None)
 @given(inserts=ids_lists, removes=ids_lists)
 def test_insert_remove_agree_across_layouts(inserts, removes):
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     expected = sorted(set(inserts) - set(removes))
     for layout, bits in CONFIGS:
         f = _make(queue, layout, bits, inserts)
@@ -68,7 +68,7 @@ def test_insert_remove_agree_across_layouts(inserts, removes):
 @settings(max_examples=40, deadline=None)
 @given(a_ids=ids_lists, b_ids=ids_lists)
 def test_set_operations_agree_across_layouts(a_ids, b_ids):
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     sa, sb = set(a_ids), set(b_ids)
     expected = {
         "union": sorted(sa | sb),
@@ -96,7 +96,7 @@ def test_set_operations_agree_across_layouts(a_ids, b_ids):
     probes=st.lists(st.integers(0, N - 1), min_size=1, max_size=40),
 )
 def test_contains_agrees_across_layouts(inserts, probes):
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     member = set(inserts)
     expected = [p in member for p in probes]
     for layout, bits in CONFIGS:
@@ -107,7 +107,7 @@ def test_contains_agrees_across_layouts(inserts, probes):
 
 def test_boundary_ids_roundtrip():
     """First id, last id, and word-boundary ids survive every layout."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     edge_ids = [0, 31, 32, 63, 64, N - 1]
     for layout, bits in CONFIGS:
         f = _make(queue, layout, bits, edge_ids)

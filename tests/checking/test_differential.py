@@ -1,6 +1,8 @@
 """The differential matrix: it passes on a correct build, it FAILS on a
 sabotaged one (mutation smoke), and the CLI exposes both as exit codes."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,10 @@ from repro.checking.differential import (
     self_test,
 )
 from repro.checking.graphgen import adversarial_suite
+from repro.frontier.boolmap import BoolmapFrontier
+from repro.frontier.vector import VectorFrontier
 from repro.graph.builder import from_edges
+from repro.perfmodel.cost import CostModel
 from repro.sycl import Queue, get_device
 
 
@@ -95,10 +100,38 @@ class TestMutationSmoke:
         assert caught and "caught" in msg
 
 
+def _raise(*args, **kwargs):
+    raise RuntimeError("mutant")
+
+
+class TestMatrixReachesAccounting:
+    """Every run of the matrix is priced, like a served request: a fault
+    in a frontier's address map or in launch pricing is a run error."""
+
+    # errors per layout over 7 algorithms x 2 cases: pagerank's kernels
+    # stream no frontier storage, so only launch pricing fails all 14
+    @pytest.mark.parametrize(
+        "owner, method, errors",
+        [
+            (VectorFrontier, "storage", {"vector": 12}),
+            (BoolmapFrontier, "storage", {"boolmap": 12}),
+            (CostModel, "_price_launches", {"vector": 14, "boolmap": 14}),
+        ],
+    )
+    def test_raising_accounting_is_a_run_error(self, monkeypatch, owner, method, errors):
+        monkeypatch.setattr(owner, method, _raise)
+        report = run_differential(
+            cases=_cases("chain", "star"), layouts=("vector", "boolmap"), backends=("cuda",)
+        )
+        assert not report.divergences
+        assert Counter(e.config.layout for e in report.errors) == errors
+        assert {e.error for e in report.errors} == {"RuntimeError: mutant"}
+
+
 class TestFirstDivergentIteration:
     @pytest.fixture
     def chain_graph(self):
-        queue = Queue(get_device("v100s"), capacity_limit=0, enable_profiling=False)
+        queue = Queue(get_device("v100s"), capacity_limit=0)
         v = np.arange(9)
         return from_edges(queue, v, v + 1)
 

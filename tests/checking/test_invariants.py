@@ -15,7 +15,7 @@ from repro.sycl import Queue
 
 @pytest.fixture
 def quiet_queue():
-    return Queue(capacity_limit=0, enable_profiling=False)
+    return Queue(capacity_limit=0)
 
 
 class TestCanaries:

@@ -7,11 +7,10 @@ from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import cc
 from repro.algorithms.pagerank import pagerank
 from repro.exec import fuse_workloads
-from repro.exec.fusion import is_null
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.graph.generators import rmat
 from repro.obs.span import SpanTracer, iteration_breakdown
-from repro.perfmodel.cost import KernelWorkload, null_workload
+from repro.perfmodel.cost import KernelWorkload
 from repro.sycl import Queue
 from repro.sycl.ndrange import Range
 
@@ -44,11 +43,6 @@ class TestFuseWorkloads:
         fused = fuse_workloads(adv, jump, prologue=True)
         assert fused.name == "compute.execute_all+advance.frontier"
         assert [s.label for s in fused.streams] == ["compute.execute_all", "advance.frontier"]
-
-    def test_null_propagates(self):
-        adv = _wl("a", 10, 9.0, np.arange(10))
-        assert is_null(fuse_workloads(adv, null_workload("b")))
-        assert is_null(fuse_workloads(null_workload("a"), adv))
 
 
 def _graph(queue, scale=8):

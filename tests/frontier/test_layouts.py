@@ -206,7 +206,7 @@ class TestVectorSpecifics:
 )
 def test_frontier_matches_python_set(ops, layout):
     """Any insert/remove sequence behaves like a plain set of ints."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     f = make_frontier(queue, 500, layout=layout)
     reference = set()
     for op, ids in ops:

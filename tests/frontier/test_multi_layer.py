@@ -99,7 +99,7 @@ class TestDepthBehaviour:
         their layers before the buffer."""
         sizes = {}
         for n_layers in (1, 2, 3):
-            q = Queue(capacity_limit=0, enable_profiling=False)
+            q = Queue(capacity_limit=0)
             BitmapFrontier(q, 5000, bits=32, n_layers=n_layers)
             sizes[n_layers] = [(a.label, a.nbytes) for a in q.memory.live_allocations]
         assert sizes[1] == [("frontier.bitmap", 157 * 4)]
@@ -168,7 +168,7 @@ class TestAdvanceIntegration:
 )
 def test_tree_invariant_property(inserts, removes, n_layers):
     """Per-layer summary invariant holds under arbitrary mutation at any depth."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     t = BitmapFrontier(queue, 1000, n_layers=n_layers)
     t.insert(inserts)
     t.remove(removes)

@@ -273,7 +273,7 @@ class TestMixedLayouts:
 )
 def test_operator_algebra_matches_sets(xs, ys, layout):
     """Union/intersection/subtraction agree with Python set algebra."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     a = make_frontier(queue, 300, layout=layout)
     b = make_frontier(queue, 300, layout=layout)
     out = make_frontier(queue, 300, layout=layout)

@@ -100,7 +100,7 @@ class TestOffsets:
 )
 def test_layer2_invariant_under_mutation(inserts, removes, bits):
     """layer2 bit == (layer1 word nonzero), after arbitrary insert/remove."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     f = BitmapFrontier(queue, 2000, bits=bits, n_layers=2)
     f.insert(inserts)
     assert f.check_invariant()

@@ -89,7 +89,7 @@ def check_construction(coo):
             assert_identical(perm, want_perm)
     assert_same_coo(coo.deduplicated(), reference_deduplicated(coo))
     assert_same_coo(coo.symmetrized(), reference_symmetrized(coo))
-    builder = GraphBuilder(Queue(capacity_limit=0, enable_profiling=False))
+    builder = GraphBuilder(Queue(capacity_limit=0))
     for graph, major, minor, names in (
         (builder.to_csr(coo), coo.src, coo.dst, ("row_ptr", "col_idx")),
         (builder.to_csc(coo), coo.dst, coo.src, ("col_ptr", "row_idx")),

@@ -24,7 +24,7 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _props(name, scale="tiny", diameter=False):
-    q = Queue(capacity_limit=0, enable_profiling=False)
+    q = Queue(capacity_limit=0)
     csr = GraphBuilder(q).to_csr(load_dataset(name, scale))
     return compute_properties(csr, estimate_diameter=diameter)
 

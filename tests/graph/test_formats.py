@@ -153,7 +153,7 @@ class TestBuilder:
 )
 def test_coo_csr_coo_roundtrip(edges):
     """COO -> CSR -> COO preserves the edge multiset."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     coo = COOGraph(50, src, dst)
@@ -170,7 +170,7 @@ def test_coo_csr_coo_roundtrip(edges):
 )
 def test_csr_and_csc_agree(edges):
     """out-edges in CSR == in-edges in CSC, edge for edge."""
-    queue = Queue(capacity_limit=0, enable_profiling=False)
+    queue = Queue(capacity_limit=0)
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
     coo = COOGraph(30, src, dst)

@@ -10,7 +10,7 @@ from repro.sycl import Queue
 
 
 def _props(coo):
-    q = Queue(capacity_limit=0, enable_profiling=False)
+    q = Queue(capacity_limit=0)
     return compute_properties(GraphBuilder(q).to_csr(coo))
 
 
@@ -69,7 +69,7 @@ class TestRoadNetwork:
         assert not p.is_scale_free_like
 
     def test_large_diameter(self):
-        q = Queue(capacity_limit=0, enable_profiling=False)
+        q = Queue(capacity_limit=0)
         csr = GraphBuilder(q).to_csr(gen.road_network(40, 40, seed=2))
         p = compute_properties(csr, estimate_diameter=True)
         assert p.approx_diameter > 30

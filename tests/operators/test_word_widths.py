@@ -18,7 +18,7 @@ from repro.sycl.ndrange import WorkgroupGeometry
 
 
 def capture_submits(queue):
-    """Record every workload submitted to ``queue`` (profiling stays on)."""
+    """Record every workload submitted to ``queue``."""
     captured = []
     original = queue.submit
 

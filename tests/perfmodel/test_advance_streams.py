@@ -1,7 +1,7 @@
 """Real kernels price as the frozen reference does.
 
-BFS, SSSP and PageRank run on a small weighted R-MAT graph on a profiling
-queue that keeps every kernel it receives.  Each stream is copied at
+BFS, SSSP and PageRank run on a small weighted R-MAT graph on a queue
+that keeps every kernel it receives.  Each stream is copied at
 submit, because operators reuse their arrays, and each array object once
 per kernel, so a kernel that reads ``col_idx`` and ``weights`` at one
 ``eid`` array still reads one array twice.  Every kept kernel must cost
@@ -34,7 +34,7 @@ from tests.perfmodel.test_bit_identity import DEVICES, assert_same_cost, referen
 
 
 class RecordingQueue(Queue):
-    """A profiling queue that keeps a copy of every kernel it receives."""
+    """A queue that keeps a copy of every kernel it receives."""
 
     def __init__(self, device):
         super().__init__(device)

@@ -34,7 +34,6 @@ from repro.perfmodel.cost import (
     CostModel,
     KernelCost,
     KernelWorkload,
-    null_workload,
 )
 from repro.perfmodel.scaling import CACHE_SCALE
 from repro.sycl.backend import backend_traits
@@ -220,7 +219,7 @@ def assert_identical(model, wl):
     pass both equal the reference."""
     ref = reference_charge(model, wl)
     assert_same_cost(model.charge(wl), ref)
-    padding = [null_workload("pad")] * (SMALL_BATCH - 1)
+    padding = [_workload([])] * (SMALL_BATCH - 1)
     assert_same_cost(model.charge_many(padding + [wl])[-1], ref)
     return ref
 
@@ -402,7 +401,7 @@ def test_no_repeat_across_a_kernel_boundary(model):
     repeat at all."""
     forward = np.arange(3000) * 64
     kernel = [(forward, 8, 1), (forward[::-1].copy(), 8, 1)]
-    wls = [null_workload("pad")] * SMALL_BATCH + [_workload(kernel), _workload(kernel)]
+    wls = [_workload([])] * SMALL_BATCH + [_workload(kernel), _workload(kernel)]
     for wl, cost in zip(wls, model.charge_many(wls)):
         assert_same_cost(cost, reference_charge(model, wl))
 

@@ -1,7 +1,7 @@
 """Random interleavings of submits and sync points price every kernel as
 pricing it alone does.
 
-A profiling :class:`~repro.sycl.queue.Queue` does not price a kernel at
+A :class:`~repro.sycl.queue.Queue` does not price a kernel at
 submit.  It copies the kernel's streams into the pending batch of its
 :class:`~repro.sycl.profiling.ProfileLog`, or prices the memory hierarchy
 right away when a stream is longer than ``LARGE_STREAM``, or records the

@@ -35,13 +35,6 @@ class TestSubmission:
         e2 = queue.submit(_workload())
         assert e2.seq == e1.seq + 1
 
-    def test_profiling_disabled(self):
-        q = Queue(enable_profiling=False, capacity_limit=0)
-        ev = q.submit(_workload())
-        assert ev.cost is None
-        assert ev.profiling_ns() == 0.0
-        assert q.elapsed_ns == 0.0
-
     def test_elapsed_accumulates(self, queue):
         queue.submit(_workload())
         t1 = queue.elapsed_ns
