@@ -172,18 +172,27 @@ class CSRGraph:
         each of ``vertices``, from one gather of ``row_ptr``."""
         v = np.asarray(vertices, dtype=np.int64)
         edge_ids, degs = expand_ranges(self.row_ptr, v)
+        return (*self.gather_edges(v, edge_ids, degs), degs)
+
+    def gather_edges(
+        self, vertices: np.ndarray, edge_ids: np.ndarray, degrees
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`gather_neighbors`' four arrays for the int64 ``edge_ids``
+        of ``vertices``' runs, ``degrees`` (an array or a list) of them
+        each: an advance that walked its vertices' ``row_ptr`` entries
+        gathers the rest here."""
         total = edge_ids.size
         if total == 0:
             z = np.empty(0, dtype=np.int64)
-            return z, z, z, np.empty(0, dtype=weight_t), degs
-        src = np.repeat(v, degs)
+            return z, z, z, np.empty(0, dtype=weight_t)
+        src = np.repeat(vertices, degrees)
         dst = self.col_idx[edge_ids].astype(np.int64)
         w = (
             self.weights[edge_ids]
             if self.weights is not None
             else np.ones(total, dtype=weight_t)
         )
-        return src, dst, edge_ids, w, degs
+        return src, dst, edge_ids, w
 
     def edge_endpoints(self, edge_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(src, dst) endpoints for the given edge ids.

@@ -26,12 +26,14 @@ adaptive baseline needs the pull path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import FrontierError
+from repro.frontier._bitops import words_for
 from repro.frontier.base import Frontier
 from repro.frontier.bitmap import BitmapFrontier
 from repro.frontier.boolmap import BoolmapFrontier
@@ -39,8 +41,8 @@ from repro.frontier.vector import VectorFrontier
 from repro.graph.csr import CSRGraph, expand
 from repro.operators.functor import as_mask
 from repro.operators.load_balance import characterize_bitmap_advance, range_geometry
-from repro.perfmodel.cache import count_distinct, unique_ints
-from repro.perfmodel.cost import KernelWorkload
+from repro.perfmodel.cache import SHORT_STREAM, count_distinct, unique_ints
+from repro.perfmodel.cost import AccessStream, KernelWorkload
 from repro.sycl.device import TunedParameters
 from repro.sycl.event import Event
 
@@ -152,12 +154,17 @@ def _advance_workload(
     if explicit_vertices is not None:
         active = explicit_vertices
         scan_words = -(-max(1, graph.get_vertex_count()) // params.bitmap_bits)
-        scan_position = active // params.bitmap_bits
+        scan = _WordScan(params.bitmap_bits.bit_length() - 1)
     else:
-        active, scan_words, scan_position = _scan_frontier(queue, in_frontier, params, kernel)
+        active, scan_words, scan = _scan_frontier(queue, in_frontier, params, kernel)
 
     # ---- stages 1-3: neighbor expansion, functor, output insertion
-    src, dst, eid, w, degrees = expand(graph, active)
+    walked = _walk(graph, active, scan) if isinstance(scan, _WordScan) and isinstance(graph, CSRGraph) else None
+    if walked is not None:
+        (src, dst, eid, w), degrees, scan_position = walked
+    else:
+        src, dst, eid, w, degrees = expand(graph, active)
+        scan_position = scan.positions(active) if isinstance(scan, _WordScan) else scan
     accepted = _apply(functor, src, dst, eid, w, out_frontier)
 
     # ---- cost accounting
@@ -167,6 +174,58 @@ def _advance_workload(
     _charge_reads(wl, graph, active, dst, eid, params, scan_words)
     _charge_writes(wl, accepted, out_frontier, params)
     return wl
+
+
+class _WordScan(NamedTuple):
+    """Where a word-scanning advance visits each active vertex ``v``: at
+    its word ``v >> shift`` or, given the offsets buffer of a bitmap with
+    summary layers (the sorted distinct words of the active vertices), at
+    that word's index in it."""
+
+    shift: int
+    offsets: Optional[np.ndarray] = None
+
+    def positions(self, active: np.ndarray) -> np.ndarray:
+        words = active >> self.shift
+        return words if self.offsets is None else np.searchsorted(self.offsets, words)
+
+
+def _walk(graph: CSRGraph, active: np.ndarray, scan: _WordScan) -> Optional[tuple]:
+    """The expansion and scan positions of a few sorted active vertices,
+    from one walk over their ``row_ptr`` entries with Python ints
+    (NumPy's per-call overhead is the whole cost of a few vertices).
+    Returns ``gather_neighbors``' four arrays, and each vertex's
+    out-degree and scan position as lists.  With summary layers a
+    vertex's position is the rank of its word among the distinct words,
+    which is its index in the offsets buffer.
+
+    The walk pays only while the edges stay within :data:`SHORT_STREAM`:
+    past that the vectorized expansion costs less than the rest of the
+    walk.  So it returns None for more than :data:`SHORT_STREAM`
+    vertices, for more than the graph's mean degree expects to hold
+    :data:`SHORT_STREAM` edges, and as soon as their edges pass it."""
+    if active.size > SHORT_STREAM or active.size * graph.get_edge_count() > SHORT_STREAM * graph.get_vertex_count():
+        return None
+    entry = graph.row_ptr.item
+    shift, ranked = scan.shift, scan.offsets is not None
+    ids, degrees, positions = [], [], []
+    edges = 0
+    word = rank = -1
+    for v in active.tolist():
+        start, end = entry(v), entry(v + 1)
+        edges += end - start
+        if edges > SHORT_STREAM:
+            return None
+        ids += range(start, end)
+        degrees.append(end - start)
+        if ranked:
+            if v >> shift != word:
+                word = v >> shift
+                rank += 1
+            positions.append(rank)
+        else:
+            positions.append(v >> shift)
+    return graph.gather_edges(active, np.array(ids, dtype=np.int64), degrees), degrees, positions
 
 
 def _apply(functor, src, dst, eid, w, out_frontier: Optional[Frontier]) -> np.ndarray:
@@ -188,13 +247,14 @@ def _launch(
     kernel: str,
     params: TunedParameters,
     active: np.ndarray,
-    degrees: np.ndarray,
+    degrees: Union[np.ndarray, list],
     scan_words: int,
-    scan_position: np.ndarray,
+    scan_position: Union[np.ndarray, list],
     vector_input: bool = False,
 ) -> KernelWorkload:
     """The advance kernel's workload with its launch shape and no streams,
-    from the active vertices and their out-degrees."""
+    from the active vertices and their out-degrees (arrays, or an
+    advance's walked lists)."""
     spec = graph.queue.device.spec
     persistent_cap = spec.compute_units * spec.max_workgroups_per_cu
     shape = characterize_bitmap_advance(
@@ -276,22 +336,22 @@ def vertices_workload(
 
 def _scan_frontier(
     queue, in_frontier: Frontier, params: TunedParameters, kernel: str
-) -> Tuple[np.ndarray, int, np.ndarray]:
+) -> Tuple[np.ndarray, int, Union[_WordScan, np.ndarray]]:
     """Extract active vertices and model the frontier-scan footprint.
 
-    Returns (active_vertices, words_scanned_by_advance, scan_position) —
-    scan_position maps each active vertex to its index in the kernel's
-    word-iteration space.
+    Returns (active_vertices, words_scanned_by_advance, scan): each
+    active vertex's index in the kernel's word-iteration space, as a
+    :class:`_WordScan` rule, or an array for a vector frontier.
     """
     if in_frontier is None:
         raise FrontierError("advance.frontier requires an input frontier")
 
     if isinstance(in_frontier, BitmapFrontier):
+        shift = in_frontier.bits.bit_length() - 1
         if in_frontier.n_layers == 1:
             # no summary layer: the advance scans the whole bitmap, in
             # word order
-            active = in_frontier.active_elements()
-            return active, max(1, in_frontier.n_words), in_frontier.storage(active)[0]
+            return in_frontier.active_elements(), max(1, in_frontier.n_words), _WordScan(shift)
         # pre-pass kernels fill the offsets buffer.  The summary walk is
         # memoized against the frontier's mutation epoch, so
         # compute_offsets() and active_elements() share ONE walk — and
@@ -302,8 +362,7 @@ def _scan_frontier(
         active = in_frontier.active_elements()
         _submit_offsets_kernels(queue, in_frontier, offsets, params, kernel)
         # scan position = index within the compacted offsets buffer
-        position = np.searchsorted(offsets, in_frontier.storage(active)[0])
-        return active, max(1, offsets.size), position
+        return active, max(1, offsets.size), _WordScan(shift, offsets)
 
     if isinstance(in_frontier, VectorFrontier):
         # vector frontiers are consumed with duplicates — the advance
@@ -314,12 +373,37 @@ def _scan_frontier(
         return raw, words, np.arange(raw.size) // params.bitmap_bits
 
     if isinstance(in_frontier, BoolmapFrontier):
-        active = in_frontier.active_elements()
-        # byte-per-vertex: the scan walks 8x the words of a bitmap
+        # byte-per-vertex: the scan walks 8x the words of a bitmap, a
+        # word holding bitmap_bits / 8 vertices
         words = -(-max(1, in_frontier.n_elements * 8) // params.bitmap_bits)
-        return active, words, active * 8 // params.bitmap_bits
+        return in_frontier.active_elements(), words, _WordScan(params.bitmap_bits.bit_length() - 4)
 
     raise FrontierError(f"unsupported frontier layout {type(in_frontier).__name__}")
+
+
+@lru_cache(maxsize=256)
+def _offsets_kernel_heads(
+    kernel: str, n_words: int, bits: int, n_layers: int, workgroup_size: int, subgroup_size: int, native: bool
+) -> tuple:
+    """What the offsets kernels of a bitmap with ``n_words`` layer-0
+    words and ``n_layers`` layers take from its shape alone, per summary
+    layer: the name, launch shape, active lanes and instructions per
+    lane, and the stream of the layer's words.  Built once per shape, in
+    a bounded memo; the records are immutable, over the shared iota."""
+    heads = []
+    word_bytes = bits // 8
+    size = n_words
+    for k in range(1, n_layers):
+        size = words_for(size, bits)
+        name = f"{kernel}.offsets" if k == 1 else f"{kernel}.offsets.l{k}"
+        instructions = 6.0 if k == 1 or native else 10.0
+        if k == 1:
+            words = AccessStream(_iota(size), word_bytes, REGION_L2, label="l2.words")
+        else:
+            words = AccessStream(_iota(size), word_bytes, REGION_L2 + k, label=f"layer{k}.words")
+        geometry = range_geometry(max(1, size), workgroup_size, subgroup_size)
+        heads.append((name, geometry, size, instructions, words))
+    return tuple(heads)
 
 
 def _submit_offsets_kernels(
@@ -332,28 +416,23 @@ def _submit_offsets_kernels(
     bitmap-tree of §4.4 — adds one *dependent* kernel over its words:
     "extra synchronization during advance operations".  Without native
     specialization constants the dynamic layer loop cannot be unrolled,
-    so those kernels pay extra per-word instructions.
+    so those kernels pay extra per-word instructions.  Each kernel's
+    shape and word stream come from :func:`_offsets_kernel_heads`; the
+    offsets it probes and writes are this iteration's.
     """
+    n_layers = in_frontier.n_layers
+    # the 2LB's one kernel costs the same on every device: one memo entry
+    native = n_layers == 2 or queue.device.traits.spec_constants_native
+    heads = _offsets_kernel_heads(
+        kernel, in_frontier.n_words, in_frontier.bits, n_layers, params.workgroup_size, params.subgroup_size, native
+    )
     word_bytes = in_frontier.words.dtype.itemsize
-    for k in range(1, in_frontier.n_layers):
-        name = f"{kernel}.offsets" if k == 1 else f"{kernel}.offsets.l{k}"
-        n_words = int(in_frontier.layers[k].size)
+    for k, (name, geometry, n_words, instructions, words) in enumerate(heads, start=1):
+        pre = KernelWorkload(name, geometry, n_words, instructions, [words])
         if k == 1:
-            instructions = 6.0
-        else:
-            instructions = 6.0 if queue.device.traits.spec_constants_native else 10.0
-        pre = KernelWorkload(
-            name=name,
-            geometry=range_geometry(max(1, n_words), params.workgroup_size, params.subgroup_size),
-            active_lanes=n_words,
-            instructions_per_lane=instructions,
-        )
-        if k == 1:
-            pre.add_stream(_iota(n_words), word_bytes, REGION_L2, label="l2.words")
             pre.add_stream(offsets, word_bytes, REGION_FRONTIER_IN, label="l1.probe")
             pre.add_stream(_iota(offsets.size), 8, REGION_OFFSETS, is_write=True, label="offsets.out")
         else:
-            pre.add_stream(_iota(n_words), word_bytes, REGION_L2 + k, label=f"layer{k}.words")
             pre.add_stream(_iota(max(1, offsets.size)), 8, REGION_OFFSETS, is_write=True, label="offsets")
         queue.submit(pre)
 

@@ -81,35 +81,13 @@ class AdvanceShape:
         return self.active_lanes / total if total else 0.0
 
 
-def characterize_bitmap_advance(
-    params: TunedParameters,
-    words_scanned: int,
-    active_vertices: np.ndarray,
-    degrees: np.ndarray,
-    scan_position: np.ndarray,
-    max_workgroups: int = 0,
-) -> AdvanceShape:
-    """Model one workgroup-mapped advance launch.
-
-    Parameters
-    ----------
-    params:
-        Device-inspector output (word width, subgroup size, workgroup
-        size, coarsening factor).
-    words_scanned:
-        Bitmap words the kernel iterates over: the full bitmap for the
-        single-layer layout, the offsets-buffer length for 2LB.
-    active_vertices / degrees:
-        The compacted vertices and their out-degrees.
-    scan_position:
-        For every active vertex, the position of its word in the kernel's
-        iteration space (for 2LB this is the offset-buffer index, not the
-        raw word index — consecutive nonzero words are packed).
-    max_workgroups:
-        Persistent-grid cap: "a set number of workgroups run on the GPU,
-        iterating over the offsets buffer" (§4.3).  0 = one workgroup per
-        coarsened word group (no persistence).
-    """
+@lru_cache(maxsize=256)
+def _grid(params: TunedParameters, words_scanned: int, max_workgroups: int) -> tuple:
+    """What an advance launch takes from its configuration and the words
+    it scans alone: its workgroups, their launch shape, the stage-1
+    instructions per lane, the word's passes over a subgroup, and the
+    subgroups per workgroup, all and at most engaged.  Built once per
+    (params, words, cap), in a bounded memo."""
     cf = max(1, params.coarsening_factor)
     if cf > 1:
         # CF optimization on: "adjust the coarsening factor to keep the
@@ -149,12 +127,55 @@ def characterize_bitmap_advance(
     else:
         slice_limit = max(1, int(cf * params.bitmap_bits // params.subgroup_size))
         max_engaged = min(sgs_per_wg, slice_limit)
+    return n_wg, geometry, instructions, passes, sgs_per_wg, max_engaged
+
+
+def _ints(values) -> list:
+    """``values``, an int array or a list of Python ints, as the list."""
+    return values if isinstance(values, list) else values.tolist()
+
+
+def characterize_bitmap_advance(
+    params: TunedParameters,
+    words_scanned: int,
+    active_vertices: np.ndarray,
+    degrees: np.ndarray,
+    scan_position: np.ndarray,
+    max_workgroups: int = 0,
+) -> AdvanceShape:
+    """Model one workgroup-mapped advance launch.
+
+    Parameters
+    ----------
+    params:
+        Device-inspector output (word width, subgroup size, workgroup
+        size, coarsening factor).
+    words_scanned:
+        Bitmap words the kernel iterates over: the full bitmap for the
+        single-layer layout, the offsets-buffer length for 2LB.
+    active_vertices / degrees:
+        The compacted vertices and their out-degrees.
+    scan_position:
+        For every active vertex, the position of its word in the kernel's
+        iteration space (for 2LB this is the offset-buffer index, not the
+        raw word index — consecutive nonzero words are packed).
+
+        ``degrees`` and ``scan_position`` are int arrays, or lists of
+        Python ints: an advance over at most :data:`SHORT_STREAM`
+        vertices walks them into lists, which the sums below read as
+        they are.
+    max_workgroups:
+        Persistent-grid cap: "a set number of workgroups run on the GPU,
+        iterating over the offsets buffer" (§4.3).  0 = one workgroup per
+        coarsened word group (no persistence).
+    """
+    n_wg, geometry, instructions, passes, sgs_per_wg, max_engaged = _grid(params, words_scanned, max_workgroups)
     if active_vertices.size:
         if n_wg == 1:
             # one workgroup holds every active vertex (an advance's, at
             # most one word's): its numbers are the totals, and the sums
             # below have one term
-            edges = sum(degrees.tolist())
+            edges = sum(_ints(degrees))
             engaged = min(max_engaged, active_vertices.size)
             edge_ops = float(edges) * (sgs_per_wg / engaged) * EDGE_OPS
             engaged_total = float(engaged)
@@ -165,7 +186,7 @@ def characterize_bitmap_advance(
             # right, as += does (sum() compensates on Python >= 3.12)
             wg_bits = [0] * n_wg
             wg_edges = [0] * n_wg
-            for position, degree in zip(scan_position.tolist(), degrees.tolist()):
+            for position, degree in zip(_ints(scan_position), _ints(degrees)):
                 wg = position % n_wg
                 wg_bits[wg] += 1
                 wg_edges[wg] += degree
@@ -181,8 +202,9 @@ def characterize_bitmap_advance(
             engaged_total = float(engaged_total)
             max_wg_edges = int(max(wg_edges))
         else:
+            degrees = np.asarray(degrees)
             edges = int(degrees.sum())
-            wg_of_vertex = scan_position % n_wg
+            wg_of_vertex = np.asarray(scan_position) % n_wg
             wg_bits = np.bincount(wg_of_vertex, minlength=n_wg)
             # float64 sums of the degrees, in vertex order
             wg_edges = np.bincount(wg_of_vertex, weights=degrees, minlength=n_wg)
