@@ -252,8 +252,10 @@ class Frontier(abc.ABC):
 
     @staticmethod
     def _as_ids(elements) -> np.ndarray:
-        ids = np.atleast_1d(np.asarray(elements, dtype=np.int64))
-        return ids
+        """``elements`` (a scalar or an array) as an int64 array of at
+        least one dimension: an int64 vector as it is."""
+        ids = np.asarray(elements, dtype=np.int64)
+        return ids if ids.ndim else ids.reshape(1)
 
     def _validated(self, elements) -> np.ndarray:
         ids = self._as_ids(elements)

@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import FrontierError
 from repro.frontier import _bitops
 from repro.frontier.base import Frontier, FrontierView, _out_of_range, distinct_ids
-from repro.perfmodel.cache import MARK_SPAN_BASE, MARK_SPAN_PER_ACCESS, SHORT_STREAM, unique_sorted
+from repro.perfmodel.cache import MARK_SPAN_BASE, MARK_SPAN_PER_ACCESS, SHORT_STREAM, unique_ints, unique_sorted
 from repro.types import bitmap_dtype
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,34 +43,37 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: shared read-only empty id array for primed empty scans
 _EMPTY_IDS = np.empty(0, dtype=np.int64)
-#: touched words per layer up to which a small insert ORs each word in
-#: place: a scalar OR costs ~0.3 us a word, one fancy ``|=`` ~4 us
+#: an insert of at most SHORT_STREAM ids ORs each word in place with
+#: Python ints when the ids number at most this many or lie within this
+#: many layer-0 words: a scalar OR costs ~0.3 us a word, one fancy ``|=``
+#: ~4 us, and each id a few tenths of a microsecond more
 SCALAR_WORDS = 8
 
 
 def _set_few_bits(layers: List[np.ndarray], ids: List[int], bits: int) -> List[int]:
-    """Set the bits of sorted distinct ``ids`` in every layer with Python
-    ints (NumPy's per-call overhead is the whole cost of a few ids): per
-    layer, one OR mask per touched word, applied in place word by word
-    to up to :data:`SCALAR_WORDS` words and by one fancy ``|=`` to more.
-    Returns the touched layer-0 words, sorted."""
+    """Set the bits of sorted distinct ``ids``, which touch at most
+    :data:`SCALAR_WORDS` words, in every layer with Python ints (NumPy's
+    per-call overhead is the whole cost of a few ids): per layer, one OR
+    mask per touched word, OR-ed into it in place.  Sorted ids have
+    sorted words, so a word's mask is complete when the next id lands on
+    another word.  Returns the touched layer-0 words, sorted."""
     shift, low = bits.bit_length() - 1, bits - 1
     touched = ids
     words = None
     for layer in layers:
-        masks = {}
+        keys = []
+        word, mask = touched[0] >> shift, 0
         for i in touched:
-            word = i >> shift
-            masks[word] = masks.get(word, 0) | 1 << (i & low)
-        # sorted ids have sorted words, each once as a key
-        touched = list(masks)
-        if len(touched) <= SCALAR_WORDS:
-            for word, mask in masks.items():
+            if i >> shift != word:
                 layer[word] = layer.item(word) | mask
-        else:
-            layer[np.array(touched)] |= np.array(list(masks.values()), dtype=layer.dtype)
+                keys.append(word)
+                word, mask = i >> shift, 0
+            mask |= 1 << (i & low)
+        layer[word] = layer.item(word) | mask
+        keys.append(word)
         if words is None:
-            words = touched
+            words = keys
+        touched = keys
     return words
 
 
@@ -131,7 +134,9 @@ class BitmapFrontier(Frontier):
     # -- mutation ------------------------------------------------------- #
     def insert(self, elements) -> None:
         """Set the bits of ``elements`` in every layer.  At most
-        :data:`SHORT_STREAM` ids are set with Python ints.  More ids that
+        :data:`SHORT_STREAM` ids are set with Python ints when they touch
+        at most :data:`SCALAR_WORDS` words: there are that few of them, or
+        they span that few.  More ids, or scattered ones, that
         ``count_distinct``'s mark rule lets mark the whole frontier are
         marked in one bool array and packed into layer 0's words; sparser
         ones are sorted and set word by word."""
@@ -143,42 +148,63 @@ class BitmapFrontier(Frontier):
         # "When adding a vertex, the corresponding bit in the second layer
         # is calculated and set to 1 if it's not already" (§4.3), and so on
         # up the tree
-        if ids.size <= SHORT_STREAM:
-            ids = sorted(set(ids.tolist()))
-            if ids[0] < 0 or ids[-1] >= n:
-                raise _out_of_range(n, ids[0], ids[-1])
-            words = _set_few_bits(self.layers, ids, self.bits)
-        else:
-            if n <= MARK_SPAN_PER_ACCESS * ids.size + MARK_SPAN_BASE:
+        count = ids.size
+        small = count <= SHORT_STREAM
+        if small:
+            values = ids.tolist()
+            if count <= SCALAR_WORDS:
+                distinct = sorted(set(values))
+                lo, hi = distinct[0], distinct[-1]
+            else:
+                # more ids pay on Python ints only within SCALAR_WORDS
+                # words: their ends route them before any sort
+                lo, hi = min(values), max(values)
+                shift = self.bits.bit_length() - 1
+                distinct = sorted(set(values)) if (hi >> shift) - (lo >> shift) < SCALAR_WORDS else None
+            if lo < 0 or hi >= n:
+                raise _out_of_range(n, lo, hi)
+            if distinct is not None:
+                words = _set_few_bits(self.layers, distinct, self.bits)
+                self._bump_epoch()
+                if was_empty:
+                    # the insert determines the scans: one array holds both
+                    primed = np.array(distinct + words, dtype=np.int64)
+                    k = len(distinct)
+                    self._prime_scan_cache(active=primed[:k], nonzero_words=primed[k:])
+                return
+            # scattered: a NumPy path below, range-checked already
+        if n <= MARK_SPAN_PER_ACCESS * count + MARK_SPAN_BASE:
+            if not small:
                 lo, hi = int(ids.min()), int(ids.max())
                 if lo < 0 or hi >= n:
                     raise _out_of_range(n, lo, hi)
-                mark = np.zeros(self.n_words * self.bits, dtype=np.bool_)
-                mark[ids] = True
-                packed = np.packbits(mark, bitorder="little").view(self.words.dtype)
-                self.words |= packed
-                words = np.flatnonzero(packed)
-                if was_empty:
-                    ids = np.flatnonzero(mark)
-            else:
-                ids = distinct_ids(ids, n)
-                _bitops.set_bits(self.words, ids, self.bits)
-                if self.n_layers > 1 or was_empty:
-                    # sorted ids have sorted words: one pass drops the repeats
-                    words = unique_sorted(ids // self.bits)
-            if self.n_layers > 1:
-                touched = words
-                _bitops.set_bits(self.layers[1], touched, self.bits)
-                for layer in self.layers[2:]:
-                    touched = unique_sorted(touched // self.bits)
-                    _bitops.set_bits(layer, touched, self.bits)
+            mark = np.zeros(self.n_words * self.bits, dtype=np.bool_)
+            mark[ids] = True
+            packed = np.packbits(mark, bitorder="little").view(self.words.dtype)
+            self.words |= packed
+            words = np.flatnonzero(packed)
+            if was_empty:
+                # the primed active scan: a pass over the marks costs about
+                # twice per element what marking them did, so past half the
+                # mark rule's span the sorted distinct ids cost less
+                ids = np.flatnonzero(mark) if n <= MARK_SPAN_PER_ACCESS // 2 * count else unique_ints(ids)
+        else:
+            ids = unique_ints(ids) if small else distinct_ids(ids, n)
+            _bitops.set_bits(self.words, ids, self.bits)
+            if self.n_layers > 1 or was_empty:
+                # sorted ids have sorted words: one pass drops the repeats
+                words = unique_sorted(ids // self.bits)
+        if self.n_layers > 1:
+            touched = words
+            _bitops.set_bits(self.layers[1], touched, self.bits)
+            for layer in self.layers[2:]:
+                touched = unique_sorted(touched // self.bits)
+                _bitops.set_bits(layer, touched, self.bits)
         self._bump_epoch()
         if was_empty:
             # inserting into a provably-empty frontier determines the scans
             # by construction: no bitmap pass needed to answer the next query
-            self._prime_scan_cache(
-                active=np.asarray(ids, dtype=np.int64), nonzero_words=np.asarray(words, dtype=np.int64)
-            )
+            self._prime_scan_cache(active=ids, nonzero_words=words)
 
     def remove(self, elements) -> None:
         ids = self._validated(elements)
@@ -218,9 +244,13 @@ class BitmapFrontier(Frontier):
         if key == "active":
             if self.n_layers == 1:
                 return _bitops.expand_words(self.words, self.bits, self.n_elements)
-            return _bitops.expand_selected_words(
-                self.words, self.nonzero_words(), self.bits, self.n_elements
-            )
+            # the summary walk found the nonzero words: expand only those
+            # while they are a minority, every word once most are nonzero
+            # (selecting a word costs about twice what unpacking it does)
+            nonzero = self.nonzero_words()
+            if 2 * nonzero.size > self.n_words:
+                return _bitops.expand_words(self.words, self.bits, self.n_elements)
+            return _bitops.expand_selected_words(self.words, nonzero, self.bits, self.n_elements)
         if key == "nonzero_words":
             return self._walk_nonzero_words()
         return super()._scan_compute(key)
