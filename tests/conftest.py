@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.sycl import Queue, get_device
+
+#: the frontier machine (tests/frontier/test_frontier_machine.py) at full
+#: size: ``--hypothesis-profile frontier-full`` selects it (CI's nightly
+#: job); tier-1 runs the machine smaller
+settings.register_profile("frontier-full", max_examples=1500, stateful_step_count=40)
 
 
 @pytest.fixture

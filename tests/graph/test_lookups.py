@@ -5,6 +5,10 @@ which widened all of ``row_ptr`` / ``col_ptr`` to int64 before indexing.
 Values and dtypes must match on random graphs with zero-degree vertices,
 for empty, repeated and unsorted vertex lists, and for offsets past
 2^31, where a narrowing or a signed 32-bit intermediate would go wrong.
+The advance's expansion of sorted vertex lists, walked on Python ints up
+to ``SHORT_STREAM`` vertices and edges and vectorized past either, must
+match the same reference on both sides of both cutoffs, with low-degree
+vertices and hubs, and for offsets past 2^31.
 """
 
 import numpy as np
@@ -14,6 +18,9 @@ from hypothesis import strategies as st
 
 from repro.graph import generators as gen
 from repro.graph.builder import GraphBuilder
+from repro.graph.coo import COOGraph
+from repro.operators import advance
+from repro.perfmodel.cache import SHORT_STREAM
 from repro.sycl import Queue
 
 
@@ -116,3 +123,109 @@ def test_offsets_past_2_to_the_31(queue, shift):
         starts, ends = ranges(vertices)
         assert_same_arrays([starts, ends], reference_ranges(offsets, vertices))
         assert int(starts.min()) >= shift
+
+
+# ---- the advance's walk over at most SHORT_STREAM vertices ----------- #
+# A CSR advance over at most SHORT_STREAM active vertices with at most
+# SHORT_STREAM edges expands them with Python ints (``advance._walk``);
+# past either cutoff it expands them with ``CSRGraph.expand``.  Either
+# way it must give the four arrays and the degrees the frozen reference
+# gives.
+
+
+@st.composite
+def graphs_with_hubs_and_sorted_vertices(draw):
+    """A random graph with low-degree vertices and hubs of 30-120
+    out-edges, and a sorted distinct vertex list of 1 to 80 vertices, on
+    both sides of SHORT_STREAM."""
+    n = draw(st.integers(50, 300))
+    seed = draw(st.integers(0, 2**16))
+    coo = gen.erdos_renyi(n, draw(st.sampled_from([0.3, 2.0])), seed=seed, weighted=draw(st.booleans()))
+    rng = np.random.default_rng(seed)
+    hubs = rng.choice(n, draw(st.integers(0, 4)), replace=False)
+    degrees = rng.integers(30, 121, hubs.size)
+    src = np.concatenate([coo.src, np.repeat(hubs, degrees)])
+    dst = np.concatenate([coo.dst, rng.integers(0, n, int(degrees.sum()))])
+    weights = None
+    if coo.weights is not None:
+        weights = np.concatenate([coo.weights, rng.random(int(degrees.sum()))])
+    merged = COOGraph(n, src, dst, weights)
+    size = draw(st.sampled_from([1, 2, 7, SHORT_STREAM - 1, SHORT_STREAM, SHORT_STREAM + 1, 80]))
+    size = min(size, n)
+    vertices = np.sort(rng.choice(n, size, replace=False)).astype(np.int64)
+    if hubs.size and draw(st.booleans()):
+        vertices = np.union1d(vertices[: max(1, size - 1)], hubs[:1]).astype(np.int64)
+    return merged, vertices
+
+
+def _walk(graph, vertices, bits=32):
+    return advance._walk(graph, vertices, advance._WordScan(bits.bit_length() - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(graphs_with_hubs_and_sorted_vertices())
+def test_advance_expansion_matches_reference(case):
+    """An advance walks at most SHORT_STREAM vertices while their edges,
+    expected at the graph's mean degree and counted, stay within
+    SHORT_STREAM, and expands the others with ``CSRGraph.expand``:
+    either way, the reference's arrays and degrees."""
+    coo, vertices = case
+    g = GraphBuilder(Queue(capacity_limit=0)).to_csr(coo)
+    walked = _walk(g, vertices)
+    edges = int(reference_degrees(g.row_ptr, vertices).sum())
+    expected_edges = vertices.size * g.get_edge_count() / g.get_vertex_count()
+    assert (walked is None) == (max(vertices.size, expected_edges, edges) > SHORT_STREAM)
+    if walked is None:
+        *arrays, degrees = g.expand(vertices)
+        degrees = degrees.tolist()
+    else:
+        arrays, degrees, _ = walked
+        assert all(type(d) is int for d in degrees)
+    assert_same_arrays(arrays, reference_gather(g.row_ptr, g.col_idx, g.weights, vertices))
+    assert degrees == reference_degrees(g.row_ptr, vertices).tolist()
+
+
+class EdgeIdGraph:
+    """A graph's sizes and shifted ``row_ptr``: ``gather_edges`` hands
+    back the edge ids the walk built, as no test can hold the 2^31
+    ``col_idx`` entries such offsets index."""
+
+    def __init__(self, graph, row_ptr):
+        self.get_vertex_count, self.get_edge_count = graph.get_vertex_count, graph.get_edge_count
+        self.row_ptr = row_ptr
+
+    def gather_edges(self, vertices, edge_ids, degrees):
+        return edge_ids
+
+
+def reference_edge_ids(ptr, vertices):
+    starts, ends = reference_ranges(ptr, vertices)
+    runs = [np.arange(s, e, dtype=np.int64) for s, e in zip(starts.tolist(), ends.tolist())]
+    return np.concatenate(runs) if runs else np.empty(0, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shift", [(1 << 31) - 3, 1 << 31, (1 << 32) - 20_000])
+@pytest.mark.parametrize("vertices", [[39], [0, 5, 17, 39], [1, 2, 3, 37], [1, 2, 3, 38], list(range(40))])
+def test_walk_offsets_past_2_to_the_31(queue, shift, vertices):
+    """The walk reads uint32 offsets past 2^31 as Python ints: edge ids
+    and degrees as the reference widens them, and it hands over to the
+    vectorized expansion at the same edge count (vertex 38 is a hub of
+    60 edges)."""
+    coo = gen.erdos_renyi(40, 3.0, seed=2)
+    hub = COOGraph(40, np.full(60, 38), np.arange(60) % 40)
+    coo = COOGraph(40, np.concatenate([coo.src, hub.src]), np.concatenate([coo.dst, hub.dst]))
+    graph = GraphBuilder(queue).to_csr(coo)
+    offsets = graph.row_ptr.copy()
+    offsets += np.uint32(shift)
+    v = np.array(vertices, dtype=np.int64)
+    walked = _walk(EdgeIdGraph(graph, offsets), v)
+    if v.size * graph.get_edge_count() > SHORT_STREAM * graph.get_vertex_count():
+        assert walked is None  # forty vertices: too many at the mean degree
+        return
+    if int(reference_degrees(offsets, v).sum()) > SHORT_STREAM:
+        assert walked is None  # the hub's edges pass the cutoff
+        return
+    edge_ids, degrees, _ = walked
+    assert_same_arrays([edge_ids], [reference_edge_ids(offsets, v)])
+    assert degrees == reference_degrees(offsets, v).tolist()
+    assert int(edge_ids.min()) >= shift
