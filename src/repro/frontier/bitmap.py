@@ -184,10 +184,14 @@ class BitmapFrontier(Frontier):
             self.words |= packed
             words = np.flatnonzero(packed)
             if was_empty:
-                # the primed active scan: a pass over the marks costs about
-                # twice per element what marking them did, so past half the
-                # mark rule's span the sorted distinct ids cost less
-                ids = np.flatnonzero(mark) if n <= MARK_SPAN_PER_ACCESS // 2 * count else unique_ints(ids)
+                # the primed active scan: past MARK_SPAN_BASE elements a
+                # pass over the marks costs about twice per element what
+                # marking them did, so past half the mark rule's span the
+                # sorted distinct ids cost less; up to MARK_SPAN_BASE
+                # elements NumPy's per-call overhead sets both costs, which
+                # stay within ~1.5 us of each other
+                sort = n > MARK_SPAN_BASE and n > MARK_SPAN_PER_ACCESS // 2 * count
+                ids = unique_ints(ids) if sort else np.flatnonzero(mark)
         else:
             ids = unique_ints(ids) if small else distinct_ids(ids, n)
             _bitops.set_bits(self.words, ids, self.bits)

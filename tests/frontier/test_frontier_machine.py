@@ -19,6 +19,12 @@ must agree (``check_invariant``).  An advance must give the functor
 and the kernel what the NumPy path gives them: the same advance over a
 graph that is not a ``CSRGraph`` (``PerCallGraph``) runs no walk.
 
+Spies on the functions that take each path record which path every
+bitmap insert, summary-layer active scan and advance ran.  It must be
+the path the rules in docs/architecture.md give ("Small inputs on
+Python ints", "Three bitmap insert paths"), and over the run every
+path must run.
+
 Tier-1 runs 300 examples of 25 steps.  ``--hypothesis-profile
 frontier-full`` (registered in ``tests/conftest.py``) runs the machine
 at the profile's size instead.
@@ -28,6 +34,7 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -38,7 +45,7 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.frontier import make_frontier
+from repro.frontier import _bitops, bitmap, make_frontier
 from repro.frontier.base import scan_memoization
 from repro.frontier.bitmap import SCALAR_WORDS, BitmapFrontier
 from repro.frontier.ops import frontier_intersection, frontier_subtraction, frontier_union, swap
@@ -71,7 +78,9 @@ SET_OPS = {
 #: the profile that sizes the machine from the command line
 FULL_PROFILE = "frontier-full"
 
-#: the paths the runs reached, by name
+#: calls of the spied functions, by label (``_spy``)
+CALLS = Counter()
+#: the paths the runs took, by name, as the spied calls show them
 COVERED = Counter()
 PATHS = {
     "python insert",
@@ -120,7 +129,7 @@ def _ids(n, cap, clustered, seed):
 
 
 def _insert_path(frontier, ids):
-    """The bitmap insert path ``ids`` take, by the rules of
+    """The bitmap insert path ``ids`` must take, by the rules of
     ``BitmapFrontier.insert``."""
     n, k = frontier.n_elements, ids.size
     shift = frontier.bits.bit_length() - 1
@@ -134,11 +143,93 @@ def _insert_path(frontier, ids):
     if n <= MARK_SPAN_PER_ACCESS * k + MARK_SPAN_BASE:
         path.append("packed insert")
         if frontier._cached_was_empty():
-            expanded = n <= MARK_SPAN_PER_ACCESS // 2 * k
-            path.append("packed insert, active " + ("expanded from the marks" if expanded else "sorted"))
+            sorted_ = n > MARK_SPAN_BASE and n > MARK_SPAN_PER_ACCESS // 2 * k
+            path.append("packed insert, active " + ("sorted" if sorted_ else "expanded from the marks"))
     else:
         path.append("sorted insert")
     return path
+
+
+def _insert_path_ran(calls, k):
+    """The bitmap insert path that one insert of ``k`` ids ran, as its
+    spied ``calls`` show it."""
+    if calls["_set_few_bits"]:
+        return ["python insert"]
+    path = ["scattered small insert"] if k <= SHORT_STREAM else []
+    if calls["packbits"]:
+        path.append("packed insert")
+        if calls["flatnonzero of marks"]:
+            path.append("packed insert, active expanded from the marks")
+        elif calls["unique_ints"]:
+            path.append("packed insert, active sorted")
+    else:
+        path.append("sorted insert")
+    return path
+
+
+def _spy(monkeypatch, owner, name, label=None):
+    """Count every call of ``owner.name`` in ``CALLS``, under
+    ``label(args, result)`` or the name."""
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        CALLS[label(args, result) if label else name] += 1
+        return result
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+def _ran(step, *args):
+    """``step(*args)`` and the spied calls it made."""
+    before = CALLS.copy()
+    result = step(*args)
+    return result, CALLS - before
+
+
+class _NumPy:
+    """NumPy as ``repro.frontier.bitmap`` sees it, so that the calls it
+    makes can be spied on."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _active_scan_checked(scan_compute):
+    """``BitmapFrontier._scan_compute`` that checks a summary-layer
+    active scan expanded the layer-0 words its density calls for (the
+    walk for the nonzero words expands the layers above)."""
+
+    def checked(frontier, key):
+        result, calls = _ran(scan_compute, frontier, key)
+        if key == "active" and frontier.n_layers > 1 and result.size:
+            words = np.unique(result >> (frontier.bits.bit_length() - 1))
+            want = "dense active scan" if 2 * words.size > frontier.n_words else "sparse active scan"
+            took = {"expand_words": "dense active scan", "expand_selected_words": "sparse active scan"}
+            ran = [took[name] for name in took if calls[name, id(frontier.words)]]
+            assert ran == [want], (ran, want)
+            COVERED[want] += 1
+        return result
+
+    return checked
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Spies on the functions whose calls show which path a step ran."""
+    CALLS.clear()
+    COVERED.clear()
+    numpy = _NumPy()
+    monkeypatch.setattr(bitmap, "np", numpy)
+    _spy(monkeypatch, numpy, "packbits")
+    _spy(monkeypatch, numpy, "flatnonzero", lambda args, _: "flatnonzero of marks" if args[0].dtype == np.bool_ else "flatnonzero")
+    for name in ("_set_few_bits", "unique_ints"):
+        _spy(monkeypatch, bitmap, name)
+    for name in ("expand_words", "expand_selected_words"):
+        _spy(monkeypatch, _bitops, name, lambda args, _, name=name: (name, id(args[0])))
+    _spy(monkeypatch, advance, "_walk", lambda _, result: "walk handed over" if result is None else "walked")
+    _spy(monkeypatch, advance, "expand")
+    monkeypatch.setattr(BitmapFrontier, "_scan_compute", _active_scan_checked(BitmapFrontier._scan_compute))
 
 
 def _same_stream(got, want):
@@ -182,9 +273,13 @@ class FrontierMachine(RuleBasedStateMachine):
             frontier.clear()
             self.models[which] = set()
         if isinstance(frontier, BitmapFrontier):
-            for path in _insert_path(frontier, ids):
-                COVERED[path] += 1
-        frontier.insert(ids)
+            want = _insert_path(frontier, ids)
+            _, calls = _ran(frontier.insert, ids)
+            ran = _insert_path_ran(calls, ids.size)
+            assert ran == want, (ran, want)
+            COVERED.update(ran)
+        else:
+            frontier.insert(ids)
         self.models[which] |= set(ids.tolist())
 
     @rule(which=pick, args=ids_args)
@@ -218,7 +313,6 @@ class FrontierMachine(RuleBasedStateMachine):
             assert frontier.nonzero_words().tolist() == words
             if frontier.n_layers > 1:
                 assert frontier.compute_offsets().tolist() == words
-                COVERED["dense active scan" if 2 * len(words) > frontier.n_words else "sparse active scan"] += 1
 
     @rule(op=st.sampled_from(sorted(SET_OPS)), order=st.permutations([0, 1, 2]))
     def set_op(self, op, order):
@@ -244,11 +338,12 @@ class FrontierMachine(RuleBasedStateMachine):
         active = f_in.active_elements()
         edges = int(self.graph.out_degrees(active).sum())
         expected_edges = active.size * self.graph.get_edge_count() / self.n
-        if isinstance(f_in, VectorFrontier) or max(active.size, expected_edges, edges) > SHORT_STREAM:
-            COVERED["numpy advance"] += 1
-        else:
-            COVERED["walk"] += 1
-        walked = advance.frontier_workload(self.graph, f_in, f_out, functor)
+        vectorized = isinstance(f_in, VectorFrontier) or max(active.size, expected_edges, edges) > SHORT_STREAM
+        want = "numpy advance" if vectorized else "walk"
+        walked, spied = _ran(advance.frontier_workload, self.graph, f_in, f_out, functor)
+        ran = [path for path, name in (("walk", "walked"), ("numpy advance", "expand")) if spied[name]]
+        assert ran == [want], (ran, want)
+        COVERED[want] += 1
         reference = advance.frontier_workload(PerCallGraph(self.graph), f_in, None, functor)
         if calls:
             assert len(calls) == 2
@@ -278,8 +373,7 @@ class FrontierMachine(RuleBasedStateMachine):
                 assert frontier.check_invariant()
 
 
-def test_frontier_machine():
-    COVERED.clear()
+def test_frontier_machine(spies):
     size = {} if settings.get_current_profile_name() == FULL_PROFILE else {"max_examples": 300, "stateful_step_count": 25}
     run_state_machine_as_test(
         FrontierMachine,
