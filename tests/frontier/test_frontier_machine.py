@@ -78,8 +78,8 @@ SET_OPS = {
 #: the profile that sizes the machine from the command line
 FULL_PROFILE = "frontier-full"
 
-#: calls of the spied functions, by label (``_spy``)
-CALLS = Counter()
+#: one Counter of spied calls, by label, for each ``_ran`` under way
+RECORDING = []
 #: the paths the runs took, by name, as the spied calls show them
 COVERED = Counter()
 PATHS = {
@@ -168,13 +168,15 @@ def _insert_path_ran(calls, k):
 
 
 def _spy(monkeypatch, owner, name, label=None):
-    """Count every call of ``owner.name`` in ``CALLS``, under
-    ``label(args, result)`` or the name."""
+    """Count every call of ``owner.name`` in each recording Counter,
+    under ``label(args, result)`` or the name."""
     real = getattr(owner, name)
 
     def spy(*args, **kwargs):
         result = real(*args, **kwargs)
-        CALLS[label(args, result) if label else name] += 1
+        key = label(args, result) if label else name
+        for calls in RECORDING:
+            calls[key] += 1
         return result
 
     monkeypatch.setattr(owner, name, spy)
@@ -182,9 +184,13 @@ def _spy(monkeypatch, owner, name, label=None):
 
 def _ran(step, *args):
     """``step(*args)`` and the spied calls it made."""
-    before = CALLS.copy()
-    result = step(*args)
-    return result, CALLS - before
+    calls = Counter()
+    RECORDING.append(calls)
+    try:
+        result = step(*args)
+    finally:
+        RECORDING.pop()
+    return result, calls
 
 
 class _NumPy:
@@ -217,12 +223,16 @@ def _active_scan_checked(scan_compute):
 @pytest.fixture
 def spies(monkeypatch):
     """Spies on the functions whose calls show which path a step ran."""
-    CALLS.clear()
+
+    def of_marks(args, _):
+        return "flatnonzero of marks" if args[0].dtype == np.bool_ else "flatnonzero"
+
+    RECORDING.clear()
     COVERED.clear()
     numpy = _NumPy()
     monkeypatch.setattr(bitmap, "np", numpy)
     _spy(monkeypatch, numpy, "packbits")
-    _spy(monkeypatch, numpy, "flatnonzero", lambda args, _: "flatnonzero of marks" if args[0].dtype == np.bool_ else "flatnonzero")
+    _spy(monkeypatch, numpy, "flatnonzero", of_marks)
     for name in ("_set_few_bits", "unique_ints"):
         _spy(monkeypatch, bitmap, name)
     for name in ("expand_words", "expand_selected_words"):
